@@ -18,7 +18,7 @@ from .impact_map import (ContractViolation, DEGENERATE, DegenerateImpact,
                          GRAZING, ImpactEvent, MapState, TRANSVERSAL,
                          classify_impact, in_degenerate_set,
                          incoming_to_map_state, outgoing_components,
-                         recurrence_direct, recurrence_series,
+                         recurrence, recurrence_direct, recurrence_kernels,
                          segment_max_height, step)
 from .simulator import (ConvergenceRow, ConvergenceTable, QuasiTrajectory,
                         TrajectoryRecord, convergence_experiment,
@@ -42,7 +42,8 @@ __all__ = [
     "hybrid_root", "in_degenerate_set", "incoming_to_map_state",
     "oracle_simulate", "outgoing_components", "quasi_position",
     "quasi_velocity", "record_from_json", "record_state", "record_to_json",
-    "recurrence_direct", "recurrence_series", "reflect", "segment_max_height",
+    "recurrence", "recurrence_direct", "recurrence_kernels", "reflect",
+    "segment_max_height",
     "segment_position", "segment_to_free_flight", "segment_velocity",
     "simulate", "solve_delta", "solve_tstar", "step", "to_lab_frame",
     "trajectory_samples", "unit_rotation",

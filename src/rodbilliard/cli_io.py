@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 from .core import SimConfig
 from .flight import FlightSegment, FreeFlight, flight_position, to_lab_frame, \
@@ -118,6 +118,7 @@ def record_to_json(record: TrajectoryRecord) -> str:
 def record_from_json(text: str) -> TrajectoryRecord:
     data = json.loads(text)
     cfg = dict(data["config"])
+    cfg.pop("series_switch_delta", None)  # a setting of earlier versions
     if cfg.get("t_max") is None:
         cfg["t_max"] = math.inf
     qs = data["quasi_start"]
@@ -343,7 +344,7 @@ def cmd_impacts(parser: _Parser, args: argparse.Namespace) -> int:
         else:
             delta = seg.delta
             if delta is None:
-                delta = solve_delta(seg.a, seg.b, cfg)
+                delta = solve_delta(seg.a, seg.b - 1.0, cfg)
             delta_s, a_s, b_s = _FMT(delta), _FMT(seg.a), _FMT(seg.b)
         lines.append(",".join([
             str(ev.n), _FMT(ev.t), delta_s, _FMT(ev.r), a_s, b_s,
@@ -389,7 +390,9 @@ def cmd_oracle(parser: _Parser, args: argparse.Namespace) -> int:
     if not 1 <= args.n_impacts <= 1000:
         parser.error("--n-impacts must lie in [1, 1000]")
     args.n_max = args.n_impacts
-    cfg = _build_sim_config(parser, args)
+    # tight roots keep each path's own noise well under the comparison
+    # band, as in the library's oracle acceptance check
+    cfg = replace(_build_sim_config(parser, args), root_abs_tol=1e-15)
     try:
         record = simulate(args.z0, args.v0, cfg)
         if record.termination in ("unsupported_first_impact",

@@ -70,7 +70,6 @@ class SimConfig:
 
     root_abs_tol: float = 1e-13
     max_bisect_iters: int = 200
-    series_switch_delta: float = 1e-4
     scan_step: float = 1e-3
     n_max: int = 1000
     t_max: float = math.inf
@@ -78,8 +77,7 @@ class SimConfig:
     quasi_mode: str = "stop"
 
     def __post_init__(self) -> None:
-        for name in ("root_abs_tol", "series_switch_delta", "scan_step",
-                     "grazing_tol", "t_max"):
+        for name in ("root_abs_tol", "scan_step", "grazing_tol", "t_max"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
         if self.n_max < 1:

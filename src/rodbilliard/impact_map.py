@@ -1,16 +1,20 @@
 """Closed-form impact recurrences for the rotating-rod billiard.
 
-An arc leaving the rod at radius r with reflected velocity r(a + i(b-1))
-returns to it after the time delta solving b s cos s = (1 + a s) sin s,
-and the contact data advance in closed form:
+An arc leaving the rod at radius r with reflected velocity r(a + i beta),
+b = 1 + beta, returns to it after the time delta solving
+b s cos s = (1 + a s) sin s, and the contact data advance in closed form:
 
-    r'  =  r b delta / sin delta
-    a'  =  1/delta - cos delta sin delta / (b delta^2)
-    b'  =  2 - (sin delta / delta)^2 / b
+    r'     =  r b delta / sin delta
+    a'     =  1/delta - cos delta sin delta / (b delta^2)
+           =  (beta/delta + delta m(delta)) / b
+    beta'  =  1 - (sin delta / delta)^2 / b
+           =  (beta + p(delta)) / b
 
-Below ``series_switch_delta`` the maps are evaluated through
-cancellation-safe series so that orbits of 10^5+ impacts keep full
-relative precision; the naive a' subtracts two O(1/delta) terms.
+with p = 1 - (sin delta/delta)^2 and m = (delta - sin delta cos delta)/delta^3.
+Along an orbit delta_n ~ 3/(2n) and beta_n ~ delta_n, so the state
+carries beta itself (b would keep only eps/beta of its relative
+precision), p and m come from their Taylor series where the closed forms
+cancel, and the second forms above add positive terms only.
 """
 
 from __future__ import annotations
@@ -19,9 +23,16 @@ import math
 from dataclasses import dataclass
 
 from .core import BilliardError, DEFAULT_CONFIG, SimConfig, require_finite
-from .rootfind import T_STAR, solve_delta
+from .rootfind import (ROOT_REL_TOL, SERIES_MAX, T_STAR, hybrid_root,
+                       reduced_arc, small_root_guess, solve_delta)
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Taylor coefficients in u = delta^2 of p/u, (-1)^n 2^(2n+3)/(2n+4)!, and
+# of m, (-1)^n 4^(n+1)/(2n+3)!: exact to an ulp below SERIES_MAX
+(_P0, _P1, _P2, _P3, _P4, _P5, _P6, _P7, _P8, _P9, _P10) = (
+    (-1) ** n * 2 ** (2 * n + 3) / math.factorial(2 * n + 4)
+    for n in range(11))
+(_M0, _M1, _M2, _M3, _M4, _M5, _M6, _M7, _M8, _M9, _M10, _M11) = (
+    (-1) ** n * 4 ** (n + 1) / math.factorial(2 * n + 3) for n in range(12))
 
 TRANSVERSAL = "transversal"
 GRAZING = "grazing"
@@ -58,19 +69,27 @@ class ImpactEvent:
 
 @dataclass(frozen=True, slots=True)
 class MapState:
-    """Arc parameters (r, a, b) right after impact number ``n``."""
+    """Arc parameters (r, a, beta = b - 1) right after impact number ``n``.
+
+    The arc is r (1 + (a + ib) s) e^{-is}; beta is stored rather than b
+    because it tends to 0 along an orbit.
+    """
 
     r: float
     a: float
-    b: float
+    beta: float
     n: int
 
     def __post_init__(self) -> None:
         if not (self.r > 0 and math.isfinite(self.r)
-                and math.isfinite(self.a) and math.isfinite(self.b)):
+                and math.isfinite(self.a) and math.isfinite(self.beta)):
             raise ValueError(
                 f"impact state must be finite with r > 0, got "
-                f"r={self.r}, a={self.a}, b={self.b}")
+                f"r={self.r}, a={self.a}, beta={self.beta}")
+
+    @property
+    def b(self) -> float:
+        return 1.0 + self.beta
 
 
 def classify_impact(r: float, zdot_in: complex,
@@ -102,9 +121,10 @@ def incoming_to_map_state(r: float, zdot_in: complex,
                           n: int = 1) -> MapState:
     """Arc parameters after reflecting ``zdot_in`` at radius ``r``.
 
-    a = Re zdot_in / r and b = 1 - Im zdot_in / r; admissible impacts give
-    b > 1, or b = 1 with a < 0 (grazing).  A full-stop velocity raises
-    DegenerateImpact, anything below the rod's reach ContractViolation.
+    a = Re zdot_in / r and beta = b - 1 = -Im zdot_in / r; admissible
+    impacts give beta > 0, or beta = 0 with a < 0 (grazing).  A full-stop
+    velocity raises DegenerateImpact, anything below the rod's reach
+    ContractViolation.
     """
     cfg = cfg or DEFAULT_CONFIG
     if not r > 0:
@@ -114,38 +134,58 @@ def incoming_to_map_state(r: float, zdot_in: complex,
         raise DegenerateImpact(
             f"velocity {zdot_in!r} at r={r} is a full stop on the rod")
     a = zdot_in.real / r
-    b = 1.0 - zdot_in.imag / r
-    graz = cfg.grazing_tol * max(1.0, abs(b))
-    if b <= 1.0 + graz and (b < 1.0 - graz or a >= 0.0):
+    beta = -zdot_in.imag / r
+    graz = cfg.grazing_tol * max(1.0, abs(1.0 + beta))
+    if beta <= graz and (beta < -graz or a >= 0.0):
         raise ContractViolation(
-            f"reflection of {zdot_in!r} at r={r} gives a={a}, b={b}; "
-            "admissible impacts have b > 1, or b = 1 with a < 0")
-    return MapState(r=r, a=a, b=b, n=n)
+            f"reflection of {zdot_in!r} at r={r} gives a={a}, beta={beta}; "
+            "admissible impacts have beta > 0, or beta = 0 with a < 0")
+    return MapState(r=r, a=a, beta=beta, n=n)
 
 
-def recurrence_direct(delta: float, b: float) -> tuple[float, float, float]:
-    """Closed-form (a', b', delta/sin delta); cancels badly as delta -> 0."""
+def recurrence_kernels(delta: float) -> tuple[float, float]:
+    """p = 1 - (sin delta/delta)^2 and m = (delta - sin delta cos delta)/delta^3.
+
+    Both to about an ulp: Taylor series below SERIES_MAX, where the
+    closed forms would cancel (p ~ delta^2/3, m ~ 2/3), closed forms above.
+    """
+    if delta < SERIES_MAX:
+        u = delta * delta
+        p = u * (_P0 + u * (_P1 + u * (_P2 + u * (_P3 + u * (_P4 + u * (
+            _P5 + u * (_P6 + u * (_P7 + u * (_P8 + u * (_P9 + u * _P10))))))))))
+        m = _M0 + u * (_M1 + u * (_M2 + u * (_M3 + u * (_M4 + u * (_M5 + u * (
+            _M6 + u * (_M7 + u * (_M8 + u * (_M9 + u * (_M10 + u * _M11))))))))))
+        return p, m
+    sd = math.sin(delta)
+    return (1.0 - (sd / delta) ** 2,
+            (delta - sd * math.cos(delta)) / (delta * delta * delta))
+
+
+def recurrence(delta: float, beta: float) -> tuple[float, float, float]:
+    """(a', beta', delta/sin delta) after an arc of duration ``delta``.
+
+    The forms a' = (beta/delta + delta m)/b and beta' = (beta + p)/b add
+    positive terms only, so both keep the relative precision of beta and
+    delta at any step size.
+    """
+    p, m = recurrence_kernels(delta)
+    b = 1.0 + beta
+    return ((beta / delta + delta * m) / b, (beta + p) / b,
+            delta / math.sin(delta))
+
+
+def recurrence_direct(delta: float, beta: float
+                      ) -> tuple[float, float, float]:
+    """Textbook closed forms of ``recurrence``; cancel badly as delta -> 0.
+
+    Kept as the independent reference the series path is checked against.
+    """
+    b = 1.0 + beta
     sd = math.sin(delta)
     cd = math.cos(delta)
     a_next = 1.0 / delta - cd * sd / (b * delta * delta)
-    b_next = 2.0 - (sd / delta) ** 2 / b
-    return a_next, b_next, delta / sd
-
-
-def recurrence_series(delta: float, b: float) -> tuple[float, float, float]:
-    """Series form of the same maps, exact to ~1e-15 for delta <= 1e-2.
-
-    Uses sin d cos d = d - (2/3)d^3 + (2/15)d^5 - (4/315)d^7, which turns
-    a' into ((b-1)/d + (2/3)d - ...)/b with no cancellation beyond the
-    stored precision of b - 1.
-    """
-    d2 = delta * delta
-    dos = 1.0 + d2 / 6.0 + 7.0 * d2 * d2 / 360.0
-    sod2 = 1.0 - d2 / 3.0 + 2.0 * d2 * d2 / 45.0
-    poly = 2.0 / 3.0 - d2 * (2.0 / 15.0 - d2 * (4.0 / 315.0))
-    a_next = ((b - 1.0) / delta + delta * poly) / b
-    b_next = 2.0 - sod2 / b
-    return a_next, b_next, dos
+    beta_next = 1.0 - (sd / delta) ** 2 / b
+    return a_next, beta_next, delta / sd
 
 
 def step(ms: MapState, cfg: SimConfig | None = None
@@ -155,18 +195,16 @@ def step(ms: MapState, cfg: SimConfig | None = None
     The radius grows strictly: r' = r b delta/sin delta > r.
     """
     cfg = cfg or DEFAULT_CONFIG
-    delta = solve_delta(ms.a, ms.b, cfg)
-    if delta < cfg.series_switch_delta:
-        a_next, b_next, dos = recurrence_series(delta, ms.b)
-    else:
-        a_next, b_next, dos = recurrence_direct(delta, ms.b)
+    delta = solve_delta(ms.a, ms.beta, cfg)
+    a_next, beta_next, dos = recurrence(delta, ms.beta)
     r_next = ms.r * ms.b * dos
     if not (math.isfinite(r_next) and r_next > ms.r):
         raise ContractViolation(
             f"radius failed to grow: r={ms.r} -> {r_next} at n={ms.n} "
-            f"(a={ms.a}, b={ms.b}, delta={delta})")
+            f"(a={ms.a}, beta={ms.beta}, delta={delta})")
     height = segment_max_height(ms, delta)
-    return delta, MapState(r=r_next, a=a_next, b=b_next, n=ms.n + 1), height
+    return (delta, MapState(r=r_next, a=a_next, beta=beta_next, n=ms.n + 1),
+            height)
 
 
 def outgoing_components(ms: MapState, delta: float) -> tuple[float, float]:
@@ -174,6 +212,8 @@ def outgoing_components(ms: MapState, delta: float) -> tuple[float, float]:
 
     Re = r (b/sin d - cos d/d) > 0 and Im = r (sin d/d - b d/sin d) < 0
     for every admissible state; delta must be the return time of ``ms``.
+    The same velocity is r' (a' - i beta') in terms of the next state;
+    this closed form is the independent check of that identity.
     """
     sd = math.sin(delta)
     cd = math.cos(delta)
@@ -182,41 +222,32 @@ def outgoing_components(ms: MapState, delta: float) -> tuple[float, float]:
     return re_out, im_out
 
 
-def segment_max_height(ms: MapState, delta: float,
-                       scan_points: int = 64) -> float:
-    """Peak of Im f(s) = r (b s cos s - (1 + a s) sin s) over one arc.
+def segment_max_height(ms: MapState, delta: float) -> float:
+    """Peak of the arc's height r s g(s) over (0, delta), g = F/s as in
+    ``reduced_arc``.
 
-    Coarse scan first (the profile is not guaranteed unimodal a priori),
-    then golden-section refinement of the winning bracket.
+    h'/r = g + s g' falls from beta > 0 at s = 0 to delta g'(delta) < 0 at
+    the return, so its root is bracketed; Newton starts at the root of
+    beta = 2a s + s^2, its small-s form.  A grazing arc (beta = 0) has
+    h' = 0 at s = 0 as well, and is solved as h'/(r s) = g/s + g', which
+    falls from -2a > 0.
     """
-    r, a, b = ms.r, ms.a, ms.b
+    r, a, beta = ms.r, ms.a, ms.beta
+    if beta > 0.0:
+        def f_df(s: float) -> tuple[float, float]:
+            g, g1, g2 = reduced_arc(s, a, beta)
+            return g + s * g1, 2.0 * g1 + s * g2
+    else:
+        beta = 0.0
 
-    def height(s: float) -> float:
-        return r * (b * s * math.cos(s) - (1.0 + a * s) * math.sin(s))
-
-    best_i = 1
-    best_h = -math.inf
-    for i in range(1, scan_points):
-        h = height(delta * i / scan_points)
-        if h > best_h:
-            best_i, best_h = i, h
-    lo = delta * (best_i - 1) / scan_points
-    hi = delta * (best_i + 1) / scan_points
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc = height(c)
-    fd = height(d)
-    tol = 1e-8 * delta
-    while hi - lo > tol:
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = height(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = height(d)
-    return max(best_h, fc, fd)
+        def f_df(s: float) -> tuple[float, float]:
+            g, g1, g2 = reduced_arc(s, a, 0.0)
+            g_s = g / s
+            return g_s + g1, (g1 - g_s) / s + g2
+    s = hybrid_root(f_df, 0.0, delta, abs_tol=0.0,
+                    x0=small_root_guess(1.0, 2.0 * a, beta),
+                    rel_tol=ROOT_REL_TOL, positive_lo=True).root
+    return r * s * reduced_arc(s, a, beta)[0]
 
 
 def in_degenerate_set(z0: complex, zdot0: complex,

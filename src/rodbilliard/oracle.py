@@ -8,7 +8,7 @@ the lab frame to the rod angle at the impact), which keeps magnitudes of
 order r and avoids the loss of significance a global (z, v) anchor
 suffers as t grows.  Deliberately slow (O(delta / scan_step) evaluations
 per impact) and meant for cross-validation runs of at most ~10^3
-impacts, where the inter-impact gaps stay well above the lift-off guard.
+impacts, where the inter-impact gaps stay above one scan step.
 """
 
 from __future__ import annotations
@@ -31,8 +31,10 @@ def oracle_simulate(z0: complex, v0: complex, n_impacts: int,
     The scan starts a lift-off guard of 10 scan_steps past each
     reflection (the outgoing vertical velocity is positive, so the ball
     is strictly above the rod there) and bisects the first sign change
-    of Im z(t).  Strict radius growth is checked as a missed-impact
-    diagnostic.
+    of Im z(t).  Once the gaps between impacts shrink below the guard the
+    ball is back on the rod there, and the scan starts one scan_step past
+    the reflection instead.  Strict radius growth is checked as a
+    missed-impact diagnostic.
     """
     cfg = cfg or DEFAULT_CONFIG
     require_finite(z0, "z0")
@@ -51,9 +53,12 @@ def oracle_simulate(z0: complex, v0: complex, n_impacts: int,
         s0 = guard if k > 0 else cfg.scan_step
         h0 = flight_position(ff, s0).imag
         if k > 0 and h0 <= 0.0:
-            raise OracleMismatch(
-                f"lift-off guard overshot the next impact after t = {t_base} "
-                f"(h = {h0} at the guard point); reduce scan_step")
+            s0 = cfg.scan_step
+            h0 = flight_position(ff, s0).imag
+            if h0 <= 0.0:
+                raise OracleMismatch(
+                    f"the next impact after t = {t_base} comes within one "
+                    f"scan step (h = {h0} there); reduce scan_step")
         s_hit = _next_crossing(ff, s0, h0, cfg)
         r_hit = flight_position(ff, s_hit).real
         if k == 0:

@@ -2,10 +2,10 @@
 
 Three solvers live here: the generic bracketed Newton/bisection hybrid,
 the return-time equation b s cos s = (1 + a s) sin s for an arc leaving
-the rod, and the first-contact event detector for an arbitrary free
-flight.  Newton steps accelerate a sign-change bracket; any step that
-leaves the bracket falls back to bisection, so convergence is guaranteed
-for continuous functions.
+the rod (in the reduced form shared with the arc-height solve), and the
+first-contact event detector for an arbitrary free flight.  Newton steps
+accelerate a sign-change bracket; any step that leaves the bracket falls
+back to bisection, so convergence is guaranteed for continuous functions.
 """
 
 from __future__ import annotations
@@ -39,6 +39,9 @@ class UnsupportedFirstImpact(BilliardError):
 
 @dataclass(frozen=True, slots=True)
 class RootResult:
+    """A solve's root, f at the last iterate evaluated, the number of
+    iterations (one evaluation of f each) and whether a bracket held."""
+
     root: float
     residual: float
     iterations: int
@@ -48,41 +51,53 @@ class RootResult:
 def hybrid_root(f_df: Callable[[float], tuple[float, float]],
                 lo: float, hi: float,
                 abs_tol: float = 1e-13,
-                max_iters: int = 200) -> RootResult:
+                max_iters: int = 200, *,
+                x0: float | None = None,
+                rel_tol: float = 0.0,
+                positive_lo: bool | None = None) -> RootResult:
     """Root of f in [lo, hi] given a sign change, with Newton acceleration.
 
-    ``f_df(x)`` returns (f(x), f'(x)).  A Newton step is taken whenever it
-    stays strictly inside the current bracket and shrinks it at least as
-    fast as bisection would; otherwise the midpoint is used.  Terminates
-    when the step or the bracket falls below ``abs_tol``.
-    """
-    flo, _ = f_df(lo)
-    fhi, _ = f_df(hi)
-    if flo == 0.0:
-        return RootResult(lo, 0.0, 0, True)
-    if fhi == 0.0:
-        return RootResult(hi, 0.0, 0, True)
-    if (flo > 0.0) == (fhi > 0.0):
-        raise RootFindError(f"no sign change on [{lo}, {hi}]: f = {flo}, {fhi}")
-    pos_lo = flo > 0.0
+    ``f_df(x)`` returns (f(x), f'(x)).  Iteration starts at ``x0`` (the
+    midpoint when it is absent or outside (lo, hi)).  A Newton step is
+    taken whenever it stays strictly inside the current bracket and
+    shrinks it at least as fast as bisection would; otherwise the
+    midpoint is used.  Terminates when the step or the bracket falls below
+    ``abs_tol + rel_tol * |x|``.
 
-    x = 0.5 * (lo + hi)
+    The sign change is checked by evaluating f at both ends, unless the
+    caller knows it: ``positive_lo`` then gives the sign of f just right
+    of ``lo`` (f has the opposite sign just left of ``hi``), and f is
+    never evaluated at the ends, where it may be undefined.
+    """
+    if positive_lo is None:
+        flo, _ = f_df(lo)
+        fhi, _ = f_df(hi)
+        if flo == 0.0:
+            return RootResult(lo, 0.0, 0, True)
+        if fhi == 0.0:
+            return RootResult(hi, 0.0, 0, True)
+        if (flo > 0.0) == (fhi > 0.0):
+            raise RootFindError(
+                f"no sign change on [{lo}, {hi}]: f = {flo}, {fhi}")
+        positive_lo = flo > 0.0
+
+    x = x0 if x0 is not None and lo < x0 < hi else 0.5 * (lo + hi)
     for it in range(1, max_iters + 1):
         fx, dfx = f_df(x)
         if fx == 0.0:
             return RootResult(x, 0.0, it, True)
-        if (fx > 0.0) == pos_lo:
+        if (fx > 0.0) == positive_lo:
             lo = x
         else:
             hi = x
-        if hi - lo < 2.0 * abs_tol:
-            root = 0.5 * (lo + hi)
-            return RootResult(root, f_df(root)[0], it, True)
+        tol = abs_tol + rel_tol * abs(x)
+        if hi - lo < 2.0 * tol:
+            return RootResult(0.5 * (lo + hi), fx, it, True)
         if dfx != 0.0:
             step = fx / dfx
             xn = x - step
-            if abs(step) < abs_tol and lo <= xn <= hi:
-                return RootResult(xn, f_df(xn)[0], it, True)
+            if abs(step) < tol and lo <= xn <= hi:
+                return RootResult(xn, fx, it, True)
             if lo < xn < hi and abs(step) <= 0.5 * (hi - lo):
                 x = xn
                 continue
@@ -91,42 +106,89 @@ def hybrid_root(f_df: Callable[[float], tuple[float, float]],
         f"no convergence after {max_iters} iterations on [{lo}, {hi}]")
 
 
-def _delta_f_df(a: float, b: float) -> Callable[[float], tuple[float, float]]:
-    def f_df(s: float) -> tuple[float, float]:
-        sn = math.sin(s)
-        cs = math.cos(s)
-        return (b * s * cs - (1.0 + a * s) * sn,
-                (b - 1.0 - a * s) * cs - (a + b * s) * sn)
-    return f_df
+# Taylor coefficients of k(s)/s^2 in u = s^2, k(s) = sin s/s - cos s:
+# (-1)^n 2(n+1)/(2n+3)!.  Nine terms are exact to an ulp below SERIES_MAX;
+# from there on k >= 0.3 and the closed form cancels less than 2 ulps.
+(_K0, _K1, _K2, _K3, _K4, _K5, _K6, _K7, _K8) = (
+    (-1) ** n * 2 * (n + 1) / math.factorial(2 * n + 3) for n in range(9))
+SERIES_MAX = 1.0
+
+# relative Newton stop of the delta and arc-height solves: a few ulps,
+# above the rounding noise of the reduced functions at their roots
+ROOT_REL_TOL = 1e-15
 
 
-def solve_delta(a: float, b: float, cfg: SimConfig | None = None) -> float:
-    """Time to the next impact: smallest root of b s cos s = (1 + a s) sin s in (0, pi).
+def reduced_arc(s: float, a: float, beta: float
+                ) -> tuple[float, float, float]:
+    """g(s) = F(s)/s and its first two derivatives, for s > 0.
 
-    (a, b) parametrize the arc leaving the rod, with b > 1 for a
-    transversal reflection or b = 1, a < 0 for a grazing one.  The product
-    form F(s) = b s cos s - (1 + a s) sin s is used throughout (never the
-    tangent quotient) so there is no pole at pi/2.  F vanishes at 0, is
-    positive up to the sought root and negative beyond it, so the left
-    bracket endpoint only has to sit inside the positive lobe:
-    F ~ (b - 1) s - a s^2 near zero.
+    F(s) = b s cos s - (1 + a s) sin s is the height of the arc with
+    b = 1 + beta, divided by r, so
+
+        g(s) = beta cos s - a sin s - k(s),    k(s) = sin s/s - cos s.
+
+    k ~ s^2/3 is taken from its Taylor series below SERIES_MAX, so no
+    term of g loses digits to cancellation as s -> 0; its derivatives
+    follow exactly as k' = sin s - k/s and k'' = k (2/s^2 - 1).  With
+    a = beta = 0 the result is (-k, -k', -k'').
+    """
+    sn = math.sin(s)
+    cs = math.cos(s)
+    if s < SERIES_MAX:
+        u = s * s
+        k = u * (_K0 + u * (_K1 + u * (_K2 + u * (_K3 + u * (
+            _K4 + u * (_K5 + u * (_K6 + u * (_K7 + u * _K8))))))))
+    else:
+        k = sn / s - cs
+    k1 = sn - k / s
+    k2 = k * (2.0 / (s * s) - 1.0)
+    return (beta * cs - a * sn - k,
+            -beta * sn - a * cs - k1,
+            -beta * cs + a * sn - k2)
+
+
+def small_root_guess(c2: float, c1: float, beta: float) -> float:
+    """Positive root of c2 s^2 + c1 s = beta (c2 > 0, beta >= 0), without
+    cancellation; the leading terms of the small-s expansions solved here."""
+    disc = math.sqrt(c1 * c1 + 4.0 * c2 * beta)
+    return 2.0 * beta / (c1 + disc) if c1 > 0.0 else (disc - c1) / (2.0 * c2)
+
+
+def solve_delta(a: float, beta: float, cfg: SimConfig | None = None) -> float:
+    """Time to the next impact: the root in (0, pi) of b s cos s = (1 + a s) sin s.
+
+    (a, beta = b - 1) parametrize the arc leaving the rod, with beta > 0
+    for a transversal reflection or beta = 0, a < 0 for a grazing one.
+    The equation is solved as g(s) = F(s)/s = 0 (see ``reduced_arc``),
+    which has no trivial root at 0 and keeps full relative precision
+    however small the root is: g falls from beta at 0 to -1 - beta at pi.
+    Newton starts at the root of the quadratic beta = a s + s^2/3, the
+    small-s form of g, and stops on a relative step.  A grazing arc has
+    g(0) = 0, so its equation is divided once more by s: g/s falls from
+    -a > 0, with the root near -3a.
     """
     cfg = cfg or DEFAULT_CONFIG
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"non-finite arc parameters a={a}, b={b}")
-    if b > 1.0:
-        s_left = min(1e-6, 0.1 * (b - 1.0) / (abs(a) + 1.0))
-    elif b >= 1.0 - cfg.grazing_tol * max(1.0, abs(b)) and a < 0.0:
-        # grazing departure: quadratic lobe F ~ -a s^2, root near -3a
-        b = 1.0
-        s_left = min(1e-6, 0.1 * (-a))
+    if not (math.isfinite(a) and math.isfinite(beta)):
+        raise ValueError(f"non-finite arc parameters a={a}, beta={beta}")
+    if beta > 0.0:
+        def f_df(s: float) -> tuple[float, float]:
+            g, g1, _ = reduced_arc(s, a, beta)
+            return g, g1
+    elif beta >= -cfg.grazing_tol * max(1.0, abs(1.0 + beta)) and a < 0.0:
+        beta = 0.0
+
+        def f_df(s: float) -> tuple[float, float]:
+            g, g1, _ = reduced_arc(s, a, 0.0)
+            g_s = g / s
+            return g_s, (g1 - g_s) / s
     else:
         raise ValueError(
-            f"arc parameters a={a}, b={b} do not describe a reflection "
-            "(need b > 1, or b = 1 with a < 0)")
-    s_right = math.pi - min(1e-9, 0.01 * b / (1.0 + abs(a)))
-    res = hybrid_root(_delta_f_df(a, b), s_left, s_right,
-                      abs_tol=cfg.root_abs_tol, max_iters=cfg.max_bisect_iters)
+            f"arc parameters a={a}, beta={beta} do not describe a reflection "
+            "(need beta > 0, or beta = 0 with a < 0)")
+    res = hybrid_root(f_df, 0.0, math.pi, abs_tol=0.0,
+                      max_iters=cfg.max_bisect_iters,
+                      x0=small_root_guess(1.0 / 3.0, a, beta),
+                      rel_tol=ROOT_REL_TOL, positive_lo=True)
     return res.root
 
 

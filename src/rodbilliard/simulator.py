@@ -22,7 +22,7 @@ from .flight import (FlightSegment, FreeFlight, flight_position,
                      segment_velocity)
 from .impact_map import (DEGENERATE, TRANSVERSAL, ContractViolation,
                          ImpactEvent, in_degenerate_set,
-                         incoming_to_map_state, outgoing_components, step)
+                         incoming_to_map_state, step)
 from .rootfind import T_STAR, UnsupportedFirstImpact, first_impact
 
 _log = logging.getLogger(__name__)
@@ -129,13 +129,13 @@ def simulate(z0: complex, v0: complex,
         if t_next > cfg.t_max:
             termination = "reached_t_max"
             break
-        re_in, im_in = outgoing_components(ms, delta)
-        zdot_in = complex(re_in, im_in)
-        if re_in <= 0.0 or im_in >= 0.0 or not ms_next.b > 1.0:
+        # the incoming velocity whose reflection ms_next describes
+        zdot_in = complex(ms_next.r * ms_next.a, -ms_next.r * ms_next.beta)
+        if not (ms_next.a > 0.0 and ms_next.beta > 0.0):
             raise ContractViolation(
                 f"inadmissible step at n={ms.n}: state {ms}, "
                 f"next {ms_next}, incoming {zdot_in!r}")
-        if im_in >= -cfg.grazing_tol * (1.0 + abs(zdot_in)):
+        if zdot_in.imag >= -cfg.grazing_tol * (1.0 + abs(zdot_in)):
             # within roundoff of grazing; the dynamics forbids true grazing
             # past the first impact, so keep it transversal
             _log.warning("near-grazing incoming velocity %r at n=%d",

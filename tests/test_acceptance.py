@@ -13,7 +13,7 @@ import pytest
 from rodbilliard import (FreeFlight, SimConfig, asymptotic_table,
                          convergence_experiment, estimate_growth_constant,
                          flight_velocity, oracle_simulate, quasi_position,
-                         recurrence_direct, recurrence_series, simulate,
+                         recurrence, recurrence_direct, simulate,
                          solve_tstar)
 from conftest import random_supported_starts, stopping_set_point
 
@@ -178,12 +178,12 @@ def test_criterion_10_degenerate_handling():
 def test_criterion_11_series_agreement():
     with criterion(11, "series vs closed-form recurrences"):
         deltas = [1.1e-4 * (1e-2 / 1.1e-4) ** (k / 60) for k in range(61)]
-        for b in (1.1, 1.5, 1.9):
+        for beta in (0.1, 0.5, 0.9):
             for d in deltas:
-                a_s, b_s, dos_s = recurrence_series(d, b)
-                a_d, b_d, dos_d = recurrence_direct(d, b)
+                a_s, beta_s, dos_s = recurrence(d, beta)
+                a_d, beta_d, dos_d = recurrence_direct(d, beta)
                 assert abs(a_s - a_d) <= 1e-12 * abs(a_d)
-                assert abs(b_s - b_d) <= 1e-12 * abs(b_d)
+                assert abs(beta_s - beta_d) <= 1e-12 * abs(beta_d)
                 assert abs(dos_s - dos_d) <= 1e-12 * dos_d
 
 

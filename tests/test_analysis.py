@@ -2,9 +2,9 @@ import math
 
 import pytest
 
-from rodbilliard import (MapState, SimConfig, asymptotic_table,
-                         estimate_growth_constant, segment_max_height,
-                         simulate)
+from rodbilliard import (SimConfig, asymptotic_table,
+                         estimate_growth_constant, incoming_to_map_state,
+                         segment_max_height, simulate, step)
 
 
 @pytest.fixture(scope="module")
@@ -32,10 +32,17 @@ def test_table_columns(orbit_i1):
 
 
 def test_table_heights_match_recomputation(orbit_i1):
+    # the map state carries beta = b - 1 to more digits than the segment's
+    # b holds, so the states are rebuilt by stepping from the first impact
     rows = asymptotic_table(orbit_i1, [3, 7])
+    first = orbit_i1.impacts[0]
+    states = [incoming_to_map_state(first.r, first.zdot_in)]
+    while len(states) < 7:
+        states.append(step(states[-1])[1])
     for row in rows:
         seg = orbit_i1.segments[row.n - 1]
-        ms = MapState(r=seg.r, a=seg.a, b=seg.b, n=seg.n)
+        ms = states[row.n - 1]
+        assert (seg.r, seg.a, seg.b) == (ms.r, ms.a, ms.b)
         assert row.height_n == segment_max_height(ms, seg.delta)
 
 

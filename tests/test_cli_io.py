@@ -112,6 +112,14 @@ def test_simulate_json_roundtrip(capsys):
     assert record == direct
 
 
+def test_json_from_earlier_version_loads():
+    # earlier records carry the removed series_switch_delta setting
+    record = simulate(1j, 1 + 0j, SimConfig(n_max=3))
+    data = json.loads(record_to_json(record))
+    data["config"]["series_switch_delta"] = 1e-4
+    assert record_from_json(json.dumps(data)) == record
+
+
 def test_json_roundtrip_degenerate_record():
     z0, v0 = stopping_set_point(1.5, 2.0)
     record = simulate(z0, v0, SimConfig(n_max=3, quasi_mode="extend"))
@@ -201,6 +209,16 @@ def test_oracle_comparison_ok(capsys):
         assert float(cols[3]) <= 1e-9 * (1 + float(cols[1]))
 
 
+def test_oracle_hundred_impacts_ok(capsys):
+    # radii reach 1.5e3 here; both paths solve to 1e-15 so that their gap
+    # stays inside the absolute band 1e-9 (1 + t)
+    code = run_cli(["oracle", "--z0", "0,1", "--v0", "1,0",
+                    "--n-impacts", "100"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert len(lines) == 101
+
+
 def test_oracle_coarse_scan_exit_4(capsys):
     code = run_cli(["oracle", "--z0", "0,1", "--v0", "1,0",
                     "--n-impacts", "10", "--scan-step", "0.5"])
@@ -257,3 +275,15 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("t,re_rot,im_rot,re_lab,im_lab,segment")
+
+
+def test_package_runs_as_module():
+    # python -m rodbilliard, without the RuntimeWarning that running the
+    # already imported cli_io module as __main__ gives
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "rodbilliard",
+         "impacts", "--z0", "0,1", "--v0", "1,0", "--n-max", "2"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("n,t_n,delta_n,r_n,a_n,b_n,re_in,im_in,kind")
+    assert proc.stderr == ""

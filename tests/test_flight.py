@@ -105,7 +105,7 @@ def test_segment_anchor_values():
 
 
 def test_segment_endpoint_matches_next_radius():
-    delta, nxt, _ = step(MapState(r=1.0, a=0.0, b=2.0, n=1))
+    delta, nxt, _ = step(MapState(r=1.0, a=0.0, beta=1.0, n=1))
     seg = FlightSegment(n=1, t_start=0.0, r=1.0, a=0.0, b=2.0, delta=delta)
     end = segment_position(seg, delta)
     assert abs(end.real - nxt.r) <= 1e-12 * nxt.r
@@ -117,7 +117,7 @@ def test_segment_endpoint_matches_next_radius():
                            2.5746552163364326, 0.8603335890193798),
     (7.5, 1.2, 1.1, 12.0)])
 def test_segment_equals_equivalent_free_flight(r, a, b, t_start):
-    delta = solve_delta(a, b)
+    delta = solve_delta(a, b - 1.0)
     seg = FlightSegment(n=1, t_start=t_start, r=r, a=a, b=b, delta=delta)
     ff = segment_to_free_flight(seg)
     scale = 1 + abs(ff.z) + abs(ff.v) * (t_start + delta)
@@ -130,7 +130,7 @@ def test_segment_equals_equivalent_free_flight(r, a, b, t_start):
 
 def test_segment_interior_stays_above_rod():
     for a, b in [(0.0, 2.0), (-0.4, 1.0), (2.0, 1.5)]:
-        delta = solve_delta(a, b)
+        delta = solve_delta(a, b - 1.0)
         seg = FlightSegment(n=1, t_start=0.0, r=1.0, a=a, b=b, delta=delta)
         for k in range(1, 200):
             assert segment_position(seg, delta * k / 200).imag > 0.0

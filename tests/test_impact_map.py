@@ -1,12 +1,12 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rodbilliard import (ContractViolation, DegenerateImpact, MapState,
                          T_STAR, classify_impact, in_degenerate_set,
                          incoming_to_map_state, outgoing_components,
-                         recurrence_direct, recurrence_series,
+                         recurrence, recurrence_direct,
                          segment_max_height, solve_delta, step,
                          unit_rotation)
 
@@ -59,7 +59,7 @@ def test_incoming_state_errors():
 
 
 def test_step_worked_example():
-    delta, nxt, height = step(MapState(r=1.0, a=0.0, b=2.0, n=1))
+    delta, nxt, height = step(MapState(r=1.0, a=0.0, beta=1.0, n=1))
     assert abs(delta - DELTA_02) < 1e-12
     assert abs(nxt.r - NEXT_R) <= 1e-12 * NEXT_R
     assert abs(nxt.a - NEXT_A) <= 1e-12
@@ -69,7 +69,7 @@ def test_step_worked_example():
 
 
 def test_height_against_brute_scan():
-    ms = MapState(r=1.0, a=0.0, b=2.0, n=1)
+    ms = MapState(r=1.0, a=0.0, beta=1.0, n=1)
     refined = segment_max_height(ms, DELTA_02)
     brute = max(
         ms.r * (ms.b * s * math.cos(s) - (1 + ms.a * s) * math.sin(s))
@@ -80,7 +80,7 @@ def test_height_against_brute_scan():
 
 def test_height_grazing_start_is_second_order():
     # b = 1: the arc leaves the rod tangentially, Im f ~ -a s^2
-    ms = MapState(r=1.0, a=-0.4, b=1.0, n=1)
+    ms = MapState(r=1.0, a=-0.4, beta=0.0, n=1)
     for s in (1e-4, 1e-3, 1e-2):
         h = ms.r * (ms.b * s * math.cos(s) - (1 + ms.a * s) * math.sin(s))
         assert abs(h / (-ms.a * s * s) - 1.0) < 0.02
@@ -89,26 +89,23 @@ def test_height_grazing_start_is_second_order():
 def test_small_delta_limits():
     # r'/r -> b and b' -> 2 - 1/b as delta -> 0
     for b in (1.2, 1.7, 1.99):
-        a_next, b_next, dos = recurrence_series(1e-9, b)
+        a_next, beta_next, dos = recurrence(1e-9, b - 1.0)
         assert abs(b * dos - b) <= 1e-12 * b
-        assert abs(b_next - (2.0 - 1.0 / b)) <= 1e-12
+        assert abs(beta_next - (1.0 - 1.0 / b)) <= 1e-12
 
 
 def test_map_converges_to_fixed_point():
-    a, b = 0.0, 2.0
+    a, beta = 0.0, 1.0
     delta = None
     for _ in range(20000):
-        delta = solve_delta(a, b)
-        if delta < 1e-4:
-            a, b, _ = recurrence_series(delta, b)
-        else:
-            a, b, _ = recurrence_direct(delta, b)
+        delta = solve_delta(a, beta)
+        a, beta, _ = recurrence(delta, beta)
     assert abs(a - 1.0) < 1e-3
-    assert abs(b - 1.0) < 1e-3
+    assert abs(beta) < 1e-3
 
 
 def test_outgoing_worked_example():
-    ms = MapState(r=1.0, a=0.0, b=2.0, n=1)
+    ms = MapState(r=1.0, a=0.0, beta=1.0, n=1)
     re_out, im_out = outgoing_components(ms, DELTA_02)
     assert abs(re_out - OUT_RE) < 1e-12
     assert abs(im_out - OUT_IM) < 1e-12
@@ -116,7 +113,7 @@ def test_outgoing_worked_example():
 
 def test_outgoing_small_delta_grazing_taylor():
     # for b = 1 the incoming vertical velocity shrinks like -r delta^2 / 3
-    ms = MapState(r=2.0, a=-1.0, b=1.0, n=1)
+    ms = MapState(r=2.0, a=-1.0, beta=0.0, n=1)
     delta = 1e-3
     _, im_out = outgoing_components(ms, delta)
     assert abs(im_out / (-ms.r * delta ** 2 / 3.0) - 1.0) < 1e-2
@@ -125,8 +122,8 @@ def test_outgoing_small_delta_grazing_taylor():
 @settings(max_examples=150, deadline=None)
 @given(st.floats(-2.0, 2.0), st.floats(1.001, 4.0))
 def test_outgoing_sign_contract(a, b):
-    ms = MapState(r=1.0, a=a, b=b, n=2)
-    delta = solve_delta(a, b)
+    ms = MapState(r=1.0, a=a, beta=b - 1.0, n=2)
+    delta = solve_delta(a, b - 1.0)
     re_out, im_out = outgoing_components(ms, delta)
     assert re_out > 0.0
     assert im_out < 0.0
@@ -134,9 +131,10 @@ def test_outgoing_sign_contract(a, b):
 
 @settings(max_examples=150, deadline=None)
 @given(st.floats(-2.0, 2.0), st.floats(1.001, 4.0))
+@example(1.8540892419442159, 1.001)  # off by 1.8e-10 with an absolute root stop
 def test_reciprocal_identity(a, b):
     # 1/a' = delta + 1/(a + b tan delta), valid below the tangent pole
-    delta, nxt, _ = step(MapState(r=1.0, a=a, b=b, n=1))
+    delta, nxt, _ = step(MapState(r=1.0, a=a, beta=b - 1.0, n=1))
     if delta >= math.pi / 2 - 1e-3:
         return
     lhs = 1.0 / nxt.a
@@ -150,7 +148,7 @@ def test_a_recurrence_via_b_elimination(a, b):
     # eliminating b through the return-time equation turns the a-map into
     # a cos^2(d)/(1 + a d) + sin^2(d)/d, an independent route to the same
     # value that never touches b
-    delta, nxt, _ = step(MapState(r=1.0, a=a, b=b, n=1))
+    delta, nxt, _ = step(MapState(r=1.0, a=a, beta=b - 1.0, n=1))
     cd, sd = math.cos(delta), math.sin(delta)
     alt = a * cd * cd / (1.0 + a * delta) + sd * sd / delta
     assert abs(alt - nxt.a) <= 1e-10 * max(1.0, abs(nxt.a))
@@ -160,20 +158,20 @@ def test_a_recurrence_via_b_elimination(a, b):
 @given(st.floats(-2.0, 2.0), st.floats(1.001, 4.0))
 def test_iter_forms_agree(a, b):
     # the quotient form of a' equals the subtractive closed form
-    delta = solve_delta(a, b)
+    delta = solve_delta(a, b - 1.0)
     if delta < 1e-4:
         return
     sd, cd = math.sin(delta), math.cos(delta)
     quotient = ((a * cd + b * sd)
                 / ((1 + a * delta) * cd + b * delta * sd))
-    a_next, _, _ = recurrence_direct(delta, b)
+    a_next, _, _ = recurrence_direct(delta, b - 1.0)
     assert abs(quotient - a_next) <= 1e-11 * max(1.0, abs(a_next))
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.floats(-2.0, 2.0), st.floats(1.001, 4.0))
 def test_outgoing_feeds_back_into_next_state(a, b):
-    ms = MapState(r=1.0, a=a, b=b, n=1)
+    ms = MapState(r=1.0, a=a, beta=b - 1.0, n=1)
     delta, nxt, _ = step(ms)
     re_out, im_out = outgoing_components(ms, delta)
     ms2 = incoming_to_map_state(nxt.r, complex(re_out, im_out), n=nxt.n)
@@ -184,17 +182,17 @@ def test_outgoing_feeds_back_into_next_state(a, b):
 def test_series_matches_direct_across_switch():
     # log-spaced deltas spanning the switch region, several b values
     deltas = [1.1e-4 * (1e-2 / 1.1e-4) ** (k / 40) for k in range(41)]
-    for b in (1.2, 1.5, 1.9):
+    for beta in (0.2, 0.5, 0.9):
         for d in deltas:
-            a_s, b_s, dos_s = recurrence_series(d, b)
-            a_d, b_d, dos_d = recurrence_direct(d, b)
+            a_s, beta_s, dos_s = recurrence(d, beta)
+            a_d, beta_d, dos_d = recurrence_direct(d, beta)
             assert abs(a_s - a_d) <= 1e-12 * abs(a_d)
-            assert abs(b_s - b_d) <= 1e-12 * abs(b_d)
+            assert abs(beta_s - beta_d) <= 1e-12 * abs(beta_d)
             assert abs(dos_s - dos_d) <= 1e-12 * dos_d
 
 
 def test_strict_radius_growth_along_orbit():
-    ms = MapState(r=1.0, a=0.0, b=2.0, n=1)
+    ms = MapState(r=1.0, a=0.0, beta=1.0, n=1)
     prev_delta = math.inf
     for _ in range(200):
         delta, nxt, height = step(ms)
@@ -206,12 +204,12 @@ def test_strict_radius_growth_along_orbit():
 
 def test_box_invariant_along_orbit():
     ms = MapState(r=1.3191565048905179, a=0.4943951847194312,
-                  b=2.5746552163364326, n=1)
+                  beta=2.5746552163364326 - 1.0, n=1)
     for _ in range(300):
         delta, nxt, _ = step(ms)
         ms = nxt
         # box for n >= 2: 1 < b < 2, 0 < a < 1/delta, (1 + a delta)/b < 1
-        d_next = solve_delta(ms.a, ms.b)
+        d_next = solve_delta(ms.a, ms.beta)
         assert 1.0 < ms.b < 2.0
         assert 0.0 < ms.a < 1.0 / d_next
         assert (1.0 + ms.a * d_next) / ms.b < 1.0

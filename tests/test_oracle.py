@@ -20,6 +20,19 @@ def test_agrees_with_recurrence_path():
         assert abs(ev.r - r_o) <= 1e-9 * (1 + ev.t)
 
 
+def test_agrees_past_the_lift_off_guard():
+    # delta_n drops below the 10-scan-step guard near n = 150; the scan
+    # then starts one scan step past each impact
+    cfg = SimConfig(n_max=200, root_abs_tol=1e-15)
+    record = simulate(1j, 1 + 0j, cfg)
+    reference = oracle_simulate(1j, 1 + 0j, 200, cfg)
+    assert len(reference) == len(record.impacts) == 200
+    assert record.segments[-2].delta < 10 * cfg.scan_step
+    for ev, (t_o, r_o) in zip(record.impacts, reference):
+        assert abs(ev.t - t_o) <= 1e-9 * (1 + ev.t)
+        assert abs(ev.r - r_o) <= 1e-9 * (1 + ev.t)
+
+
 def test_oracle_radii_grow():
     reference = oracle_simulate(1j, 1 + 0j, 15)
     for (t1, r1), (t2, r2) in zip(reference, reference[1:]):
