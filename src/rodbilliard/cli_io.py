@@ -14,7 +14,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from contextlib import nullcontext
+from dataclasses import asdict, astuple, dataclass, fields
+from itertools import zip_longest
+from typing import Callable, NamedTuple
 
 from .core import SimConfig
 from .flight import FlightSegment, FreeFlight, flight_position, to_lab_frame, \
@@ -24,7 +27,7 @@ from .oracle import OracleMismatch, oracle_simulate
 from .rootfind import UnsupportedFirstImpact, solve_delta
 from .simulator import QuasiTrajectory, TrajectoryRecord, quasi_position, \
     simulate
-from .analysis import asymptotic_table
+from .analysis import AsymptoticRow, asymptotic_table
 
 _FMT = "{:.17g}".format
 
@@ -43,40 +46,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _pair(text: str) -> complex:
-    try:
-        re_s, im_s = text.split(",")
-        return complex(float(re_s), float(im_s))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected RE,IM (two comma-separated numbers), got {text!r}")
-
-
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}")
-
-
-def _float_pair(text: str) -> tuple[float, float]:
-    try:
-        lo_s, hi_s = text.split(",")
-        return float(lo_s), float(hi_s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected LO,HI (two comma-separated numbers), got {text!r}")
-
-
 @dataclass(frozen=True, slots=True)
 class ExportOptions:
-    """What to write and where for a trajectory export."""
+    """What to write for a trajectory export."""
 
     format: str = "csv"
     frame: str = "both"
     samples_per_segment: int = 64
-    output_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.format not in ("csv", "json"):
@@ -101,8 +77,7 @@ def record_to_json(record: TrajectoryRecord) -> str:
         "config": cfg,
         "termination": record.termination,
         "quasi_start": (None if record.quasi_start is None else
-                        {"r": record.quasi_start.r,
-                         "t1": record.quasi_start.t1}),
+                        asdict(record.quasi_start)),
         "impacts": [{"n": ev.n, "t": ev.t, "r": ev.r,
                      "zdot_in": [ev.zdot_in.real, ev.zdot_in.imag],
                      "zdot_out": [ev.zdot_out.real, ev.zdot_out.imag],
@@ -137,13 +112,12 @@ def record_from_json(text: str) -> TrajectoryRecord:
                        for sg in data["segments"]),
         heights=tuple(data["heights"]),
         termination=data["termination"],
-        quasi_start=None if qs is None else QuasiTrajectory(r=qs["r"],
-                                                            t1=qs["t1"]),
+        quasi_start=None if qs is None else QuasiTrajectory(**qs),
     )
 
 
 # ---------------------------------------------------------------------------
-# trajectory sampling
+# trajectory sampling and export
 
 
 def trajectory_samples(record: TrajectoryRecord, samples_per_segment: int
@@ -157,7 +131,6 @@ def trajectory_samples(record: TrajectoryRecord, samples_per_segment: int
     """
     if samples_per_segment < 2:
         raise ValueError("samples_per_segment must be at least 2")
-    k_samples = samples_per_segment
     rows: list[tuple[float, complex, int]] = []
     t_max = record.config.t_max
     ff = FreeFlight(record.z0, record.v0)
@@ -167,8 +140,8 @@ def trajectory_samples(record: TrajectoryRecord, samples_per_segment: int
         t_end0 = t_max
     else:
         return rows
-    for j in range(k_samples):
-        t = t_end0 * j / (k_samples - 1)
+    for j in range(samples_per_segment):
+        t = t_end0 * j / (samples_per_segment - 1)
         rows.append((t, flight_position(ff, t), 0))
     for k, seg in enumerate(record.segments):
         if seg.delta is not None:
@@ -177,116 +150,16 @@ def trajectory_samples(record: TrajectoryRecord, samples_per_segment: int
             span = t_max - seg.t_start
         else:
             continue
-        for j in range(k_samples):
-            s = span * j / (k_samples - 1)
+        for j in range(samples_per_segment):
+            s = span * j / (samples_per_segment - 1)
             rows.append((seg.t_start + s, segment_position(seg, s), k + 1))
     q = record.quasi_start
     if q is not None and math.isfinite(t_max) and t_max > q.t1:
         label = len(record.impacts)
-        for j in range(k_samples):
-            t = q.t1 + (t_max - q.t1) * j / (k_samples - 1)
+        for j in range(samples_per_segment):
+            t = q.t1 + (t_max - q.t1) * j / (samples_per_segment - 1)
             rows.append((t, quasi_position(q, t), label))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# argument plumbing
-
-
-def _add_common(p: _Parser, types: dict) -> None:
-    p.add_argument("--z0", type=_pair, default=None,
-                   help="initial position RE,IM (upper half-plane)")
-    p.add_argument("--v0", type=_pair, default=None,
-                   help="lab-frame line velocity RE,IM")
-    p.add_argument("--config", default=None, metavar="PATH",
-                   help="key=value file mirroring the flags; flags win")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="output path (default: stdout)")
-    p.add_argument("--n-max", type=int, default=None,
-                   help="impact budget (default 1000)")
-    p.add_argument("--t-max", type=float, default=None,
-                   help="time budget (default unbounded)")
-    p.add_argument("--scan-step", type=float, default=None,
-                   help="event-scan step (default 1e-3)")
-    p.add_argument("--quasi", choices=("stop", "extend"), default=None,
-                   help="behaviour at a degenerate impact (default stop)")
-    types.update({"z0": _pair, "v0": _pair, "out": str, "n_max": int,
-                  "t_max": float, "scan_step": float, "quasi": str})
-
-
-def _merge_config_file(parser: _Parser, args: argparse.Namespace,
-                       types: dict) -> None:
-    if args.config is None:
-        return
-    try:
-        with open(args.config, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        parser.error(f"cannot read config file: {exc}")
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            parser.error(f"{args.config}:{lineno}: expected key=value")
-        key, _, raw = stripped.partition("=")
-        dest = key.strip().replace("-", "_")
-        if dest not in types:
-            parser.error(f"{args.config}:{lineno}: unknown key {key.strip()!r}")
-        if getattr(args, dest) is None:  # flags take precedence
-            try:
-                setattr(args, dest, types[dest](raw.strip()))
-            except (argparse.ArgumentTypeError, ValueError) as exc:
-                parser.error(f"{args.config}:{lineno}: {exc}")
-
-
-def _build_sim_config(parser: _Parser, args: argparse.Namespace) -> SimConfig:
-    if args.z0 is None or args.v0 is None:
-        parser.error("--z0 and --v0 are required (flag or config file)")
-    kwargs = {}
-    if args.n_max is not None:
-        kwargs["n_max"] = args.n_max
-    if args.t_max is not None:
-        kwargs["t_max"] = args.t_max
-    if args.scan_step is not None:
-        kwargs["scan_step"] = args.scan_step
-    if args.quasi is not None:
-        kwargs["quasi_mode"] = args.quasi
-    try:
-        return SimConfig(**kwargs)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
-def _open_out(path):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
-
-
-def _write(path, text: str) -> None:
-    stream, close = _open_out(path)
-    try:
-        stream.write(text)
-    finally:
-        if close:
-            stream.close()
-
-
-def _termination_exit(record: TrajectoryRecord) -> int:
-    if record.termination == "unsupported_first_impact":
-        print("first impact off the positive semiaxis: unsupported",
-              file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    if record.termination == "degenerate_stop":
-        print(f"degenerate impact at t = {record.impacts[-1].t}: "
-              "trajectory cannot be extended", file=sys.stderr)
-        return EXIT_DEGENERATE
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# subcommands
 
 
 def export_trajectory(record: TrajectoryRecord, opts: ExportOptions) -> str:
@@ -311,110 +184,178 @@ def export_trajectory(record: TrajectoryRecord, opts: ExportOptions) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_simulate(parser: _Parser, args: argparse.Namespace) -> int:
-    cfg = _build_sim_config(parser, args)
-    try:
-        opts = ExportOptions(format=args.format, frame=args.frame,
-                             samples_per_segment=args.samples,
-                             output_path=args.out)
-        record = simulate(args.z0, args.v0, cfg)
-    except ValueError as exc:
-        parser.error(str(exc))
-    code = _termination_exit(record)
-    if code == EXIT_UNSUPPORTED:
-        return code
-    _write(opts.output_path, export_trajectory(record, opts))
-    return code
+# ---------------------------------------------------------------------------
+# command line
 
 
-def cmd_impacts(parser: _Parser, args: argparse.Namespace) -> int:
-    cfg = _build_sim_config(parser, args)
-    try:
-        record = simulate(args.z0, args.v0, cfg)
-    except ValueError as exc:
-        parser.error(str(exc))
-    code = _termination_exit(record)
-    if code == EXIT_UNSUPPORTED:
-        return code
+class _Flag(NamedTuple):
+    """A flag of ``commands``, also a ``--config`` key.
+
+    Absent, it reads as ``default``; a ``_REQUIRED`` one must be given in
+    either.  A flag whose dest names a ``SimConfig`` field sets that field.
+    """
+
+    name: str
+    type: Callable[[str], object]
+    default: object
+    help: str
+    commands: tuple[str, ...] = ("simulate", "impacts", "asympt", "oracle")
+    choices: tuple[str, ...] | None = None
+    dest: str | None = None
+    metavar: str | None = None
+
+
+def _numbers(kind: type, count: int | None, form: str):
+    """argparse type: comma-separated numbers, ``count`` of them if given."""
+    def parse(text: str) -> list:
+        try:
+            values = [kind(part) for part in text.split(",")]
+            if count is None or len(values) == count:
+                return values
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
+    return parse
+
+
+_POINT = _numbers(float, 2, "RE,IM (two comma-separated numbers)")
+_REQUIRED = object()
+_FLAGS = (
+    _Flag("z0", _POINT, _REQUIRED, "initial position RE,IM (upper half-plane)"),
+    _Flag("v0", _POINT, _REQUIRED, "lab-frame line velocity RE,IM"),
+    _Flag("config", str, None, "key=value file mirroring the flags; flags win",
+          metavar="PATH"),
+    _Flag("out", str, None, "output path (default: stdout)", metavar="PATH"),
+    _Flag("n-max", int, None, "impact budget (default 1000)"),
+    _Flag("t-max", float, None, "time budget (default unbounded)"),
+    _Flag("scan-step", float, None, "event-scan step (default 1e-3)"),
+    _Flag("quasi", str, None, "behaviour at a degenerate impact (default stop)",
+          choices=("stop", "extend"), dest="quasi_mode"),
+    _Flag("frame", str, "both", "coordinate columns (default both)",
+          ("simulate",), choices=("rotating", "lab", "both")),
+    _Flag("samples", int, 64, "samples per segment (default 64)",
+          ("simulate",)),
+    _Flag("format", str, "csv", "output format (default csv)", ("simulate",),
+          choices=("csv", "json")),
+    _Flag("at", _numbers(int, None, "comma-separated integers"), _REQUIRED,
+          "impact indices to report, e.g. 100,1000,10000", ("asympt",)),
+    _Flag("band", _numbers(float, 2, "LO,HI (two comma-separated numbers)"),
+          (1.48, 1.52), "PASS band for n*delta_n (default 1.48,1.52)",
+          ("asympt",)),
+    _Flag("n-impacts", int, _REQUIRED, "impacts to compare (at most 1000)",
+          ("oracle",)),
+)
+
+
+def _parse(argv: list[str] | None) -> tuple[_Parser, argparse.Namespace]:
+    """The subcommand's parser and its flag values, config file included.
+
+    The file's key=value lines are parsed as flags put before the command
+    line's: both go through the same types and choices, and flags win.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _Parser(prog="rodbilliard",
+                     description="Billiard of a point mass over a uniformly "
+                                 "rotating rod")
+    subs = parser.add_subparsers(dest="command", required=True,
+                                 parser_class=_Parser)
+    for command, (help_text, *_) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        for f in _FLAGS:
+            if command in f.commands:
+                sub.add_argument(
+                    f"--{f.name}", type=f.type, choices=f.choices,
+                    default=None if f.default is _REQUIRED else f.default,
+                    dest=f.dest, help=f.help, metavar=f.metavar)
+    args = parser.parse_args(argv)
+    sub = subs.choices[args.command]
+    flags = [f for f in _FLAGS if args.command in f.commands]
+    if args.config is not None:
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except OSError as exc:
+            sub.error(f"cannot read config file: {exc}")
+        keys = {f.name for f in flags} - {"config"}
+        tokens = []
+        for lineno, line in enumerate(lines, start=1):
+            key, sep, value = line.partition("=")
+            key = key.strip().replace("_", "-")
+            if key.startswith("#") or not (key or sep):  # comment, blank
+                continue
+            if not sep:
+                sub.error(f"{args.config}:{lineno}: expected key=value")
+            if key not in keys:
+                sub.error(f"{args.config}:{lineno}: unknown key {key!r}")
+            tokens.append(f"--{key}={value.strip()}")
+        # argv[0] is the command: the top-level parser takes no options
+        args = parser.parse_args([argv[0], *tokens, *argv[1:]])
+    for f in flags:
+        dest = f.name.replace("-", "_")
+        if f.default is _REQUIRED and getattr(args, dest) is None:
+            sub.error(f"--{f.name} is required (flag or config file)")
+    return sub, args
+
+
+def _simulate_render(record, args, cfg):
+    opts = ExportOptions(args.format, args.frame, args.samples)
+    return export_trajectory(record, opts), "", EXIT_OK
+
+
+def _impacts_render(record, args, cfg):
     lines = ["n,t_n,delta_n,r_n,a_n,b_n,re_in,im_in,kind"]
-    for k, ev in enumerate(record.impacts):
-        seg = record.segments[k] if k < len(record.segments) else None
-        if seg is None:
-            delta_s = a_s = b_s = ""
-        else:
+    for ev, seg in zip_longest(record.impacts, record.segments):
+        delta_s = a_s = b_s = ""
+        if seg is not None:
             delta = seg.delta
-            if delta is None:
-                delta = solve_delta(seg.a, seg.b - 1.0, cfg)
+            if delta is None:  # the open last arc; -Im zdot_in / r = b - 1
+                delta = solve_delta(seg.a, -ev.zdot_in.imag / ev.r, cfg)
             delta_s, a_s, b_s = _FMT(delta), _FMT(seg.a), _FMT(seg.b)
         lines.append(",".join([
             str(ev.n), _FMT(ev.t), delta_s, _FMT(ev.r), a_s, b_s,
             _FMT(ev.zdot_in.real), _FMT(ev.zdot_in.imag), ev.kind]))
-    _write(args.out, "\n".join(lines) + "\n")
-    return code
+    return "\n".join(lines) + "\n", "", EXIT_OK
 
 
-def cmd_asympt(parser: _Parser, args: argparse.Namespace) -> int:
-    checkpoints = sorted(set(args.at))
-    if checkpoints[0] < 1:
-        parser.error("--at indices are 1-based")
-    needed = checkpoints[-1] + 1
-    if args.n_max is not None and args.n_max < needed:
-        parser.error(f"--at {checkpoints[-1]} needs an impact budget of at "
-                     f"least {needed}, got --n-max {args.n_max}")
-    args.n_max = max(args.n_max or 0, needed)
-    cfg = _build_sim_config(parser, args)
-    try:
-        record = simulate(args.z0, args.v0, cfg)
-        rows = asymptotic_table(record, checkpoints)
-    except ValueError as exc:
-        parser.error(str(exc))
-    code = _termination_exit(record)
-    if code != EXIT_OK:
-        return code
-    lines = ["n,delta_n,n_delta_n,b_minus_1_scaled,ratio_scaled,"
-             "t_over_logn,height_n,a_n"]
-    for row in rows:
-        lines.append(",".join([
-            str(row.n), _FMT(row.delta_n), _FMT(row.n_delta_n),
-            _FMT(row.b_minus_1_scaled), _FMT(row.ratio_scaled),
-            _FMT(row.t_over_logn), _FMT(row.height_n), _FMT(row.a_n)]))
-    _write(args.out, "\n".join(lines) + "\n")
+def _asympt_setup(args: argparse.Namespace) -> dict:
+    if min(args.at) < 1:
+        raise ValueError("--at indices are 1-based")
+    # a given --n-max below max(at) + 1 fails in asymptotic_table
+    return {"n_max": max(args.at) + 1 if args.n_max is None else args.n_max}
+
+
+def _asympt_render(record, args, cfg):
+    rows = asymptotic_table(record, args.at)
     lo, hi = args.band
-    for row in rows:
-        status = "PASS" if lo <= row.n_delta_n <= hi else "FAIL"
-        print(f"n*delta_n@{row.n}={row.n_delta_n:.4f} {status}")
-    return code
+    summary = "".join(
+        f"n*delta_n@{row.n}={row.n_delta_n:.4f} "
+        f"{'PASS' if lo <= row.n_delta_n <= hi else 'FAIL'}\n" for row in rows)
+    lines = [",".join(f.name for f in fields(AsymptoticRow))]
+    lines += (",".join([str(row.n), *map(_FMT, astuple(row)[1:])])
+              for row in rows)
+    return "\n".join(lines) + "\n", summary, EXIT_OK
 
 
-def cmd_oracle(parser: _Parser, args: argparse.Namespace) -> int:
+def _oracle_setup(args: argparse.Namespace) -> dict:
     if not 1 <= args.n_impacts <= 1000:
-        parser.error("--n-impacts must lie in [1, 1000]")
-    args.n_max = args.n_impacts
+        raise ValueError("--n-impacts must lie in [1, 1000]")
     # tight roots keep each path's own noise well under the comparison
     # band, as in the library's oracle acceptance check
-    cfg = replace(_build_sim_config(parser, args), root_abs_tol=1e-15)
+    return {"n_max": args.n_impacts, "root_abs_tol": 1e-15}
+
+
+def _oracle_render(record, args, cfg):
     try:
-        record = simulate(args.z0, args.v0, cfg)
-        if record.termination in ("unsupported_first_impact",
-                                  "degenerate_stop", "degenerate_quasi"):
-            # the comparison needs a full transversal cascade
-            print(f"oracle comparison not applicable: {record.termination}",
-                  file=sys.stderr)
-            return (EXIT_UNSUPPORTED
-                    if record.termination == "unsupported_first_impact"
-                    else EXIT_DEGENERATE)
-        reference = oracle_simulate(args.z0, args.v0, args.n_impacts, cfg)
-    except UnsupportedFirstImpact as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except (OracleMismatch, ValueError) as exc:
+        reference = oracle_simulate(record.z0, record.v0, args.n_impacts, cfg)
+        if len(record.impacts) != len(reference):
+            raise OracleMismatch(
+                f"recurrence path produced {len(record.impacts)} impacts, "
+                f"oracle {len(reference)}")
+    except (OracleMismatch, UnsupportedFirstImpact) as exc:
+        # simulate found a supported first contact: any other verdict of
+        # the scan is a disagreement
         print(f"oracle failure: {exc}", file=sys.stderr)
-        return EXIT_ORACLE
-    if len(record.impacts) != len(reference):
-        print(f"oracle failure: recurrence path produced "
-              f"{len(record.impacts)} impacts, oracle {len(reference)}",
-              file=sys.stderr)
-        return EXIT_ORACLE
+        return None, "", EXIT_ORACLE
     lines = ["n,t_map,t_oracle,abs_diff,r_map,r_oracle"]
     breach = False
     for ev, (t_o, r_o) in zip(record.impacts, reference):
@@ -423,82 +364,64 @@ def cmd_oracle(parser: _Parser, args: argparse.Namespace) -> int:
             breach = True
         lines.append(",".join([str(ev.n), _FMT(ev.t), _FMT(t_o), _FMT(diff),
                                _FMT(ev.r), _FMT(r_o)]))
-    _write(args.out, "\n".join(lines) + "\n")
     if breach:
         print("oracle failure: impact data disagree beyond 1e-9*(1+t)",
               file=sys.stderr)
-        return EXIT_ORACLE
+    return "\n".join(lines) + "\n", "", EXIT_ORACLE if breach else EXIT_OK
+
+
+# command: (help, setup, render, cascade).  A setup checks the command's
+# flags and returns SimConfig overrides; a render maps the record to (output,
+# stdout summary, exit code); with cascade, any full stop ends the run.
+_COMMANDS = {
+    "simulate": ("export trajectory samples", None, _simulate_render, False),
+    "impacts": ("one CSV row per impact", None, _impacts_render, False),
+    "asympt": ("scaled asymptotic diagnostics", _asympt_setup,
+               _asympt_render, True),
+    "oracle": ("recurrences vs brute force", _oracle_setup, _oracle_render,
+               True),
+}
+
+
+def _termination_exit(record: TrajectoryRecord, cascade: bool) -> int:
+    """Report on stderr a run that ended early; the exit code for it."""
+    term = record.termination
+    if term == "unsupported_first_impact":
+        print("first impact off the positive semiaxis: unsupported",
+              file=sys.stderr)
+        return EXIT_UNSUPPORTED
+    if term == "degenerate_stop" or cascade and term == "degenerate_quasi":
+        print(f"degenerate impact at t = {record.impacts[-1].t}: " + (
+            f"not applicable without a full cascade ({term})" if cascade
+            else "trajectory cannot be extended"), file=sys.stderr)
+        return EXIT_DEGENERATE
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _Parser(prog="rodbilliard",
-                     description="Billiard of a point mass over a uniformly "
-                                 "rotating rod")
-    subs = parser.add_subparsers(dest="command", required=True,
-                                 parser_class=_Parser)
-
-    types: dict[str, dict] = {}
-
-    p_sim = subs.add_parser("simulate", help="export trajectory samples")
-    types["simulate"] = {}
-    _add_common(p_sim, types["simulate"])
-    p_sim.add_argument("--frame", choices=("rotating", "lab", "both"),
-                       default=None, help="coordinate columns (default both)")
-    p_sim.add_argument("--samples", type=int, default=None,
-                       help="samples per segment (default 64)")
-    p_sim.add_argument("--format", choices=("csv", "json"), default=None)
-    types["simulate"].update({"frame": str, "samples": int, "format": str})
-
-    p_imp = subs.add_parser("impacts", help="one CSV row per impact")
-    types["impacts"] = {}
-    _add_common(p_imp, types["impacts"])
-
-    p_asy = subs.add_parser("asympt", help="scaled asymptotic diagnostics")
-    types["asympt"] = {}
-    _add_common(p_asy, types["asympt"])
-    p_asy.add_argument("--at", type=_int_list, default=None, required=False,
-                       help="impact indices to report, e.g. 100,1000,10000")
-    p_asy.add_argument("--band", type=_float_pair, default=None,
-                       help="PASS band for n*delta_n (default 1.48,1.52)")
-    types["asympt"].update({"at": _int_list, "band": _float_pair})
-
-    p_ora = subs.add_parser("oracle", help="recurrences vs brute force")
-    types["oracle"] = {}
-    _add_common(p_ora, types["oracle"])
-    p_ora.add_argument("--n-impacts", type=int, default=None,
-                       help="impacts to compare (at most 1000)")
-    types["oracle"].update({"n_impacts": int})
-
-    args = parser.parse_args(argv)
-    sub = {"simulate": p_sim, "impacts": p_imp,
-           "asympt": p_asy, "oracle": p_ora}[args.command]
-    _merge_config_file(sub, args, types[args.command])
-
-    if args.command == "simulate":
-        if args.frame is None:
-            args.frame = "both"
-        if args.samples is None:
-            args.samples = 64
-        if args.format is None:
-            args.format = "csv"
-        return cmd_simulate(sub, args)
-    if args.command == "impacts":
-        return cmd_impacts(sub, args)
-    if args.command == "asympt":
-        if args.at is None:
-            sub.error("--at is required (flag or config file)")
-        if args.band is None:
-            args.band = (1.48, 1.52)
-        return cmd_asympt(sub, args)
-    if args.command == "oracle":
-        if args.n_impacts is None:
-            sub.error("--n-impacts is required (flag or config file)")
-        return cmd_oracle(sub, args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    """Run one subcommand: build the config, simulate, report, write."""
+    parser, args = _parse(argv)
+    _, setup, render, cascade = _COMMANDS[args.command]
+    try:
+        given = {f.name: getattr(args, f.name) for f in fields(SimConfig)
+                 if getattr(args, f.name, None) is not None}
+        cfg = SimConfig(**{**given, **(setup(args) if setup else {})})
+        record = simulate(complex(*args.z0), complex(*args.v0), cfg)
+        code = _termination_exit(record, cascade)
+        if code == EXIT_UNSUPPORTED or code and cascade:
+            return code
+        text, summary, render_code = render(record, args, cfg)
+    except ValueError as exc:
+        parser.error(str(exc))
+    if text is not None:
+        try:
+            with (nullcontext(sys.stdout) if args.out is None else
+                  open(args.out, "w", encoding="utf-8", newline="")) as out:
+                out.write(text)
+        except OSError as exc:
+            parser.error(f"cannot write output file: {exc}")
+    sys.stdout.write(summary)
+    return code or render_code
 
 
 if __name__ == "__main__":

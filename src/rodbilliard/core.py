@@ -13,9 +13,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-# Points and velocities are plain built-in complex numbers.
-ComplexValue = complex
-
 EPS = sys.float_info.epsilon
 
 
@@ -28,11 +25,6 @@ def require_finite(value: complex, name: str = "value") -> complex:
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise ValueError(f"{name} must have finite components, got {value!r}")
     return value
-
-
-def complex_multiply(u: complex, v: complex) -> complex:
-    """Product of two plane points viewed as complex numbers."""
-    return u * v
 
 
 def unit_rotation(theta: float) -> complex:

@@ -287,3 +287,100 @@ def test_package_runs_as_module():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("n,t_n,delta_n,r_n,a_n,b_n,re_in,im_in,kind")
     assert proc.stderr == ""
+
+
+def test_impacts_open_last_arc_keeps_full_precision(capsys):
+    # the last row's delta is solved from beta = -Im zdot_in / r; from
+    # b - 1 it loses eps/beta of beta's precision (6.5e-13 relative here)
+    code = run_cli(["impacts", "--z0", "0,1", "--v0", "1,0",
+                    "--n-max", "10001"])
+    last = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert code == 0 and last[0] == "10001"
+    closed = simulate(1j, 1 + 0j, SimConfig(n_max=10002)).segments[10000]
+    assert abs(float(last[2]) - closed.delta) <= 1e-15 * closed.delta
+
+
+@pytest.mark.parametrize("quasi,exit_code", [(None, 2), ("stop", 3),
+                                             ("extend", 3)])
+def test_asympt_early_end_reported_without_csv(capsys, quasi, exit_code):
+    if exit_code == 2:
+        start = ["--z0", "0,1", "--v0=-1,-10"]
+    else:
+        z0, v0 = stopping_set_point(1.0, 1.0)
+        start = [f"--z0={z0.real},{z0.imag}", f"--v0={v0.real},{v0.imag}",
+                 "--quasi", quasi]
+    code = run_cli(["asympt", *start, "--at", "10"])
+    captured = capsys.readouterr()
+    assert code == exit_code
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_out_into_missing_directory_exit_1(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["impacts", "--z0", "0,1", "--v0", "1,0", "--n-max", "2",
+                 "--out", str(tmp_path / "missing" / "impacts.csv")])
+    assert exc.value.code == 1
+    assert "cannot write output file" in capsys.readouterr().err
+
+
+# every flag each subcommand takes, beside --config, with a value that
+# differs from the base run below
+CONFIG_KEYS = {
+    "simulate": ["z0", "v0", "out", "n-max", "t-max", "scan-step", "quasi",
+                 "frame", "samples", "format"],
+    "impacts": ["z0", "v0", "out", "n-max", "t-max", "scan-step", "quasi"],
+    "asympt": ["z0", "v0", "out", "n-max", "t-max", "scan-step", "quasi",
+               "at", "band"],
+    "oracle": ["z0", "v0", "out", "n-max", "t-max", "scan-step", "quasi",
+               "n-impacts"],
+}
+BASE_FLAGS = {"z0": "0,1", "v0": "1,0", "n-max": "6", "at": "5",
+              "n-impacts": "5"}
+KEY_VALUES = {"z0": "0.3,2", "v0": "1,0.5", "n-max": "8", "t-max": "50",
+              "scan-step": "5e-4", "quasi": "extend", "frame": "lab",
+              "samples": "5", "format": "json", "at": "3,4", "band": "1,2",
+              "n-impacts": "4"}
+
+
+def run_captured(args, capsys):
+    try:
+        code = run_cli(args)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command,key", [(c, k) for c, keys in
+                                         CONFIG_KEYS.items() for k in keys])
+def test_config_key_matches_flag(tmp_path, capsys, command, key):
+    base = {k: v for k, v in BASE_FLAGS.items()
+            if k != key and k in CONFIG_KEYS[command]}
+    base_args = [command] + [f"--{k}={v}" for k, v in base.items()]
+    value = KEY_VALUES.get(key)
+    if key == "out":
+        value = str(tmp_path / "flag.out")
+    by_flag = run_captured(base_args + [f"--{key}={value}"], capsys)
+    if key == "out":
+        flag_text = (tmp_path / "flag.out").read_text()
+        value = str(tmp_path / "file.out")
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{key}={value}\n")
+    by_file = run_captured(base_args + ["--config", str(cfg_file)], capsys)
+    assert by_flag[0] == 0
+    assert by_file == by_flag
+    if key == "out":
+        assert (tmp_path / "file.out").read_text() == flag_text != ""
+
+
+@pytest.mark.parametrize("command,line", [
+    ("impacts", "quasi=bounce"), ("simulate", "frame=polar"),
+    ("simulate", "format=xml"), ("impacts", "band=1,2")])
+def test_config_file_bad_value_or_foreign_key_exit_1(tmp_path, command,
+                                                     line):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"z0=0,1\nv0=1,0\n{line}\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--config", str(cfg_file)])
+    assert exc.value.code == 1

@@ -3,37 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from rodbilliard import (PhaseState, SimConfig, complex_multiply,
-                         unit_rotation)
+from rodbilliard import PhaseState, SimConfig, unit_rotation
 from rodbilliard.core import EPS, require_finite
-
-finite = st.floats(-10.0, 10.0)
-
-
-def test_multiply_identity():
-    assert complex_multiply(1 + 0j, complex(3.7, -2.2)) == complex(3.7, -2.2)
-
-
-def test_multiply_i_squared():
-    assert complex_multiply(1j, 1j) == -1 + 0j
-
-
-def test_multiply_hand_value():
-    assert complex_multiply(1 + 2j, 3 + 4j) == -5 + 10j
-
-
-@given(finite, finite, finite, finite)
-def test_multiply_commutes(a, b, c, d):
-    u, v = complex(a, b), complex(c, d)
-    assert complex_multiply(u, v) == complex_multiply(v, u)
-
-
-@given(finite, finite, finite, finite, finite, finite)
-def test_multiply_associates(a, b, c, d, e, f):
-    u, v, w = complex(a, b), complex(c, d), complex(e, f)
-    lhs = complex_multiply(complex_multiply(u, v), w)
-    rhs = complex_multiply(u, complex_multiply(v, w))
-    assert abs(lhs - rhs) <= 8 * EPS * (abs(u) * abs(v) * abs(w) + 1e-30)
 
 
 def test_unit_rotation_axes():

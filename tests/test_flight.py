@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 
 from rodbilliard import (FlightSegment, FreeFlight, MapState, flight_position,
                          flight_velocity, reflect, segment_position,
-                         segment_to_free_flight, segment_velocity, solve_delta,
-                         step, to_lab_frame)
+                         segment_velocity, solve_delta, step, to_lab_frame)
+from rodbilliard.flight import segment_to_free_flight
 
 # smallest positive root of cos t = t sin t (first impact of z0=i, v0=1)
 T1 = 0.8603335890193798

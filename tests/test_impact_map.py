@@ -5,10 +5,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from rodbilliard import (ContractViolation, DegenerateImpact, MapState,
                          T_STAR, classify_impact, in_degenerate_set,
-                         incoming_to_map_state, outgoing_components,
-                         recurrence, recurrence_direct,
+                         incoming_to_map_state, recurrence,
                          segment_max_height, solve_delta, step,
                          unit_rotation)
+from rodbilliard.impact_map import outgoing_components, recurrence_direct
 
 # frozen from a 50-digit computation of the (a=0, b=2) step
 DELTA_02 = 1.1655611852072113
