@@ -228,7 +228,7 @@ _FLAGS = (
     _Flag("out", str, None, "output path (default: stdout)", metavar="PATH"),
     _Flag("n-max", int, None, "impact budget (default 1000)"),
     _Flag("t-max", float, None, "time budget (default unbounded)"),
-    _Flag("scan-step", float, None, "event-scan step (default 1e-3)"),
+    _Flag("scan-step", float, None, "oracle scan step (default 1e-3)"),
     _Flag("quasi", str, None, "behaviour at a degenerate impact (default stop)",
           choices=("stop", "extend"), dest="quasi_mode"),
     _Flag("frame", str, "both", "coordinate columns (default both)",
@@ -339,8 +339,8 @@ def _asympt_render(record, args, cfg):
 def _oracle_setup(args: argparse.Namespace) -> dict:
     if not 1 <= args.n_impacts <= 1000:
         raise ValueError("--n-impacts must lie in [1, 1000]")
-    # tight roots keep each path's own noise well under the comparison
-    # band, as in the library's oracle acceptance check
+    # a tight bisection keeps the oracle's own noise well under the
+    # comparison band, as in the library's oracle acceptance check
     return {"n_max": args.n_impacts, "root_abs_tol": 1e-15}
 
 

@@ -55,9 +55,12 @@ class PhaseState:
 class SimConfig:
     """Tolerances, iteration caps and run limits for a simulation.
 
-    quasi_mode selects what happens at a degenerate (full-stop) impact:
-    "stop" ends the record, "extend" hands over to the sliding cosh
-    continuation.
+    scan_step and root_abs_tol serve only the brute-force oracle: its
+    sampling step for Im z(t) and the width at which its bisection
+    stops.  The simulation itself finds the first contact in closed
+    form and solves every root to a relative tolerance.  quasi_mode
+    selects what happens at a degenerate (full-stop) impact: "stop" ends
+    the record, "extend" hands over to the sliding cosh continuation.
     """
 
     root_abs_tol: float = 1e-13

@@ -34,7 +34,8 @@ def oracle_simulate(z0: complex, v0: complex, n_impacts: int,
     of Im z(t).  Once the gaps between impacts shrink below the guard the
     ball is back on the rod there, and the scan starts one scan_step past
     the reflection instead.  Strict radius growth is checked as a
-    missed-impact diagnostic.
+    missed-impact diagnostic.  As in ``simulate``, an impact past
+    cfg.t_max is not recorded and ends the list.
     """
     cfg = cfg or DEFAULT_CONFIG
     require_finite(z0, "z0")
@@ -61,10 +62,11 @@ def oracle_simulate(z0: complex, v0: complex, n_impacts: int,
                     f"scan step (h = {h0} there); reduce scan_step")
         s_hit = _next_crossing(ff, s0, h0, cfg)
         r_hit = flight_position(ff, s_hit).real
-        if k == 0:
-            if r_hit <= 0.0:
-                raise UnsupportedFirstImpact(s_hit, r_hit)
-        elif r_hit <= out[-1][1]:
+        if k == 0 and r_hit <= 0.0:
+            raise UnsupportedFirstImpact(s_hit, r_hit)
+        if t_base + s_hit > cfg.t_max:
+            break
+        if k > 0 and r_hit <= out[-1][1]:
             raise OracleMismatch(
                 f"radius failed to grow at impact {k + 1}: "
                 f"{out[-1][1]} -> {r_hit}; an impact was probably missed")

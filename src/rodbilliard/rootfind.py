@@ -3,7 +3,8 @@
 Three solvers live here: the generic bracketed Newton/bisection hybrid,
 the return-time equation b s cos s = (1 + a s) sin s for an arc leaving
 the rod (in the reduced form shared with the arc-height solve), and the
-first-contact event detector for an arbitrary free flight.  Newton steps
+first contact of an arbitrary free flight, from the closed-form angle of
+the flight split into at most three monotone pieces.  Newton steps
 accelerate a sign-change bracket; any step that leaves the bracket falls
 back to bisection, so convergence is guaranteed for continuous functions.
 """
@@ -14,8 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .core import BilliardError, DEFAULT_CONFIG, SimConfig
-from .flight import FreeFlight, flight_position, flight_velocity
+from .core import BilliardError, DEFAULT_CONFIG, EPS, SimConfig
+from .flight import FreeFlight, flight_velocity
 
 
 class RootFindError(BilliardError):
@@ -218,116 +219,102 @@ class FirstImpact(NamedTuple):
     kind: str
 
 
-def first_impact(ff: FreeFlight, cfg: SimConfig | None = None,
-                 window: float = 2.0 * math.pi + 0.1) -> FirstImpact:
-    """Earliest contact of a free flight with the rod.
+def first_impact(ff: FreeFlight, cfg: SimConfig | None = None) -> FirstImpact:
+    """Earliest contact of a free flight with the rod, in closed form.
 
-    Scans h(t) = Im z(t) over (0, window] with step cfg.scan_step and
-    refines every candidate with the safeguarded solver.  The rod sweeps
-    every ray within one half-turn, so a contact always exists; the
-    default window gives that argument generous slack.  Two candidate
-    types:
+    With u = z0 + v0 t the lab-frame position and c + iL = conj(z0) v0,
+    the rotating-frame position z(t) = u e^{-it} has the angle
 
-    * sign changes of h (transversal crossings, and the cubic tangency of
-      a full stop, which also changes sign);
-    * local minima of h below a step-squared threshold (quadratic
-      tangencies, i.e. grazing contacts, where h touches zero without a
-      sign change).  The minimum is polished via h' = 0; if it turns out
-      to dip below zero the left crossing of the hidden pair is used.
+        phi(t) = arg z0 + atan2(L t, |z0|^2 + c t) - t,
+        phi'(t) = L / |u|^2 - 1,
 
-    Returns (t, r, kind).  Raises UnsupportedFirstImpact when the contact
-    radius is not strictly positive.
+    continuous because a line subtends less than a half-turn.  phi starts
+    in [0, pi]; contact is the first time it reaches 0 (the positive
+    semiaxis) or pi (the negative one: UnsupportedFirstImpact).  phi
+    rises only where |u|^2 < L, between the roots of the breakpoint
+    quadratic |v0|^2 t^2 + 2c t + |z0|^2 - L = 0, so it has at most
+    three monotone pieces, falling, rising, falling.  On the first falling
+    piece that reaches 0, or rising piece that reaches pi, the contact is
+    the root of phi, solved by Newton steps on the monotone bracket with a
+    relative stop.  A piece whose end (a stationary point of phi) lies
+    within grazing_tol of the rod ends in a tangency there: a grazing
+    touch, or at a double root of the quadratic the cubic tangency of a
+    full stop.  The last piece falls below 0 by t = arg z0 + atan2(L, c)
+    (L > 0) or t = arg z0 (L < 0).  With L = 0 the line runs through the
+    pivot (or v0 = 0): phi = arg z0 - t until the ball reaches the pivot,
+    an unsupported hit with r = 0.
+
+    Returns (t, r, kind), kind from ``classify_impact`` on the contact
+    velocity.
     """
     from .impact_map import classify_impact
 
     cfg = cfg or DEFAULT_CONFIG
+    z0, v0 = ff.z, ff.v
+    if z0.imag < 0.0:
+        raise ValueError(f"initial position {z0!r} lies below the rod")
+    if (z0.imag <= cfg.grazing_tol * (1.0 + abs(z0) + abs(v0))
+            and (v0 - 1j * z0).imag <= 0.0):
+        raise ValueError(
+            "initial state sits on the rod without departing from it")
 
-    def h_dh(t: float) -> tuple[float, float]:
-        return flight_position(ff, t).imag, flight_velocity(ff, t).imag
+    def hit(t: float, negative_side: bool = False) -> FirstImpact:
+        r = abs(z0 + v0 * t)
+        if negative_side:
+            raise UnsupportedFirstImpact(t, -r)
+        return FirstImpact(t, r, classify_impact(r, flight_velocity(ff, t),
+                                                 cfg))
 
-    def ddh(t: float) -> float:
-        # second derivative of h: Im of (-2iv - (z + vt)) e^{-it}
-        u = ff.z + ff.v * t
-        return ((-2j * ff.v - u) * complex(math.cos(t), -math.sin(t))).imag
+    if z0 == 0:
+        return hit(math.atan2(v0.imag, v0.real))  # leaving the pivot
+    theta0 = math.atan2(abs(z0.imag), z0.real)  # abs: -0.0 is on the rod
+    n0 = z0.real * z0.real + z0.imag * z0.imag
+    p = z0.conjugate() * v0
+    c, L = p.real, p.imag
+    if L == 0.0:
+        if c < 0.0 and -n0 / c <= theta0:
+            raise UnsupportedFirstImpact(-n0 / c, 0.0)
+        return hit(theta0)
 
-    scale0 = 1.0 + abs(ff.z) + abs(ff.v)
-    h0 = ff.z.imag
-    if h0 < 0.0:
-        raise ValueError(f"initial position {ff.z!r} lies below the rod")
-    step = cfg.scan_step
-    t_prev2 = h_prev2 = None
-    if h0 <= cfg.grazing_tol * scale0:
-        zdot0 = ff.v - 1j * ff.z
-        if zdot0.imag <= 0.0:
-            raise ValueError(
-                "initial state sits on the rod without departing from it")
-        t_begin = 10.0 * step  # lift-off guard past the departure
-        t_prev = h_prev = None
+    def phi(t: float) -> float:
+        return theta0 + math.atan2(L * t, n0 + c * t) - t
+
+    # breakpoints t1 <= t2; since |z0|^2 w = c^2 + L^2 the quadratic's
+    # discriminant is L (w - L), and |w - L| within rounding of its terms
+    # is the double root of a full stop
+    w = v0.real * v0.real + v0.imag * v0.imag
+    t1 = t2 = 0.0
+    band = 8.0 * EPS * (w + math.sqrt(n0 * w))
+    if L > 0.0 and w - L >= -band:
+        sq = math.sqrt(L * (w - L)) if w - L > band else 0.0
+        q = -(c + math.copysign(sq, c))
+        t1, t2 = sorted((q / w, (n0 - L) / q if q else 0.0))
+    # stationary piece ends: a local minimum at t1, a local maximum at t2
+    ends = []
+    if t1 > 0.0:
+        ends.append((t1, False))
+    if t2 > max(t1, 0.0):
+        ends.append((t2, True))
+    a = 0.0
+    for b, rising in ends:
+        target = math.pi if rising else 0.0
+        short = target - phi(b) if rising else phi(b)  # < 0: target passed
+        scale = 1.0 + abs(z0) + abs(v0) * b
+        if abs(short) * abs(z0 + v0 * b) <= cfg.grazing_tol * scale:
+            return hit(b, rising)  # a tangency
+        if short < 0.0:
+            break
+        a = b
     else:
-        t_begin = step
-        t_prev, h_prev = 0.0, h0  # so a crossing inside the first step counts
+        # the last piece falls below 0 by the asymptotic angle of the line
+        b, rising, target = theta0 + max(0.0, math.atan2(L, c)), False, 0.0
 
-    n_steps = int(math.ceil((window - t_begin) / step)) + 1
-    # a local minimum of h qualifies as a tangency candidate below this
-    # (scale * curvature * step^2 covers the sampling error of a touch)
-    def cand_tol(t: float) -> float:
-        scale = 1.0 + abs(ff.z) + abs(ff.v) * t
-        return scale * (cfg.grazing_tol + 4.0 * step * step)
+    def phi_dphi(t: float) -> tuple[float, float]:
+        x = z0.real + v0.real * t
+        y = z0.imag + v0.imag * t
+        return phi(t) - target, L / (x * x + y * y) - 1.0
 
-    def refine_crossing(lo: float, hi: float) -> float:
-        return hybrid_root(h_dh, lo, hi, abs_tol=cfg.root_abs_tol,
-                           max_iters=cfg.max_bisect_iters).root
-
-    def finish(t_hit: float) -> FirstImpact:
-        r = flight_position(ff, t_hit).real
-        if r <= 0.0:
-            raise UnsupportedFirstImpact(t_hit, r)
-        kind = classify_impact(r, flight_velocity(ff, t_hit), cfg)
-        return FirstImpact(t_hit, r, kind)
-
-    for k in range(n_steps + 1):
-        t = t_begin + k * step
-        ht = h_dh(t)[0]
-        if h_prev is not None:
-            if h_prev > 0.0 and ht <= 0.0:
-                if ht == 0.0:
-                    return finish(t)
-                return finish(refine_crossing(t_prev, t))
-            if h_prev == 0.0 and ht < 0.0:
-                return finish(t_prev)  # an earlier sample sat on the rod
-            if (h_prev2 is not None and h_prev2 >= h_prev and h_prev < ht
-                    and h_prev <= cand_tol(t_prev)):
-                scale = 1.0 + abs(ff.z) + abs(ff.v) * t_prev
-                hit = _refine_tangency(h_dh, ddh, t_prev2, t, cfg, scale)
-                if hit is not None:
-                    return finish(hit)
-        t_prev2, h_prev2 = t_prev, h_prev
-        t_prev, h_prev = t, ht
-    raise BilliardError(
-        "no rod contact inside one full turn; this contradicts the sweep "
-        f"argument (z0={ff.z!r}, v0={ff.v!r})")
-
-
-def _refine_tangency(h_dh, ddh, lo: float, hi: float, cfg: SimConfig,
-                     scale: float) -> float | None:
-    """Polish a tangency candidate; returns the contact time or None.
-
-    The local minimum of h is located via h' = 0 (h' changes sign from
-    negative to positive across it).  A minimum within tolerance of zero
-    is a tangential contact; a strictly negative one hides a crossing
-    pair, and the left crossing is the impact.
-    """
-    def dh_ddh(t: float) -> tuple[float, float]:
-        return h_dh(t)[1], ddh(t)
-
-    if dh_ddh(lo)[0] >= 0.0 or dh_ddh(hi)[0] <= 0.0:
-        return None  # not a bracketed minimum; sampling artifact
-    t_min = hybrid_root(dh_ddh, lo, hi, abs_tol=cfg.root_abs_tol,
-                        max_iters=cfg.max_bisect_iters).root
-    h_min = h_dh(t_min)[0]
-    if abs(h_min) <= cfg.grazing_tol * scale:
-        return t_min
-    if h_min < 0.0:
-        return hybrid_root(h_dh, lo, t_min, abs_tol=cfg.root_abs_tol,
-                           max_iters=cfg.max_bisect_iters).root
-    return None
+    res = hybrid_root(phi_dphi, a, b, abs_tol=ROOT_REL_TOL,
+                      max_iters=cfg.max_bisect_iters, rel_tol=ROOT_REL_TOL,
+                      positive_lo=not rising)
+    return hit(res.root, rising)

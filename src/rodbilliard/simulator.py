@@ -1,11 +1,11 @@
 """Full-trajectory orchestration: first impact, recurrence iteration,
 degenerate handling and record assembly.
 
-``simulate`` locates the first rod contact by event detection, then
-generates every further impact purely from the closed-form (r, a, b)
-recurrences; event detection is never re-run, which removes root-finding
-drift from long orbits.  The brute-force verifier in ``oracle`` exists
-precisely to validate that choice.
+``simulate`` finds the first rod contact in closed form from the angle
+of the free flight, then generates every further impact purely from the
+closed-form (r, a, b) recurrences; no flight is searched again, which
+removes root-finding drift from long orbits.  The brute-force verifier
+in ``oracle`` exists precisely to validate that choice.
 """
 
 from __future__ import annotations

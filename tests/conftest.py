@@ -34,6 +34,14 @@ def stopping_set_point(r: float, tau: float) -> tuple[complex, complex]:
     return z0, zdot0 + 1j * z0
 
 
+def make_grazing_start(r: float, a: float, t1: float) -> tuple[complex, complex]:
+    """Initial data whose arc r(1 + (a + i)(t - t1))e^{-i(t-t1)} touches
+    the rod tangentially at t1 with horizontal velocity (r*a, 0)."""
+    w = complex(a, 1.0)
+    rot = unit_rotation(t1)
+    return r * (1.0 - w * t1) * rot, r * w * rot
+
+
 # touches the rod tangentially at t = 1.2 with velocity (-0.4, 0);
 # built from the arc r(1 + (a + i)s)e^{-is} with r = 1, a = -0.4
 GRAZING_Z0 = complex(1.6547363797861485, 0.9445885418594867)

@@ -219,6 +219,22 @@ def test_oracle_hundred_impacts_ok(capsys):
     assert len(lines) == 101
 
 
+def test_oracle_honours_t_max(capsys):
+    # both paths stop at the time budget: 4 impacts before t = 3
+    code = run_cli(["oracle", "--z0", "0,1", "--v0", "1,0",
+                    "--n-impacts", "10", "--t-max", "3"])
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert code == 0
+    assert captured.err == ""
+    assert len(lines) == 5
+    for line in lines[1:]:
+        cols = line.split(",")
+        t = float(cols[1])
+        assert float(cols[3]) <= 1e-9 * (1 + t)
+        assert abs(float(cols[4]) - float(cols[5])) <= 1e-9 * (1 + t)
+
+
 def test_oracle_coarse_scan_exit_4(capsys):
     code = run_cli(["oracle", "--z0", "0,1", "--v0", "1,0",
                     "--n-impacts", "10", "--scan-step", "0.5"])

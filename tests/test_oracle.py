@@ -70,3 +70,16 @@ def test_rejects_bad_arguments():
         oracle_simulate(1j, 0j, 0)
     with pytest.raises(ValueError):
         oracle_simulate(complex(0, -1), 0j, 1)
+
+
+def test_stops_at_t_max_like_simulate():
+    # impacts 1-4 of the reference orbit come before t = 3, impact 5 after
+    cfg = SimConfig(n_max=10, t_max=3.0, root_abs_tol=1e-15)
+    record = simulate(1j, 1 + 0j, cfg)
+    reference = oracle_simulate(1j, 1 + 0j, 10, cfg)
+    assert record.termination == "reached_t_max"
+    assert len(reference) == len(record.impacts) == 4
+    for ev, (t_o, r_o) in zip(record.impacts, reference):
+        assert abs(ev.t - t_o) <= 1e-9 * (1 + ev.t)
+        assert abs(ev.r - r_o) <= 1e-9 * (1 + ev.t)
+    assert oracle_simulate(1j, 1 + 0j, 10, SimConfig(t_max=0.5)) == []
