@@ -47,11 +47,10 @@ def asymptotic_table(record: TrajectoryRecord,
         seg = record.segments[n - 1]
         ev = record.impacts[n - 1]
         ev_next = record.impacts[n]
-        delta = seg.delta if seg.delta is not None else ev_next.t - ev.t
         rows.append(AsymptoticRow(
             n=n,
-            delta_n=delta,
-            n_delta_n=n * delta,
+            delta_n=seg.delta,
+            n_delta_n=n * seg.delta,
             b_minus_1_scaled=n * (seg.b - 1.0),
             ratio_scaled=n * (ev_next.r / ev.r - 1.0),
             t_over_logn=ev.t / math.log(n) if n > 1 else math.nan,

@@ -93,7 +93,8 @@ def record_to_json(record: TrajectoryRecord) -> str:
 def record_from_json(text: str) -> TrajectoryRecord:
     data = json.loads(text)
     cfg = dict(data["config"])
-    cfg.pop("series_switch_delta", None)  # a setting of earlier versions
+    for key in ("series_switch_delta", "max_bisect_iters", "grazing_tol"):
+        cfg.pop(key, None)  # settings of earlier versions
     if cfg.get("t_max") is None:
         cfg["t_max"] = math.inf
     qs = data["quasi_start"]
@@ -297,19 +298,19 @@ def _parse(argv: list[str] | None) -> tuple[_Parser, argparse.Namespace]:
     return sub, args
 
 
-def _simulate_render(record, args, cfg):
+def _simulate_render(record, args):
     opts = ExportOptions(args.format, args.frame, args.samples)
     return export_trajectory(record, opts), "", EXIT_OK
 
 
-def _impacts_render(record, args, cfg):
+def _impacts_render(record, args):
     lines = ["n,t_n,delta_n,r_n,a_n,b_n,re_in,im_in,kind"]
     for ev, seg in zip_longest(record.impacts, record.segments):
         delta_s = a_s = b_s = ""
         if seg is not None:
             delta = seg.delta
             if delta is None:  # the open last arc; -Im zdot_in / r = b - 1
-                delta = solve_delta(seg.a, -ev.zdot_in.imag / ev.r, cfg)
+                delta = solve_delta(seg.a, -ev.zdot_in.imag / ev.r)
             delta_s, a_s, b_s = _FMT(delta), _FMT(seg.a), _FMT(seg.b)
         lines.append(",".join([
             str(ev.n), _FMT(ev.t), delta_s, _FMT(ev.r), a_s, b_s,
@@ -324,7 +325,7 @@ def _asympt_setup(args: argparse.Namespace) -> dict:
     return {"n_max": max(args.at) + 1 if args.n_max is None else args.n_max}
 
 
-def _asympt_render(record, args, cfg):
+def _asympt_render(record, args):
     rows = asymptotic_table(record, args.at)
     lo, hi = args.band
     summary = "".join(
@@ -344,9 +345,10 @@ def _oracle_setup(args: argparse.Namespace) -> dict:
     return {"n_max": args.n_impacts, "root_abs_tol": 1e-15}
 
 
-def _oracle_render(record, args, cfg):
+def _oracle_render(record, args):
     try:
-        reference = oracle_simulate(record.z0, record.v0, args.n_impacts, cfg)
+        reference = oracle_simulate(record.z0, record.v0, args.n_impacts,
+                                    record.config)
         if len(record.impacts) != len(reference):
             raise OracleMismatch(
                 f"recurrence path produced {len(record.impacts)} impacts, "
@@ -405,12 +407,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         given = {f.name: getattr(args, f.name) for f in fields(SimConfig)
                  if getattr(args, f.name, None) is not None}
-        cfg = SimConfig(**{**given, **(setup(args) if setup else {})})
-        record = simulate(complex(*args.z0), complex(*args.v0), cfg)
+        record = simulate(complex(*args.z0), complex(*args.v0), SimConfig(
+            **{**given, **(setup(args) if setup else {})}))
         code = _termination_exit(record, cascade)
         if code == EXIT_UNSUPPORTED or code and cascade:
             return code
-        text, summary, render_code = render(record, args, cfg)
+        text, summary, render_code = render(record, args)
     except ValueError as exc:
         parser.error(str(exc))
     if text is not None:

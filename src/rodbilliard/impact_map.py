@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import BilliardError, DEFAULT_CONFIG, SimConfig, require_finite
+from .core import BilliardError, GRAZING_TOL, require_finite
 from .rootfind import (ROOT_REL_TOL, SERIES_MAX, T_STAR, hybrid_root,
                        reduced_arc, small_root_guess, solve_delta)
 
@@ -92,8 +92,7 @@ class MapState:
         return 1.0 + self.beta
 
 
-def classify_impact(r: float, zdot_in: complex,
-                    cfg: SimConfig | None = None) -> str:
+def classify_impact(r: float, zdot_in: complex) -> str:
     """Sort an incoming impact velocity into transversal/grazing/degenerate.
 
     Degenerate is a full stop on the rod (cubic tangency of the arc, no
@@ -101,13 +100,12 @@ def classify_impact(r: float, zdot_in: complex,
     tangency).  Anything else with non-negative vertical velocity is a
     ContractViolation: the dynamics never produces it.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if not r > 0:
         raise ValueError(f"impact radius must be positive, got {r}")
     require_finite(zdot_in, "zdot_in")
-    if abs(zdot_in) <= cfg.grazing_tol * (1.0 + r):
+    if abs(zdot_in) <= GRAZING_TOL * (1.0 + r):
         return DEGENERATE
-    tol = cfg.grazing_tol * (1.0 + abs(zdot_in))
+    tol = GRAZING_TOL * (1.0 + abs(zdot_in))
     if zdot_in.imag < -tol:
         return TRANSVERSAL
     if zdot_in.imag <= tol and zdot_in.real < -tol:
@@ -116,9 +114,7 @@ def classify_impact(r: float, zdot_in: complex,
         f"velocity {zdot_in!r} at r={r} is not an admissible rod approach")
 
 
-def incoming_to_map_state(r: float, zdot_in: complex,
-                          cfg: SimConfig | None = None,
-                          n: int = 1) -> MapState:
+def incoming_to_map_state(r: float, zdot_in: complex, n: int = 1) -> MapState:
     """Arc parameters after reflecting ``zdot_in`` at radius ``r``.
 
     a = Re zdot_in / r and beta = b - 1 = -Im zdot_in / r; admissible
@@ -126,16 +122,15 @@ def incoming_to_map_state(r: float, zdot_in: complex,
     velocity raises DegenerateImpact, anything below the rod's reach
     ContractViolation.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if not r > 0:
         raise ValueError(f"impact radius must be positive, got {r}")
     require_finite(zdot_in, "zdot_in")
-    if abs(zdot_in) <= cfg.grazing_tol * (1.0 + r):
+    if abs(zdot_in) <= GRAZING_TOL * (1.0 + r):
         raise DegenerateImpact(
             f"velocity {zdot_in!r} at r={r} is a full stop on the rod")
     a = zdot_in.real / r
     beta = -zdot_in.imag / r
-    graz = cfg.grazing_tol * max(1.0, abs(1.0 + beta))
+    graz = GRAZING_TOL * max(1.0, abs(1.0 + beta))
     if beta <= graz and (beta < -graz or a >= 0.0):
         raise ContractViolation(
             f"reflection of {zdot_in!r} at r={r} gives a={a}, beta={beta}; "
@@ -188,14 +183,12 @@ def recurrence_direct(delta: float, beta: float
     return a_next, beta_next, delta / sd
 
 
-def step(ms: MapState, cfg: SimConfig | None = None
-         ) -> tuple[float, MapState, float]:
+def step(ms: MapState) -> tuple[float, MapState, float]:
     """Advance one impact: (delta, next state, max arc height).
 
     The radius grows strictly: r' = r b delta/sin delta > r.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    delta = solve_delta(ms.a, ms.beta, cfg)
+    delta = solve_delta(ms.a, ms.beta)
     a_next, beta_next, dos = recurrence(delta, ms.beta)
     r_next = ms.r * ms.b * dos
     if not (math.isfinite(r_next) and r_next > ms.r):
@@ -250,8 +243,7 @@ def segment_max_height(ms: MapState, delta: float) -> float:
     return r * s * reduced_arc(s, a, beta)[0]
 
 
-def in_degenerate_set(z0: complex, zdot0: complex,
-                      cfg: SimConfig | None = None
+def in_degenerate_set(z0: complex, zdot0: complex
                       ) -> tuple[bool, float, float]:
     """Membership test for the full-stop set {(r(1 - i tau)e^{i tau}, -r tau e^{i tau})}.
 
@@ -262,13 +254,12 @@ def in_degenerate_set(z0: complex, zdot0: complex,
 
     Returns (member, r, tau); r and tau are 0.0 for non-members.
     """
-    cfg = cfg or DEFAULT_CONFIG
     require_finite(z0, "z0")
     require_finite(zdot0, "zdot0")
     if zdot0 == 0:
         return False, 0.0, 0.0
     q = z0 / zdot0
-    if abs(q.imag - 1.0) > cfg.grazing_tol * (1.0 + abs(q)) or q.real >= 0.0:
+    if abs(q.imag - 1.0) > GRAZING_TOL * (1.0 + abs(q)) or q.real >= 0.0:
         return False, 0.0, 0.0
     tau = -1.0 / q.real
     if not 0.0 < tau < T_STAR:

@@ -90,7 +90,7 @@ def _next_crossing(ff: FreeFlight, s0: float, h0: float,
         h = flight_position(ff, s).imag
         if h_prev > 0.0 and h <= 0.0:
             lo, hi = s_prev, s
-            for _ in range(cfg.max_bisect_iters):
+            for _ in range(200):  # 200 halvings reach any root_abs_tol
                 if hi - lo < cfg.root_abs_tol:
                     break
                 mid = 0.5 * (lo + hi)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .core import BilliardError, DEFAULT_CONFIG, EPS, SimConfig
+from .core import BilliardError, EPS, GRAZING_TOL
 from .flight import FreeFlight, flight_velocity
 
 
@@ -51,8 +51,7 @@ class RootResult:
 
 def hybrid_root(f_df: Callable[[float], tuple[float, float]],
                 lo: float, hi: float,
-                abs_tol: float = 1e-13,
-                max_iters: int = 200, *,
+                abs_tol: float = 1e-13, *,
                 x0: float | None = None,
                 rel_tol: float = 0.0,
                 positive_lo: bool | None = None) -> RootResult:
@@ -63,7 +62,7 @@ def hybrid_root(f_df: Callable[[float], tuple[float, float]],
     taken whenever it stays strictly inside the current bracket and
     shrinks it at least as fast as bisection would; otherwise the
     midpoint is used.  Terminates when the step or the bracket falls below
-    ``abs_tol + rel_tol * |x|``.
+    ``abs_tol + rel_tol * |x|``; RootFindError after 200 evaluations.
 
     The sign change is checked by evaluating f at both ends, unless the
     caller knows it: ``positive_lo`` then gives the sign of f just right
@@ -83,7 +82,7 @@ def hybrid_root(f_df: Callable[[float], tuple[float, float]],
         positive_lo = flo > 0.0
 
     x = x0 if x0 is not None and lo < x0 < hi else 0.5 * (lo + hi)
-    for it in range(1, max_iters + 1):
+    for it in range(1, 201):
         fx, dfx = f_df(x)
         if fx == 0.0:
             return RootResult(x, 0.0, it, True)
@@ -104,7 +103,7 @@ def hybrid_root(f_df: Callable[[float], tuple[float, float]],
                 continue
         x = 0.5 * (lo + hi)
     raise RootFindError(
-        f"no convergence after {max_iters} iterations on [{lo}, {hi}]")
+        f"no convergence after 200 iterations on [{lo}, {hi}]")
 
 
 # Taylor coefficients of k(s)/s^2 in u = s^2, k(s) = sin s/s - cos s:
@@ -155,7 +154,7 @@ def small_root_guess(c2: float, c1: float, beta: float) -> float:
     return 2.0 * beta / (c1 + disc) if c1 > 0.0 else (disc - c1) / (2.0 * c2)
 
 
-def solve_delta(a: float, beta: float, cfg: SimConfig | None = None) -> float:
+def solve_delta(a: float, beta: float) -> float:
     """Time to the next impact: the root in (0, pi) of b s cos s = (1 + a s) sin s.
 
     (a, beta = b - 1) parametrize the arc leaving the rod, with beta > 0
@@ -168,14 +167,13 @@ def solve_delta(a: float, beta: float, cfg: SimConfig | None = None) -> float:
     g(0) = 0, so its equation is divided once more by s: g/s falls from
     -a > 0, with the root near -3a.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if not (math.isfinite(a) and math.isfinite(beta)):
         raise ValueError(f"non-finite arc parameters a={a}, beta={beta}")
     if beta > 0.0:
         def f_df(s: float) -> tuple[float, float]:
             g, g1, _ = reduced_arc(s, a, beta)
             return g, g1
-    elif beta >= -cfg.grazing_tol * max(1.0, abs(1.0 + beta)) and a < 0.0:
+    elif beta >= -GRAZING_TOL * max(1.0, abs(1.0 + beta)) and a < 0.0:
         beta = 0.0
 
         def f_df(s: float) -> tuple[float, float]:
@@ -187,7 +185,6 @@ def solve_delta(a: float, beta: float, cfg: SimConfig | None = None) -> float:
             f"arc parameters a={a}, beta={beta} do not describe a reflection "
             "(need beta > 0, or beta = 0 with a < 0)")
     res = hybrid_root(f_df, 0.0, math.pi, abs_tol=0.0,
-                      max_iters=cfg.max_bisect_iters,
                       x0=small_root_guess(1.0 / 3.0, a, beta),
                       rel_tol=ROOT_REL_TOL, positive_lo=True)
     return res.root
@@ -206,7 +203,7 @@ def solve_tstar() -> float:
         return sn - t * cs, t * sn
 
     res = hybrid_root(f_df, math.pi + 1e-3, 1.5 * math.pi - 1e-3,
-                      abs_tol=1e-15, max_iters=200)
+                      abs_tol=1e-15)
     return res.root
 
 
@@ -219,7 +216,7 @@ class FirstImpact(NamedTuple):
     kind: str
 
 
-def first_impact(ff: FreeFlight, cfg: SimConfig | None = None) -> FirstImpact:
+def first_impact(ff: FreeFlight) -> FirstImpact:
     """Earliest contact of a free flight with the rod, in closed form.
 
     With u = z0 + v0 t the lab-frame position and c + iL = conj(z0) v0,
@@ -237,7 +234,7 @@ def first_impact(ff: FreeFlight, cfg: SimConfig | None = None) -> FirstImpact:
     piece that reaches 0, or rising piece that reaches pi, the contact is
     the root of phi, solved by Newton steps on the monotone bracket with a
     relative stop.  A piece whose end (a stationary point of phi) lies
-    within grazing_tol of the rod ends in a tangency there: a grazing
+    within GRAZING_TOL of the rod ends in a tangency there: a grazing
     touch, or at a double root of the quadratic the cubic tangency of a
     full stop.  The last piece falls below 0 by t = arg z0 + atan2(L, c)
     (L > 0) or t = arg z0 (L < 0).  With L = 0 the line runs through the
@@ -249,11 +246,10 @@ def first_impact(ff: FreeFlight, cfg: SimConfig | None = None) -> FirstImpact:
     """
     from .impact_map import classify_impact
 
-    cfg = cfg or DEFAULT_CONFIG
     z0, v0 = ff.z, ff.v
     if z0.imag < 0.0:
         raise ValueError(f"initial position {z0!r} lies below the rod")
-    if (z0.imag <= cfg.grazing_tol * (1.0 + abs(z0) + abs(v0))
+    if (z0.imag <= GRAZING_TOL * (1.0 + abs(z0) + abs(v0))
             and (v0 - 1j * z0).imag <= 0.0):
         raise ValueError(
             "initial state sits on the rod without departing from it")
@@ -262,8 +258,7 @@ def first_impact(ff: FreeFlight, cfg: SimConfig | None = None) -> FirstImpact:
         r = abs(z0 + v0 * t)
         if negative_side:
             raise UnsupportedFirstImpact(t, -r)
-        return FirstImpact(t, r, classify_impact(r, flight_velocity(ff, t),
-                                                 cfg))
+        return FirstImpact(t, r, classify_impact(r, flight_velocity(ff, t)))
 
     if z0 == 0:
         return hit(math.atan2(v0.imag, v0.real))  # leaving the pivot
@@ -300,7 +295,7 @@ def first_impact(ff: FreeFlight, cfg: SimConfig | None = None) -> FirstImpact:
         target = math.pi if rising else 0.0
         short = target - phi(b) if rising else phi(b)  # < 0: target passed
         scale = 1.0 + abs(z0) + abs(v0) * b
-        if abs(short) * abs(z0 + v0 * b) <= cfg.grazing_tol * scale:
+        if abs(short) * abs(z0 + v0 * b) <= GRAZING_TOL * scale:
             return hit(b, rising)  # a tangency
         if short < 0.0:
             break
@@ -315,6 +310,5 @@ def first_impact(ff: FreeFlight, cfg: SimConfig | None = None) -> FirstImpact:
         return phi(t) - target, L / (x * x + y * y) - 1.0
 
     res = hybrid_root(phi_dphi, a, b, abs_tol=ROOT_REL_TOL,
-                      max_iters=cfg.max_bisect_iters, rel_tol=ROOT_REL_TOL,
-                      positive_lo=not rising)
+                      rel_tol=ROOT_REL_TOL, positive_lo=not rising)
     return hit(res.root, rising)

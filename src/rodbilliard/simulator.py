@@ -15,8 +15,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 
-from .core import (DEFAULT_CONFIG, PhaseState, SimConfig, require_finite,
-                   unit_rotation)
+from .core import (DEFAULT_CONFIG, GRAZING_TOL, PhaseState, SimConfig,
+                   require_finite, unit_rotation)
 from .flight import (FlightSegment, FreeFlight, flight_position,
                      flight_velocity, reflect, segment_position,
                      segment_velocity)
@@ -92,7 +92,7 @@ def simulate(z0: complex, v0: complex,
         return finished(impacts, (), (), "degenerate_stop")
 
     # analytic early exit: exact full-stop initial data need no root search
-    member, r_m, tau = in_degenerate_set(z0, v0 - 1j * z0, cfg)
+    member, r_m, tau = in_degenerate_set(z0, v0 - 1j * z0)
     if member and tau <= cfg.t_max:
         ev = ImpactEvent(n=1, t=tau, r=r_m, zdot_in=0j, zdot_out=0j,
                          kind=DEGENERATE)
@@ -100,7 +100,7 @@ def simulate(z0: complex, v0: complex,
 
     ff = FreeFlight(z0, v0)
     try:
-        t1, r1, kind = first_impact(ff, cfg)
+        t1, r1, kind = first_impact(ff)
     except UnsupportedFirstImpact:
         return finished((), (), (), "unsupported_first_impact")
     if t1 > cfg.t_max:
@@ -115,13 +115,13 @@ def simulate(z0: complex, v0: complex,
 
     segments: list[FlightSegment] = []
     heights: list[float] = []
-    ms = incoming_to_map_state(r1, zdot_in, cfg)
+    ms = incoming_to_map_state(r1, zdot_in)
     t_rec = t1
     t_sum = t1
     comp = 0.0  # Neumaier compensation for the running time sum
     termination = "reached_n_max"
     while len(impacts) < cfg.n_max:
-        delta, ms_next, height = step(ms, cfg)
+        delta, ms_next, height = step(ms)
         s = t_sum + delta
         comp += (t_sum - s) + delta if t_sum >= delta else (delta - s) + t_sum
         t_sum = s
@@ -135,7 +135,7 @@ def simulate(z0: complex, v0: complex,
             raise ContractViolation(
                 f"inadmissible step at n={ms.n}: state {ms}, "
                 f"next {ms_next}, incoming {zdot_in!r}")
-        if zdot_in.imag >= -cfg.grazing_tol * (1.0 + abs(zdot_in)):
+        if zdot_in.imag >= -GRAZING_TOL * (1.0 + abs(zdot_in)):
             # within roundoff of grazing; the dynamics forbids true grazing
             # past the first impact, so keep it transversal
             _log.warning("near-grazing incoming velocity %r at n=%d",

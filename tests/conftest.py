@@ -10,11 +10,6 @@ from rodbilliard import (FreeFlight, SimConfig, UnsupportedFirstImpact,
 
 
 @pytest.fixture(scope="session")
-def cfg():
-    return SimConfig()
-
-
-@pytest.fixture(scope="session")
 def orbit_i1():
     """The worked reference orbit from z0 = i, v0 = 1 (lab frame)."""
     return simulate(1j, 1 + 0j, SimConfig(n_max=60))
@@ -54,7 +49,6 @@ def random_supported_starts(count: int, seed: int = 20240817):
     Im z0 in [0.1, 5], Re z0 in [-5, 5], |v0| <= 5.
     """
     rng = random.Random(seed)
-    cfg = SimConfig()
     out = []
     while len(out) < count:
         z0 = complex(rng.uniform(-5.0, 5.0), rng.uniform(0.1, 5.0))
@@ -62,7 +56,7 @@ def random_supported_starts(count: int, seed: int = 20240817):
         if abs(v0) > 5.0:
             continue
         try:
-            hit = first_impact(FreeFlight(z0, v0), cfg)
+            hit = first_impact(FreeFlight(z0, v0))
         except UnsupportedFirstImpact:
             continue
         if hit.kind != "transversal":

@@ -113,10 +113,12 @@ def test_simulate_json_roundtrip(capsys):
 
 
 def test_json_from_earlier_version_loads():
-    # earlier records carry the removed series_switch_delta setting
+    # earlier records carry the removed series_switch_delta,
+    # max_bisect_iters and grazing_tol settings
     record = simulate(1j, 1 + 0j, SimConfig(n_max=3))
     data = json.loads(record_to_json(record))
-    data["config"]["series_switch_delta"] = 1e-4
+    data["config"].update(series_switch_delta=1e-4, max_bisect_iters=200,
+                          grazing_tol=1e-10)
     assert record_from_json(json.dumps(data)) == record
 
 

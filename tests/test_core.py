@@ -41,8 +41,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(scan_step=-1e-3)
     with pytest.raises(ValueError):
-        SimConfig(grazing_tol=0.0)
-    with pytest.raises(ValueError):
         SimConfig(n_max=0)
     with pytest.raises(ValueError):
         SimConfig(quasi_mode="bounce")

@@ -15,8 +15,8 @@ import random
 
 import pytest
 
-from rodbilliard import (FreeFlight, SimConfig, UnsupportedFirstImpact,
-                         first_impact, oracle_simulate, rootfind)
+from rodbilliard import (FreeFlight, UnsupportedFirstImpact, first_impact,
+                         oracle_simulate, rootfind)
 from conftest import (GRAZING_V0, GRAZING_Z0, make_grazing_start,
                       random_supported_starts, stopping_set_point)
 
@@ -172,9 +172,8 @@ def test_root_solve_iterations(monkeypatch):
 
     starts = random_supported_starts(100)
     monkeypatch.setattr(rootfind, "hybrid_root", counted)
-    cfg = SimConfig()
     for z0, v0 in starts:
-        first_impact(FreeFlight(z0, v0), cfg)
+        first_impact(FreeFlight(z0, v0))
     assert len(counts) == len(starts)
     assert sum(counts) / len(counts) <= 8.0
     assert max(counts) <= 20

@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rodbilliard import (FreeFlight, RootFindError, SimConfig, T_STAR,
+from rodbilliard import (FreeFlight, RootFindError, T_STAR,
                          UnsupportedFirstImpact, first_impact, hybrid_root,
                          solve_delta, solve_tstar)
 from conftest import (GRAZING_V0, GRAZING_Z0, make_grazing_start,
@@ -47,11 +47,11 @@ def test_delta_large_b_approaches_half_pi():
     assert abs(solve_delta(0.0, 999.0) - math.pi / 2) < 2e-3
 
 
-def test_delta_residual_bound(cfg):
+def test_delta_residual_bound():
     for a, b in [(0.0, 2.0), (-0.1, 1.0), (3.0, 1.01), (-2.0, 4.0),
                  (0.494395184719431, 2.574655216336433)]:
-        d = solve_delta(a, b - 1.0, cfg)
-        assert abs(F(d, a, b)) <= 10 * cfg.root_abs_tol * (1 + abs(a) + b)
+        d = solve_delta(a, b - 1.0)
+        assert abs(F(d, a, b)) <= 10 * 1e-13 * (1 + abs(a) + b)
 
 
 def test_delta_quotient_form_agreement():
@@ -79,10 +79,9 @@ def test_delta_unique_sign_change():
 @settings(max_examples=200, deadline=None)
 @given(st.floats(-3.0, 3.0), st.floats(1.0001, 5.0))
 def test_delta_contract_random(a, b):
-    cfg = SimConfig()
-    d = solve_delta(a, b - 1.0, cfg)
+    d = solve_delta(a, b - 1.0)
     assert 0.0 < d < math.pi
-    assert abs(F(d, a, b)) <= 10 * cfg.root_abs_tol * (1 + abs(a) + b)
+    assert abs(F(d, a, b)) <= 10 * 1e-13 * (1 + abs(a) + b)
     for k in range(1, 200):
         assert F(d * k / 200, a, b) > 0.0
 
@@ -112,30 +111,30 @@ def test_tstar_runtime_under_1ms():
     assert time.perf_counter() - t0 < 1e-3
 
 
-def test_first_impact_worked_example(cfg):
-    hit = first_impact(FreeFlight(1j, 1 + 0j), cfg)
+def test_first_impact_worked_example():
+    hit = first_impact(FreeFlight(1j, 1 + 0j))
     assert abs(hit.t - 0.8603335890193798) < 1e-12
     assert abs(hit.r - 1.3191565048905179) < 1e-12
     assert hit.kind == "transversal"
 
 
-def test_first_impact_pure_rotation(cfg):
-    hit = first_impact(FreeFlight(1j, 0j), cfg)
+def test_first_impact_pure_rotation():
+    hit = first_impact(FreeFlight(1j, 0j))
     assert abs(hit.t - math.pi / 2) < 1e-12
     assert abs(hit.r - 1.0) < 1e-12
     assert hit.kind == "transversal"
 
 
-def test_first_impact_full_stop_point(cfg):
+def test_first_impact_full_stop_point():
     z0, v0 = stopping_set_point(1.0, 1.0)
-    hit = first_impact(FreeFlight(z0, v0), cfg)
+    hit = first_impact(FreeFlight(z0, v0))
     assert abs(hit.t - 1.0) < 1e-9
     assert abs(hit.r - 1.0) < 1e-9
     assert hit.kind == "degenerate"
 
 
-def test_first_impact_grazing_touch(cfg):
-    hit = first_impact(FreeFlight(GRAZING_Z0, GRAZING_V0), cfg)
+def test_first_impact_grazing_touch():
+    hit = first_impact(FreeFlight(GRAZING_Z0, GRAZING_V0))
     assert abs(hit.t - 1.2) < 1e-7
     assert abs(hit.r - 1.0) < 1e-7
     assert hit.kind == "grazing"
@@ -144,27 +143,27 @@ def test_first_impact_grazing_touch(cfg):
 @pytest.mark.parametrize("r,a,t1", [
     (1.0, -0.4, 1.20037), (0.5, -0.05, 0.30041), (3.0, -1.5, 1.50053),
     (2.0, -0.8, 0.70047), (1.3, -0.2, 1.00061)])
-def test_first_impact_detects_constructed_tangencies(cfg, r, a, t1):
+def test_first_impact_detects_constructed_tangencies(r, a, t1):
     # h touches zero without a sign change; the contact is the local
-    # minimum of the flight's angle, within grazing_tol of the rod
+    # minimum of the flight's angle, within GRAZING_TOL of the rod
     from rodbilliard import flight_position
     z0, v0 = make_grazing_start(r, a, t1)
     ff = FreeFlight(z0, v0)
     assert min(flight_position(ff, t1 * k / 100).imag
                for k in range(1, 100)) > 0.0  # touch is the first contact
-    hit = first_impact(ff, cfg)
+    hit = first_impact(ff)
     assert abs(hit.t - t1) < 1e-7
     assert abs(hit.r - r) < 1e-6 * r
     assert hit.kind == "grazing"
 
 
-def test_first_impact_grid_aligned_tangency_window(cfg):
+def test_first_impact_grid_aligned_tangency_window():
     # with the touch at a round time, rounding decides whether the
     # computed arc grazes or micro-crosses; either answer must stay inside
     # the sqrt(eps) tangency window
     from rodbilliard import flight_velocity
     z0, v0 = make_grazing_start(2.0, -0.8, 0.7)
-    hit = first_impact(FreeFlight(z0, v0), cfg)
+    hit = first_impact(FreeFlight(z0, v0))
     assert abs(hit.t - 0.7) < 1e-6
     assert abs(hit.r - 2.0) < 1e-6
     assert hit.kind in ("grazing", "transversal")
@@ -172,47 +171,39 @@ def test_first_impact_grid_aligned_tangency_window(cfg):
     assert abs(zdot.imag) < 1e-7 * abs(zdot)
 
 
-def test_first_impact_negative_axis_unsupported(cfg):
+def test_first_impact_negative_axis_unsupported():
     with pytest.raises(UnsupportedFirstImpact) as exc:
-        first_impact(FreeFlight(1j, complex(-1, -10)), cfg)
+        first_impact(FreeFlight(1j, complex(-1, -10)))
     assert abs(exc.value.t - 0.101024) < 1e-4
     assert exc.value.r < 0
 
 
-def test_first_impact_through_pivot_unsupported(cfg):
+def test_first_impact_through_pivot_unsupported():
     with pytest.raises(UnsupportedFirstImpact) as exc:
-        first_impact(FreeFlight(1j, -2j), cfg)
+        first_impact(FreeFlight(1j, -2j))
     assert abs(exc.value.t - 0.5) < 1e-9
     assert abs(exc.value.r) < 1e-9
 
 
-def test_first_impact_scan_step_stability(cfg):
-    fine = SimConfig(scan_step=cfg.scan_step / 2)
-    for z0, v0 in [(1j, 1 + 0j), (complex(2, 3), complex(-1, 0.5))]:
-        t_a = first_impact(FreeFlight(z0, v0), cfg).t
-        t_b = first_impact(FreeFlight(z0, v0), fine).t
-        assert abs(t_a - t_b) < 10 * cfg.root_abs_tol
-
-
-def test_first_impact_departure_from_rod(cfg):
+def test_first_impact_departure_from_rod():
     # on the rod at t = 0 but moving upward: the start is not a contact
     z0 = 1 + 0j
     v0 = 2.5j  # rotating-frame velocity v0 - i z0 = 1.5j points up
-    hit = first_impact(FreeFlight(z0, v0), cfg)
+    hit = first_impact(FreeFlight(z0, v0))
     assert hit.t > 0.0
     assert hit.r > 0.0
 
 
-def test_first_impact_inside_first_scan_step(cfg):
+def test_first_impact_inside_first_scan_step():
     # a start just above the rod hits before one scan step has elapsed
-    hit = first_impact(FreeFlight(complex(1.0, 1e-5), 0j), cfg)
-    assert 0.0 < hit.t < cfg.scan_step
+    hit = first_impact(FreeFlight(complex(1.0, 1e-5), 0j))
+    assert 0.0 < hit.t < 1e-3
     assert abs(hit.r - 1.0) < 1e-9
     assert hit.kind == "transversal"
 
 
-def test_first_impact_preconditions(cfg):
+def test_first_impact_preconditions():
     with pytest.raises(ValueError):
-        first_impact(FreeFlight(complex(0, -1), 0j), cfg)
+        first_impact(FreeFlight(complex(0, -1), 0j))
     with pytest.raises(ValueError):
-        first_impact(FreeFlight(1 + 0j, 0j), cfg)  # on the rod, not departing
+        first_impact(FreeFlight(1 + 0j, 0j))  # on the rod, not departing
