@@ -16,8 +16,9 @@ import math
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict, astuple, dataclass, fields
-from itertools import zip_longest
-from typing import Callable, NamedTuple
+from functools import partial
+from itertools import starmap, zip_longest
+from typing import Callable, Iterator, NamedTuple
 
 from .core import SimConfig
 from .flight import FlightSegment, FreeFlight, flight_position, to_lab_frame, \
@@ -48,7 +49,11 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True, slots=True)
 class ExportOptions:
-    """What to write for a trajectory export."""
+    """What to write for a trajectory export.
+
+    ``samples_per_segment`` is checked where the samples are drawn, in
+    ``trajectory_samples``.
+    """
 
     format: str = "csv"
     frame: str = "both"
@@ -60,8 +65,6 @@ class ExportOptions:
         if self.frame not in ("rotating", "lab", "both"):
             raise ValueError(
                 f"frame must be rotating, lab or both, got {self.frame!r}")
-        if self.samples_per_segment < 2:
-            raise ValueError("samples_per_segment must be at least 2")
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +72,16 @@ class ExportOptions:
 
 
 def record_to_json(record: TrajectoryRecord) -> str:
+    """The record as one compact JSON document.
+
+    ``impacts`` and ``segments`` are tables of columns, one array per
+    field of ``ImpactEvent`` and ``FlightSegment``; a velocity is a
+    [re, im] pair.  ``zdot_out`` keeps its own column although it is
+    ``conj(zdot_in)``: a full stop stores 0j, and conj(0j) is -0j.
+    """
     cfg = asdict(record.config)
     cfg["t_max"] = None if math.isinf(cfg["t_max"]) else cfg["t_max"]
+    impacts, segments = record.impacts, record.segments
     data = {
         "z0": [record.z0.real, record.z0.imag],
         "v0": [record.v0.real, record.v0.imag],
@@ -78,39 +89,54 @@ def record_to_json(record: TrajectoryRecord) -> str:
         "termination": record.termination,
         "quasi_start": (None if record.quasi_start is None else
                         asdict(record.quasi_start)),
-        "impacts": [{"n": ev.n, "t": ev.t, "r": ev.r,
-                     "zdot_in": [ev.zdot_in.real, ev.zdot_in.imag],
-                     "zdot_out": [ev.zdot_out.real, ev.zdot_out.imag],
-                     "kind": ev.kind} for ev in record.impacts],
-        "segments": [{"n": seg.n, "t_start": seg.t_start, "r": seg.r,
-                      "a": seg.a, "b": seg.b, "delta": seg.delta}
-                     for seg in record.segments],
+        "impacts": {
+            "n": [ev.n for ev in impacts],
+            "t": [ev.t for ev in impacts],
+            "r": [ev.r for ev in impacts],
+            "zdot_in": [[ev.zdot_in.real, ev.zdot_in.imag] for ev in impacts],
+            "zdot_out": [[ev.zdot_out.real, ev.zdot_out.imag]
+                         for ev in impacts],
+            "kind": [ev.kind for ev in impacts]},
+        "segments": {
+            "n": [seg.n for seg in segments],
+            "t_start": [seg.t_start for seg in segments],
+            "r": [seg.r for seg in segments],
+            "a": [seg.a for seg in segments],
+            "b": [seg.b for seg in segments],
+            "delta": [seg.delta for seg in segments]},
         "heights": list(record.heights),
     }
-    return json.dumps(data, indent=2) + "\n"
+    return json.dumps(data, separators=(",", ":")) + "\n"
+
+
+def _columns(table: dict | list, cls: type) -> dict:
+    """A table of columns; earlier versions wrote a list of row objects."""
+    if isinstance(table, dict):
+        return table
+    return {f.name: [row[f.name] for row in table] for f in fields(cls)}
 
 
 def record_from_json(text: str) -> TrajectoryRecord:
+    """Load a record written by ``record_to_json`` or an earlier version."""
     data = json.loads(text)
     cfg = dict(data["config"])
     for key in ("series_switch_delta", "max_bisect_iters", "grazing_tol"):
         cfg.pop(key, None)  # settings of earlier versions
     if cfg.get("t_max") is None:
         cfg["t_max"] = math.inf
+    imp = _columns(data["impacts"], ImpactEvent)
+    seg = _columns(data["segments"], FlightSegment)
     qs = data["quasi_start"]
     return TrajectoryRecord(
         z0=complex(*data["z0"]),
         v0=complex(*data["v0"]),
         config=SimConfig(**cfg),
-        impacts=tuple(ImpactEvent(n=ev["n"], t=ev["t"], r=ev["r"],
-                                  zdot_in=complex(*ev["zdot_in"]),
-                                  zdot_out=complex(*ev["zdot_out"]),
-                                  kind=ev["kind"])
-                      for ev in data["impacts"]),
-        segments=tuple(FlightSegment(n=sg["n"], t_start=sg["t_start"],
-                                     r=sg["r"], a=sg["a"], b=sg["b"],
-                                     delta=sg["delta"])
-                       for sg in data["segments"]),
+        impacts=tuple(starmap(ImpactEvent, zip(
+            imp["n"], imp["t"], imp["r"], starmap(complex, imp["zdot_in"]),
+            starmap(complex, imp["zdot_out"]), imp["kind"], strict=True))),
+        segments=tuple(starmap(FlightSegment, zip(
+            seg["n"], seg["t_start"], seg["r"], seg["a"], seg["b"],
+            seg["delta"], strict=True))),
         heights=tuple(data["heights"]),
         termination=data["termination"],
         quasi_start=None if qs is None else QuasiTrajectory(**qs),
@@ -122,8 +148,8 @@ def record_from_json(text: str) -> TrajectoryRecord:
 
 
 def trajectory_samples(record: TrajectoryRecord, samples_per_segment: int
-                       ) -> list[tuple[float, complex, int]]:
-    """(t, rotating-frame position, segment label) rows for export.
+                       ) -> Iterator[tuple[float, complex, int]]:
+    """Yield (t, rotating-frame position, segment label) rows for export.
 
     Label 0 is the approach arc before the first impact; the arc leaving
     impacts[k] carries label k + 1.  The open final arc (and the sliding
@@ -132,56 +158,51 @@ def trajectory_samples(record: TrajectoryRecord, samples_per_segment: int
     """
     if samples_per_segment < 2:
         raise ValueError("samples_per_segment must be at least 2")
-    rows: list[tuple[float, complex, int]] = []
     t_max = record.config.t_max
-    ff = FreeFlight(record.z0, record.v0)
-    if record.impacts:
-        t_end0 = record.impacts[0].t
-    elif math.isfinite(t_max):
-        t_end0 = t_max
-    else:
-        return rows
-    for j in range(samples_per_segment):
-        t = t_end0 * j / (samples_per_segment - 1)
-        rows.append((t, flight_position(ff, t), 0))
-    for k, seg in enumerate(record.segments):
-        if seg.delta is not None:
-            span = seg.delta
-        elif math.isfinite(t_max) and t_max > seg.t_start:
-            span = t_max - seg.t_start
-        else:
-            continue
-        for j in range(samples_per_segment):
-            s = span * j / (samples_per_segment - 1)
-            rows.append((seg.t_start + s, segment_position(seg, s), k + 1))
-    q = record.quasi_start
-    if q is not None and math.isfinite(t_max) and t_max > q.t1:
-        label = len(record.impacts)
-        for j in range(samples_per_segment):
-            t = q.t1 + (t_max - q.t1) * j / (samples_per_segment - 1)
-            rows.append((t, quasi_position(q, t), label))
-    return rows
+
+    def horizon(start: float) -> float | None:
+        """Span of an open arc from ``start``: up to a finite t_max."""
+        return t_max - start if start < t_max < math.inf else None
+
+    def arcs():
+        """(start time, span or None, position at offset s, label)."""
+        impacts = record.impacts
+        yield (0.0, impacts[0].t if impacts else horizon(0.0),
+               partial(flight_position, FreeFlight(record.z0, record.v0)), 0)
+        for k, seg in enumerate(record.segments, start=1):
+            yield (seg.t_start,
+                   horizon(seg.t_start) if seg.delta is None else seg.delta,
+                   partial(segment_position, seg), k)
+        q = record.quasi_start
+        if q is not None:
+            yield (q.t1, horizon(q.t1),
+                   lambda s: quasi_position(q, q.t1 + s), len(impacts))
+
+    last = samples_per_segment - 1
+    for start, span, position, label in arcs():
+        if span is not None:
+            for j in range(samples_per_segment):
+                s = span * j / last
+                yield start + s, position(s), label
 
 
 def export_trajectory(record: TrajectoryRecord, opts: ExportOptions) -> str:
     """Render a record per the export options (CSV samples or JSON)."""
     if opts.format == "json":
         return record_to_json(record)
-    rows = trajectory_samples(record, opts.samples_per_segment)
     frame = opts.frame
-    header = {"both": "t,re_rot,im_rot,re_lab,im_lab,segment",
+    lines = [{"both": "t,re_rot,im_rot,re_lab,im_lab,segment",
               "rotating": "t,re_rot,im_rot,segment",
-              "lab": "t,re_lab,im_lab,segment"}[frame]
-    lines = [header]
-    for t, z_rot, label in rows:
-        cols = [_FMT(t)]
-        if frame in ("both", "rotating"):
-            cols += [_FMT(z_rot.real), _FMT(z_rot.imag)]
-        if frame in ("both", "lab"):
-            z_lab = to_lab_frame(z_rot, t)
-            cols += [_FMT(z_lab.real), _FMT(z_lab.imag)]
-        cols.append(str(label))
-        lines.append(",".join(cols))
+              "lab": "t,re_lab,im_lab,segment"}[frame]]
+    for t, z, label in trajectory_samples(record, opts.samples_per_segment):
+        if frame == "rotating":
+            lines.append(f"{t:.17g},{z.real:.17g},{z.imag:.17g},{label}")
+            continue
+        w = to_lab_frame(z, t)
+        lines.append(
+            f"{t:.17g},{w.real:.17g},{w.imag:.17g},{label}" if frame == "lab"
+            else f"{t:.17g},{z.real:.17g},{z.imag:.17g},"
+                 f"{w.real:.17g},{w.imag:.17g},{label}")
     return "\n".join(lines) + "\n"
 
 

@@ -14,6 +14,7 @@ import logging
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 from .core import (DEFAULT_CONFIG, GRAZING_TOL, PhaseState, SimConfig,
                    require_finite, unit_rotation)
@@ -72,8 +73,9 @@ def simulate(z0: complex, v0: complex,
     contact is off the positive semiaxis (reported, not simulated).
     """
     cfg = cfg or DEFAULT_CONFIG
-    require_finite(z0, "z0")
-    require_finite(v0, "v0")
+    # stored as complex even from simulate(1j, 1), as record_from_json reads it
+    z0 = require_finite(complex(z0), "z0")
+    v0 = require_finite(complex(v0), "v0")
     if z0.imag < 0.0:
         raise ValueError(f"initial position {z0!r} lies below the rod")
 
@@ -177,7 +179,7 @@ def record_state(record: TrajectoryRecord, t: float) -> PhaseState:
         ff = FreeFlight(record.z0, record.v0)
         return PhaseState(t=t, z=flight_position(ff, t),
                           zdot=flight_velocity(ff, t))
-    k = bisect_right([ev.t for ev in impacts], t) - 1
+    k = bisect_right(impacts, t, key=attrgetter("t")) - 1
     if k < len(record.segments):
         seg = record.segments[k]
         s = t - seg.t_start

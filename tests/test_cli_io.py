@@ -1,13 +1,17 @@
 import json
 import math
+import random
 import subprocess
 import sys
 
 import pytest
 
-from rodbilliard import SimConfig, simulate, unit_rotation
+from rodbilliard import (FreeFlight, SimConfig, flight_position, quasi_position,
+                         segment_position, simulate, to_lab_frame,
+                         unit_rotation)
 from rodbilliard.cli_io import main, record_from_json, record_to_json
-from conftest import stopping_set_point
+from conftest import (GRAZING_V0, GRAZING_Z0, random_supported_starts,
+                      stopping_set_point)
 
 
 def run_cli(args):
@@ -101,6 +105,56 @@ def test_simulate_quasi_extension_samples(capsys):
     assert tail[-1] == "1"
 
 
+def _csv_rows_from_positions(record, frame, samples):
+    """The CSV rows of a record with a finite t_max, built sample by sample
+    from the position functions and ``{:.17g}``."""
+    def row(t, z, label):
+        w = to_lab_frame(z, t)
+        cols = {"both": (t, z.real, z.imag, w.real, w.imag),
+                "rotating": (t, z.real, z.imag), "lab": (t, w.real, w.imag)}
+        return ",".join(f"{x:.17g}" for x in cols[frame]) + f",{label}"
+
+    t_max, last = record.config.t_max, samples - 1
+    ff = FreeFlight(record.z0, record.v0)
+    rows = []
+    for j in range(samples):
+        t = record.impacts[0].t * j / last
+        rows.append(row(t, flight_position(ff, t), 0))
+    for k, seg in enumerate(record.segments, start=1):
+        span = seg.delta if seg.delta is not None else t_max - seg.t_start
+        for j in range(samples):
+            s = span * j / last
+            rows.append(row(seg.t_start + s, segment_position(seg, s), k))
+    q = record.quasi_start
+    if q is not None:
+        for j in range(samples):
+            t = q.t1 + (t_max - q.t1) * j / last
+            rows.append(row(t, quasi_position(q, t), len(record.impacts)))
+    return rows
+
+
+@pytest.mark.parametrize("frame", ["both", "rotating", "lab"])
+@pytest.mark.parametrize("start, quasi", [
+    ((1j, 1 + 0j), "stop"),               # closed arcs and an open last arc
+    (stopping_set_point(1.0, 1.0), "extend")])  # full stop, then sliding
+def test_simulate_csv_matches_positions(capsys, frame, start, quasi):
+    z0, v0 = start
+    record = simulate(z0, v0, SimConfig(n_max=6, t_max=4.0, quasi_mode=quasi))
+    assert record.termination in ("reached_n_max", "reached_t_max",
+                                  "degenerate_quasi")
+    assert not record.segments or record.segments[-1].delta is None
+    code = run_cli(["simulate", f"--z0={z0.real!r},{z0.imag!r}",
+                    f"--v0={v0.real!r},{v0.imag!r}", "--n-max", "6",
+                    "--t-max", "4", "--quasi", quasi, "--frame", frame,
+                    "--samples", "7"])
+    lines = capsys.readouterr().out.split("\n")
+    assert code == 0
+    assert lines[0] == {"both": "t,re_rot,im_rot,re_lab,im_lab,segment",
+                        "rotating": "t,re_rot,im_rot,segment",
+                        "lab": "t,re_lab,im_lab,segment"}[frame]
+    assert lines[1:] == _csv_rows_from_positions(record, frame, 7) + [""]
+
+
 def test_simulate_json_roundtrip(capsys):
     code = run_cli(["simulate", "--z0", "0,1", "--v0", "1,0",
                     "--n-max", "4", "--format", "json"])
@@ -112,14 +166,162 @@ def test_simulate_json_roundtrip(capsys):
     assert record == direct
 
 
+# simulate(1j, 1, SimConfig(n_max=3)) as earlier versions wrote it: one
+# object per impact and segment, indent=2, and the since-removed
+# series_switch_delta, max_bisect_iters and grazing_tol settings
+_ROW_FORMAT_JSON = """\
+{
+  "z0": [
+    0.0,
+    1.0
+  ],
+  "v0": [
+    1,
+    0
+  ],
+  "config": {
+    "root_abs_tol": 1e-13,
+    "scan_step": 0.001,
+    "series_switch_delta": 0.0001,
+    "max_bisect_iters": 200,
+    "grazing_tol": 1e-10,
+    "n_max": 3,
+    "t_max": null,
+    "quasi_mode": "stop"
+  },
+  "termination": "reached_n_max",
+  "quasi_start": null,
+  "impacts": [
+    {
+      "n": 1,
+      "t": 0.8603335890193797,
+      "r": 1.3191565048905178,
+      "zdot_in": [
+        0.652184623909187,
+        -2.0772166715899907
+      ],
+      "zdot_out": [
+        0.652184623909187,
+        2.0772166715899907
+      ],
+      "kind": "transversal"
+    },
+    {
+      "n": 2,
+      "t": 1.9223637703449956,
+      "r": 4.13015009536933,
+      "zdot_in": [
+        3.2838887029269017,
+        -3.04535955136144
+      ],
+      "zdot_out": [
+        3.2838887029269017,
+        3.04535955136144
+      ],
+      "kind": "transversal"
+    },
+    {
+      "n": 3,
+      "t": 2.5525310753237767,
+      "r": 7.673384573531324,
+      "zdot_in": [
+        6.881532557065486,
+        -3.8112124684090003
+      ],
+      "zdot_out": [
+        6.881532557065486,
+        3.8112124684090003
+      ],
+      "kind": "transversal"
+    }
+  ],
+  "segments": [
+    {
+      "n": 1,
+      "t_start": 0.8603335890193797,
+      "r": 1.3191565048905178,
+      "a": 0.49439518471943134,
+      "b": 2.5746552163364327,
+      "delta": 1.0620301813256159
+    },
+    {
+      "n": 2,
+      "t_start": 1.9223637703449956,
+      "r": 4.13015009536933,
+      "a": 0.7951015404037628,
+      "b": 1.7373483967993941,
+      "delta": 0.6301673049787813
+    },
+    {
+      "n": 3,
+      "t_start": 2.5525310753237767,
+      "r": 7.673384573531324,
+      "a": 0.8968053785291483,
+      "b": 1.4966794550550024,
+      "delta": null
+    }
+  ],
+  "heights": [
+    0.7175387862946464,
+    0.5506705748055817
+  ]
+}
+"""
+
+
 def test_json_from_earlier_version_loads():
-    # earlier records carry the removed series_switch_delta,
-    # max_bisect_iters and grazing_tol settings
-    record = simulate(1j, 1 + 0j, SimConfig(n_max=3))
-    data = json.loads(record_to_json(record))
-    data["config"].update(series_switch_delta=1e-4, max_bisect_iters=200,
-                          grazing_tol=1e-10)
-    assert record_from_json(json.dumps(data)) == record
+    record = simulate(1j, 1, SimConfig(n_max=3))
+    loaded = record_from_json(_ROW_FORMAT_JSON)
+    assert loaded == record
+    assert repr(loaded) == repr(record)
+
+
+_ROUNDTRIP_CASES = ("transversal", "grazing", "degenerate_stop",
+                    "degenerate_quasi", "unsupported_first_impact",
+                    "reached_t_max")
+
+
+@pytest.fixture(scope="module")
+def roundtrip_records() -> dict[str, list]:
+    """Seeded records of every termination, by case."""
+    rng = random.Random(20261018)
+    cases = {case: [] for case in _ROUNDTRIP_CASES}
+    for z0, v0 in random_supported_starts(8, seed=rng.randrange(2**32)):
+        cases["transversal"].append(simulate(z0, v0, SimConfig(n_max=25)))
+        cases["reached_t_max"].append(simulate(
+            z0, v0, SimConfig(n_max=1000, t_max=rng.uniform(0.5, 4.0))))
+    cases["grazing"].append(simulate(GRAZING_Z0, GRAZING_V0,
+                                     SimConfig(n_max=25)))
+    for quasi, case in (("stop", "degenerate_stop"),
+                        ("extend", "degenerate_quasi")):
+        for _ in range(4):
+            z0, v0 = stopping_set_point(rng.uniform(0.2, 3.0),
+                                        rng.uniform(0.1, 4.4))
+            cases[case].append(simulate(z0, v0, SimConfig(
+                n_max=5, quasi_mode=quasi, t_max=6.0)))
+    while len(cases["unsupported_first_impact"]) < 4:
+        record = simulate(complex(rng.uniform(-5, 5), rng.uniform(0.1, 5)),
+                          complex(rng.uniform(-5, 5), rng.uniform(-5, 5)),
+                          SimConfig(n_max=25))
+        if record.termination == "unsupported_first_impact":
+            cases["unsupported_first_impact"].append(record)
+    return cases
+
+
+@pytest.mark.parametrize("case", _ROUNDTRIP_CASES)
+def test_json_roundtrip_is_bit_exact(roundtrip_records, case):
+    records = roundtrip_records[case]
+    ended = {"transversal": "reached_n_max", "grazing": "reached_n_max"}
+    assert {r.termination for r in records} == {ended.get(case, case)}
+    if case == "grazing":
+        assert records[0].impacts[0].kind == "grazing"
+    if case.startswith("degenerate"):
+        assert records[0].impacts[-1].zdot_out == 0j
+    for record in records:
+        back = record_from_json(record_to_json(record))
+        # equal reprs tell -0.0 from 0.0, which == does not
+        assert back == record
+        assert repr(back) == repr(record)
 
 
 def test_json_roundtrip_degenerate_record():
