@@ -74,9 +74,11 @@ class SimConfig:
     quasi_mode: str = "stop"
 
     def __post_init__(self) -> None:
-        for name in ("root_abs_tol", "scan_step", "t_max"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+        for name in ("root_abs_tol", "scan_step"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and strictly positive")
+        if not self.t_max > 0:
+            raise ValueError("t_max must be strictly positive")
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
         if self.quasi_mode not in ("stop", "extend"):

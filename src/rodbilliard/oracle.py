@@ -8,7 +8,10 @@ the lab frame to the rod angle at the impact), which keeps magnitudes of
 order r and avoids the loss of significance a global (z, v) anchor
 suffers as t grows.  Deliberately slow (O(delta / scan_step) evaluations
 per impact) and meant for cross-validation runs of at most ~10^3
-impacts, where the inter-impact gaps stay above one scan step.
+impacts, where the inter-impact gaps stay above one scan step.  The scan
+evaluates Im z inline from the flight's real and imaginary parts, with
+the same rounding as ``flight_position``, so its samples and roots are
+those of the complex formula without the cost of complex objects.
 """
 
 from __future__ import annotations
@@ -28,14 +31,16 @@ def oracle_simulate(z0: complex, v0: complex, n_impacts: int,
                     cfg: SimConfig | None = None) -> list[tuple[float, float]]:
     """First ``n_impacts`` impact times and radii by scanning alone.
 
-    The scan starts a lift-off guard of 10 scan_steps past each
-    reflection (the outgoing vertical velocity is positive, so the ball
-    is strictly above the rod there) and bisects the first sign change
-    of Im z(t).  Once the gaps between impacts shrink below the guard the
-    ball is back on the rod there, and the scan starts one scan_step past
-    the reflection instead.  Strict radius growth is checked as a
-    missed-impact diagnostic.  As in ``simulate``, an impact past
-    cfg.t_max is not recorded and ends the list.
+    The first scan starts at the initial position itself (h = Im z0), so
+    a first contact inside the first scan step is bracketed.  Later scans
+    start a lift-off guard of 10 scan_steps past each reflection (the
+    outgoing vertical velocity is positive, so the ball is strictly above
+    the rod there) and bisect the first sign change of Im z(t).  Once the
+    gaps between impacts shrink below the guard the ball is back on the
+    rod there, and the scan starts one scan_step past the reflection
+    instead.  Strict radius growth is checked as a missed-impact
+    diagnostic.  As in ``simulate``, an impact past cfg.t_max is not
+    recorded and ends the list.
     """
     cfg = cfg or DEFAULT_CONFIG
     require_finite(z0, "z0")
@@ -51,8 +56,10 @@ def oracle_simulate(z0: complex, v0: complex, n_impacts: int,
     out: list[tuple[float, float]] = []
     guard = 10.0 * cfg.scan_step
     for k in range(n_impacts):
-        s0 = guard if k > 0 else cfg.scan_step
-        h0 = flight_position(ff, s0).imag
+        if k == 0:
+            s0, h0 = 0.0, z0.imag
+        else:
+            s0, h0 = guard, flight_position(ff, guard).imag
         if k > 0 and h0 <= 0.0:
             s0 = cfg.scan_step
             h0 = flight_position(ff, s0).imag
@@ -81,20 +88,28 @@ def oracle_simulate(z0: complex, v0: complex, n_impacts: int,
 
 def _next_crossing(ff: FreeFlight, s0: float, h0: float,
                    cfg: SimConfig) -> float:
-    """First downward sign change of Im z(s) past s0, bisected to tolerance."""
+    """First downward sign change of Im z(s) past s0, bisected to tolerance.
+
+    h is Im((z + v s) e^{-is}) term for term as CPython rounds the complex
+    product in ``flight_position``, so it equals its ``.imag``.
+    """
+    zr, zi, vr, vi = ff.z.real, ff.z.imag, ff.v.real, ff.v.imag
+    sin, cos = math.sin, math.cos
+    step, tol = cfg.scan_step, cfg.root_abs_tol
     window = s0 + 2.0 * math.pi + 0.1
     s_prev, h_prev = s0, h0
     s = s0
     while s < window:
-        s += cfg.scan_step
-        h = flight_position(ff, s).imag
+        s += step
+        h = (zr + vr * s) * sin(-s) + (zi + vi * s) * cos(-s)
         if h_prev > 0.0 and h <= 0.0:
             lo, hi = s_prev, s
             for _ in range(200):  # 200 halvings reach any root_abs_tol
-                if hi - lo < cfg.root_abs_tol:
+                if hi - lo < tol:
                     break
                 mid = 0.5 * (lo + hi)
-                if flight_position(ff, mid).imag > 0.0:
+                h = (zr + vr * mid) * sin(-mid) + (zi + vi * mid) * cos(-mid)
+                if h > 0.0:
                     lo = mid
                 else:
                     hi = mid

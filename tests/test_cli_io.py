@@ -439,6 +439,18 @@ def test_oracle_honours_t_max(capsys):
         assert abs(float(cols[4]) - float(cols[5])) <= 1e-9 * (1 + t)
 
 
+def test_oracle_first_contact_within_one_scan_step_ok(capsys):
+    # the first impact comes at t = 5e-5, inside the oracle's first scan step
+    code = run_cli(["oracle", "--z0", "1,1e-4", "--v0", "0,-1",
+                    "--n-impacts", "3"])
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert code == 0
+    assert captured.err == ""
+    assert len(lines) == 4
+    assert float(lines[1].split(",")[2]) < 1e-4
+
+
 def test_oracle_coarse_scan_exit_4(capsys):
     code = run_cli(["oracle", "--z0", "0,1", "--v0", "1,0",
                     "--n-impacts", "10", "--scan-step", "0.5"])

@@ -41,6 +41,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(scan_step=-1e-3)
     with pytest.raises(ValueError):
+        SimConfig(root_abs_tol=math.inf)
+    with pytest.raises(ValueError):
+        SimConfig(scan_step=math.inf)
+    with pytest.raises(ValueError):
         SimConfig(n_max=0)
     with pytest.raises(ValueError):
         SimConfig(quasi_mode="bounce")
