@@ -68,11 +68,11 @@ def estimate_growth_constant(record: TrajectoryRecord
     residuals are r_n e^{-t_n} / c - 1 over that tail.  No convergence is
     asserted: the exponential growth law is conjectural.
     """
-    if len(record.impacts) < 1000:
+    n = len(record.t)
+    if n < 1000:
         raise ValueError(
-            f"growth estimate needs at least 1000 impacts, record has "
-            f"{len(record.impacts)}")
-    tail = record.impacts[len(record.impacts) // 2:]
-    vals = [ev.r * math.exp(-ev.t) for ev in tail]
+            f"growth estimate needs at least 1000 impacts, record has {n}")
+    vals = [r * math.exp(-t)
+            for r, t in zip(record.r[n // 2:], record.t[n // 2:])]
     c = math.fsum(vals) / len(vals)
     return c, [v / c - 1.0 for v in vals]

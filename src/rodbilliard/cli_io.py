@@ -21,9 +21,9 @@ from itertools import starmap, zip_longest
 from typing import Callable, Iterator, NamedTuple
 
 from .core import SimConfig
-from .flight import FlightSegment, FreeFlight, flight_position, to_lab_frame, \
+from .flight import FreeFlight, flight_position, to_lab_frame, \
     segment_position
-from .impact_map import ImpactEvent
+from .impact_map import recurrence
 from .oracle import OracleMismatch, oracle_simulate
 from .rootfind import UnsupportedFirstImpact, solve_delta
 from .simulator import QuasiTrajectory, TrajectoryRecord, quasi_position, \
@@ -72,16 +72,11 @@ class ExportOptions:
 
 
 def record_to_json(record: TrajectoryRecord) -> str:
-    """The record as one compact JSON document.
-
-    ``impacts`` and ``segments`` are tables of columns, one array per
-    field of ``ImpactEvent`` and ``FlightSegment``; a velocity is a
-    [re, im] pair.  ``zdot_out`` keeps its own column although it is
-    ``conj(zdot_in)``: a full stop stores 0j, and conj(0j) is -0j.
-    """
+    """The record as one compact JSON document: one array per column of
+    the record, the first impact's incoming velocity as a [re, im] pair."""
     cfg = asdict(record.config)
     cfg["t_max"] = None if math.isinf(cfg["t_max"]) else cfg["t_max"]
-    impacts, segments = record.impacts, record.segments
+    zdot_in = record.first_zdot_in
     data = {
         "z0": [record.z0.real, record.z0.imag],
         "v0": [record.v0.real, record.v0.imag],
@@ -89,31 +84,56 @@ def record_to_json(record: TrajectoryRecord) -> str:
         "termination": record.termination,
         "quasi_start": (None if record.quasi_start is None else
                         asdict(record.quasi_start)),
-        "impacts": {
-            "n": [ev.n for ev in impacts],
-            "t": [ev.t for ev in impacts],
-            "r": [ev.r for ev in impacts],
-            "zdot_in": [[ev.zdot_in.real, ev.zdot_in.imag] for ev in impacts],
-            "zdot_out": [[ev.zdot_out.real, ev.zdot_out.imag]
-                         for ev in impacts],
-            "kind": [ev.kind for ev in impacts]},
-        "segments": {
-            "n": [seg.n for seg in segments],
-            "t_start": [seg.t_start for seg in segments],
-            "r": [seg.r for seg in segments],
-            "a": [seg.a for seg in segments],
-            "b": [seg.b for seg in segments],
-            "delta": [seg.delta for seg in segments]},
-        "heights": list(record.heights),
+        "first_zdot_in": (None if zdot_in is None else
+                          [zdot_in.real, zdot_in.imag]),
+        "first_kind": record.first_kind,
+        "t": record.t,
+        "r": record.r,
+        "a": record.a,
+        "beta": record.beta,
+        "delta": record.delta,
     }
     return json.dumps(data, separators=(",", ":")) + "\n"
 
 
-def _columns(table: dict | list, cls: type) -> dict:
-    """A table of columns; earlier versions wrote a list of row objects."""
-    if isinstance(table, dict):
-        return table
-    return {f.name: [row[f.name] for row in table] for f in fields(cls)}
+def _table_columns(data: dict) -> dict:
+    """Record columns from an earlier version's impact and segment tables.
+
+    beta is -Im zdot_in / r on the first arc, as ``simulate`` takes it;
+    on a later arc, the float within 4 ulps of that quotient from which
+    the stored Im zdot_in = -r beta and b = 1 + beta round.  Of several,
+    it is the one the recurrence gives from the previous arc.
+    """
+    def column(table: dict | list, key: str) -> list:
+        """A column of a table; the earliest versions wrote row objects."""
+        if isinstance(table, dict):
+            return table[key]
+        return [row[key] for row in table]
+
+    imp, seg = data["impacts"], data["segments"]
+    zdot_in = list(starmap(complex, column(imp, "zdot_in")))
+    r, a, b = column(imp, "r"), column(seg, "a"), column(seg, "b")
+    delta = [d for d in column(seg, "delta") if d is not None]
+    beta = []
+    for k in range(len(a)):
+        found = [-zdot_in[k].imag / r[k]]
+        if k:
+            for _ in range(4):
+                found = [math.nextafter(found[0], -math.inf), *found,
+                         math.nextafter(found[-1], math.inf)]
+            found = [x for x in found
+                     if -r[k] * x == zdot_in[k].imag and 1.0 + x == b[k]]
+        if len(found) > 1:  # the one simulate made from the previous arc
+            found = [x for x in found
+                     if x == recurrence(delta[k - 1], beta[-1])[1]] or found
+        if len(found) != 1:
+            raise ValueError(f"arc {k + 1}: {len(found)} values of beta "
+                             "reproduce the stored impact and segment")
+        beta.append(found[0])
+    kinds = column(imp, "kind")
+    return {"t": column(imp, "t"), "r": r, "a": a, "beta": beta,
+            "delta": delta, "first_kind": kinds[0] if kinds else None,
+            "first_zdot_in": column(imp, "zdot_in")[0] if kinds else None}
 
 
 def record_from_json(text: str) -> TrajectoryRecord:
@@ -124,23 +144,14 @@ def record_from_json(text: str) -> TrajectoryRecord:
         cfg.pop(key, None)  # settings of earlier versions
     if cfg.get("t_max") is None:
         cfg["t_max"] = math.inf
-    imp = _columns(data["impacts"], ImpactEvent)
-    seg = _columns(data["segments"], FlightSegment)
-    qs = data["quasi_start"]
+    cols = _table_columns(data) if "impacts" in data else data
+    zdot_in, qs = cols["first_zdot_in"], data["quasi_start"]
     return TrajectoryRecord(
-        z0=complex(*data["z0"]),
-        v0=complex(*data["v0"]),
-        config=SimConfig(**cfg),
-        impacts=tuple(starmap(ImpactEvent, zip(
-            imp["n"], imp["t"], imp["r"], starmap(complex, imp["zdot_in"]),
-            starmap(complex, imp["zdot_out"]), imp["kind"], strict=True))),
-        segments=tuple(starmap(FlightSegment, zip(
-            seg["n"], seg["t_start"], seg["r"], seg["a"], seg["b"],
-            seg["delta"], strict=True))),
-        heights=tuple(data["heights"]),
-        termination=data["termination"],
-        quasi_start=None if qs is None else QuasiTrajectory(**qs),
-    )
+        complex(*data["z0"]), complex(*data["v0"]), SimConfig(**cfg),
+        data["termination"],
+        *(tuple(cols[key]) for key in ("t", "r", "a", "beta", "delta")),
+        None if zdot_in is None else complex(*zdot_in), cols["first_kind"],
+        None if qs is None else QuasiTrajectory(**qs))
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +177,7 @@ def trajectory_samples(record: TrajectoryRecord, samples_per_segment: int
 
     def arcs():
         """(start time, span or None, position at offset s, label)."""
-        impacts = record.impacts
-        yield (0.0, impacts[0].t if impacts else horizon(0.0),
+        yield (0.0, record.t[0] if record.t else horizon(0.0),
                partial(flight_position, FreeFlight(record.z0, record.v0)), 0)
         for k, seg in enumerate(record.segments, start=1):
             yield (seg.t_start,
@@ -176,7 +186,7 @@ def trajectory_samples(record: TrajectoryRecord, samples_per_segment: int
         q = record.quasi_start
         if q is not None:
             yield (q.t1, horizon(q.t1),
-                   lambda s: quasi_position(q, q.t1 + s), len(impacts))
+                   lambda s: quasi_position(q, q.t1 + s), len(record.t))
 
     last = samples_per_segment - 1
     for start, span, position, label in arcs():
@@ -330,8 +340,8 @@ def _impacts_render(record, args):
         delta_s = a_s = b_s = ""
         if seg is not None:
             delta = seg.delta
-            if delta is None:  # the open last arc; -Im zdot_in / r = b - 1
-                delta = solve_delta(seg.a, -ev.zdot_in.imag / ev.r)
+            if delta is None:  # the open last arc, from beta rather than b - 1
+                delta = solve_delta(seg.a, record.beta[-1])
             delta_s, a_s, b_s = _FMT(delta), _FMT(seg.a), _FMT(seg.b)
         lines.append(",".join([
             str(ev.n), _FMT(ev.t), delta_s, _FMT(ev.r), a_s, b_s,
@@ -414,7 +424,7 @@ def _termination_exit(record: TrajectoryRecord, cascade: bool) -> int:
               file=sys.stderr)
         return EXIT_UNSUPPORTED
     if term == "degenerate_stop" or cascade and term == "degenerate_quasi":
-        print(f"degenerate impact at t = {record.impacts[-1].t}: " + (
+        print(f"degenerate impact at t = {record.t[-1]}: " + (
             f"not applicable without a full cascade ({term})" if cascade
             else "trajectory cannot be extended"), file=sys.stderr)
         return EXIT_DEGENERATE

@@ -30,6 +30,17 @@ def require_finite(value: complex, name: str = "value") -> complex:
     return value
 
 
+def require_departing_start(z0: complex, v0: complex) -> None:
+    """Reject a start below the rod, or on it with the rotating-frame
+    velocity v0 - i z0 not pointing up."""
+    if z0.imag < 0.0:
+        raise ValueError(f"initial position {z0!r} lies below the rod")
+    if (z0.imag <= GRAZING_TOL * (1.0 + abs(z0) + abs(v0))
+            and (v0 - 1j * z0).imag <= 0.0):
+        raise ValueError(
+            "initial state sits on the rod without departing from it")
+
+
 def unit_rotation(theta: float) -> complex:
     """Unit complex number at angle ``theta``, i.e. cos(theta) + i sin(theta)."""
     return complex(math.cos(theta), math.sin(theta))

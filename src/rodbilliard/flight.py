@@ -101,15 +101,3 @@ def segment_velocity(seg: FlightSegment, s: float) -> complex:
     _check_s(seg, s)
     w = complex(seg.a, seg.b)
     return seg.r * (w - 1j * (1.0 + w * s)) * unit_rotation(-s)
-
-
-def segment_to_free_flight(seg: FlightSegment) -> FreeFlight:
-    """Equivalent global free flight, mainly for cross-checks.
-
-    Substituting s = t - t_start into the arc form gives the line data
-    z = r (1 - w t_start) e^{i t_start}, v = r w e^{i t_start}.
-    """
-    w = complex(seg.a, seg.b)
-    rot = unit_rotation(seg.t_start)
-    return FreeFlight(z=seg.r * (1.0 - w * seg.t_start) * rot,
-                      v=seg.r * w * rot)

@@ -169,50 +169,27 @@ def recurrence(delta: float, beta: float) -> tuple[float, float, float]:
             delta / math.sin(delta))
 
 
-def recurrence_direct(delta: float, beta: float
-                      ) -> tuple[float, float, float]:
-    """Textbook closed forms of ``recurrence``; cancel badly as delta -> 0.
-
-    Kept as the independent reference the series path is checked against.
-    """
-    b = 1.0 + beta
-    sd = math.sin(delta)
-    cd = math.cos(delta)
-    a_next = 1.0 / delta - cd * sd / (b * delta * delta)
-    beta_next = 1.0 - (sd / delta) ** 2 / b
-    return a_next, beta_next, delta / sd
-
-
-def step(ms: MapState) -> tuple[float, MapState, float]:
-    """Advance one impact: (delta, next state, max arc height).
+def advance(r: float, a: float, beta: float
+            ) -> tuple[float, float, float, float]:
+    """One impact of the arc (r, a, beta): (delta, r', a', beta').
 
     The radius grows strictly: r' = r b delta/sin delta > r.
     """
-    delta = solve_delta(ms.a, ms.beta)
-    a_next, beta_next, dos = recurrence(delta, ms.beta)
-    r_next = ms.r * ms.b * dos
-    if not (math.isfinite(r_next) and r_next > ms.r):
+    delta = solve_delta(a, beta)
+    a_next, beta_next, dos = recurrence(delta, beta)
+    r_next = r * (1.0 + beta) * dos
+    if not (math.isfinite(r_next) and r_next > r):
         raise ContractViolation(
-            f"radius failed to grow: r={ms.r} -> {r_next} at n={ms.n} "
-            f"(a={ms.a}, beta={ms.beta}, delta={delta})")
-    height = segment_max_height(ms, delta)
-    return (delta, MapState(r=r_next, a=a_next, beta=beta_next, n=ms.n + 1),
-            height)
+            f"radius failed to grow: r={r} -> {r_next} "
+            f"(a={a}, beta={beta}, delta={delta})")
+    return delta, r_next, a_next, beta_next
 
 
-def outgoing_components(ms: MapState, delta: float) -> tuple[float, float]:
-    """Velocity components when the arc returns to the rod.
-
-    Re = r (b/sin d - cos d/d) > 0 and Im = r (sin d/d - b d/sin d) < 0
-    for every admissible state; delta must be the return time of ``ms``.
-    The same velocity is r' (a' - i beta') in terms of the next state;
-    this closed form is the independent check of that identity.
-    """
-    sd = math.sin(delta)
-    cd = math.cos(delta)
-    re_out = ms.r * (ms.b / sd - cd / delta)
-    im_out = ms.r * (sd / delta - ms.b * delta / sd)
-    return re_out, im_out
+def step(ms: MapState) -> tuple[float, MapState, float]:
+    """Advance one impact: (delta, next state, max arc height)."""
+    delta, r, a, beta = advance(ms.r, ms.a, ms.beta)
+    return (delta, MapState(r=r, a=a, beta=beta, n=ms.n + 1),
+            segment_max_height(ms, delta))
 
 
 def segment_max_height(ms: MapState, delta: float) -> float:

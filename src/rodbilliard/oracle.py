@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 
-from .core import BilliardError, DEFAULT_CONFIG, SimConfig, require_finite
+from .core import (BilliardError, DEFAULT_CONFIG, SimConfig,
+                   require_departing_start, require_finite)
 from .flight import FreeFlight, flight_position, flight_velocity, reflect
 from .rootfind import UnsupportedFirstImpact
 
@@ -47,8 +48,7 @@ def oracle_simulate(z0: complex, v0: complex, n_impacts: int,
     require_finite(v0, "v0")
     if n_impacts < 1:
         raise ValueError("n_impacts must be at least 1")
-    if z0.imag < 0.0:
-        raise ValueError(f"initial position {z0!r} lies below the rod")
+    require_departing_start(z0, v0)
 
     # local-time flight: starts at the previous impact (t = 0 initially)
     ff = FreeFlight(z0, v0)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .core import BilliardError, EPS, GRAZING_TOL
+from .core import BilliardError, EPS, GRAZING_TOL, require_departing_start
 from .flight import FreeFlight, flight_velocity
 
 
@@ -247,12 +247,7 @@ def first_impact(ff: FreeFlight) -> FirstImpact:
     from .impact_map import classify_impact
 
     z0, v0 = ff.z, ff.v
-    if z0.imag < 0.0:
-        raise ValueError(f"initial position {z0!r} lies below the rod")
-    if (z0.imag <= GRAZING_TOL * (1.0 + abs(z0) + abs(v0))
-            and (v0 - 1j * z0).imag <= 0.0):
-        raise ValueError(
-            "initial state sits on the rod without departing from it")
+    require_departing_start(z0, v0)
 
     def hit(t: float, negative_side: bool = False) -> FirstImpact:
         r = abs(z0 + v0 * t)

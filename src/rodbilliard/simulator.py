@@ -13,8 +13,8 @@ from __future__ import annotations
 import logging
 import math
 from bisect import bisect_right
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace
-from operator import attrgetter
 
 from .core import (DEFAULT_CONFIG, GRAZING_TOL, PhaseState, SimConfig,
                    require_finite, unit_rotation)
@@ -22,8 +22,8 @@ from .flight import (FlightSegment, FreeFlight, flight_position,
                      flight_velocity, reflect, segment_position,
                      segment_velocity)
 from .impact_map import (DEGENERATE, TRANSVERSAL, ContractViolation,
-                         ImpactEvent, in_degenerate_set,
-                         incoming_to_map_state, step)
+                         ImpactEvent, MapState, advance, in_degenerate_set,
+                         incoming_to_map_state, segment_max_height)
 from .rootfind import T_STAR, UnsupportedFirstImpact, first_impact
 
 _log = logging.getLogger(__name__)
@@ -41,25 +41,94 @@ class QuasiTrajectory:
     t1: float
 
 
+class RowView(Sequence):
+    """Rows ``row(0)``, ..., ``row(length - 1)``, built on access; a slice
+    is a tuple of rows, and a view equals the tuple of its rows."""
+
+    __slots__ = ("_row", "_rows")
+
+    def __init__(self, row: Callable[[int], object], length: int) -> None:
+        self._row = row
+        self._rows = range(length)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, k):
+        rows = self._rows[k]
+        if isinstance(rows, range):
+            return tuple(map(self._row, rows))
+        return self._row(rows)
+
+    def __iter__(self) -> Iterator:
+        return map(self._row, self._rows)
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == (tuple(other) if isinstance(other, RowView)
+                               else other)
+
+
 @dataclass(frozen=True, slots=True)
 class TrajectoryRecord:
-    """Initial data, ordered impacts/segments and the termination reason.
+    """Initial data, the orbit as columns of floats, and the termination.
 
-    ``segments[k]`` is the arc leaving ``impacts[k]``; the last segment is
-    open (``delta`` None) unless the record ended at a degenerate impact,
-    which has no continuation arc.  ``heights[k]`` is the peak height of
-    closed segment ``k``.  The approach arc before the first impact is
-    implicit in (z0, v0).
+    Impact k + 1 happens at ``t[k]``, radius ``r[k]``; the arc leaving it
+    has ``a[k]``, ``beta[k]`` = b - 1 and, once closed, ``delta[k]``.  The
+    last arc is open, or absent after a degenerate impact.  Every impact
+    but the first is transversal with incoming velocity r (a - i beta).
+    ``impacts``, ``segments`` and ``heights`` are built on access; a
+    height is solved when read.  (z0, v0) give the approach arc.
     """
 
     z0: complex
     v0: complex
     config: SimConfig
-    impacts: tuple[ImpactEvent, ...]
-    segments: tuple[FlightSegment, ...]
-    heights: tuple[float, ...]
     termination: str
+    t: tuple[float, ...] = ()
+    r: tuple[float, ...] = ()
+    a: tuple[float, ...] = ()
+    beta: tuple[float, ...] = ()
+    delta: tuple[float, ...] = ()
+    first_zdot_in: complex | None = None
+    first_kind: str | None = None
     quasi_start: QuasiTrajectory | None = None
+
+    @property
+    def impacts(self) -> RowView:
+        """ImpactEvent per impact; ``zdot_out`` reflects ``zdot_in``,
+        except that an exact full stop keeps 0j."""
+        return RowView(self._impact, len(self.t))
+
+    @property
+    def segments(self) -> RowView:
+        """FlightSegment per arc; ``segments[k]`` leaves ``impacts[k]``."""
+        return RowView(self._segment, len(self.a))
+
+    @property
+    def heights(self) -> RowView:
+        """Peak height of each closed arc, solved on access."""
+        return RowView(self._height, len(self.delta))
+
+    def _impact(self, k: int) -> ImpactEvent:
+        r = self.r[k]
+        if k:
+            zdot_in = complex(r * self.a[k], -r * self.beta[k])
+            zdot_out, kind = reflect(zdot_in), TRANSVERSAL
+        else:
+            zdot_in, kind = self.first_zdot_in, self.first_kind
+            zdot_out = reflect(zdot_in) if zdot_in else 0j
+        return ImpactEvent(n=k + 1, t=self.t[k], r=r, zdot_in=zdot_in,
+                           zdot_out=zdot_out, kind=kind)
+
+    def _segment(self, k: int) -> FlightSegment:
+        return FlightSegment(
+            n=k + 1, t_start=self.t[k], r=self.r[k], a=self.a[k],
+            b=1.0 + self.beta[k],
+            delta=self.delta[k] if k < len(self.delta) else None)
+
+    def _height(self, k: int) -> float:
+        ms = MapState(r=self.r[k], a=self.a[k], beta=self.beta[k], n=k + 1)
+        return segment_max_height(ms, self.delta[k])
 
 
 def simulate(z0: complex, v0: complex,
@@ -79,51 +148,34 @@ def simulate(z0: complex, v0: complex,
     if z0.imag < 0.0:
         raise ValueError(f"initial position {z0!r} lies below the rod")
 
-    def finished(impacts, segments, heights, termination, quasi=None):
-        return TrajectoryRecord(z0=z0, v0=v0, config=cfg,
-                                impacts=tuple(impacts),
-                                segments=tuple(segments),
-                                heights=tuple(heights),
-                                termination=termination, quasi_start=quasi)
-
-    def finish_degenerate(impacts):
-        ev = impacts[-1]
-        if cfg.quasi_mode == "extend":
-            return finished(impacts, (), (), "degenerate_quasi",
-                            QuasiTrajectory(r=ev.r, t1=ev.t))
-        return finished(impacts, (), (), "degenerate_stop")
-
     # analytic early exit: exact full-stop initial data need no root search
     member, r_m, tau = in_degenerate_set(z0, v0 - 1j * z0)
     if member and tau <= cfg.t_max:
-        ev = ImpactEvent(n=1, t=tau, r=r_m, zdot_in=0j, zdot_out=0j,
-                         kind=DEGENERATE)
-        return finish_degenerate([ev])
-
-    ff = FreeFlight(z0, v0)
-    try:
-        t1, r1, kind = first_impact(ff)
-    except UnsupportedFirstImpact:
-        return finished((), (), (), "unsupported_first_impact")
-    if t1 > cfg.t_max:
-        return finished((), (), (), "reached_t_max")
-
-    zdot_in = flight_velocity(ff, t1)
-    zdot_out = reflect(zdot_in)
-    impacts = [ImpactEvent(n=1, t=t1, r=r1, zdot_in=zdot_in,
-                           zdot_out=zdot_out, kind=kind)]
+        t1, r1, kind, zdot_in = tau, r_m, DEGENERATE, 0j
+    else:
+        ff = FreeFlight(z0, v0)
+        try:
+            t1, r1, kind = first_impact(ff)
+        except UnsupportedFirstImpact:
+            return TrajectoryRecord(z0, v0, cfg, "unsupported_first_impact")
+        if t1 > cfg.t_max:
+            return TrajectoryRecord(z0, v0, cfg, "reached_t_max")
+        zdot_in = flight_velocity(ff, t1)
     if kind == DEGENERATE:
-        return finish_degenerate(impacts)
+        extend = cfg.quasi_mode == "extend"
+        return TrajectoryRecord(
+            z0, v0, cfg, "degenerate_quasi" if extend else "degenerate_stop",
+            t=(t1,), r=(r1,), first_zdot_in=zdot_in, first_kind=kind,
+            quasi_start=QuasiTrajectory(r=r1, t1=t1) if extend else None)
 
-    segments: list[FlightSegment] = []
-    heights: list[float] = []
     ms = incoming_to_map_state(r1, zdot_in)
-    t_rec = t1
+    r, a, beta = ms.r, ms.a, ms.beta
+    ts, rs, as_, betas, deltas = [t1], [r], [a], [beta], []
     t_sum = t1
     comp = 0.0  # Neumaier compensation for the running time sum
     termination = "reached_n_max"
-    while len(impacts) < cfg.n_max:
-        delta, ms_next, height = step(ms)
+    while len(ts) < cfg.n_max:
+        delta, r, a, beta = advance(r, a, beta)
         s = t_sum + delta
         comp += (t_sum - s) + delta if t_sum >= delta else (delta - s) + t_sum
         t_sum = s
@@ -131,29 +183,26 @@ def simulate(z0: complex, v0: complex,
         if t_next > cfg.t_max:
             termination = "reached_t_max"
             break
-        # the incoming velocity whose reflection ms_next describes
-        zdot_in = complex(ms_next.r * ms_next.a, -ms_next.r * ms_next.beta)
-        if not (ms_next.a > 0.0 and ms_next.beta > 0.0):
+        # the incoming velocity whose reflection the new arc (a, beta) is
+        incoming = complex(r * a, -r * beta)
+        if not (0.0 < a < math.inf and 0.0 < beta < math.inf):
             raise ContractViolation(
-                f"inadmissible step at n={ms.n}: state {ms}, "
-                f"next {ms_next}, incoming {zdot_in!r}")
-        if zdot_in.imag >= -GRAZING_TOL * (1.0 + abs(zdot_in)):
+                f"inadmissible step at n={len(ts)}: a={a}, beta={beta} "
+                f"after delta={delta}, incoming {incoming!r}")
+        if incoming.imag >= -GRAZING_TOL * (1.0 + abs(incoming)):
             # within roundoff of grazing; the dynamics forbids true grazing
             # past the first impact, so keep it transversal
             _log.warning("near-grazing incoming velocity %r at n=%d",
-                         zdot_in, ms_next.n)
-        segments.append(FlightSegment(n=ms.n, t_start=t_rec, r=ms.r,
-                                      a=ms.a, b=ms.b, delta=delta))
-        heights.append(height)
-        impacts.append(ImpactEvent(n=ms_next.n, t=t_next, r=ms_next.r,
-                                   zdot_in=zdot_in,
-                                   zdot_out=reflect(zdot_in),
-                                   kind=TRANSVERSAL))
-        ms = ms_next
-        t_rec = t_next
-    segments.append(FlightSegment(n=ms.n, t_start=t_rec, r=ms.r,
-                                  a=ms.a, b=ms.b, delta=None))
-    return finished(impacts, segments, heights, termination)
+                         incoming, len(ts) + 1)
+        deltas.append(delta)
+        ts.append(t_next)
+        rs.append(r)
+        as_.append(a)
+        betas.append(beta)
+    return TrajectoryRecord(z0, v0, cfg, termination, t=tuple(ts),
+                            r=tuple(rs), a=tuple(as_), beta=tuple(betas),
+                            delta=tuple(deltas), first_zdot_in=zdot_in,
+                            first_kind=kind)
 
 
 def quasi_position(q: QuasiTrajectory, t: float) -> complex:
@@ -174,13 +223,13 @@ def record_state(record: TrajectoryRecord, t: float) -> PhaseState:
     """Phase state along a record at time t (right limits at impacts)."""
     if t < 0.0:
         raise ValueError(f"t = {t} precedes the start of the record")
-    impacts = record.impacts
-    if not impacts or t < impacts[0].t:
+    ts = record.t
+    if not ts or t < ts[0]:
         ff = FreeFlight(record.z0, record.v0)
         return PhaseState(t=t, z=flight_position(ff, t),
                           zdot=flight_velocity(ff, t))
-    k = bisect_right(impacts, t, key=attrgetter("t")) - 1
-    if k < len(record.segments):
+    k = bisect_right(ts, t) - 1
+    if k < len(record.a):
         seg = record.segments[k]
         s = t - seg.t_start
         return PhaseState(t=t, z=segment_position(seg, s),
@@ -189,7 +238,7 @@ def record_state(record: TrajectoryRecord, t: float) -> PhaseState:
         q = record.quasi_start
         return PhaseState(t=t, z=quasi_position(q, t),
                           zdot=quasi_velocity(q, t))
-    last = impacts[-1]
+    last = record.impacts[-1]
     if t == last.t:
         return PhaseState(t=t, z=complex(last.r, 0.0), zdot=last.zdot_out)
     raise ValueError(f"record ends at t = {last.t} ({record.termination}); "
@@ -259,7 +308,7 @@ def convergence_experiment(r: float, t1: float, epsilons: list[float],
             sup_vel = max(sup_vel, abs(state.zdot - zdq))
         rows.append(ConvergenceRow(epsilon=eps, sup_pos=sup_pos,
                                    sup_vel=sup_vel,
-                                   n_impacts=len(record.impacts),
+                                   n_impacts=len(record.t),
                                    termination=record.termination))
     return ConvergenceTable(r=r, t1=t1, horizon=T, grid_points=grid_points,
                             perturbation="v0-scale", rows=tuple(rows))

@@ -1,4 +1,5 @@
-"""Shared fixtures: reference orbits and the seeded random-start suite."""
+"""Shared fixtures: reference orbits, the seeded random-start suite and
+the closed-form recurrence reference."""
 
 import math
 import random
@@ -63,3 +64,17 @@ def random_supported_starts(count: int, seed: int = 20240817):
             continue
         out.append((z0, v0))
     return out
+
+
+def recurrence_direct(delta: float, beta: float
+                      ) -> tuple[float, float, float]:
+    """Textbook closed forms of ``recurrence``; cancel badly as delta -> 0.
+
+    Kept as the independent reference the series path is checked against.
+    """
+    b = 1.0 + beta
+    sd = math.sin(delta)
+    cd = math.cos(delta)
+    a_next = 1.0 / delta - cd * sd / (b * delta * delta)
+    beta_next = 1.0 - (sd / delta) ** 2 / b
+    return a_next, beta_next, delta / sd

@@ -14,8 +14,8 @@ from rodbilliard import (FreeFlight, SimConfig, asymptotic_table,
                          convergence_experiment, estimate_growth_constant,
                          flight_velocity, oracle_simulate, quasi_position,
                          recurrence, simulate, solve_tstar)
-from rodbilliard.impact_map import recurrence_direct
-from conftest import random_supported_starts, stopping_set_point
+from conftest import (random_supported_starts, recurrence_direct,
+                      stopping_set_point)
 
 
 @contextmanager

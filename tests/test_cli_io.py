@@ -3,6 +3,7 @@ import math
 import random
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
@@ -276,6 +277,79 @@ def test_json_from_earlier_version_loads():
     assert repr(loaded) == repr(record)
 
 
+# simulate(GRAZING_Z0, GRAZING_V0, SimConfig(n_max=3)) as the previous
+# version wrote it: impacts and segments as tables of columns, velocities
+# as [re, im] pairs, heights
+_COLUMN_TABLE_JSON = (
+    '{"z0":[1.6547363797861485,0.9445885418594867],"v0":[-1.0769821877578958,'
+    '-0.010457879910216962],"config":{"root_abs_tol":1e-13,"scan_step":0.001,'
+    '"n_max":3,"t_max":null,"quasi_mode":"stop"},"termination":'
+    '"reached_n_max","quasi_start":null,"impacts":{"n":[1,2,3],"t":'
+    '[1.1999999999999997,2.299716106987903,2.7424090883367156],"r":'
+    '[1.0000000000000002,1.2341404753646517,1.7134197420362618],"zdot_in":'
+    '[[-0.40000000000000024,-2.498001805406602e-16],[0.7095389071063681,'
+    '-0.42385994412728956],[1.3513852349332536,-0.5191966479129121]],'
+    '"zdot_out":[[-0.40000000000000024,2.498001805406602e-16],'
+    '[0.7095389071063681,0.42385994412728956],[1.3513852349332536,'
+    '0.5191966479129121]],"kind":["grazing","transversal","transversal"]},'
+    '"segments":{"n":[1,2,3],"t_start":[1.1999999999999997,2.299716106987903,'
+    '2.7424090883367156],"r":[1.0000000000000002,1.2341404753646517,'
+    '1.7134197420362618],"a":[-0.40000000000000013,0.574925562583725,'
+    '0.7887064691616316],"b":[1.0000000000000002,1.3434454606976987,'
+    '1.3030177808596326],"delta":[1.0997161069879033,0.44269298134881263,'
+    'null]},"heights":[0.07183740895470603,0.05274314014934905]}\n')
+
+
+def test_json_with_column_tables_loads():
+    record = simulate(GRAZING_Z0, GRAZING_V0, SimConfig(n_max=3))
+    loaded = record_from_json(_COLUMN_TABLE_JSON)
+    assert loaded == record
+    assert repr(loaded) == repr(record)
+    assert list(loaded.heights) == [0.07183740895470603, 0.05274314014934905]
+
+
+def column_table_json(record) -> str:
+    """``record_to_json`` of the previous version, which wrote impacts and
+    segments as tables of columns, with heights."""
+    cfg = asdict(record.config)
+    cfg["t_max"] = None if math.isinf(cfg["t_max"]) else cfg["t_max"]
+    impacts, segments = record.impacts, record.segments
+    data = {
+        "z0": [record.z0.real, record.z0.imag],
+        "v0": [record.v0.real, record.v0.imag],
+        "config": cfg,
+        "termination": record.termination,
+        "quasi_start": (None if record.quasi_start is None else
+                        asdict(record.quasi_start)),
+        "impacts": {
+            "n": [ev.n for ev in impacts],
+            "t": [ev.t for ev in impacts],
+            "r": [ev.r for ev in impacts],
+            "zdot_in": [[ev.zdot_in.real, ev.zdot_in.imag] for ev in impacts],
+            "zdot_out": [[ev.zdot_out.real, ev.zdot_out.imag]
+                         for ev in impacts],
+            "kind": [ev.kind for ev in impacts]},
+        "segments": {
+            "n": [seg.n for seg in segments],
+            "t_start": [seg.t_start for seg in segments],
+            "r": [seg.r for seg in segments],
+            "a": [seg.a for seg in segments],
+            "b": [seg.b for seg in segments],
+            "delta": [seg.delta for seg in segments]},
+        "heights": list(record.heights),
+    }
+    return json.dumps(data, separators=(",", ":")) + "\n"
+
+
+def row_object_json(record) -> str:
+    """The earliest layout: the same tables as lists of row objects."""
+    data = json.loads(column_table_json(record))
+    for key in ("impacts", "segments"):
+        table = data[key]
+        data[key] = [dict(zip(table, row)) for row in zip(*table.values())]
+    return json.dumps(data, indent=2)
+
+
 _ROUNDTRIP_CASES = ("transversal", "grazing", "degenerate_stop",
                     "degenerate_quasi", "unsupported_first_impact",
                     "reached_t_max")
@@ -318,10 +392,11 @@ def test_json_roundtrip_is_bit_exact(roundtrip_records, case):
     if case.startswith("degenerate"):
         assert records[0].impacts[-1].zdot_out == 0j
     for record in records:
-        back = record_from_json(record_to_json(record))
-        # equal reprs tell -0.0 from 0.0, which == does not
-        assert back == record
-        assert repr(back) == repr(record)
+        for write in (record_to_json, column_table_json, row_object_json):
+            back = record_from_json(write(record))
+            # equal reprs tell -0.0 from 0.0, which == does not
+            assert back == record
+            assert repr(back) == repr(record)
 
 
 def test_json_roundtrip_degenerate_record():
@@ -530,6 +605,17 @@ def test_impacts_open_last_arc_keeps_full_precision(capsys):
     assert code == 0 and last[0] == "10001"
     closed = simulate(1j, 1 + 0j, SimConfig(n_max=10002)).segments[10000]
     assert abs(float(last[2]) - closed.delta) <= 1e-15 * closed.delta
+
+
+@pytest.mark.parametrize("n", [13, 14, 15, 26])
+def test_impacts_open_last_arc_matches_closed_row(capsys, n):
+    # the open last arc's delta is the one the next impact closes
+    rows = []
+    for n_max in (n, n + 1):
+        assert run_cli(["impacts", "--z0", "0,1", "--v0", "1,0",
+                        "--n-max", str(n_max)]) == 0
+        rows.append(capsys.readouterr().out.splitlines())
+    assert rows[0][n] == rows[1][n]
 
 
 @pytest.mark.parametrize("quasi,exit_code", [(None, 2), ("stop", 3),

@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 
 from rodbilliard import (FlightSegment, FreeFlight, MapState, flight_position,
                          flight_velocity, reflect, segment_position,
-                         segment_velocity, solve_delta, step, to_lab_frame)
-from rodbilliard.flight import segment_to_free_flight
+                         segment_velocity, solve_delta, step, to_lab_frame,
+                         unit_rotation)
 
 # smallest positive root of cos t = t sin t (first impact of z0=i, v0=1)
 T1 = 0.8603335890193798
@@ -24,6 +24,18 @@ def bisect_t1():
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def segment_to_free_flight(seg: FlightSegment) -> FreeFlight:
+    """Equivalent global free flight, mainly for cross-checks.
+
+    Substituting s = t - t_start into the arc form gives the line data
+    z = r (1 - w t_start) e^{i t_start}, v = r w e^{i t_start}.
+    """
+    w = complex(seg.a, seg.b)
+    rot = unit_rotation(seg.t_start)
+    return FreeFlight(z=seg.r * (1.0 - w * seg.t_start) * rot,
+                      v=seg.r * w * rot)
 
 
 def test_position_pure_rotation_quarter_turn():

@@ -8,7 +8,7 @@ from rodbilliard import (ContractViolation, DegenerateImpact, MapState,
                          incoming_to_map_state, recurrence,
                          segment_max_height, solve_delta, step,
                          unit_rotation)
-from rodbilliard.impact_map import outgoing_components, recurrence_direct
+from conftest import recurrence_direct
 
 # frozen from a 50-digit computation of the (a=0, b=2) step
 DELTA_02 = 1.1655611852072113
@@ -18,6 +18,21 @@ NEXT_B = 1.6891577366451644
 OUT_RE = 1.8380194431208634
 OUT_IM = -1.7480892518851055
 HEIGHT_02 = 0.4297378205183161
+
+
+def outgoing_components(ms: MapState, delta: float) -> tuple[float, float]:
+    """Velocity components when the arc returns to the rod.
+
+    Re = r (b/sin d - cos d/d) > 0 and Im = r (sin d/d - b d/sin d) < 0
+    for every admissible state; delta must be the return time of ``ms``.
+    The same velocity is r' (a' - i beta') in terms of the next state;
+    this closed form is the independent check of that identity.
+    """
+    sd = math.sin(delta)
+    cd = math.cos(delta)
+    re_out = ms.r * (ms.b / sd - cd / delta)
+    im_out = ms.r * (sd / delta - ms.b * delta / sd)
+    return re_out, im_out
 
 
 def test_classify_examples():

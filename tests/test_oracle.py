@@ -151,3 +151,14 @@ def test_flat_scan_is_bit_identical_to_complex_scan(monkeypatch, z0, v0, n,
     monkeypatch.setattr(rodbilliard.oracle, "_next_crossing",
                         _complex_next_crossing)
     assert flat == _oracle_outcome(z0, v0, n, cfg)
+
+
+@pytest.mark.parametrize("v0", [-1j, 1j])
+def test_start_on_the_rod_is_rejected_as_by_simulate(v0):
+    # on the rod and not departing from it: the rotating-frame velocity
+    # v0 - i z0 points down (-2i) or along the rod (0)
+    with pytest.raises(ValueError) as by_simulate:
+        simulate(1 + 0j, v0, SimConfig(n_max=3))
+    with pytest.raises(ValueError) as by_oracle:
+        oracle_simulate(1 + 0j, v0, 3)
+    assert str(by_oracle.value) == str(by_simulate.value)

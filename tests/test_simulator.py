@@ -1,3 +1,4 @@
+import logging
 import math
 
 import pytest
@@ -6,7 +7,17 @@ from rodbilliard import (SimConfig, convergence_experiment, flight_position,
                          FreeFlight, quasi_position, quasi_velocity,
                          record_state, segment_position, simulate,
                          QuasiTrajectory)
-from conftest import GRAZING_V0, GRAZING_Z0, stopping_set_point
+from rodbilliard.core import DEFAULT_CONFIG, GRAZING_TOL, require_finite
+from rodbilliard.flight import FlightSegment, flight_velocity, reflect
+from rodbilliard.impact_map import (DEGENERATE, TRANSVERSAL,
+                                    ContractViolation, ImpactEvent,
+                                    in_degenerate_set,
+                                    incoming_to_map_state, step)
+from rodbilliard.rootfind import UnsupportedFirstImpact, first_impact
+from conftest import (GRAZING_V0, GRAZING_Z0, random_supported_starts,
+                      stopping_set_point)
+
+_log = logging.getLogger("rodbilliard.simulator")
 
 # frozen 50-digit values for the z0 = i, v0 = 1 orbit
 CHAIN = [
@@ -247,3 +258,151 @@ def test_parallel_simulations_match_serial():
     with ThreadPoolExecutor(max_workers=4) as pool:
         parallel = list(pool.map(lambda s: simulate(*s, cfg), starts))
     assert parallel == serial
+
+
+def reference_simulate(z0: complex, v0: complex,
+                       cfg: SimConfig | None = None) -> tuple:
+    """``simulate`` as it assembled the record from per-impact objects.
+
+    Returns (impacts, segments, heights, termination, quasi_start); the
+    body is that version's, with ``finished`` returning the tuple.
+    """
+    cfg = cfg or DEFAULT_CONFIG
+    # stored as complex even from simulate(1j, 1), as record_from_json reads it
+    z0 = require_finite(complex(z0), "z0")
+    v0 = require_finite(complex(v0), "v0")
+    if z0.imag < 0.0:
+        raise ValueError(f"initial position {z0!r} lies below the rod")
+
+    def finished(impacts, segments, heights, termination, quasi=None):
+        return (tuple(impacts), tuple(segments), tuple(heights),
+                termination, quasi)
+
+    def finish_degenerate(impacts):
+        ev = impacts[-1]
+        if cfg.quasi_mode == "extend":
+            return finished(impacts, (), (), "degenerate_quasi",
+                            QuasiTrajectory(r=ev.r, t1=ev.t))
+        return finished(impacts, (), (), "degenerate_stop")
+
+    # analytic early exit: exact full-stop initial data need no root search
+    member, r_m, tau = in_degenerate_set(z0, v0 - 1j * z0)
+    if member and tau <= cfg.t_max:
+        ev = ImpactEvent(n=1, t=tau, r=r_m, zdot_in=0j, zdot_out=0j,
+                         kind=DEGENERATE)
+        return finish_degenerate([ev])
+
+    ff = FreeFlight(z0, v0)
+    try:
+        t1, r1, kind = first_impact(ff)
+    except UnsupportedFirstImpact:
+        return finished((), (), (), "unsupported_first_impact")
+    if t1 > cfg.t_max:
+        return finished((), (), (), "reached_t_max")
+
+    zdot_in = flight_velocity(ff, t1)
+    zdot_out = reflect(zdot_in)
+    impacts = [ImpactEvent(n=1, t=t1, r=r1, zdot_in=zdot_in,
+                           zdot_out=zdot_out, kind=kind)]
+    if kind == DEGENERATE:
+        return finish_degenerate(impacts)
+
+    segments: list[FlightSegment] = []
+    heights: list[float] = []
+    ms = incoming_to_map_state(r1, zdot_in)
+    t_rec = t1
+    t_sum = t1
+    comp = 0.0  # Neumaier compensation for the running time sum
+    termination = "reached_n_max"
+    while len(impacts) < cfg.n_max:
+        delta, ms_next, height = step(ms)
+        s = t_sum + delta
+        comp += (t_sum - s) + delta if t_sum >= delta else (delta - s) + t_sum
+        t_sum = s
+        t_next = t_sum + comp
+        if t_next > cfg.t_max:
+            termination = "reached_t_max"
+            break
+        # the incoming velocity whose reflection ms_next describes
+        zdot_in = complex(ms_next.r * ms_next.a, -ms_next.r * ms_next.beta)
+        if not (ms_next.a > 0.0 and ms_next.beta > 0.0):
+            raise ContractViolation(
+                f"inadmissible step at n={ms.n}: state {ms}, "
+                f"next {ms_next}, incoming {zdot_in!r}")
+        if zdot_in.imag >= -GRAZING_TOL * (1.0 + abs(zdot_in)):
+            # within roundoff of grazing; the dynamics forbids true grazing
+            # past the first impact, so keep it transversal
+            _log.warning("near-grazing incoming velocity %r at n=%d",
+                         zdot_in, ms_next.n)
+        segments.append(FlightSegment(n=ms.n, t_start=t_rec, r=ms.r,
+                                      a=ms.a, b=ms.b, delta=delta))
+        heights.append(height)
+        impacts.append(ImpactEvent(n=ms_next.n, t=t_next, r=ms_next.r,
+                                   zdot_in=zdot_in,
+                                   zdot_out=reflect(zdot_in),
+                                   kind=TRANSVERSAL))
+        ms = ms_next
+        t_rec = t_next
+    segments.append(FlightSegment(n=ms.n, t_start=t_rec, r=ms.r,
+                                  a=ms.a, b=ms.b, delta=None))
+    return finished(impacts, segments, heights, termination)
+
+
+def _full_stop_via_first_impact(quasi_mode):
+    # a full stop at r = 1e-3 with the velocity scaled by 1 - 1e-8: off the
+    # analytic set's tolerance, within classify_impact's
+    z0, v0 = stopping_set_point(1e-3, 1.0)
+    zdot0 = (v0 - 1j * z0) * (1.0 - 1e-8)
+    assert not in_degenerate_set(z0, zdot0)[0]
+    return z0, zdot0 + 1j * z0, SimConfig(n_max=5, quasi_mode=quasi_mode)
+
+
+_ASSEMBLY_CASES = [
+    *((z0, v0, SimConfig(n_max=25))
+      for z0, v0 in random_supported_starts(30, seed=9151)),
+    (1j, 1 + 0j, SimConfig(n_max=100, t_max=2.0)),
+    *((z0, v0, SimConfig(n_max=40, t_max=4.0))
+      for z0, v0 in random_supported_starts(5, seed=9152)),
+    (GRAZING_Z0, GRAZING_V0, SimConfig(n_max=25)),
+    *((*stopping_set_point(1.0, 1.0), SimConfig(n_max=5, quasi_mode=quasi))
+      for quasi in ("stop", "extend")),
+    *(_full_stop_via_first_impact(quasi) for quasi in ("stop", "extend")),
+    (1j, complex(-1, -10), SimConfig(n_max=5)),
+    (1j, 1 + 0j, SimConfig(n_max=2000)),
+]
+
+
+@pytest.mark.parametrize("z0, v0, cfg", _ASSEMBLY_CASES)
+def test_views_equal_object_assembly(z0, v0, cfg):
+    record = simulate(z0, v0, cfg)
+    impacts, segments, heights, termination, quasi = reference_simulate(
+        z0, v0, cfg)
+    assert (record.termination, record.quasi_start) == (termination, quasi)
+    # equal reprs also tell -0.0 from 0.0
+    for view, expected in ((record.impacts, impacts),
+                           (record.segments, segments),
+                           (record.heights, heights)):
+        assert tuple(view) == expected
+        assert repr(tuple(view)) == repr(expected)
+
+
+def test_both_full_stop_paths_are_covered():
+    analytic = simulate(*stopping_set_point(1.0, 1.0), SimConfig(n_max=5))
+    searched = simulate(*_full_stop_via_first_impact("stop"))
+    for record in (analytic, searched):
+        assert record.termination == "degenerate_stop"
+        assert record.first_kind == "degenerate"
+    assert analytic.impacts[0].zdot_out == 0j
+    assert searched.impacts[0].zdot_in != 0j
+
+
+def test_row_views_index_slice_and_compare(orbit_i1):
+    impacts = orbit_i1.impacts
+    assert impacts[-1] == impacts[len(impacts) - 1]
+    assert impacts[1:3] == (impacts[1], impacts[2])
+    assert impacts == tuple(impacts) and impacts == orbit_i1.impacts
+    assert impacts != list(impacts)
+    with pytest.raises(IndexError):
+        impacts[len(impacts)]
+    with pytest.raises(TypeError):
+        impacts[1.0]
