@@ -51,7 +51,7 @@ def asymptotic_table(record: TrajectoryRecord,
             n=n,
             delta_n=seg.delta,
             n_delta_n=n * seg.delta,
-            b_minus_1_scaled=n * (seg.b - 1.0),
+            b_minus_1_scaled=n * record.beta[n - 1],
             ratio_scaled=n * (ev_next.r / ev.r - 1.0),
             t_over_logn=ev.t / math.log(n) if n > 1 else math.nan,
             height_n=record.heights[n - 1],

@@ -17,7 +17,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import asdict, astuple, dataclass, fields
 from functools import partial
-from itertools import starmap, zip_longest
+from itertools import count, zip_longest
 from typing import Callable, Iterator, NamedTuple
 
 from .core import SimConfig
@@ -99,10 +99,10 @@ def record_to_json(record: TrajectoryRecord) -> str:
 def _table_columns(data: dict) -> dict:
     """Record columns from an earlier version's impact and segment tables.
 
-    beta is -Im zdot_in / r on the first arc, as ``simulate`` takes it;
-    on a later arc, the float within 4 ulps of that quotient from which
-    the stored Im zdot_in = -r beta and b = 1 + beta round.  Of several,
-    it is the one the recurrence gives from the previous arc.
+    beta is -Im zdot_in / r on the first arc, and on a later arc the
+    recurrence's from the previous arc, as ``simulate`` made them; that
+    value must reproduce the stored Im zdot_in = -r beta and b = 1 + beta.
+    A short column ends the loop early; ``record_from_json`` checks lengths.
     """
     def column(table: dict | list, key: str) -> list:
         """A column of a table; the earliest versions wrote row objects."""
@@ -111,29 +111,21 @@ def _table_columns(data: dict) -> dict:
         return [row[key] for row in table]
 
     imp, seg = data["impacts"], data["segments"]
-    zdot_in = list(starmap(complex, column(imp, "zdot_in")))
-    r, a, b = column(imp, "r"), column(seg, "a"), column(seg, "b")
+    zdot_in = column(imp, "zdot_in")
+    r, b = column(imp, "r"), column(seg, "b")
     delta = [d for d in column(seg, "delta") if d is not None]
-    beta = []
-    for k in range(len(a)):
-        found = [-zdot_in[k].imag / r[k]]
-        if k:
-            for _ in range(4):
-                found = [math.nextafter(found[0], -math.inf), *found,
-                         math.nextafter(found[-1], math.inf)]
-            found = [x for x in found
-                     if -r[k] * x == zdot_in[k].imag and 1.0 + x == b[k]]
-        if len(found) > 1:  # the one simulate made from the previous arc
-            found = [x for x in found
-                     if x == recurrence(delta[k - 1], beta[-1])[1]] or found
-        if len(found) != 1:
-            raise ValueError(f"arc {k + 1}: {len(found)} values of beta "
+    beta = [-zdot_in[0][1] / r[0]] if b else []
+    for n, d, r_n, (_, im), b_n in zip(count(2), delta, r[1:], zdot_in[1:],
+                                         b[1:]):
+        beta.append(recurrence(d, beta[-1])[1])
+        if -r_n * beta[-1] != im or 1.0 + beta[-1] != b_n:
+            raise ValueError(f"arc {n}: the recurrence's beta does not "
                              "reproduce the stored impact and segment")
-        beta.append(found[0])
     kinds = column(imp, "kind")
-    return {"t": column(imp, "t"), "r": r, "a": a, "beta": beta,
-            "delta": delta, "first_kind": kinds[0] if kinds else None,
-            "first_zdot_in": column(imp, "zdot_in")[0] if kinds else None}
+    return {"t": column(imp, "t"), "r": r, "a": column(seg, "a"),
+            "beta": beta, "delta": delta,
+            "first_kind": kinds[0] if kinds else None,
+            "first_zdot_in": zdot_in[0] if kinds else None}
 
 
 def record_from_json(text: str) -> TrajectoryRecord:
@@ -145,6 +137,10 @@ def record_from_json(text: str) -> TrajectoryRecord:
     if cfg.get("t_max") is None:
         cfg["t_max"] = math.inf
     cols = _table_columns(data) if "impacts" in data else data
+    n, arcs = len(cols["t"]), len(cols["a"])
+    if (len(cols["r"]) != n or arcs not in (0, n) or len(cols["beta"]) != arcs
+            or len(cols["delta"]) + bool(arcs) != arcs):
+        raise ValueError("record columns have inconsistent lengths")
     zdot_in, qs = cols["first_zdot_in"], data["quasi_start"]
     return TrajectoryRecord(
         complex(*data["z0"]), complex(*data["v0"]), SimConfig(**cfg),

@@ -54,10 +54,9 @@ def to_lab_frame(z_rot: complex, t: float) -> complex:
 class FlightSegment:
     """One arc r (1 + (a + ib) s) e^{-is} anchored at an impact.
 
-    ``n`` follows impact numbering; n = 0 is reserved for the approach
-    arc before the first impact, which is anchored at its end (s <= 0).
-    ``delta`` is the arc duration; ``None`` marks the open segment after
-    the last computed impact, which accepts any s >= 0.
+    ``n`` is the number of the impact it leaves.  ``delta`` is the arc
+    duration; ``None`` marks the open segment after the last computed
+    impact, which accepts any s >= 0.
     """
 
     n: int
@@ -78,11 +77,6 @@ _S_SLACK = 1e-12
 
 
 def _check_s(seg: FlightSegment, s: float) -> None:
-    if seg.n == 0:
-        # approach arc: ends at its anchor impact
-        if s > _S_SLACK:
-            raise ValueError(f"s = {s} lies past the approach arc's impact")
-        return
     if s < -_S_SLACK:
         raise ValueError(f"s = {s} precedes the segment start")
     if seg.delta is not None and s > seg.delta + _S_SLACK:

@@ -115,27 +115,14 @@ def classify_impact(r: float, zdot_in: complex) -> str:
 
 
 def incoming_to_map_state(r: float, zdot_in: complex, n: int = 1) -> MapState:
-    """Arc parameters after reflecting ``zdot_in`` at radius ``r``.
-
-    a = Re zdot_in / r and beta = b - 1 = -Im zdot_in / r; admissible
-    impacts give beta > 0, or beta = 0 with a < 0 (grazing).  A full-stop
-    velocity raises DegenerateImpact, anything below the rod's reach
-    ContractViolation.
+    """Arc a = Re zdot_in / r, beta = b - 1 = -Im zdot_in / r after reflecting
+    ``zdot_in`` at radius ``r``.  ``classify_impact`` sorts the velocity:
+    a full stop raises DegenerateImpact, an inadmissible one ContractViolation.
     """
-    if not r > 0:
-        raise ValueError(f"impact radius must be positive, got {r}")
-    require_finite(zdot_in, "zdot_in")
-    if abs(zdot_in) <= GRAZING_TOL * (1.0 + r):
+    if classify_impact(r, zdot_in) == DEGENERATE:
         raise DegenerateImpact(
             f"velocity {zdot_in!r} at r={r} is a full stop on the rod")
-    a = zdot_in.real / r
-    beta = -zdot_in.imag / r
-    graz = GRAZING_TOL * max(1.0, abs(1.0 + beta))
-    if beta <= graz and (beta < -graz or a >= 0.0):
-        raise ContractViolation(
-            f"reflection of {zdot_in!r} at r={r} gives a={a}, beta={beta}; "
-            "admissible impacts have beta > 0, or beta = 0 with a < 0")
-    return MapState(r=r, a=a, beta=beta, n=n)
+    return MapState(r=r, a=zdot_in.real / r, beta=-zdot_in.imag / r, n=n)
 
 
 def recurrence_kernels(delta: float) -> tuple[float, float]:

@@ -12,7 +12,6 @@ back to bisection, so convergence is guaranteed for continuous functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .core import BilliardError, EPS, GRAZING_TOL, require_departing_start
@@ -20,7 +19,7 @@ from .flight import FreeFlight, flight_velocity
 
 
 class RootFindError(BilliardError):
-    """A bracketed solve failed to converge or lost its sign change."""
+    """A bracketed solve failed to converge."""
 
 
 class UnsupportedFirstImpact(BilliardError):
@@ -38,15 +37,11 @@ class UnsupportedFirstImpact(BilliardError):
         self.r = r
 
 
-@dataclass(frozen=True, slots=True)
-class RootResult:
-    """A solve's root, f at the last iterate evaluated, the number of
-    iterations (one evaluation of f each) and whether a bracket held."""
+class RootResult(NamedTuple):
+    """A solve's root and its iterations (one evaluation of f each)."""
 
     root: float
-    residual: float
     iterations: int
-    bracketed: bool
 
 
 def hybrid_root(f_df: Callable[[float], tuple[float, float]],
@@ -54,50 +49,36 @@ def hybrid_root(f_df: Callable[[float], tuple[float, float]],
                 abs_tol: float = 1e-13, *,
                 x0: float | None = None,
                 rel_tol: float = 0.0,
-                positive_lo: bool | None = None) -> RootResult:
-    """Root of f in [lo, hi] given a sign change, with Newton acceleration.
+                positive_lo: bool) -> RootResult:
+    """Root of f in (lo, hi) with Newton acceleration.
 
-    ``f_df(x)`` returns (f(x), f'(x)).  Iteration starts at ``x0`` (the
+    ``f_df(x)`` returns (f(x), f'(x)).  The caller knows the sign change:
+    ``positive_lo`` gives the sign of f just right of ``lo``, f has the
+    opposite sign just left of ``hi``, and f is never evaluated at the
+    ends, where it may be undefined.  Iteration starts at ``x0`` (the
     midpoint when it is absent or outside (lo, hi)).  A Newton step is
     taken whenever it stays strictly inside the current bracket and
     shrinks it at least as fast as bisection would; otherwise the
     midpoint is used.  Terminates when the step or the bracket falls below
     ``abs_tol + rel_tol * |x|``; RootFindError after 200 evaluations.
-
-    The sign change is checked by evaluating f at both ends, unless the
-    caller knows it: ``positive_lo`` then gives the sign of f just right
-    of ``lo`` (f has the opposite sign just left of ``hi``), and f is
-    never evaluated at the ends, where it may be undefined.
     """
-    if positive_lo is None:
-        flo, _ = f_df(lo)
-        fhi, _ = f_df(hi)
-        if flo == 0.0:
-            return RootResult(lo, 0.0, 0, True)
-        if fhi == 0.0:
-            return RootResult(hi, 0.0, 0, True)
-        if (flo > 0.0) == (fhi > 0.0):
-            raise RootFindError(
-                f"no sign change on [{lo}, {hi}]: f = {flo}, {fhi}")
-        positive_lo = flo > 0.0
-
     x = x0 if x0 is not None and lo < x0 < hi else 0.5 * (lo + hi)
     for it in range(1, 201):
         fx, dfx = f_df(x)
         if fx == 0.0:
-            return RootResult(x, 0.0, it, True)
+            return RootResult(x, it)
         if (fx > 0.0) == positive_lo:
             lo = x
         else:
             hi = x
         tol = abs_tol + rel_tol * abs(x)
         if hi - lo < 2.0 * tol:
-            return RootResult(0.5 * (lo + hi), fx, it, True)
+            return RootResult(0.5 * (lo + hi), it)
         if dfx != 0.0:
             step = fx / dfx
             xn = x - step
             if abs(step) < tol and lo <= xn <= hi:
-                return RootResult(xn, fx, it, True)
+                return RootResult(xn, it)
             if lo < xn < hi and abs(step) <= 0.5 * (hi - lo):
                 x = xn
                 continue
@@ -193,8 +174,8 @@ def solve_delta(a: float, beta: float) -> float:
 def solve_tstar() -> float:
     """Smallest positive solution of t = tan t, on the branch (pi, 3pi/2).
 
-    Solved in product form sin t - t cos t = 0; the value bounds the
-    parameter range of the full-stop initial conditions.
+    Solved in product form sin t - t cos t = 0 (positive right of pi); the
+    value bounds the parameter range of the full-stop initial conditions.
     """
 
     def f_df(t: float) -> tuple[float, float]:
@@ -203,7 +184,7 @@ def solve_tstar() -> float:
         return sn - t * cs, t * sn
 
     res = hybrid_root(f_df, math.pi + 1e-3, 1.5 * math.pi - 1e-3,
-                      abs_tol=1e-15)
+                      abs_tol=1e-15, positive_lo=True)
     return res.root
 
 
@@ -242,18 +223,26 @@ def first_impact(ff: FreeFlight) -> FirstImpact:
     an unsupported hit with r = 0.
 
     Returns (t, r, kind), kind from ``classify_impact`` on the contact
-    velocity.
+    velocity.  A tangency touches the rod by construction: there a velocity
+    neither degenerate nor transversal is grazing, never a violation.
     """
-    from .impact_map import classify_impact
+    from .impact_map import GRAZING, ContractViolation, classify_impact
 
     z0, v0 = ff.z, ff.v
     require_departing_start(z0, v0)
 
-    def hit(t: float, negative_side: bool = False) -> FirstImpact:
+    def hit(t: float, negative_side: bool = False,
+            tangency: bool = False) -> FirstImpact:
         r = abs(z0 + v0 * t)
         if negative_side:
             raise UnsupportedFirstImpact(t, -r)
-        return FirstImpact(t, r, classify_impact(r, flight_velocity(ff, t)))
+        try:
+            kind = classify_impact(r, flight_velocity(ff, t))
+        except ContractViolation:
+            if not tangency:
+                raise
+            kind = GRAZING
+        return FirstImpact(t, r, kind)
 
     if z0 == 0:
         return hit(math.atan2(v0.imag, v0.real))  # leaving the pivot
@@ -291,7 +280,7 @@ def first_impact(ff: FreeFlight) -> FirstImpact:
         short = target - phi(b) if rising else phi(b)  # < 0: target passed
         scale = 1.0 + abs(z0) + abs(v0) * b
         if abs(short) * abs(z0 + v0 * b) <= GRAZING_TOL * scale:
-            return hit(b, rising)  # a tangency
+            return hit(b, rising, tangency=True)
         if short < 0.0:
             break
         a = b

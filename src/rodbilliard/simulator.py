@@ -17,13 +17,13 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace
 
 from .core import (DEFAULT_CONFIG, GRAZING_TOL, PhaseState, SimConfig,
-                   require_finite, unit_rotation)
+                   require_departing_start, require_finite, unit_rotation)
 from .flight import (FlightSegment, FreeFlight, flight_position,
                      flight_velocity, reflect, segment_position,
                      segment_velocity)
 from .impact_map import (DEGENERATE, TRANSVERSAL, ContractViolation,
                          ImpactEvent, MapState, advance, in_degenerate_set,
-                         incoming_to_map_state, segment_max_height)
+                         segment_max_height)
 from .rootfind import T_STAR, UnsupportedFirstImpact, first_impact
 
 _log = logging.getLogger(__name__)
@@ -145,8 +145,7 @@ def simulate(z0: complex, v0: complex,
     # stored as complex even from simulate(1j, 1), as record_from_json reads it
     z0 = require_finite(complex(z0), "z0")
     v0 = require_finite(complex(v0), "v0")
-    if z0.imag < 0.0:
-        raise ValueError(f"initial position {z0!r} lies below the rod")
+    require_departing_start(z0, v0)
 
     # analytic early exit: exact full-stop initial data need no root search
     member, r_m, tau = in_degenerate_set(z0, v0 - 1j * z0)
@@ -168,8 +167,9 @@ def simulate(z0: complex, v0: complex,
             t=(t1,), r=(r1,), first_zdot_in=zdot_in, first_kind=kind,
             quasi_start=QuasiTrajectory(r=r1, t1=t1) if extend else None)
 
-    ms = incoming_to_map_state(r1, zdot_in)
-    r, a, beta = ms.r, ms.a, ms.beta
+    # the first arc from the contact's verdict: beta > 0 if transversal,
+    # and a grazing touch gets beta = 0 where rounding made it negative
+    r, a, beta = r1, zdot_in.real / r1, max(-zdot_in.imag / r1, 0.0)
     ts, rs, as_, betas, deltas = [t1], [r], [a], [beta], []
     t_sum = t1
     comp = 0.0  # Neumaier compensation for the running time sum

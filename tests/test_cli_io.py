@@ -399,6 +399,41 @@ def test_json_roundtrip_is_bit_exact(roundtrip_records, case):
             assert repr(back) == repr(record)
 
 
+@pytest.mark.parametrize("key,edit", [
+    ("a", lambda col: col[:2]), ("delta", lambda col: col + col[:2]),
+    ("r", lambda col: col[:-1]), ("beta", lambda col: col[1:]),
+    ("t", lambda col: col + col[-1:])])
+def test_json_with_inconsistent_columns_is_rejected(key, edit):
+    data = json.loads(record_to_json(simulate(1j, 1, SimConfig(n_max=5))))
+    data[key] = edit(data[key])
+    with pytest.raises(ValueError, match="inconsistent lengths"):
+        record_from_json(json.dumps(data))
+
+
+def _cell(data: dict, table: str, key: str, k: int) -> tuple:
+    """(container, index) of entry k of a column, in either table layout;
+    for zdot_in, of its imaginary part."""
+    rows = data[table]
+    box, idx = (rows[key], k) if isinstance(rows, dict) else (rows[k], key)
+    return (box[idx], 1) if key == "zdot_in" else (box, idx)
+
+
+@pytest.mark.parametrize("write", [column_table_json, row_object_json])
+@pytest.mark.parametrize("table,key", [("segments", "b"),
+                                       ("impacts", "zdot_in")])
+def test_earlier_json_one_ulp_off_is_rejected(write, table, key):
+    # beta of a later arc is the recurrence's, and must reproduce the
+    # stored b = 1 + beta and Im zdot_in = -r beta to the bit
+    text = write(simulate(1j, 1, SimConfig(n_max=40)))
+    for k in range(1, 40):
+        for toward in (-math.inf, math.inf):
+            data = json.loads(text)
+            box, idx = _cell(data, table, key, k)
+            box[idx] = math.nextafter(box[idx], toward)
+            with pytest.raises(ValueError, match=f"arc {k + 1}:"):
+                record_from_json(json.dumps(data))
+
+
 def test_json_roundtrip_degenerate_record():
     z0, v0 = stopping_set_point(1.5, 2.0)
     record = simulate(z0, v0, SimConfig(n_max=3, quasi_mode="extend"))
@@ -451,6 +486,22 @@ def test_impacts_grazing_only_at_first_row(capsys):
     kinds = [line.split(",")[-1] for line in lines[1:]]
     assert kinds[0] == "grazing"
     assert all(kind == "transversal" for kind in kinds[1:])
+
+
+@pytest.mark.parametrize("z0", ["0.2462377902412316,0.198411064845555",
+                                "0.2462377902412316,0.198411064605555"])
+def test_impacts_near_grazing_start(capsys, z0):
+    # make_grazing_start(0.1, -2.0, 1.0) lowered by 1e-11 and by 2.4e-10:
+    # the path still touches the rod at its tangency, a grazing impact
+    # whose arc has b = 1; both runs used to end in ContractViolation
+    code = run_cli(["impacts", "--z0", z0,
+                    "--v0=-0.1922075596544176,-0.11426396637476535",
+                    "--n-max", "3"])
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    assert code == 0
+    assert [row[-1] for row in rows[1:]] == ["grazing", "transversal",
+                                              "transversal"]
+    assert rows[1][5] == "1"
 
 
 def test_asympt_summary_format(capsys):

@@ -158,10 +158,6 @@ def test_segment_range_checks():
     segment_position(open_seg, 42.0)  # open segment accepts any s >= 0
     with pytest.raises(ValueError):
         segment_position(open_seg, -0.1)
-    approach = FlightSegment(n=0, t_start=1.0, r=1.0, a=0.0, b=0.5, delta=None)
-    segment_position(approach, -0.7)  # approach arc lives at s <= 0
-    with pytest.raises(ValueError):
-        segment_position(approach, 0.1)
 
 
 def test_segment_validation():

@@ -1,0 +1,54 @@
+"""Every ``rodbilliard`` example in README's sh blocks runs through
+``cli_io.main`` with its documented exit code: 3 for the full stop, 0 for
+every other line.  A ``> file`` redirect is dropped, and the JSON example
+must reload equal to ``simulate``'s record."""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from rodbilliard import SimConfig, simulate
+from rodbilliard.cli_io import main, record_from_json
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_examples() -> list[tuple[list[str], str]]:
+    """(argv without the program name, the comment above it) per example."""
+    examples = []
+    text = README.read_text(encoding="utf-8")
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        comment = ""
+        for line in block.splitlines():
+            if line.startswith("#"):
+                comment = line
+            elif line.startswith("rodbilliard "):
+                line = re.sub(r"\s*>\s*\S+\s*$", "", line)
+                examples.append((shlex.split(line)[1:], comment))
+    return examples
+
+
+EXAMPLES = readme_examples()
+
+
+def test_examples_found():
+    assert len(EXAMPLES) >= 6
+    assert sum("full-stop" in comment for _, comment in EXAMPLES) == 1
+
+
+@pytest.mark.parametrize("argv,comment", EXAMPLES,
+                         ids=[" ".join(argv) for argv, _ in EXAMPLES])
+def test_readme_example(capsys, argv, comment):
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == (3 if "full-stop" in comment else 0)
+    if "json" in argv:
+        def flag(name):
+            return argv[argv.index(name) + 1]
+
+        z0, v0 = (complex(*map(float, flag(name).split(",")))
+                  for name in ("--z0", "--v0"))
+        record = simulate(z0, v0, SimConfig(n_max=int(flag("--n-max"))))
+        assert record_from_json(out) == record

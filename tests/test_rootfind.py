@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rodbilliard import (FreeFlight, RootFindError, T_STAR,
+from rodbilliard import (FreeFlight, T_STAR,
                          UnsupportedFirstImpact, first_impact, hybrid_root,
                          solve_delta, solve_tstar)
 from conftest import (GRAZING_V0, GRAZING_Z0, make_grazing_start,
@@ -16,14 +16,9 @@ def F(s, a, b):
 
 
 def test_hybrid_root_polynomial():
-    res = hybrid_root(lambda x: (2.0 - x ** 3, -3 * x ** 2), 1.0, 2.0)
+    res = hybrid_root(lambda x: (2.0 - x ** 3, -3 * x ** 2), 1.0, 2.0,
+                      positive_lo=True)
     assert abs(res.root - 2.0 ** (1 / 3)) < 1e-14
-    assert res.bracketed
-
-
-def test_hybrid_root_needs_sign_change():
-    with pytest.raises(RootFindError):
-        hybrid_root(lambda x: (1.0 + x * x, 2 * x), -1.0, 1.0)
 
 
 def test_delta_tan_equals_2s():

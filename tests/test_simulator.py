@@ -1,12 +1,13 @@
 import logging
 import math
+import random
 
 import pytest
 
 from rodbilliard import (SimConfig, convergence_experiment, flight_position,
-                         FreeFlight, quasi_position, quasi_velocity,
-                         record_state, segment_position, simulate,
-                         QuasiTrajectory)
+                         FreeFlight, oracle_simulate, quasi_position,
+                         quasi_velocity, record_state, segment_position,
+                         simulate, QuasiTrajectory)
 from rodbilliard.core import DEFAULT_CONFIG, GRAZING_TOL, require_finite
 from rodbilliard.flight import FlightSegment, flight_velocity, reflect
 from rodbilliard.impact_map import (DEGENERATE, TRANSVERSAL,
@@ -14,8 +15,8 @@ from rodbilliard.impact_map import (DEGENERATE, TRANSVERSAL,
                                     in_degenerate_set,
                                     incoming_to_map_state, step)
 from rodbilliard.rootfind import UnsupportedFirstImpact, first_impact
-from conftest import (GRAZING_V0, GRAZING_Z0, random_supported_starts,
-                      stopping_set_point)
+from conftest import (GRAZING_V0, GRAZING_Z0, make_grazing_start,
+                      random_supported_starts, stopping_set_point)
 
 _log = logging.getLogger("rodbilliard.simulator")
 
@@ -145,6 +146,34 @@ def test_grazing_first_impact_orbit():
     assert abs(seg0.a - (-0.4)) < 1e-7
 
 
+def near_grazing_starts(count: int, seed: int):
+    """Tangent starts moved across the tangency by a few GRAZING_TOL:
+    ``make_grazing_start`` with r log-uniform in [1e-4, 10],
+    a = -10^U(-2, 1.5) and t1 in [0.05, 3], Im z0 shifted by
+    U(-3, 3) 1e-10 (1 + |z0|)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        z0, v0 = make_grazing_start(10.0 ** rng.uniform(-4.0, 1.0),
+                                    -10.0 ** rng.uniform(-2.0, 1.5),
+                                    rng.uniform(0.05, 3.0))
+        yield z0 + 1j * rng.uniform(-3.0, 3.0) * 1e-10 * (1.0 + abs(z0)), v0
+
+
+def test_near_grazing_starts_simulate():
+    # the tangency's kind is decided once, where first_impact snaps to it;
+    # the kind and the first arc's beta used to be re-checked in bands that
+    # disagree within rounding of a tangency, and about a quarter of these
+    # starts raised ContractViolation
+    kinds = set()
+    for z0, v0 in near_grazing_starts(200, seed=20261018):
+        record = simulate(z0, v0, SimConfig(n_max=25))
+        assert record.termination == "reached_n_max"
+        if record.first_kind == "grazing":
+            assert record.beta[0] >= 0.0 > record.a[0]
+        kinds.add(record.first_kind)
+    assert kinds == {"grazing", "transversal"}
+
+
 def test_unsupported_first_impact_record():
     record = simulate(1j, complex(-1, -10), SimConfig(n_max=5))
     assert record.termination == "unsupported_first_impact"
@@ -157,6 +186,19 @@ def test_simulate_preconditions():
         simulate(complex(0, -1), 0j)
     with pytest.raises(ValueError):
         simulate(complex(math.inf, 1), 0j)
+
+
+def test_full_stop_start_on_the_rod_is_rejected():
+    # a full-stop start within GRAZING_TOL of the rod, moving down: like
+    # first_impact and the oracle, simulate takes it as an on-rod start
+    z0, v0 = stopping_set_point(1.0, 1e-4)
+    assert in_degenerate_set(z0, v0 - 1j * z0)[0]
+    with pytest.raises(ValueError, match="sits on the rod"):
+        simulate(z0, v0)
+    with pytest.raises(ValueError, match="sits on the rod"):
+        first_impact(FreeFlight(z0, v0))
+    with pytest.raises(ValueError, match="sits on the rod"):
+        oracle_simulate(z0, v0, 1)
 
 
 def test_record_state_phases(orbit_i1):
