@@ -114,7 +114,7 @@ def _table_columns(data: dict) -> dict:
     zdot_in = column(imp, "zdot_in")
     r, b = column(imp, "r"), column(seg, "b")
     delta = [d for d in column(seg, "delta") if d is not None]
-    beta = [-zdot_in[0][1] / r[0]] if b else []
+    beta = [-zdot_in[0][1] / r[0]] if b and r and zdot_in else []
     for n, d, r_n, (_, im), b_n in zip(count(2), delta, r[1:], zdot_in[1:],
                                          b[1:]):
         beta.append(recurrence(d, beta[-1])[1])

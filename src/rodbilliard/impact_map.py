@@ -115,14 +115,15 @@ def classify_impact(r: float, zdot_in: complex) -> str:
 
 
 def incoming_to_map_state(r: float, zdot_in: complex, n: int = 1) -> MapState:
-    """Arc a = Re zdot_in / r, beta = b - 1 = -Im zdot_in / r after reflecting
-    ``zdot_in`` at radius ``r``.  ``classify_impact`` sorts the velocity:
+    """Arc a = Re zdot_in / r, beta = b - 1 = max(-Im zdot_in / r, 0) after
+    reflecting ``zdot_in`` at radius ``r``, lifting a grazing beta rounded
+    below 0 to 0 as ``simulate`` does.  ``classify_impact`` sorts the velocity:
     a full stop raises DegenerateImpact, an inadmissible one ContractViolation.
     """
     if classify_impact(r, zdot_in) == DEGENERATE:
         raise DegenerateImpact(
             f"velocity {zdot_in!r} at r={r} is a full stop on the rod")
-    return MapState(r=r, a=zdot_in.real / r, beta=-zdot_in.imag / r, n=n)
+    return MapState(r, zdot_in.real / r, max(-zdot_in.imag / r, 0.0), n)
 
 
 def recurrence_kernels(delta: float) -> tuple[float, float]:

@@ -154,9 +154,7 @@ def solve_delta(a: float, beta: float) -> float:
         def f_df(s: float) -> tuple[float, float]:
             g, g1, _ = reduced_arc(s, a, beta)
             return g, g1
-    elif beta >= -GRAZING_TOL * max(1.0, abs(1.0 + beta)) and a < 0.0:
-        beta = 0.0
-
+    elif beta == 0.0 and a < 0.0:
         def f_df(s: float) -> tuple[float, float]:
             g, g1, _ = reduced_arc(s, a, 0.0)
             g_s = g / s

@@ -17,7 +17,7 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace
 
 from .core import (DEFAULT_CONFIG, GRAZING_TOL, PhaseState, SimConfig,
-                   require_departing_start, require_finite, unit_rotation)
+                   require_finite, unit_rotation)
 from .flight import (FlightSegment, FreeFlight, flight_position,
                      flight_velocity, reflect, segment_position,
                      segment_velocity)
@@ -145,7 +145,8 @@ def simulate(z0: complex, v0: complex,
     # stored as complex even from simulate(1j, 1), as record_from_json reads it
     z0 = require_finite(complex(z0), "z0")
     v0 = require_finite(complex(v0), "v0")
-    require_departing_start(z0, v0)
+    if z0.imag < 0.0:
+        raise ValueError(f"initial position {z0!r} lies below the rod")
 
     # analytic early exit: exact full-stop initial data need no root search
     member, r_m, tau = in_degenerate_set(z0, v0 - 1j * z0)

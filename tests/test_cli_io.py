@@ -399,12 +399,25 @@ def test_json_roundtrip_is_bit_exact(roundtrip_records, case):
             assert repr(back) == repr(record)
 
 
-@pytest.mark.parametrize("key,edit", [
-    ("a", lambda col: col[:2]), ("delta", lambda col: col + col[:2]),
-    ("r", lambda col: col[:-1]), ("beta", lambda col: col[1:]),
-    ("t", lambda col: col + col[-1:])])
-def test_json_with_inconsistent_columns_is_rejected(key, edit):
-    data = json.loads(record_to_json(simulate(1j, 1, SimConfig(n_max=5))))
+def _first_rows(table: dict | list, m: int) -> dict | list:
+    """The first m rows of a table, in either earlier layout."""
+    if isinstance(table, dict):
+        return {key: col[:m] for key, col in table.items()}
+    return table[:m]
+
+
+@pytest.mark.parametrize("write,key,edit", [
+    (record_to_json, "a", lambda col: col[:2]),
+    (record_to_json, "delta", lambda col: col + col[:2]),
+    (record_to_json, "r", lambda col: col[:-1]),
+    (record_to_json, "beta", lambda col: col[1:]),
+    (record_to_json, "t", lambda col: col + col[-1:]),
+    (column_table_json, "impacts", lambda table: _first_rows(table, 0)),
+    (row_object_json, "impacts", lambda table: _first_rows(table, 0)),
+    (column_table_json, "segments", lambda table: _first_rows(table, 2)),
+    (row_object_json, "impacts", lambda table: _first_rows(table, 3))])
+def test_json_with_inconsistent_columns_is_rejected(write, key, edit):
+    data = json.loads(write(simulate(1j, 1, SimConfig(n_max=5))))
     data[key] = edit(data[key])
     with pytest.raises(ValueError, match="inconsistent lengths"):
         record_from_json(json.dumps(data))

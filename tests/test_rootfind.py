@@ -87,6 +87,8 @@ def test_delta_preconditions():
     with pytest.raises(ValueError):
         solve_delta(0.5, 0.0)       # grazing needs a < 0
     with pytest.raises(ValueError):
+        solve_delta(-0.5, -1e-17)   # grazing is beta = 0 exactly
+    with pytest.raises(ValueError):
         solve_delta(math.nan, 1.0)
 
 

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from rodbilliard import (SimConfig, convergence_experiment, flight_position,
-                         FreeFlight, oracle_simulate, quasi_position,
-                         quasi_velocity, record_state, segment_position,
-                         simulate, QuasiTrajectory)
+                         FreeFlight, quasi_position, quasi_velocity,
+                         record_state, segment_position, simulate,
+                         QuasiTrajectory)
 from rodbilliard.core import DEFAULT_CONFIG, GRAZING_TOL, require_finite
 from rodbilliard.flight import FlightSegment, flight_velocity, reflect
 from rodbilliard.impact_map import (DEGENERATE, TRANSVERSAL,
@@ -188,17 +188,20 @@ def test_simulate_preconditions():
         simulate(complex(math.inf, 1), 0j)
 
 
-def test_full_stop_start_on_the_rod_is_rejected():
-    # a full-stop start within GRAZING_TOL of the rod, moving down: like
-    # first_impact and the oracle, simulate takes it as an on-rod start
+def test_full_stop_start_near_the_rod_stops():
+    # a full-stop start within GRAZING_TOL of the rod, moving down: simulate
+    # takes the analytic full-stop exit, as convergence_experiment needs
+    # for any 0 < t1 < T_STAR; the root search would count it on the rod
     z0, v0 = stopping_set_point(1.0, 1e-4)
     assert in_degenerate_set(z0, v0 - 1j * z0)[0]
-    with pytest.raises(ValueError, match="sits on the rod"):
-        simulate(z0, v0)
+    record = simulate(z0, v0)
+    assert record.termination == "degenerate_stop"
+    assert record.impacts[0].kind == DEGENERATE
+    assert abs(record.t[0] - 1e-4) <= 1e-15
+    row, = convergence_experiment(1.0, 1e-4, [0.0], 1.0).rows
+    assert row.termination == "degenerate_quasi"
     with pytest.raises(ValueError, match="sits on the rod"):
         first_impact(FreeFlight(z0, v0))
-    with pytest.raises(ValueError, match="sits on the rod"):
-        oracle_simulate(z0, v0, 1)
 
 
 def test_record_state_phases(orbit_i1):
