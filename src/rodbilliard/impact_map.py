@@ -213,20 +213,22 @@ def in_degenerate_set(z0: complex, zdot0: complex
     """Membership test for the full-stop set {(r(1 - i tau)e^{i tau}, -r tau e^{i tau})}.
 
     Such initial data (position, initial rotating-frame velocity) reach
-    the rod with zero velocity at time tau, for 0 < tau < t*.  Dividing
-    the two components gives z0/zdot0 = -1/tau + i, so membership reduces
-    to Im(z0/zdot0) = 1 and Re(z0/zdot0) < -1/t*.
+    the rod with zero velocity at time tau, for 0 < tau < t*.  The test
+    runs in the lab frame: there v0 = zdot0 + i z0 = i r e^{i tau} adds
+    terms of sizes r tau and r without cancellation, however small tau
+    is, and z0/v0 = -tau - i.  So membership reduces to Im(z0/v0) = -1
+    and 0 < -Re(z0/v0) < t*, with r = |v0|.
 
     Returns (member, r, tau); r and tau are 0.0 for non-members.
     """
     require_finite(z0, "z0")
     require_finite(zdot0, "zdot0")
-    if zdot0 == 0:
+    v0 = zdot0 + 1j * z0
+    if zdot0 == 0 or v0 == 0:
         return False, 0.0, 0.0
-    q = z0 / zdot0
-    if abs(q.imag - 1.0) > GRAZING_TOL * (1.0 + abs(q)) or q.real >= 0.0:
+    q = z0 / v0
+    tau = -q.real
+    if (abs(q.imag + 1.0) > GRAZING_TOL * (1.0 + abs(q))
+            or not 0.0 < tau < T_STAR):
         return False, 0.0, 0.0
-    tau = -1.0 / q.real
-    if not 0.0 < tau < T_STAR:
-        return False, 0.0, 0.0
-    return True, abs(zdot0) / tau, tau
+    return True, abs(v0), tau

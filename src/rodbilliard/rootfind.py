@@ -7,6 +7,9 @@ first contact of an arbitrary free flight, from the closed-form angle of
 the flight split into at most three monotone pieces.  Newton steps
 accelerate a sign-change bracket; any step that leaves the bracket falls
 back to bisection, so convergence is guaranteed for continuous functions.
+Inside a fixed box of arc parameters, which holds the long orbit's small
+steps, the return time needs no solve: its reversion series in beta is
+within 1.5 ulps of the root there.
 """
 
 from __future__ import annotations
@@ -98,6 +101,28 @@ SERIES_MAX = 1.0
 # above the rounding noise of the reduced functions at their roots
 ROOT_REL_TOL = 1e-15
 
+# Reversion of g(s) = 0 in beta: delta = (beta/a) sum_k Q_k(u) w^(k-1)
+# with u = a^2, w = beta/a^2, each Q_k given as (integer coefficients of
+# 1, u, u^2, ..., common denominator).  The box below (a in (0.5, 1],
+# 0 < w <= 0.005) keeps the 7-term sum within 1.5 ulps of the root, checked
+# against 40-digit mpmath roots (tests/test_precision.py); the omitted
+# Q_8 w^7 is below 0.1 ulp there.
+REVERSION_Q = (
+    ((1,), 1),
+    ((-1,), 3),
+    ((2, -3), 9),
+    ((-25, 57), 135),
+    ((70, -207, 81), 405),
+    ((-490, 1764, -1329), 2835),
+    ((7700, -32550, 35604, -6075), 42525),
+)
+(_, (_Q2,), (_Q30, _Q31), (_Q40, _Q41), (_Q50, _Q51, _Q52), (_Q60, _Q61, _Q62),
+ (_Q70, _Q71, _Q72, _Q73)) = (
+    tuple(c / d for c in cs) for cs, d in REVERSION_Q)
+REVERSION_A_MIN = 0.5   # exclusive
+REVERSION_A_MAX = 1.0
+REVERSION_W_MAX = 0.005
+
 
 def reduced_arc(s: float, a: float, beta: float
                 ) -> tuple[float, float, float]:
@@ -140,14 +165,26 @@ def solve_delta(a: float, beta: float) -> float:
 
     (a, beta = b - 1) parametrize the arc leaving the rod, with beta > 0
     for a transversal reflection or beta = 0, a < 0 for a grazing one.
-    The equation is solved as g(s) = F(s)/s = 0 (see ``reduced_arc``),
-    which has no trivial root at 0 and keeps full relative precision
-    however small the root is: g falls from beta at 0 to -1 - beta at pi.
-    Newton starts at the root of the quadratic beta = a s + s^2/3, the
-    small-s form of g, and stops on a relative step.  A grazing arc has
-    g(0) = 0, so its equation is divided once more by s: g/s falls from
-    -a > 0, with the root near -3a.
+    Inside the box 0.5 < a <= 1, 0 < beta/a^2 <= 0.005, where the long
+    orbit stays from its 301st impact on, the root is the 7-term reversion
+    series ``REVERSION_Q`` in beta, with no solve.  Elsewhere the equation
+    is solved as g(s) = F(s)/s = 0 (see ``reduced_arc``), which has no
+    trivial root at 0 and keeps full relative precision however small the
+    root is: g falls from beta at 0 to -1 - beta at pi.  Newton starts at
+    the root of the quadratic beta = a s + s^2/3, the small-s form of g,
+    and stops on a relative step.  A grazing arc has g(0) = 0, so its
+    equation is divided once more by s: g/s falls from -a > 0, with the
+    root near -3a.
     """
+    if REVERSION_A_MIN < a <= REVERSION_A_MAX:
+        u = a * a
+        w = beta / u
+        if 0.0 < w <= REVERSION_W_MAX:
+            d = beta / a
+            return d + d * w * (_Q2 + w * (_Q30 + _Q31 * u + w * (
+                _Q40 + _Q41 * u + w * (_Q50 + u * (_Q51 + u * _Q52) + w * (
+                    _Q60 + u * (_Q61 + u * _Q62) + w * (
+                        _Q70 + u * (_Q71 + u * (_Q72 + u * _Q73))))))))
     if not (math.isfinite(a) and math.isfinite(beta)):
         raise ValueError(f"non-finite arc parameters a={a}, beta={beta}")
     if beta > 0.0:

@@ -184,17 +184,17 @@ def simulate(z0: complex, v0: complex,
         if t_next > cfg.t_max:
             termination = "reached_t_max"
             break
-        # the incoming velocity whose reflection the new arc (a, beta) is
-        incoming = complex(r * a, -r * beta)
+        # the incoming velocity, whose reflection is the new arc (a, beta),
+        # is r (a - i beta); it is built only for the messages
         if not (0.0 < a < math.inf and 0.0 < beta < math.inf):
             raise ContractViolation(
                 f"inadmissible step at n={len(ts)}: a={a}, beta={beta} "
-                f"after delta={delta}, incoming {incoming!r}")
-        if incoming.imag >= -GRAZING_TOL * (1.0 + abs(incoming)):
+                f"after delta={delta}, incoming {complex(r * a, -r * beta)!r}")
+        if r * beta <= GRAZING_TOL * (1.0 + math.hypot(r * a, r * beta)):
             # within roundoff of grazing; the dynamics forbids true grazing
             # past the first impact, so keep it transversal
             _log.warning("near-grazing incoming velocity %r at n=%d",
-                         incoming, len(ts) + 1)
+                         complex(r * a, -r * beta), len(ts) + 1)
         deltas.append(delta)
         ts.append(t_next)
         rs.append(r)

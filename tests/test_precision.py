@@ -1,20 +1,22 @@
 """Precision of the impact step against mpmath, and the work it takes.
 
 The series kernels of the step are checked one by one at 30 digits, the
-reference orbit z0 = i, v0 = 1 against the 50-digit checkpoints stored
-with the benchmark, and the Newton iteration counts on that orbit.
+reversion series of delta over its box at 40 digits, the reference orbit
+z0 = i, v0 = 1 against the 50-digit checkpoints stored with the benchmark,
+and the Newton iteration counts on that orbit.
 """
 
 import json
+import math
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 from rodbilliard import (SimConfig, incoming_to_map_state,
-                         recurrence_kernels, simulate, step)
+                         recurrence_kernels, simulate, solve_delta, step)
 from rodbilliard import impact_map, rootfind
-from rodbilliard.rootfind import SERIES_MAX, reduced_arc
+from rodbilliard.rootfind import ROOT_REL_TOL, SERIES_MAX, reduced_arc
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -75,9 +77,100 @@ def test_reference_orbit_checkpoints():
     assert used >= 15  # every checkpoint from n = 1 to n = 2 10^4
 
 
+def delta_root(mp, a, beta, guess):
+    """Root of g(s) = beta cos s - a sin s - (sin s/s - cos s) to 40 digits,
+    by Newton steps from a float root."""
+    with mp.workdps(40):
+        a, beta, s = mp.mpf(a), mp.mpf(beta), mp.mpf(guess)
+        for _ in range(3):
+            sn, cs = mp.sin(s), mp.cos(s)
+            g = beta * cs - a * sn - (sn / s - cs)
+            g1 = -beta * sn - a * cs - (cs / s - sn / s ** 2 + sn)
+            s -= g / g1
+        return s
+
+
+def ulps_off(x, ref):
+    return float(abs(x - ref)) / math.ulp(float(ref))
+
+
+def in_reversion_box(a, beta):
+    return (rootfind.REVERSION_A_MIN < a <= rootfind.REVERSION_A_MAX
+            and 0.0 < beta / (a * a) <= rootfind.REVERSION_W_MAX)
+
+
+def box_top(a):
+    # the largest beta of the box at this a
+    beta = rootfind.REVERSION_W_MAX * a * a
+    while beta / (a * a) > rootfind.REVERSION_W_MAX:
+        beta = math.nextafter(beta, 0.0)
+    return beta
+
+
+A_LOW = math.nextafter(rootfind.REVERSION_A_MIN, 1.0)
+
+
+def test_reversion_box_matches_mpmath():
+    # a 26 x 26 grid over the box with its four edges (a just above 0.5,
+    # a = 1, w = W_MAX, w = 1e-6 W_MAX): the series delta is within
+    # 1.5 ulps of the root
+    mpmath = pytest.importorskip("mpmath")
+    fracs = [(k + 1) / 25 for k in range(25)]
+    for a in [A_LOW] + [0.5 + 0.5 * f for f in fracs]:
+        for f in fracs + [1e-6]:
+            beta = box_top(a) * f
+            assert in_reversion_box(a, beta)
+            delta = solve_delta(a, beta)
+            ref = delta_root(mpmath.mp, a, beta, delta)
+            assert ulps_off(delta, ref) <= 1.5, (a, beta)
+
+
+@pytest.mark.parametrize("edge", ["a_min", "a_max", "w_max", "w_min"])
+def test_reversion_meets_newton_on_box_edges(monkeypatch, edge):
+    # the same (a, beta) on an edge of the box, from the series and from
+    # Newton (forced by emptying the box).  Where the orbit crosses, at
+    # w = W_MAX, they agree within 4 ulps.  Elsewhere Newton may stop on a
+    # bracket narrower than 2 ROOT_REL_TOL and return its midpoint, up to
+    # 9 ulps off the root, where the series is within 1.5 (test above)
+    fracs = [(k + 1) / 40 for k in range(40)]
+    points = {
+        "a_min": [(A_LOW, box_top(A_LOW) * f) for f in fracs],
+        "a_max": [(1.0, box_top(1.0) * f) for f in fracs],
+        "w_max": [(a, box_top(a)) for a in (0.5 + 0.5 * f for f in fracs)],
+        "w_min": [(a, box_top(a) * 1e-9) for a in (0.5 + 0.5 * f for f in fracs)],
+    }[edge]
+    assert all(in_reversion_box(a, beta) for a, beta in points)
+    series = [solve_delta(a, beta) for a, beta in points]
+    monkeypatch.setattr(rootfind, "REVERSION_W_MAX", 0.0)
+    for (a, beta), d in zip(points, series):
+        newton = solve_delta(a, beta)
+        if edge == "w_max":
+            assert ulps_off(d, newton) <= 4.0, (a, beta)
+        else:
+            assert abs(d - newton) <= 2.0 * ROOT_REL_TOL * newton, (a, beta)
+
+
+@pytest.mark.parametrize("z0, v0, n_max", [(0.5j, 3 + 0j, 25),
+                                           (1j, 1 + 0j, 300)])
+def test_outside_box_record_equals_newton_record(monkeypatch, z0, v0, n_max):
+    # the reference orbit's first 300 arcs, and a start whose first arcs
+    # have a > 1, stay outside the box: their records are the ones Newton
+    # alone builds, bit for bit
+    record = simulate(z0, v0, SimConfig(n_max=n_max))
+    closed = len(record.delta)
+    assert not any(map(in_reversion_box, record.a[:closed],
+                       record.beta[:closed]))
+    monkeypatch.setattr(rootfind, "REVERSION_W_MAX", 0.0)
+    assert simulate(z0, v0, SimConfig(n_max=n_max)) == record
+
+
 def test_newton_iterations_per_impact(monkeypatch):
-    # the delta and arc-height solves stay Newton solves from their
-    # closed-form starts; a fall-back to bisection would take ~50 steps
+    # from impact 301 of the reference orbit on, every arc lies in the
+    # reversion box and its delta takes no solve; before that, and for
+    # every arc height, delta is one Newton solve from its closed-form
+    # start (a fall-back to bisection would take ~50 steps).  In-box deltas
+    # are checked against mpmath at every 100th step
+    mpmath = pytest.importorskip("mpmath")
     record = simulate(1j, 1 + 0j, SimConfig(n_max=1))
     first = record.impacts[0]
     ms = incoming_to_map_state(first.r, first.zdot_in)
@@ -93,10 +186,27 @@ def test_newton_iterations_per_impact(monkeypatch):
 
     monkeypatch.setattr(impact_map, "hybrid_root", counted("height"))
     monkeypatch.setattr(rootfind, "hybrid_root", counted("delta"))
+    inside = []
+    per_step = []  # delta evaluations per step, 0 for a series step
     for _ in range(10_000):
-        _, ms, _ = step(ms)
-    for name in ("delta", "height"):
-        its = counts[name]
-        assert len(its) == 10_000, name
-        assert sum(its) / len(its) <= 3.0, name
-        assert max(its) <= 8, name
+        before = len(counts["delta"])
+        a, beta, n = ms.a, ms.beta, ms.n
+        delta, ms, _ = step(ms)
+        its = counts["delta"][before:]
+        if in_reversion_box(a, beta):
+            assert its == [], n
+            inside.append(n)
+            if n % 100 == 0:
+                ref = delta_root(mpmath.mp, a, beta, delta)
+                assert ulps_off(delta, ref) <= 1.5, n
+        else:
+            assert len(its) == 1, n
+        per_step.append(sum(its))
+    assert inside == list(range(301, 10_001))
+    # the 300 Newton solves before the box take the evaluations they
+    # took before the series existed (3.06 each: the early arcs are long)
+    assert sum(per_step[:300]) == 918
+    assert len(counts["height"]) == 10_000
+    for its in (per_step, counts["height"]):
+        assert sum(its) / len(its) <= 3.0
+        assert max(its) <= 8

@@ -1,12 +1,13 @@
 import math
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rodbilliard import (FreeFlight, T_STAR,
                          UnsupportedFirstImpact, first_impact, hybrid_root,
-                         solve_delta, solve_tstar)
+                         rootfind, solve_delta, solve_tstar)
 from conftest import (GRAZING_V0, GRAZING_Z0, make_grazing_start,
                       stopping_set_point)
 
@@ -79,6 +80,61 @@ def test_delta_contract_random(a, b):
     assert abs(F(d, a, b)) <= 10 * 1e-13 * (1 + abs(a) + b)
     for k in range(1, 200):
         assert F(d * k / 200, a, b) > 0.0
+
+
+def reversion_coefficients(a, order):
+    """c_1..c_order of the root s = sum c_k beta^k of
+    g(s) = beta cos s - a sin s - (sin s/s - cos s) = 0, exactly.
+
+    Power series in beta are lists of Fractions truncated after beta^order;
+    each pass of s <- (beta cos s - a (sin s - s) - k(s))/a fixes one more
+    coefficient, since the terms after beta are O(s^2)."""
+    def mul(x, y):
+        z = [Fraction(0)] * (order + 1)
+        for i, xi in enumerate(x):
+            for j in range(order + 1 - i):
+                z[i + j] += xi * y[j]
+        return z
+
+    # Taylor coefficients of cos s, sin s - s and k(s) = sin s/s - cos s
+    coef = {"cos": [], "sin": [], "k": []}
+    for m in range(order + 1):
+        sign, even = (-1) ** (m // 2), m % 2 == 0
+        coef["cos"].append(Fraction(sign, math.factorial(m)) if even else 0)
+        coef["sin"].append(0 if even or m == 1 else
+                           Fraction(sign, math.factorial(m)))
+        coef["k"].append(Fraction(-sign * m, math.factorial(m + 1))
+                         if even and m else 0)
+    s = [Fraction(0)] * (order + 1)
+    for _ in range(order):
+        powers = [[Fraction(1)] + [Fraction(0)] * order]
+        for _ in range(order):
+            powers.append(mul(powers[-1], s))
+        series = {name: [sum(c * p[i] for c, p in zip(cs, powers))
+                         for i in range(order + 1)] for name, cs in coef.items()}
+        beta_cos = [Fraction(0)] + series["cos"][:order]
+        s = [(bc - a * sn - k) / a for bc, sn, k in
+             zip(beta_cos, series["sin"], series["k"])]
+    return s[1:]
+
+
+def test_reversion_coefficients_rederived():
+    # Q_k(a^2) = c_k a^(2k - 1) for the table in rootfind, at rational a
+    # (a polynomial of degree <= 3 in u is fixed by four of the five);
+    # the first omitted term, Q_8 w^7, is below 0.1 ulp inside the box
+    q8 = ((-25025, 121275, -172395, 63657), 127575)
+    for a in (Fraction(1), Fraction(3, 4), Fraction(2, 3), Fraction(5, 9),
+              Fraction(7, 3)):
+        c = reversion_coefficients(a, 8)
+        u = a * a
+        for k, (cs, d) in enumerate(rootfind.REVERSION_Q + (q8,), start=1):
+            q = sum(Fraction(ci, d) * u ** i for i, ci in enumerate(cs))
+            assert c[k - 1] * a ** (2 * k - 1) == q, (a, k)
+    w7 = Fraction(rootfind.REVERSION_W_MAX) ** 7
+    for j in range(101):
+        u = Fraction(1, 4) + Fraction(3, 400) * j  # a in [0.5, 1]
+        q = sum(Fraction(ci, q8[1]) * u ** i for i, ci in enumerate(q8[0]))
+        assert abs(q) * w7 < Fraction(1, 10) * Fraction(1, 2 ** 53)
 
 
 def test_delta_preconditions():

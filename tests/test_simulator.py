@@ -204,6 +204,20 @@ def test_full_stop_start_near_the_rod_stops():
         first_impact(FreeFlight(z0, v0))
 
 
+def test_full_stop_start_with_tiny_tau_stops():
+    # tau < 1e-6: zdot0 = v0 - i z0 cancels to a relative error eps/tau,
+    # and membership is tested on z0/v0 = -tau - i, which does not cancel
+    row, = convergence_experiment(3.1952324545280613, 4.777886050771952e-07,
+                                  [0.0], 1.0).rows
+    assert row.termination == "degenerate_quasi"
+    assert row.n_impacts == 1
+    z0, v0 = stopping_set_point(3.1952324545280613, 4.777886050771952e-07)
+    member, r, tau = in_degenerate_set(z0, v0 - 1j * z0)
+    assert member
+    assert abs(r - 3.1952324545280613) <= 1e-15 * r
+    assert abs(tau - 4.777886050771952e-07) <= 1e-9 * tau
+
+
 def test_record_state_phases(orbit_i1):
     record = orbit_i1
     ff = FreeFlight(record.z0, record.v0)
