@@ -1,15 +1,15 @@
 """Safeguarded scalar root finding for the impact-time equations.
 
-Three solvers live here: the generic bracketed Newton/bisection hybrid,
-the return-time equation b s cos s = (1 + a s) sin s for an arc leaving
-the rod (in the reduced form shared with the arc-height solve), and the
-first contact of an arbitrary free flight, from the closed-form angle of
-the flight split into at most three monotone pieces.  Newton steps
-accelerate a sign-change bracket; any step that leaves the bracket falls
-back to bisection, so convergence is guaranteed for continuous functions.
-Inside a fixed box of arc parameters, which holds the long orbit's small
-steps, the return time needs no solve: its reversion series in beta is
-within 1.5 ulps of the root there.
+``hybrid_root``, a bracketed Newton/bisection hybrid, solves the first
+contact of a free flight (from its closed-form angle, split into at most
+three monotone pieces), the arc height and t = tan t.  The return time of
+an arc, b s cos s = (1 + a s) sin s, takes the same steps in
+``newton_delta``, with the reduced form of ``reduced_arc`` inlined.
+Newton steps accelerate a sign-change bracket; any step that leaves it
+falls back to bisection, so convergence is guaranteed for continuous
+functions.  Inside a fixed box of arc parameters, which holds the long
+orbit's small steps, the return time needs no solve: its reversion
+series in beta is within 1.5 ulps of the root there.
 """
 
 from __future__ import annotations
@@ -187,23 +187,62 @@ def solve_delta(a: float, beta: float) -> float:
                         _Q70 + u * (_Q71 + u * (_Q72 + u * _Q73))))))))
     if not (math.isfinite(a) and math.isfinite(beta)):
         raise ValueError(f"non-finite arc parameters a={a}, beta={beta}")
-    if beta > 0.0:
-        def f_df(s: float) -> tuple[float, float]:
-            g, g1, _ = reduced_arc(s, a, beta)
-            return g, g1
-    elif beta == 0.0 and a < 0.0:
-        def f_df(s: float) -> tuple[float, float]:
-            g, g1, _ = reduced_arc(s, a, 0.0)
-            g_s = g / s
-            return g_s, (g1 - g_s) / s
-    else:
+    if not (beta > 0.0 or beta == 0.0 and a < 0.0):
         raise ValueError(
             f"arc parameters a={a}, beta={beta} do not describe a reflection "
             "(need beta > 0, or beta = 0 with a < 0)")
-    res = hybrid_root(f_df, 0.0, math.pi, abs_tol=0.0,
-                      x0=small_root_guess(1.0 / 3.0, a, beta),
-                      rel_tol=ROOT_REL_TOL, positive_lo=True)
-    return res.root
+    return newton_delta(a, beta)[0]
+
+
+def newton_delta(a: float, beta: float) -> tuple[float, int]:
+    """(root, evaluations) of the delta equation, by ``hybrid_root``'s steps.
+
+    Solves g = 0 (g/s for a grazing arc, beta = 0) on the bracket (0, pi)
+    from ``small_root_guess(1/3, a, beta)`` with the relative stop
+    ``ROOT_REL_TOL``, evaluating g and g' inline as ``reduced_arc`` does.
+    Bracket, step and stop decisions are those of ``hybrid_root``, so the
+    root and the count are the ones it gives over ``reduced_arc``, bit for
+    bit, without its per-evaluation calls.  The caller checks (a, beta).
+    """
+    grazing = beta == 0.0
+    lo, hi = 0.0, math.pi
+    x = small_root_guess(1.0 / 3.0, a, beta)
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
+    for it in range(1, 201):
+        sn = math.sin(x)
+        cs = math.cos(x)
+        if x < SERIES_MAX:
+            u = x * x
+            k = u * (_K0 + u * (_K1 + u * (_K2 + u * (_K3 + u * (
+                _K4 + u * (_K5 + u * (_K6 + u * (_K7 + u * _K8))))))))
+        else:
+            k = sn / x - cs
+        fx = beta * cs - a * sn - k
+        dfx = -beta * sn - a * cs - (sn - k / x)
+        if grazing:
+            fx /= x
+            dfx = (dfx - fx) / x
+        if fx == 0.0:
+            return x, it
+        if fx > 0.0:
+            lo = x
+        else:
+            hi = x
+        tol = ROOT_REL_TOL * x
+        if hi - lo < 2.0 * tol:
+            return 0.5 * (lo + hi), it
+        if dfx != 0.0:
+            step = fx / dfx
+            xn = x - step
+            if abs(step) < tol and lo <= xn <= hi:
+                return xn, it
+            if lo < xn < hi and abs(step) <= 0.5 * (hi - lo):
+                x = xn
+                continue
+        x = 0.5 * (lo + hi)
+    raise RootFindError(
+        f"no convergence after 200 iterations on [{lo}, {hi}]")
 
 
 def solve_tstar() -> float:

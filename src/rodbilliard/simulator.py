@@ -42,14 +42,14 @@ class QuasiTrajectory:
 
 
 class RowView(Sequence):
-    """Rows ``row(0)``, ..., ``row(length - 1)``, built on access; a slice
-    is a tuple of rows, and a view equals the tuple of its rows."""
+    """Rows ``row(k)`` for k in ``rows``, built on access; a slice is a
+    view over the sub-range, and a view equals the tuple of its rows."""
 
     __slots__ = ("_row", "_rows")
 
-    def __init__(self, row: Callable[[int], object], length: int) -> None:
+    def __init__(self, row: Callable[[int], object], rows: range) -> None:
         self._row = row
-        self._rows = range(length)
+        self._rows = rows
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -57,7 +57,7 @@ class RowView(Sequence):
     def __getitem__(self, k):
         rows = self._rows[k]
         if isinstance(rows, range):
-            return tuple(map(self._row, rows))
+            return RowView(self._row, rows)
         return self._row(rows)
 
     def __iter__(self) -> Iterator:
@@ -97,17 +97,17 @@ class TrajectoryRecord:
     def impacts(self) -> RowView:
         """ImpactEvent per impact; ``zdot_out`` reflects ``zdot_in``,
         except that an exact full stop keeps 0j."""
-        return RowView(self._impact, len(self.t))
+        return RowView(self._impact, range(len(self.t)))
 
     @property
     def segments(self) -> RowView:
         """FlightSegment per arc; ``segments[k]`` leaves ``impacts[k]``."""
-        return RowView(self._segment, len(self.a))
+        return RowView(self._segment, range(len(self.a)))
 
     @property
     def heights(self) -> RowView:
         """Peak height of each closed arc, solved on access."""
-        return RowView(self._height, len(self.delta))
+        return RowView(self._height, range(len(self.delta)))
 
     def _impact(self, k: int) -> ImpactEvent:
         r = self.r[k]

@@ -175,17 +175,20 @@ def test_newton_iterations_per_impact(monkeypatch):
     first = record.impacts[0]
     ms = incoming_to_map_state(first.r, first.zdot_in)
     counts = {"delta": [], "height": []}
-    solve = rootfind.hybrid_root
+    newton_delta, hybrid_root = rootfind.newton_delta, rootfind.hybrid_root
 
-    def counted(name):
-        def wrapper(*args, **kwargs):
-            res = solve(*args, **kwargs)
-            counts[name].append(res.iterations)
-            return res
-        return wrapper
+    def delta_counted(a, beta):
+        root, its = newton_delta(a, beta)
+        counts["delta"].append(its)
+        return root, its
 
-    monkeypatch.setattr(impact_map, "hybrid_root", counted("height"))
-    monkeypatch.setattr(rootfind, "hybrid_root", counted("delta"))
+    def height_counted(*args, **kwargs):
+        res = hybrid_root(*args, **kwargs)
+        counts["height"].append(res.iterations)
+        return res
+
+    monkeypatch.setattr(impact_map, "hybrid_root", height_counted)
+    monkeypatch.setattr(rootfind, "newton_delta", delta_counted)
     inside = []
     per_step = []  # delta evaluations per step, 0 for a series step
     for _ in range(10_000):

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -135,6 +136,44 @@ def test_reversion_coefficients_rederived():
         u = Fraction(1, 4) + Fraction(3, 400) * j  # a in [0.5, 1]
         q = sum(Fraction(ci, q8[1]) * u ** i for i, ci in enumerate(q8[0]))
         assert abs(q) * w7 < Fraction(1, 10) * Fraction(1, 2 ** 53)
+
+
+def hybrid_delta(a, beta):
+    # the delta solve as hybrid_root over reduced_arc: the reference that
+    # rootfind.newton_delta inlines
+    def f_df(s):
+        if beta > 0.0:
+            g, g1, _ = rootfind.reduced_arc(s, a, beta)
+            return g, g1
+        g, g1, _ = rootfind.reduced_arc(s, a, 0.0)
+        return g / s, (g1 - g / s) / s
+
+    res = hybrid_root(f_df, 0.0, math.pi, abs_tol=0.0,
+                      x0=rootfind.small_root_guess(1.0 / 3.0, a, beta),
+                      rel_tol=rootfind.ROOT_REL_TOL, positive_lo=True)
+    return res.root, res.iterations
+
+
+def test_newton_delta_is_hybrid_root_over_reduced_arc():
+    # same root and evaluation count, bit for bit, on 6000 seeded arcs:
+    # transversal with a of either sign, grazing, roots past SERIES_MAX
+    # and roots within 1e-3 of pi (a -> -inf)
+    rng = random.Random(14)
+    arcs = []
+    for _ in range(1500):
+        arcs.append((rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-12, 2)))
+        arcs.append((-(10.0 ** rng.uniform(-9, 1)), 0.0))
+        arcs.append((-(10.0 ** rng.uniform(0, 5)), 10.0 ** rng.uniform(-6, 3)))
+        arcs.append((rng.uniform(-0.5, 1.5), rng.uniform(0.0, 4.0) or 1.0))
+    roots = []
+    for a, beta in arcs:
+        got = rootfind.newton_delta(a, beta)
+        assert got == hybrid_delta(a, beta), (a, beta)
+        roots.append(got[0])
+    assert sum(beta == 0.0 for _, beta in arcs) == 1500
+    assert sum(a < 0.0 for a, _ in arcs) > 3000
+    assert sum(d > rootfind.SERIES_MAX for d in roots) > 1000
+    assert sum(d > math.pi - 1e-3 for d in roots) > 100
 
 
 def test_delta_preconditions():

@@ -15,6 +15,7 @@ from rodbilliard.impact_map import (DEGENERATE, TRANSVERSAL,
                                     in_degenerate_set,
                                     incoming_to_map_state, step)
 from rodbilliard.rootfind import UnsupportedFirstImpact, first_impact
+from rodbilliard.simulator import RowView
 from conftest import (GRAZING_V0, GRAZING_Z0, make_grazing_start,
                       random_supported_starts, stopping_set_point)
 
@@ -465,3 +466,27 @@ def test_row_views_index_slice_and_compare(orbit_i1):
         impacts[len(impacts)]
     with pytest.raises(TypeError):
         impacts[1.0]
+
+
+def test_row_view_slices_are_views(orbit_i1):
+    # a slice is a view over the sub-range that builds no row until read,
+    # and equals the tuple of its rows from either side
+    built = []
+    view = RowView(lambda k: built.append(k) or 10 * k, range(20))
+    rows = tuple(10 * k for k in range(20))
+    for key in (slice(2, 15), slice(None, None, 3), slice(-5, None),
+                slice(15, 2, -2), slice(None, None, -1), slice(7, 7),
+                slice(-100, 100)):
+        part = view[key]
+        assert isinstance(part, RowView) and built == []
+        assert len(part) == len(rows[key])
+        assert part == rows[key] and rows[key] == part
+        assert list(part) == list(rows[key])
+        built.clear()
+    nested = view[3:][::2][1:-1]
+    assert isinstance(nested, RowView)
+    assert nested == rows[3:][::2][1:-1] and nested[-1] == rows[3:][::2][-2]
+    assert view[1:3] != [10, 20] and view[1:3] != (10, 30)
+    tail = orbit_i1.impacts[1:]
+    assert isinstance(tail, RowView) and len(tail) == len(orbit_i1.t) - 1
+    assert tail == tuple(orbit_i1.impacts)[1:]
