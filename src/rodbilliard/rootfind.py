@@ -62,8 +62,10 @@ def hybrid_root(f_df: Callable[[float], tuple[float, float]],
     midpoint when it is absent or outside (lo, hi)).  A Newton step is
     taken whenever it stays strictly inside the current bracket and
     shrinks it at least as fast as bisection would; otherwise the
-    midpoint is used.  Terminates when the step or the bracket falls below
-    ``abs_tol + rel_tol * |x|``; RootFindError after 200 evaluations.
+    midpoint is used.  With tol = ``abs_tol + rel_tol * |x|`` it returns
+    the Newton iterate once the step is below tol and in the bracket, or
+    else the midpoint once the bracket is below 2 tol; RootFindError
+    after 200 evaluations.
     """
     x = x0 if x0 is not None and lo < x0 < hi else 0.5 * (lo + hi)
     for it in range(1, 201):
@@ -75,17 +77,17 @@ def hybrid_root(f_df: Callable[[float], tuple[float, float]],
         else:
             hi = x
         tol = abs_tol + rel_tol * abs(x)
-        if hi - lo < 2.0 * tol:
-            return RootResult(0.5 * (lo + hi), it)
         if dfx != 0.0:
             step = fx / dfx
             xn = x - step
             if abs(step) < tol and lo <= xn <= hi:
                 return RootResult(xn, it)
-            if lo < xn < hi and abs(step) <= 0.5 * (hi - lo):
-                x = xn
-                continue
-        x = 0.5 * (lo + hi)
+        if hi - lo < 2.0 * tol:
+            return RootResult(0.5 * (lo + hi), it)
+        if dfx != 0.0 and lo < xn < hi and abs(step) <= 0.5 * (hi - lo):
+            x = xn
+        else:
+            x = 0.5 * (lo + hi)
     raise RootFindError(
         f"no convergence after 200 iterations on [{lo}, {hi}]")
 
@@ -197,12 +199,11 @@ def solve_delta(a: float, beta: float) -> float:
 def newton_delta(a: float, beta: float) -> tuple[float, int]:
     """(root, evaluations) of the delta equation, by ``hybrid_root``'s steps.
 
-    Solves g = 0 (g/s for a grazing arc, beta = 0) on the bracket (0, pi)
-    from ``small_root_guess(1/3, a, beta)`` with the relative stop
-    ``ROOT_REL_TOL``, evaluating g and g' inline as ``reduced_arc`` does.
-    Bracket, step and stop decisions are those of ``hybrid_root``, so the
-    root and the count are the ones it gives over ``reduced_arc``, bit for
-    bit, without its per-evaluation calls.  The caller checks (a, beta).
+    Solves g = 0 (g/s for a grazing arc, beta = 0) on (0, pi) from
+    ``small_root_guess(1/3, a, beta)`` with the relative stop
+    ``ROOT_REL_TOL``.  g and g' are inlined from ``reduced_arc`` and the
+    decisions are ``hybrid_root``'s, so root and count are bit for bit
+    those of ``hybrid_root`` over ``reduced_arc``.  The caller checks a, beta.
     """
     grazing = beta == 0.0
     lo, hi = 0.0, math.pi
@@ -230,17 +231,17 @@ def newton_delta(a: float, beta: float) -> tuple[float, int]:
         else:
             hi = x
         tol = ROOT_REL_TOL * x
-        if hi - lo < 2.0 * tol:
-            return 0.5 * (lo + hi), it
         if dfx != 0.0:
             step = fx / dfx
             xn = x - step
             if abs(step) < tol and lo <= xn <= hi:
                 return xn, it
-            if lo < xn < hi and abs(step) <= 0.5 * (hi - lo):
-                x = xn
-                continue
-        x = 0.5 * (lo + hi)
+        if hi - lo < 2.0 * tol:
+            return 0.5 * (lo + hi), it
+        if dfx != 0.0 and lo < xn < hi and abs(step) <= 0.5 * (hi - lo):
+            x = xn
+        else:
+            x = 0.5 * (lo + hi)
     raise RootFindError(
         f"no convergence after 200 iterations on [{lo}, {hi}]")
 

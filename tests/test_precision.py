@@ -8,6 +8,7 @@ and the Newton iteration counts on that orbit.
 
 import json
 import math
+import random
 from decimal import Decimal
 from pathlib import Path
 
@@ -16,7 +17,8 @@ import pytest
 from rodbilliard import (SimConfig, incoming_to_map_state,
                          recurrence_kernels, simulate, solve_delta, step)
 from rodbilliard import impact_map, rootfind
-from rodbilliard.rootfind import ROOT_REL_TOL, SERIES_MAX, reduced_arc
+from rodbilliard.rootfind import SERIES_MAX, reduced_arc
+from conftest import random_supported_starts
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -129,9 +131,9 @@ def test_reversion_box_matches_mpmath():
 def test_reversion_meets_newton_on_box_edges(monkeypatch, edge):
     # the same (a, beta) on an edge of the box, from the series and from
     # Newton (forced by emptying the box).  Where the orbit crosses, at
-    # w = W_MAX, they agree within 4 ulps.  Elsewhere Newton may stop on a
-    # bracket narrower than 2 ROOT_REL_TOL and return its midpoint, up to
-    # 9 ulps off the root, where the series is within 1.5 (test above)
+    # w = W_MAX, they agree within 4 ulps, and within 2 on the other edges
+    # (the most seen over 5000 points an edge, where the series is within
+    # 1.5 ulps of the root: test above)
     fracs = [(k + 1) / 40 for k in range(40)]
     points = {
         "a_min": [(A_LOW, box_top(A_LOW) * f) for f in fracs],
@@ -144,10 +146,38 @@ def test_reversion_meets_newton_on_box_edges(monkeypatch, edge):
     monkeypatch.setattr(rootfind, "REVERSION_W_MAX", 0.0)
     for (a, beta), d in zip(points, series):
         newton = solve_delta(a, beta)
-        if edge == "w_max":
-            assert ulps_off(d, newton) <= 4.0, (a, beta)
-        else:
-            assert abs(d - newton) <= 2.0 * ROOT_REL_TOL * newton, (a, beta)
+        assert ulps_off(d, newton) <= (4.0 if edge == "w_max" else 2.0), (
+            a, beta)
+
+
+def test_newton_delta_matches_mpmath():
+    # outside the box delta is Newton's last iterate, not the midpoint of a
+    # collapsed bracket: within 2.5 ulps of a 40-digit root on the arcs of
+    # seeded orbits, and within 3.5 on synthetic arcs down to grazing ones
+    # (whose g/s carries about 3 ulps of rounding noise at small roots)
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(14)
+    orbit_arcs = []
+    for z0, v0 in random_supported_starts(60, seed=14):
+        record = simulate(z0, v0, SimConfig(n_max=25))
+        orbit_arcs += zip(record.a[:len(record.delta)], record.beta)
+    synthetic = []
+    for _ in range(300):
+        synthetic.append((rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-6, 2)))
+        synthetic.append((-(10.0 ** rng.uniform(-6, 1)), 0.0))
+        synthetic.append((rng.uniform(0.5, 1.0), 10.0 ** rng.uniform(-7, -2)))
+        synthetic.append((-(10.0 ** rng.uniform(0, 4)),
+                          10.0 ** rng.uniform(-3, 3)))
+    assert len(orbit_arcs) > 1000
+    for arcs, bound in ((orbit_arcs, 2.5), (synthetic, 3.5)):
+        for a, beta in arcs:
+            delta, _ = rootfind.newton_delta(a, beta)
+            ref = delta_root(mpmath.mp, a, beta, delta)
+            assert ulps_off(delta, ref) <= bound, (a, beta)
+    # where the parent stop rule returned a midpoint 8.5 ulps off
+    a, beta = 0.5000000000000001, 0.00095625
+    delta, _ = rootfind.newton_delta(a, beta)
+    assert ulps_off(delta, delta_root(mpmath.mp, a, beta, delta)) <= 1.0
 
 
 @pytest.mark.parametrize("z0, v0, n_max", [(0.5j, 3 + 0j, 25),
