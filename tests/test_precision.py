@@ -174,7 +174,8 @@ def test_newton_delta_matches_mpmath():
             delta, _ = rootfind.newton_delta(a, beta)
             ref = delta_root(mpmath.mp, a, beta, delta)
             assert ulps_off(delta, ref) <= bound, (a, beta)
-    # where the parent stop rule returned a midpoint 8.5 ulps off
+    # the bracket collapses below 2 tol at the step that converges; its
+    # midpoint is 8.5 ulps off the root
     a, beta = 0.5000000000000001, 0.00095625
     delta, _ = rootfind.newton_delta(a, beta)
     assert ulps_off(delta, delta_root(mpmath.mp, a, beta, delta)) <= 1.0
