@@ -14,11 +14,10 @@ from .flight import (FlightSegment, FreeFlight, flight_position,
 from .rootfind import (FirstImpact, RootFindError, RootResult, T_STAR,
                        UnsupportedFirstImpact, first_impact, hybrid_root,
                        solve_delta, solve_tstar)
-from .impact_map import (ContractViolation, DEGENERATE, DegenerateImpact,
-                         GRAZING, ImpactEvent, MapState, TRANSVERSAL,
-                         classify_impact, in_degenerate_set,
-                         incoming_to_map_state, recurrence,
-                         recurrence_kernels, segment_max_height, step)
+from .impact_map import (ContractViolation, DEGENERATE, GRAZING, ImpactEvent,
+                         TRANSVERSAL, classify_impact, in_degenerate_set,
+                         recurrence, recurrence_kernels, segment_max_height,
+                         step)
 from .simulator import (ConvergenceRow, ConvergenceTable, QuasiTrajectory,
                         TrajectoryRecord, convergence_experiment,
                         quasi_position, quasi_velocity, record_state,
@@ -30,15 +29,15 @@ from .cli_io import (ExportOptions, export_trajectory, record_from_json,
 
 __all__ = [
     "AsymptoticRow", "BilliardError", "ContractViolation", "ConvergenceRow",
-    "ConvergenceTable", "DEFAULT_CONFIG", "DEGENERATE", "DegenerateImpact",
+    "ConvergenceTable", "DEFAULT_CONFIG", "DEGENERATE",
     "ExportOptions", "FirstImpact", "FlightSegment", "FreeFlight", "GRAZING",
-    "ImpactEvent", "MapState", "OracleMismatch", "PhaseState",
+    "ImpactEvent", "OracleMismatch", "PhaseState",
     "QuasiTrajectory", "RootFindError", "RootResult", "SimConfig", "T_STAR",
     "TRANSVERSAL", "TrajectoryRecord", "UnsupportedFirstImpact",
     "asymptotic_table", "classify_impact", "convergence_experiment",
     "estimate_growth_constant", "export_trajectory", "first_impact",
     "flight_position", "flight_velocity", "hybrid_root", "in_degenerate_set",
-    "incoming_to_map_state", "oracle_simulate", "quasi_position",
+    "oracle_simulate", "quasi_position",
     "quasi_velocity", "record_from_json", "record_state", "record_to_json",
     "recurrence", "recurrence_kernels", "reflect", "segment_max_height",
     "segment_position", "segment_velocity", "simulate", "solve_delta",

@@ -39,14 +39,6 @@ GRAZING = "grazing"
 DEGENERATE = "degenerate"
 
 
-class DegenerateImpact(BilliardError):
-    """The ball reached the rod with (numerically) zero velocity.
-
-    No billiard continuation exists past such an impact; the caller
-    decides between stopping and the sliding quasi-continuation.
-    """
-
-
 class ContractViolation(BilliardError):
     """An impact state broke an invariant the dynamics guarantees.
 
@@ -65,31 +57,6 @@ class ImpactEvent:
     zdot_in: complex
     zdot_out: complex
     kind: str
-
-
-@dataclass(frozen=True, slots=True)
-class MapState:
-    """Arc parameters (r, a, beta = b - 1) right after impact number ``n``.
-
-    The arc is r (1 + (a + ib) s) e^{-is}; beta is stored rather than b
-    because it tends to 0 along an orbit.
-    """
-
-    r: float
-    a: float
-    beta: float
-    n: int
-
-    def __post_init__(self) -> None:
-        if not (self.r > 0 and math.isfinite(self.r)
-                and math.isfinite(self.a) and math.isfinite(self.beta)):
-            raise ValueError(
-                f"impact state must be finite with r > 0, got "
-                f"r={self.r}, a={self.a}, beta={self.beta}")
-
-    @property
-    def b(self) -> float:
-        return 1.0 + self.beta
 
 
 def classify_impact(r: float, zdot_in: complex) -> str:
@@ -112,18 +79,6 @@ def classify_impact(r: float, zdot_in: complex) -> str:
         return GRAZING
     raise ContractViolation(
         f"velocity {zdot_in!r} at r={r} is not an admissible rod approach")
-
-
-def incoming_to_map_state(r: float, zdot_in: complex, n: int = 1) -> MapState:
-    """Arc a = Re zdot_in / r, beta = b - 1 = max(-Im zdot_in / r, 0) after
-    reflecting ``zdot_in`` at radius ``r``, lifting a grazing beta rounded
-    below 0 to 0 as ``simulate`` does.  ``classify_impact`` sorts the velocity:
-    a full stop raises DegenerateImpact, an inadmissible one ContractViolation.
-    """
-    if classify_impact(r, zdot_in) == DEGENERATE:
-        raise DegenerateImpact(
-            f"velocity {zdot_in!r} at r={r} is a full stop on the rod")
-    return MapState(r, zdot_in.real / r, max(-zdot_in.imag / r, 0.0), n)
 
 
 def recurrence_kernels(delta: float) -> tuple[float, float]:
@@ -157,8 +112,8 @@ def recurrence(delta: float, beta: float) -> tuple[float, float, float]:
             delta / math.sin(delta))
 
 
-def advance(r: float, a: float, beta: float
-            ) -> tuple[float, float, float, float]:
+def step(r: float, a: float, beta: float
+         ) -> tuple[float, float, float, float]:
     """One impact of the arc (r, a, beta): (delta, r', a', beta').
 
     The radius grows strictly: r' = r b delta/sin delta > r.
@@ -173,14 +128,8 @@ def advance(r: float, a: float, beta: float
     return delta, r_next, a_next, beta_next
 
 
-def step(ms: MapState) -> tuple[float, MapState, float]:
-    """Advance one impact: (delta, next state, max arc height)."""
-    delta, r, a, beta = advance(ms.r, ms.a, ms.beta)
-    return (delta, MapState(r=r, a=a, beta=beta, n=ms.n + 1),
-            segment_max_height(ms, delta))
-
-
-def segment_max_height(ms: MapState, delta: float) -> float:
+def segment_max_height(r: float, a: float, beta: float,
+                       delta: float) -> float:
     """Peak of the arc's height r s g(s) over (0, delta), g = F/s as in
     ``reduced_arc``.
 
@@ -190,7 +139,10 @@ def segment_max_height(ms: MapState, delta: float) -> float:
     h' = 0 at s = 0 as well, and is solved as h'/(r s) = g/s + g', which
     falls from -2a > 0.
     """
-    r, a, beta = ms.r, ms.a, ms.beta
+    if not (r > 0 and math.isfinite(r)
+            and math.isfinite(a) and math.isfinite(beta)):
+        raise ValueError(
+            f"arc must be finite with r > 0, got r={r}, a={a}, beta={beta}")
     if beta > 0.0:
         def f_df(s: float) -> tuple[float, float]:
             g, g1, g2 = reduced_arc(s, a, beta)

@@ -3,7 +3,7 @@ degenerate handling and record assembly.
 
 ``simulate`` finds the first rod contact in closed form from the angle
 of the free flight, then generates every further impact purely from the
-closed-form (r, a, b) recurrences; no flight is searched again, which
+closed-form (r, a, beta) recurrences; no flight is searched again, which
 removes root-finding drift from long orbits.  The brute-force verifier
 in ``oracle`` exists precisely to validate that choice.
 """
@@ -22,8 +22,8 @@ from .flight import (FlightSegment, FreeFlight, flight_position,
                      flight_velocity, reflect, segment_position,
                      segment_velocity)
 from .impact_map import (DEGENERATE, TRANSVERSAL, ContractViolation,
-                         ImpactEvent, MapState, advance, in_degenerate_set,
-                         segment_max_height)
+                         ImpactEvent, in_degenerate_set, segment_max_height,
+                         step)
 from .rootfind import T_STAR, UnsupportedFirstImpact, first_impact
 
 _log = logging.getLogger(__name__)
@@ -127,8 +127,8 @@ class TrajectoryRecord:
             delta=self.delta[k] if k < len(self.delta) else None)
 
     def _height(self, k: int) -> float:
-        ms = MapState(r=self.r[k], a=self.a[k], beta=self.beta[k], n=k + 1)
-        return segment_max_height(ms, self.delta[k])
+        return segment_max_height(self.r[k], self.a[k], self.beta[k],
+                                  self.delta[k])
 
 
 def simulate(z0: complex, v0: complex,
@@ -176,7 +176,7 @@ def simulate(z0: complex, v0: complex,
     comp = 0.0  # Neumaier compensation for the running time sum
     termination = "reached_n_max"
     while len(ts) < cfg.n_max:
-        delta, r, a, beta = advance(r, a, beta)
+        delta, r, a, beta = step(r, a, beta)
         s = t_sum + delta
         comp += (t_sum - s) + delta if t_sum >= delta else (delta - s) + t_sum
         t_sum = s

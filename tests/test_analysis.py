@@ -3,8 +3,8 @@ import math
 import pytest
 
 from rodbilliard import (SimConfig, asymptotic_table,
-                         estimate_growth_constant, incoming_to_map_state,
-                         segment_max_height, simulate, step)
+                         estimate_growth_constant, segment_max_height,
+                         simulate, step)
 
 
 @pytest.fixture(scope="module")
@@ -47,18 +47,19 @@ def test_b_minus_1_column_keeps_beta_precision():
 
 
 def test_table_heights_match_recomputation(orbit_i1):
-    # the map state carries beta = b - 1 to more digits than the segment's
-    # b holds, so the states are rebuilt by stepping from the first impact
+    # the arc carries beta = b - 1 to more digits than the segment's b
+    # holds, so the arcs are rebuilt by stepping from the first impact
     rows = asymptotic_table(orbit_i1, [3, 7])
     first = orbit_i1.impacts[0]
-    states = [incoming_to_map_state(first.r, first.zdot_in)]
-    while len(states) < 7:
-        states.append(step(states[-1])[1])
+    arcs = [(first.r, first.zdot_in.real / first.r,
+             max(-first.zdot_in.imag / first.r, 0.0))]
+    while len(arcs) < 7:
+        arcs.append(step(*arcs[-1])[1:])
     for row in rows:
         seg = orbit_i1.segments[row.n - 1]
-        ms = states[row.n - 1]
-        assert (seg.r, seg.a, seg.b) == (ms.r, ms.a, ms.b)
-        assert row.height_n == segment_max_height(ms, seg.delta)
+        r, a, beta = arcs[row.n - 1]
+        assert (seg.r, seg.a, seg.b) == (r, a, 1.0 + beta)
+        assert row.height_n == segment_max_height(r, a, beta, seg.delta)
 
 
 def test_table_deduplicates_and_sorts(orbit_i1):

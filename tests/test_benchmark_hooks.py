@@ -1,23 +1,30 @@
 """The benchmark's per-layer hooks find every function they trace.
 
 perfbench/tracing.py wraps functions by name and reads a renamed one as
-absent, which turns its per-layer metric into null without an error.
+absent, which turns its per-layer metric into null without an error; a
+function that exists but is no longer called reads as 0 instead.
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import rodbilliard
+from rodbilliard import SimConfig
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def test_tracer_finds_every_traced_function():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_finds_every_traced_function():
     original = rodbilliard.simulate
-    tracer = tracing.Tracer()
+    tracer = load_tracing().Tracer()
     tracer.install("rodbilliard")
     try:
         assert tracer.absent == []
@@ -25,3 +32,19 @@ def test_tracer_finds_every_traced_function():
     finally:
         tracer.uninstall()
     assert rodbilliard.simulate is original
+
+
+def test_traced_layers_run_on_the_reference_orbit():
+    # 400 impacts take one first contact and 399 impact steps; reading one
+    # height solves one arc
+    tracer = load_tracing().Tracer()
+    tracer.install("rodbilliard")
+    try:
+        record = rodbilliard.simulate(1j, 1 + 0j, SimConfig(n_max=400))
+        record.heights[0]
+    finally:
+        tracer.uninstall()
+    spans = Counter(tracer.names[i] for i in tracer.name[1:])
+    assert spans["impact_map.step"] == 399
+    assert spans["rootfind.first_impact"] == 1
+    assert spans["impact_map.segment_max_height"] == 1

@@ -447,6 +447,16 @@ def test_earlier_json_one_ulp_off_is_rejected(write, table, key):
                 record_from_json(json.dumps(data))
 
 
+def test_json_with_edited_radius_fails_on_height():
+    # the loader takes the columns as stored; an arc height checks its
+    # arc when it is solved
+    data = json.loads(record_to_json(simulate(1j, 1, SimConfig(n_max=3))))
+    data["r"][0] = -1.0
+    record = record_from_json(json.dumps(data))
+    with pytest.raises(ValueError, match="r > 0"):
+        record.heights[0]
+
+
 def test_json_roundtrip_degenerate_record():
     z0, v0 = stopping_set_point(1.5, 2.0)
     record = simulate(z0, v0, SimConfig(n_max=3, quasi_mode="extend"))

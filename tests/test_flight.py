@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from rodbilliard import (FlightSegment, FreeFlight, MapState, flight_position,
+from rodbilliard import (FlightSegment, FreeFlight, flight_position,
                          flight_velocity, reflect, segment_position,
                          segment_velocity, solve_delta, step, to_lab_frame,
                          unit_rotation)
@@ -117,11 +117,11 @@ def test_segment_anchor_values():
 
 
 def test_segment_endpoint_matches_next_radius():
-    delta, nxt, _ = step(MapState(r=1.0, a=0.0, beta=1.0, n=1))
+    delta, r_next, _, _ = step(1.0, 0.0, 1.0)
     seg = FlightSegment(n=1, t_start=0.0, r=1.0, a=0.0, b=2.0, delta=delta)
     end = segment_position(seg, delta)
-    assert abs(end.real - nxt.r) <= 1e-12 * nxt.r
-    assert abs(end.imag) <= 1e-12 * nxt.r
+    assert abs(end.real - r_next) <= 1e-12 * r_next
+    assert abs(end.imag) <= 1e-12 * r_next
 
 
 @pytest.mark.parametrize("r,a,b,t_start", [

@@ -3,11 +3,9 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rodbilliard import (ContractViolation, DegenerateImpact, MapState,
-                         T_STAR, classify_impact, in_degenerate_set,
-                         incoming_to_map_state, recurrence,
-                         segment_max_height, solve_delta, step,
-                         unit_rotation)
+from rodbilliard import (DEGENERATE, ContractViolation, T_STAR,
+                         classify_impact, in_degenerate_set, recurrence,
+                         segment_max_height, solve_delta, step, unit_rotation)
 from conftest import recurrence_direct
 
 # frozen from a 50-digit computation of the (a=0, b=2) step
@@ -20,18 +18,21 @@ OUT_IM = -1.7480892518851055
 HEIGHT_02 = 0.4297378205183161
 
 
-def outgoing_components(ms: MapState, delta: float) -> tuple[float, float]:
+def outgoing_components(r: float, beta: float,
+                        delta: float) -> tuple[float, float]:
     """Velocity components when the arc returns to the rod.
 
     Re = r (b/sin d - cos d/d) > 0 and Im = r (sin d/d - b d/sin d) < 0
-    for every admissible state; delta must be the return time of ``ms``.
-    The same velocity is r' (a' - i beta') in terms of the next state;
-    this closed form is the independent check of that identity.
+    for every admissible arc; delta must be the return time of the arc
+    leaving radius r with b = 1 + beta.  The same velocity is
+    r' (a' - i beta') in terms of the next arc; this closed form is the
+    independent check of that identity.
     """
     sd = math.sin(delta)
     cd = math.cos(delta)
-    re_out = ms.r * (ms.b / sd - cd / delta)
-    im_out = ms.r * (sd / delta - ms.b * delta / sd)
+    b = 1.0 + beta
+    re_out = r * (b / sd - cd / delta)
+    im_out = r * (sd / delta - b * delta / sd)
     return re_out, im_out
 
 
@@ -47,47 +48,29 @@ def test_classify_examples():
         classify_impact(-1.0, complex(0.5, -1.0))
 
 
-def test_incoming_state_simple():
-    ms = incoming_to_map_state(1.0, -1j)
-    assert (ms.a, ms.b, ms.n) == (0.0, 2.0, 1)
-
-
-def test_incoming_state_worked_example():
-    ms = incoming_to_map_state(1.3191565048905179,
-                               complex(0.6521846239091868, -2.0772166715899908))
-    assert abs(ms.a - 0.4943951847194312) < 1e-12
-    assert abs(ms.b - 2.5746552163364326) < 1e-12
-
-
-def test_incoming_state_grazing():
-    ms = incoming_to_map_state(2.0, complex(-1.0, 0.0))
-    assert (ms.a, ms.b) == (-0.5, 1.0)
-
-
-def test_incoming_state_errors():
-    with pytest.raises(DegenerateImpact):
-        incoming_to_map_state(1.0, complex(1e-12, -1e-12))
-    with pytest.raises(ContractViolation):
-        incoming_to_map_state(1.0, complex(0.5, 1.0))  # moving away from rod
-    with pytest.raises(ContractViolation):
-        incoming_to_map_state(1.0, complex(1.0, 0.0))  # grazing needs a < 0
-
-
 def test_step_worked_example():
-    delta, nxt, height = step(MapState(r=1.0, a=0.0, beta=1.0, n=1))
+    delta, r, a, beta = step(1.0, 0.0, 1.0)
+    height = segment_max_height(1.0, 0.0, 1.0, delta)
     assert abs(delta - DELTA_02) < 1e-12
-    assert abs(nxt.r - NEXT_R) <= 1e-12 * NEXT_R
-    assert abs(nxt.a - NEXT_A) <= 1e-12
-    assert abs(nxt.b - NEXT_B) <= 1e-12
-    assert nxt.n == 2
+    assert abs(r - NEXT_R) <= 1e-12 * NEXT_R
+    assert abs(a - NEXT_A) <= 1e-12
+    assert abs(1.0 + beta - NEXT_B) <= 1e-12
     assert abs(height - HEIGHT_02) <= 1e-12
 
 
+@pytest.mark.parametrize("r,a,beta", [
+    (-1.0, 0.0, 1.0), (0.0, 0.0, 1.0), (math.inf, 0.0, 1.0),
+    (1.0, math.nan, 1.0), (1.0, 0.0, math.inf)])
+def test_height_rejects_inadmissible_arc(r, a, beta):
+    with pytest.raises(ValueError):
+        segment_max_height(r, a, beta, DELTA_02)
+
+
 def test_height_against_brute_scan():
-    ms = MapState(r=1.0, a=0.0, beta=1.0, n=1)
-    refined = segment_max_height(ms, DELTA_02)
+    r, a, b = 1.0, 0.0, 2.0
+    refined = segment_max_height(r, a, b - 1.0, DELTA_02)
     brute = max(
-        ms.r * (ms.b * s * math.cos(s) - (1 + ms.a * s) * math.sin(s))
+        r * (b * s * math.cos(s) - (1 + a * s) * math.sin(s))
         for s in (DELTA_02 * i / 10**6 for i in range(10**6 + 1)))
     assert brute <= refined  # grid max cannot beat the refined max
     assert abs(refined - brute) <= 1e-12 * refined
@@ -95,10 +78,10 @@ def test_height_against_brute_scan():
 
 def test_height_grazing_start_is_second_order():
     # b = 1: the arc leaves the rod tangentially, Im f ~ -a s^2
-    ms = MapState(r=1.0, a=-0.4, beta=0.0, n=1)
+    r, a, b = 1.0, -0.4, 1.0
     for s in (1e-4, 1e-3, 1e-2):
-        h = ms.r * (ms.b * s * math.cos(s) - (1 + ms.a * s) * math.sin(s))
-        assert abs(h / (-ms.a * s * s) - 1.0) < 0.02
+        h = r * (b * s * math.cos(s) - (1 + a * s) * math.sin(s))
+        assert abs(h / (-a * s * s) - 1.0) < 0.02
 
 
 def test_small_delta_limits():
@@ -120,26 +103,24 @@ def test_map_converges_to_fixed_point():
 
 
 def test_outgoing_worked_example():
-    ms = MapState(r=1.0, a=0.0, beta=1.0, n=1)
-    re_out, im_out = outgoing_components(ms, DELTA_02)
+    re_out, im_out = outgoing_components(1.0, 1.0, DELTA_02)
     assert abs(re_out - OUT_RE) < 1e-12
     assert abs(im_out - OUT_IM) < 1e-12
 
 
 def test_outgoing_small_delta_grazing_taylor():
     # for b = 1 the incoming vertical velocity shrinks like -r delta^2 / 3
-    ms = MapState(r=2.0, a=-1.0, beta=0.0, n=1)
+    r = 2.0
     delta = 1e-3
-    _, im_out = outgoing_components(ms, delta)
-    assert abs(im_out / (-ms.r * delta ** 2 / 3.0) - 1.0) < 1e-2
+    _, im_out = outgoing_components(r, 0.0, delta)
+    assert abs(im_out / (-r * delta ** 2 / 3.0) - 1.0) < 1e-2
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.floats(-2.0, 2.0), st.floats(1.001, 4.0))
 def test_outgoing_sign_contract(a, b):
-    ms = MapState(r=1.0, a=a, beta=b - 1.0, n=2)
     delta = solve_delta(a, b - 1.0)
-    re_out, im_out = outgoing_components(ms, delta)
+    re_out, im_out = outgoing_components(1.0, b - 1.0, delta)
     assert re_out > 0.0
     assert im_out < 0.0
 
@@ -149,10 +130,10 @@ def test_outgoing_sign_contract(a, b):
 @example(1.8540892419442159, 1.001)  # off by 1.8e-10 with an absolute root stop
 def test_reciprocal_identity(a, b):
     # 1/a' = delta + 1/(a + b tan delta), valid below the tangent pole
-    delta, nxt, _ = step(MapState(r=1.0, a=a, beta=b - 1.0, n=1))
+    delta, _, a_next, _ = step(1.0, a, b - 1.0)
     if delta >= math.pi / 2 - 1e-3:
         return
-    lhs = 1.0 / nxt.a
+    lhs = 1.0 / a_next
     rhs = delta + 1.0 / (a + b * math.tan(delta))
     assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
 
@@ -163,10 +144,10 @@ def test_a_recurrence_via_b_elimination(a, b):
     # eliminating b through the return-time equation turns the a-map into
     # a cos^2(d)/(1 + a d) + sin^2(d)/d, an independent route to the same
     # value that never touches b
-    delta, nxt, _ = step(MapState(r=1.0, a=a, beta=b - 1.0, n=1))
+    delta, _, a_next, _ = step(1.0, a, b - 1.0)
     cd, sd = math.cos(delta), math.sin(delta)
     alt = a * cd * cd / (1.0 + a * delta) + sd * sd / delta
-    assert abs(alt - nxt.a) <= 1e-10 * max(1.0, abs(nxt.a))
+    assert abs(alt - a_next) <= 1e-10 * max(1.0, abs(a_next))
 
 
 @settings(max_examples=150, deadline=None)
@@ -186,12 +167,14 @@ def test_iter_forms_agree(a, b):
 @settings(max_examples=150, deadline=None)
 @given(st.floats(-2.0, 2.0), st.floats(1.001, 4.0))
 def test_outgoing_feeds_back_into_next_state(a, b):
-    ms = MapState(r=1.0, a=a, beta=b - 1.0, n=1)
-    delta, nxt, _ = step(ms)
-    re_out, im_out = outgoing_components(ms, delta)
-    ms2 = incoming_to_map_state(nxt.r, complex(re_out, im_out), n=nxt.n)
-    assert abs(ms2.a - nxt.a) <= 1e-11 * max(1.0, abs(nxt.a))
-    assert abs(ms2.b - nxt.b) <= 1e-11 * nxt.b
+    delta, r_next, a_next, beta_next = step(1.0, a, b - 1.0)
+    re_out, im_out = outgoing_components(1.0, b - 1.0, delta)
+    # the next arc from the returning velocity, as simulate starts its
+    # first arc
+    assert classify_impact(r_next, complex(re_out, im_out)) != DEGENERATE
+    a2, b2 = re_out / r_next, 1.0 + max(-im_out / r_next, 0.0)
+    assert abs(a2 - a_next) <= 1e-11 * max(1.0, abs(a_next))
+    assert abs(b2 - (1.0 + beta_next)) <= 1e-11 * (1.0 + beta_next)
 
 
 def test_series_matches_direct_across_switch():
@@ -207,27 +190,28 @@ def test_series_matches_direct_across_switch():
 
 
 def test_strict_radius_growth_along_orbit():
-    ms = MapState(r=1.0, a=0.0, beta=1.0, n=1)
+    r, a, beta = 1.0, 0.0, 1.0
     prev_delta = math.inf
     for _ in range(200):
-        delta, nxt, height = step(ms)
-        assert nxt.r > ms.r
+        delta, r_next, a_next, beta_next = step(r, a, beta)
+        height = segment_max_height(r, a, beta, delta)
+        assert r_next > r
         assert delta < prev_delta
         assert height > 0.0
-        prev_delta, ms = delta, nxt
+        prev_delta, r, a, beta = delta, r_next, a_next, beta_next
 
 
 def test_box_invariant_along_orbit():
-    ms = MapState(r=1.3191565048905179, a=0.4943951847194312,
-                  beta=2.5746552163364326 - 1.0, n=1)
+    r, a = 1.3191565048905179, 0.4943951847194312
+    beta = 2.5746552163364326 - 1.0
     for _ in range(300):
-        delta, nxt, _ = step(ms)
-        ms = nxt
+        _, r, a, beta = step(r, a, beta)
         # box for n >= 2: 1 < b < 2, 0 < a < 1/delta, (1 + a delta)/b < 1
-        d_next = solve_delta(ms.a, ms.beta)
-        assert 1.0 < ms.b < 2.0
-        assert 0.0 < ms.a < 1.0 / d_next
-        assert (1.0 + ms.a * d_next) / ms.b < 1.0
+        b = 1.0 + beta
+        d_next = solve_delta(a, beta)
+        assert 1.0 < b < 2.0
+        assert 0.0 < a < 1.0 / d_next
+        assert (1.0 + a * d_next) / b < 1.0
 
 
 def test_degenerate_set_member_by_construction():

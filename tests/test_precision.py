@@ -14,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from rodbilliard import (SimConfig, incoming_to_map_state,
-                         recurrence_kernels, simulate, solve_delta, step)
+from rodbilliard import (SimConfig, recurrence_kernels, segment_max_height,
+                         simulate, solve_delta, step)
 from rodbilliard import impact_map, rootfind
 from rodbilliard.rootfind import SERIES_MAX, reduced_arc
 from conftest import random_supported_starts
@@ -203,8 +203,7 @@ def test_newton_iterations_per_impact(monkeypatch):
     # are checked against mpmath at every 100th step
     mpmath = pytest.importorskip("mpmath")
     record = simulate(1j, 1 + 0j, SimConfig(n_max=1))
-    first = record.impacts[0]
-    ms = incoming_to_map_state(first.r, first.zdot_in)
+    r, a, beta, n = record.r[0], record.a[0], record.beta[0], 1
     counts = {"delta": [], "height": []}
     newton_delta, hybrid_root = rootfind.newton_delta, rootfind.hybrid_root
 
@@ -224,8 +223,8 @@ def test_newton_iterations_per_impact(monkeypatch):
     per_step = []  # delta evaluations per step, 0 for a series step
     for _ in range(10_000):
         before = len(counts["delta"])
-        a, beta, n = ms.a, ms.beta, ms.n
-        delta, ms, _ = step(ms)
+        delta, r_next, a_next, beta_next = step(r, a, beta)
+        segment_max_height(r, a, beta, delta)
         its = counts["delta"][before:]
         if in_reversion_box(a, beta):
             assert its == [], n
@@ -236,6 +235,7 @@ def test_newton_iterations_per_impact(monkeypatch):
         else:
             assert len(its) == 1, n
         per_step.append(sum(its))
+        r, a, beta, n = r_next, a_next, beta_next, n + 1
     assert inside == list(range(301, 10_001))
     # the 300 Newton solves before the box take the evaluations they
     # took before the series existed (3.06 each: the early arcs are long)

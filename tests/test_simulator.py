@@ -12,8 +12,8 @@ from rodbilliard.core import DEFAULT_CONFIG, GRAZING_TOL, require_finite
 from rodbilliard.flight import FlightSegment, flight_velocity, reflect
 from rodbilliard.impact_map import (DEGENERATE, TRANSVERSAL,
                                     ContractViolation, ImpactEvent,
-                                    in_degenerate_set,
-                                    incoming_to_map_state, step)
+                                    in_degenerate_set, segment_max_height,
+                                    step)
 from rodbilliard.rootfind import UnsupportedFirstImpact, first_impact
 from rodbilliard.simulator import RowView
 from conftest import (GRAZING_V0, GRAZING_Z0, make_grazing_start,
@@ -34,6 +34,14 @@ def test_worked_chain(orbit_i1):
         assert abs(ev.t - t) <= 1e-12 * (1 + t)
         assert abs(ev.r - r) <= 1e-12 * r
     assert orbit_i1.impacts[0].kind == "transversal"
+
+
+def test_first_arc_worked_example():
+    # the reflection of the first contact's velocity,
+    # 0.6521846239091868 - 2.0772166715899908i at r = 1.3191565048905179
+    record = simulate(1j, 1 + 0j, SimConfig(n_max=1))
+    assert abs(record.a[0] - 0.4943951847194312) < 1e-12
+    assert abs(1.0 + record.beta[0] - 2.5746552163364326) < 1e-12
 
 
 def test_determinism():
@@ -166,13 +174,19 @@ def test_near_grazing_starts_simulate():
     # disagree within rounding of a tangency, and about a quarter of these
     # starts raised ContractViolation
     kinds = set()
+    lifted = 0
     for z0, v0 in near_grazing_starts(200, seed=20261018):
         record = simulate(z0, v0, SimConfig(n_max=25))
         assert record.termination == "reached_n_max"
         if record.first_kind == "grazing":
             assert record.beta[0] >= 0.0 > record.a[0]
+            # a grazing beta rounded below 0 starts the arc at exactly 0
+            if -record.first_zdot_in.imag / record.r[0] < 0.0:
+                assert record.beta[0] == 0.0
+                lifted += 1
         kinds.add(record.first_kind)
     assert kinds == {"grazing", "transversal"}
+    assert lifted > 0
 
 
 def test_unsupported_first_impact_record():
@@ -369,13 +383,15 @@ def reference_simulate(z0: complex, v0: complex,
 
     segments: list[FlightSegment] = []
     heights: list[float] = []
-    ms = incoming_to_map_state(r1, zdot_in)
+    # the arc (r, a, beta) leaving impact n
+    r, a, beta, n = r1, zdot_in.real / r1, max(-zdot_in.imag / r1, 0.0), 1
     t_rec = t1
     t_sum = t1
     comp = 0.0  # Neumaier compensation for the running time sum
     termination = "reached_n_max"
     while len(impacts) < cfg.n_max:
-        delta, ms_next, height = step(ms)
+        delta, r_next, a_next, beta_next = step(r, a, beta)
+        height = segment_max_height(r, a, beta, delta)
         s = t_sum + delta
         comp += (t_sum - s) + delta if t_sum >= delta else (delta - s) + t_sum
         t_sum = s
@@ -383,28 +399,28 @@ def reference_simulate(z0: complex, v0: complex,
         if t_next > cfg.t_max:
             termination = "reached_t_max"
             break
-        # the incoming velocity whose reflection ms_next describes
-        zdot_in = complex(ms_next.r * ms_next.a, -ms_next.r * ms_next.beta)
-        if not (ms_next.a > 0.0 and ms_next.beta > 0.0):
+        # the incoming velocity whose reflection the next arc describes
+        zdot_in = complex(r_next * a_next, -r_next * beta_next)
+        if not (a_next > 0.0 and beta_next > 0.0):
             raise ContractViolation(
-                f"inadmissible step at n={ms.n}: state {ms}, "
-                f"next {ms_next}, incoming {zdot_in!r}")
+                f"inadmissible step at n={n}: arc {(r, a, beta)}, "
+                f"next {(r_next, a_next, beta_next)}, incoming {zdot_in!r}")
         if zdot_in.imag >= -GRAZING_TOL * (1.0 + abs(zdot_in)):
             # within roundoff of grazing; the dynamics forbids true grazing
             # past the first impact, so keep it transversal
             _log.warning("near-grazing incoming velocity %r at n=%d",
-                         zdot_in, ms_next.n)
-        segments.append(FlightSegment(n=ms.n, t_start=t_rec, r=ms.r,
-                                      a=ms.a, b=ms.b, delta=delta))
+                         zdot_in, n + 1)
+        segments.append(FlightSegment(n=n, t_start=t_rec, r=r,
+                                      a=a, b=1.0 + beta, delta=delta))
         heights.append(height)
-        impacts.append(ImpactEvent(n=ms_next.n, t=t_next, r=ms_next.r,
+        impacts.append(ImpactEvent(n=n + 1, t=t_next, r=r_next,
                                    zdot_in=zdot_in,
                                    zdot_out=reflect(zdot_in),
                                    kind=TRANSVERSAL))
-        ms = ms_next
+        r, a, beta, n = r_next, a_next, beta_next, n + 1
         t_rec = t_next
-    segments.append(FlightSegment(n=ms.n, t_start=t_rec, r=ms.r,
-                                  a=ms.a, b=ms.b, delta=None))
+    segments.append(FlightSegment(n=n, t_start=t_rec, r=r,
+                                  a=a, b=1.0 + beta, delta=None))
     return finished(impacts, segments, heights, termination)
 
 
