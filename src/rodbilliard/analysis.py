@@ -38,24 +38,22 @@ def asymptotic_table(record: TrajectoryRecord,
     if min(ns) < 1:
         raise ValueError(f"impact indices are 1-based, got {min(ns)}")
     need = max(ns) + 1
-    if need > len(record.impacts):
+    if need > len(record.t):
         raise ValueError(
             f"need {need} impacts for n = {max(ns)}, record has "
-            f"{len(record.impacts)}")
+            f"{len(record.t)}")
     rows = []
     for n in sorted(set(ns)):
-        seg = record.segments[n - 1]
-        ev = record.impacts[n - 1]
-        ev_next = record.impacts[n]
+        delta, t = record.delta[n - 1], record.t[n - 1]
         rows.append(AsymptoticRow(
             n=n,
-            delta_n=seg.delta,
-            n_delta_n=n * seg.delta,
+            delta_n=delta,
+            n_delta_n=n * delta,
             b_minus_1_scaled=n * record.beta[n - 1],
-            ratio_scaled=n * (ev_next.r / ev.r - 1.0),
-            t_over_logn=ev.t / math.log(n) if n > 1 else math.nan,
+            ratio_scaled=n * (record.r[n] / record.r[n - 1] - 1.0),
+            t_over_logn=t / math.log(n) if n > 1 else math.nan,
             height_n=record.heights[n - 1],
-            a_n=seg.a,
+            a_n=record.a[n - 1],
         ))
     return rows
 

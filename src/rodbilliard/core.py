@@ -41,6 +41,41 @@ def require_departing_start(z0: complex, v0: complex) -> None:
             "initial state sits on the rod without departing from it")
 
 
+TRANSVERSAL = "transversal"
+GRAZING = "grazing"
+DEGENERATE = "degenerate"
+
+
+class ContractViolation(BilliardError):
+    """An impact state broke an invariant the dynamics guarantees.
+
+    Signals a numerical failure or an input outside the supported class,
+    never physics.
+    """
+
+
+def classify_impact(r: float, zdot_in: complex) -> str:
+    """Sort an incoming impact velocity into transversal/grazing/degenerate.
+
+    Degenerate is a full stop on the rod (cubic tangency of the arc, no
+    billiard continuation); grazing is a tangential pass (quadratic
+    tangency).  Anything else with non-negative vertical velocity is a
+    ContractViolation: the dynamics never produces it.
+    """
+    if not r > 0:
+        raise ValueError(f"impact radius must be positive, got {r}")
+    require_finite(zdot_in, "zdot_in")
+    if abs(zdot_in) <= GRAZING_TOL * (1.0 + r):
+        return DEGENERATE
+    tol = GRAZING_TOL * (1.0 + abs(zdot_in))
+    if zdot_in.imag < -tol:
+        return TRANSVERSAL
+    if zdot_in.imag <= tol and zdot_in.real < -tol:
+        return GRAZING
+    raise ContractViolation(
+        f"velocity {zdot_in!r} at r={r} is not an admissible rod approach")
+
+
 def unit_rotation(theta: float) -> complex:
     """Unit complex number at angle ``theta``, i.e. cos(theta) + i sin(theta)."""
     return complex(math.cos(theta), math.sin(theta))

@@ -22,7 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import BilliardError, GRAZING_TOL, require_finite
+# DEGENERATE and TRANSVERSAL are imported for callers that take them from here
+from .core import (DEGENERATE, GRAZING_TOL, TRANSVERSAL, ContractViolation,
+                   require_finite, unit_rotation)
 from .rootfind import (ROOT_REL_TOL, SERIES_MAX, T_STAR, hybrid_root,
                        reduced_arc, small_root_guess, solve_delta)
 
@@ -34,19 +36,6 @@ from .rootfind import (ROOT_REL_TOL, SERIES_MAX, T_STAR, hybrid_root,
 (_M0, _M1, _M2, _M3, _M4, _M5, _M6, _M7, _M8, _M9, _M10, _M11) = (
     (-1) ** n * 4 ** (n + 1) / math.factorial(2 * n + 3) for n in range(12))
 
-TRANSVERSAL = "transversal"
-GRAZING = "grazing"
-DEGENERATE = "degenerate"
-
-
-class ContractViolation(BilliardError):
-    """An impact state broke an invariant the dynamics guarantees.
-
-    Signals a numerical failure or an input outside the supported class,
-    never physics.
-    """
-
-
 @dataclass(frozen=True, slots=True)
 class ImpactEvent:
     """One collision: index, time, radius, velocities on both sides, kind."""
@@ -57,28 +46,6 @@ class ImpactEvent:
     zdot_in: complex
     zdot_out: complex
     kind: str
-
-
-def classify_impact(r: float, zdot_in: complex) -> str:
-    """Sort an incoming impact velocity into transversal/grazing/degenerate.
-
-    Degenerate is a full stop on the rod (cubic tangency of the arc, no
-    billiard continuation); grazing is a tangential pass (quadratic
-    tangency).  Anything else with non-negative vertical velocity is a
-    ContractViolation: the dynamics never produces it.
-    """
-    if not r > 0:
-        raise ValueError(f"impact radius must be positive, got {r}")
-    require_finite(zdot_in, "zdot_in")
-    if abs(zdot_in) <= GRAZING_TOL * (1.0 + r):
-        return DEGENERATE
-    tol = GRAZING_TOL * (1.0 + abs(zdot_in))
-    if zdot_in.imag < -tol:
-        return TRANSVERSAL
-    if zdot_in.imag <= tol and zdot_in.real < -tol:
-        return GRAZING
-    raise ContractViolation(
-        f"velocity {zdot_in!r} at r={r} is not an admissible rod approach")
 
 
 def recurrence_kernels(delta: float) -> tuple[float, float]:
@@ -116,7 +83,12 @@ def step(r: float, a: float, beta: float
          ) -> tuple[float, float, float, float]:
     """One impact of the arc (r, a, beta): (delta, r', a', beta').
 
-    The radius grows strictly: r' = r b delta/sin delta > r.
+    The next arc is admissible unchecked: with beta >= 0, delta lies in
+    (0, pi), so p = 1 - (sin delta/delta)^2 and m = (2 delta - sin 2delta)
+    /(2 delta^3) are positive (their series alternate, falling from 1/3
+    and 2/3), and beta' = (beta + p)/b, a' = (beta/delta + delta m)/b are
+    sums of positive finite terms over b >= 1.  The radius grows strictly,
+    r' = r b delta/sin delta > r, which is checked.
     """
     delta = solve_delta(a, beta)
     a_next, beta_next, dos = recurrence(delta, beta)
@@ -168,8 +140,10 @@ def in_degenerate_set(z0: complex, zdot0: complex
     the rod with zero velocity at time tau, for 0 < tau < t*.  The test
     runs in the lab frame: there v0 = zdot0 + i z0 = i r e^{i tau} adds
     terms of sizes r tau and r without cancellation, however small tau
-    is, and z0/v0 = -tau - i.  So membership reduces to Im(z0/v0) = -1
-    and 0 < -Re(z0/v0) < t*, with r = |v0|.
+    is, and z0/v0 = -tau - i.  That ratio does not see z0 and v0 turn
+    together, so membership is Im(z0/v0) = -1, 0 < tau = -Re(z0/v0) < t*
+    and the rest point -i v0 e^{-i tau} = r = |v0| on the positive
+    semiaxis, each within GRAZING_TOL.
 
     Returns (member, r, tau); r and tau are 0.0 for non-members.
     """
@@ -179,8 +153,10 @@ def in_degenerate_set(z0: complex, zdot0: complex
     if zdot0 == 0 or v0 == 0:
         return False, 0.0, 0.0
     q = z0 / v0
-    tau = -q.real
+    tau, r = -q.real, abs(v0)
+    rest = -1j * v0 * unit_rotation(-tau)
     if (abs(q.imag + 1.0) > GRAZING_TOL * (1.0 + abs(q))
-            or not 0.0 < tau < T_STAR):
+            or not 0.0 < tau < T_STAR or not rest.real > 0.0
+            or abs(rest.imag) > GRAZING_TOL * (1.0 + r)):
         return False, 0.0, 0.0
-    return True, abs(v0), tau
+    return True, r, tau

@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-from .core import BilliardError, EPS, GRAZING_TOL, require_departing_start
+from .core import (BilliardError, EPS, GRAZING, GRAZING_TOL, ContractViolation,
+                   classify_impact, require_departing_start)
 from .flight import FreeFlight, flight_velocity
 
 
@@ -301,8 +302,6 @@ def first_impact(ff: FreeFlight) -> FirstImpact:
     velocity.  A tangency touches the rod by construction: there a velocity
     neither degenerate nor transversal is grazing, never a violation.
     """
-    from .impact_map import GRAZING, ContractViolation, classify_impact
-
     z0, v0 = ff.z, ff.v
     require_departing_start(z0, v0)
 

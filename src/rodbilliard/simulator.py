@@ -14,15 +14,14 @@ import logging
 import math
 from bisect import bisect_right
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .core import (DEFAULT_CONFIG, GRAZING_TOL, PhaseState, SimConfig,
-                   require_finite, unit_rotation)
+from .core import (DEFAULT_CONFIG, DEGENERATE, GRAZING_TOL, TRANSVERSAL,
+                   PhaseState, SimConfig, require_finite, unit_rotation)
 from .flight import (FlightSegment, FreeFlight, flight_position,
                      flight_velocity, reflect, segment_position,
                      segment_velocity)
-from .impact_map import (DEGENERATE, TRANSVERSAL, ContractViolation,
-                         ImpactEvent, in_degenerate_set, segment_max_height,
+from .impact_map import (ImpactEvent, in_degenerate_set, segment_max_height,
                          step)
 from .rootfind import T_STAR, UnsupportedFirstImpact, first_impact
 
@@ -148,19 +147,24 @@ def simulate(z0: complex, v0: complex,
     if z0.imag < 0.0:
         raise ValueError(f"initial position {z0!r} lies below the rod")
 
-    # analytic early exit: exact full-stop initial data need no root search
+    # a full-stop member stops in closed form where first_impact agrees or
+    # finds it on the rod; a near-tangent line in the set's band passes on
     member, r_m, tau = in_degenerate_set(z0, v0 - 1j * z0)
-    if member and tau <= cfg.t_max:
-        t1, r1, kind, zdot_in = tau, r_m, DEGENERATE, 0j
+    ff = FreeFlight(z0, v0)
+    try:
+        t1, r1, kind = first_impact(ff)
+    except UnsupportedFirstImpact:
+        return TrajectoryRecord(z0, v0, cfg, "unsupported_first_impact")
+    except ValueError:
+        if not member:
+            raise
+        kind = DEGENERATE
+    if member and kind == DEGENERATE:
+        t1, r1, zdot_in = tau, r_m, 0j
     else:
-        ff = FreeFlight(z0, v0)
-        try:
-            t1, r1, kind = first_impact(ff)
-        except UnsupportedFirstImpact:
-            return TrajectoryRecord(z0, v0, cfg, "unsupported_first_impact")
-        if t1 > cfg.t_max:
-            return TrajectoryRecord(z0, v0, cfg, "reached_t_max")
         zdot_in = flight_velocity(ff, t1)
+    if t1 > cfg.t_max:
+        return TrajectoryRecord(z0, v0, cfg, "reached_t_max")
     if kind == DEGENERATE:
         extend = cfg.quasi_mode == "extend"
         return TrajectoryRecord(
@@ -185,11 +189,7 @@ def simulate(z0: complex, v0: complex,
             termination = "reached_t_max"
             break
         # the incoming velocity, whose reflection is the new arc (a, beta),
-        # is r (a - i beta); it is built only for the messages
-        if not (0.0 < a < math.inf and 0.0 < beta < math.inf):
-            raise ContractViolation(
-                f"inadmissible step at n={len(ts)}: a={a}, beta={beta} "
-                f"after delta={delta}, incoming {complex(r * a, -r * beta)!r}")
+        # is r (a - i beta); a and beta are positive (see ``step``)
         if r * beta <= GRAZING_TOL * (1.0 + math.hypot(r * a, r * beta)):
             # within roundoff of grazing; the dynamics forbids true grazing
             # past the first impact, so keep it transversal
@@ -266,8 +266,8 @@ class ConvergenceTable:
 
 
 def convergence_experiment(r: float, t1: float, epsilons: list[float],
-                           T: float, cfg: SimConfig | None = None,
-                           grid_points: int = 1000) -> ConvergenceTable:
+                           T: float, grid_points: int = 1000
+                           ) -> ConvergenceTable:
     """Distance of perturbed trajectories from the sliding continuation.
 
     Starts from the full-stop initial condition with parameters (r, t1),
@@ -276,7 +276,6 @@ def convergence_experiment(r: float, t1: float, epsilons: list[float],
     [0, T].  Report only: whether these suprema vanish as eps -> 0 is an
     open conjecture, so nothing here asserts a trend.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if not 0.0 < t1 < T_STAR:
         raise ValueError(f"t1 must lie in (0, {T_STAR}), got {t1}")
     if not (r > 0.0 and T > 0.0):
@@ -286,8 +285,7 @@ def convergence_experiment(r: float, t1: float, epsilons: list[float],
     zdot0 = -r * t1 * rot
     v0 = zdot0 + 1j * z0
     quasi = QuasiTrajectory(r=r, t1=t1)
-    run_cfg = replace(cfg, quasi_mode="extend", t_max=T,
-                      n_max=max(cfg.n_max, 1_000_000))
+    run_cfg = SimConfig(n_max=1_000_000, t_max=T, quasi_mode="extend")
 
     def quasi_state(t: float) -> tuple[complex, complex]:
         if t >= t1:

@@ -10,7 +10,9 @@ import pytest
 from rodbilliard import (FreeFlight, SimConfig, flight_position, quasi_position,
                          segment_position, simulate, to_lab_frame,
                          unit_rotation)
-from rodbilliard.cli_io import main, record_from_json, record_to_json
+from rodbilliard import cli_io
+from rodbilliard.cli_io import (ExportOptions, main, record_from_json,
+                                record_to_json)
 from conftest import (GRAZING_V0, GRAZING_Z0, random_supported_starts,
                       stopping_set_point)
 
@@ -73,6 +75,12 @@ def test_simulate_bad_samples_exit_1():
     with pytest.raises(SystemExit) as exc:
         run_cli(["simulate", "--z0", "0,1", "--v0", "1,0", "--samples", "1"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("opts", [{"format": "xml"}, {"frame": "polar"}])
+def test_export_options_reject_bad_choice(opts):
+    with pytest.raises(ValueError):
+        ExportOptions(**opts)
 
 
 def test_simulate_unsupported_exit_2(capsys):
@@ -549,6 +557,12 @@ def test_asympt_budget_too_small_exit_1():
     assert exc.value.code == 1
 
 
+def test_asympt_index_zero_exit_1():
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["asympt", "--z0", "0,1", "--v0", "1,0", "--at", "0"])
+    assert exc.value.code == 1
+
+
 def test_oracle_comparison_ok(capsys):
     code = run_cli(["oracle", "--z0", "0,1", "--v0", "1,0",
                     "--n-impacts", "10"])
@@ -608,6 +622,18 @@ def test_oracle_coarse_scan_exit_4(capsys):
     assert "oracle" in captured.err
 
 
+def test_oracle_length_mismatch_exit_4(capsys, monkeypatch):
+    scan = cli_io.oracle_simulate
+    monkeypatch.setattr(cli_io, "oracle_simulate",
+                        lambda *args: scan(*args)[:-1])
+    code = run_cli(["oracle", "--z0", "0,1", "--v0", "1,0",
+                    "--n-impacts", "5"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert "produced 5 impacts, oracle 4" in captured.err
+
+
 def test_oracle_caps_budget():
     with pytest.raises(SystemExit) as exc:
         run_cli(["oracle", "--z0", "0,1", "--v0", "1,0",
@@ -647,6 +673,13 @@ def test_config_file_unknown_key_exit_1(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli(["impacts", "--config", str(cfg_file)])
     assert exc.value.code == 1
+
+
+def test_config_file_unreadable_exit_1(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["impacts", "--config", str(tmp_path / "missing.cfg")])
+    assert exc.value.code == 1
+    assert "cannot read config file" in capsys.readouterr().err
 
 
 def test_console_entry_point():
@@ -768,7 +801,8 @@ def test_config_key_matches_flag(tmp_path, capsys, command, key):
 
 @pytest.mark.parametrize("command,line", [
     ("impacts", "quasi=bounce"), ("simulate", "frame=polar"),
-    ("simulate", "format=xml"), ("impacts", "band=1,2")])
+    ("simulate", "format=xml"), ("impacts", "band=1,2"),
+    ("impacts", "n-max 3")])
 def test_config_file_bad_value_or_foreign_key_exit_1(tmp_path, command,
                                                      line):
     cfg_file = tmp_path / "run.cfg"

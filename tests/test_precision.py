@@ -79,6 +79,23 @@ def test_reference_orbit_checkpoints():
     assert used >= 15  # every checkpoint from n = 1 to n = 2 10^4
 
 
+def test_grazing_arc_height_matches_mpmath():
+    # beta = 0: h/r = s g(s) = s cos s - (1 + a s) sin s peaks where
+    # h'/r = -a (sin s + s cos s) - s sin s vanishes, near s = -2a
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    for a in (-3.0, -1.5, -0.4, -1e-2, -1e-4, -1e-6):
+        delta = solve_delta(a, 0.0)
+        with mp.workdps(40):
+            x = mp.mpf(a)
+            s = mp.findroot(
+                lambda s: -x * (mp.sin(s) + s * mp.cos(s)) - s * mp.sin(s),
+                (mp.mpf(delta) / 1000, mp.mpf(delta)), solver="anderson")
+            ref = s * mp.cos(s) - (1 + x * s) * mp.sin(s)
+        height = segment_max_height(1.0, a, 0.0, delta)
+        assert relative_error(height, ref) <= 1e-15, a
+
+
 def delta_root(mp, a, beta, guess):
     """Root of g(s) = beta cos s - a sin s - (sin s/s - cos s) to 40 digits,
     by Newton steps from a float root."""

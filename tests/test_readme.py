@@ -1,7 +1,9 @@
 """Every ``rodbilliard`` example in README's sh blocks runs through
 ``cli_io.main`` with its documented exit code: 3 for the full stop, 0 for
-every other line.  A ``> file`` redirect is dropped, and the JSON example
-must reload equal to ``simulate``'s record."""
+every other line.  A ``> file`` redirect is dropped, the JSON example
+must reload equal to ``simulate``'s record, and the full-stop example
+must be a member of the full-stop set that ``first_impact`` calls
+degenerate."""
 
 import re
 import shlex
@@ -9,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from rodbilliard import SimConfig, simulate
+from rodbilliard import (DEGENERATE, FreeFlight, SimConfig, first_impact,
+                         in_degenerate_set, simulate)
 from rodbilliard.cli_io import main, record_from_json
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -44,11 +47,20 @@ def test_readme_example(capsys, argv, comment):
     code = main(argv)
     out = capsys.readouterr().out
     assert code == (3 if "full-stop" in comment else 0)
-    if "json" in argv:
-        def flag(name):
-            return argv[argv.index(name) + 1]
 
-        z0, v0 = (complex(*map(float, flag(name).split(",")))
-                  for name in ("--z0", "--v0"))
+    def flag(name):
+        """The value of ``--name V`` or ``--name=V``."""
+        for k, arg in enumerate(argv):
+            if arg == name:
+                return argv[k + 1]
+            if arg.startswith(name + "="):
+                return arg[len(name) + 1:]
+
+    z0, v0 = (complex(*map(float, flag(name).split(",")))
+              for name in ("--z0", "--v0"))
+    if "full-stop" in comment:
+        assert in_degenerate_set(z0, v0 - 1j * z0)[0]
+        assert first_impact(FreeFlight(z0, v0)).kind == DEGENERATE
+    if "json" in argv:
         record = simulate(z0, v0, SimConfig(n_max=int(flag("--n-max"))))
         assert record_from_json(out) == record

@@ -23,6 +23,16 @@ def test_hybrid_root_polynomial():
     assert abs(res.root - 2.0 ** (1 / 3)) < 1e-14
 
 
+def test_hybrid_root_collapsed_bracket_returns_midpoint():
+    # with f' = 0 no Newton step is taken: bisection from the midpoint of
+    # (0, 3) never hits the root 1, and returns the midpoint of the first
+    # bracket narrower than 2 abs_tol
+    res = hybrid_root(lambda x: (1.0 - x, 0.0), 0.0, 3.0, abs_tol=1e-6,
+                      positive_lo=True)
+    assert abs(res.root - 1.0) < 1e-6
+    assert res.iterations == math.ceil(math.log2(3.0 / 2e-6))
+
+
 def test_delta_tan_equals_2s():
     # tan s = 2s, smallest positive root
     d = solve_delta(0.0, 1.0)

@@ -8,7 +8,8 @@ from rodbilliard import (SimConfig, convergence_experiment, flight_position,
                          FreeFlight, quasi_position, quasi_velocity,
                          record_state, segment_position, simulate,
                          QuasiTrajectory)
-from rodbilliard.core import DEFAULT_CONFIG, GRAZING_TOL, require_finite
+from rodbilliard.core import (DEFAULT_CONFIG, GRAZING_TOL, require_finite,
+                              unit_rotation)
 from rodbilliard.flight import FlightSegment, flight_velocity, reflect
 from rodbilliard.impact_map import (DEGENERATE, TRANSVERSAL,
                                     ContractViolation, ImpactEvent,
@@ -213,6 +214,9 @@ def test_full_stop_start_near_the_rod_stops():
     assert record.termination == "degenerate_stop"
     assert record.impacts[0].kind == DEGENERATE
     assert abs(record.t[0] - 1e-4) <= 1e-15
+    # the stop lies past a shorter time budget
+    record = simulate(z0, v0, SimConfig(t_max=5e-5))
+    assert record.termination == "reached_t_max"
     row, = convergence_experiment(1.0, 1e-4, [0.0], 1.0).rows
     assert row.termination == "degenerate_quasi"
     with pytest.raises(ValueError, match="sits on the rod"):
@@ -231,6 +235,39 @@ def test_full_stop_start_with_tiny_tau_stops():
     assert member
     assert abs(r - 3.1952324545280613) <= 1e-15 * r
     assert abs(tau - 4.777886050771952e-07) <= 1e-9 * tau
+
+
+@pytest.mark.parametrize("angle", [1e-6, -1e-6, 0.1])
+def test_rotated_full_stop_start_is_no_member(angle):
+    # turning z0 and v0 together keeps z0/v0 = -tau - i but lifts the rest
+    # point off the rod: the line crosses it, as first_impact finds
+    z0, v0 = stopping_set_point(1.0, 1.0)
+    rot = unit_rotation(angle)
+    z0, v0 = z0 * rot, v0 * rot
+    assert not in_degenerate_set(z0, v0 - 1j * z0)[0]
+    record = simulate(z0, v0, SimConfig(n_max=3))
+    assert record.termination == "reached_n_max"
+    hit = first_impact(FreeFlight(z0, v0))
+    assert (record.t[0], record.r[0], record.first_kind) == hit
+    assert hit.kind == TRANSVERSAL
+
+
+def test_near_tangent_member_keeps_its_contact(caplog):
+    # a line touching the rod at speed |a| r has Im(z0/v0) + 1 =
+    # a^2/(1 + a^2), inside the full-stop set's band for small |a|; its
+    # contact is the grazing one first_impact finds, not a full stop
+    z0, v0 = make_grazing_start(1.0, -1e-5, 1.0)
+    assert in_degenerate_set(z0, v0 - 1j * z0)[0]
+    record = simulate(z0, v0, SimConfig(n_max=3))
+    assert record.termination == "reached_n_max"
+    assert record.first_kind == "grazing"
+    assert (record.t[0], record.r[0]) == first_impact(FreeFlight(z0, v0))[:2]
+    assert abs(record.first_zdot_in) > 1e3 * GRAZING_TOL * (1.0 + record.r[0])
+    z0, v0 = make_grazing_start(1.0, -1e-6, 1.0)
+    with caplog.at_level(logging.WARNING, logger="rodbilliard.simulator"):
+        record = simulate(z0, v0, SimConfig(n_max=3))
+    assert record.first_kind == "grazing"
+    assert "near-grazing incoming velocity" in caplog.text
 
 
 def test_record_state_phases(orbit_i1):
