@@ -54,6 +54,10 @@ def recurrence_kernels(delta: float) -> tuple[float, float]:
     Both to about an ulp: Taylor series below SERIES_MAX, where the
     closed forms would cancel (p ~ delta^2/3, m ~ 2/3), closed forms above.
     """
+    if delta < 0.01:
+        u = delta * delta
+        return (u * (_P0 + u * (_P1 + u * (_P2 + u * (_P3 + u * _P4)))),
+                _M0 + u * (_M1 + u * (_M2 + u * (_M3 + u * _M4))))
     if delta < SERIES_MAX:
         u = delta * delta
         p = u * (_P0 + u * (_P1 + u * (_P2 + u * (_P3 + u * (_P4 + u * (

@@ -179,7 +179,8 @@ def simulate(z0: complex, v0: complex,
     t_sum = t1
     comp = 0.0  # Neumaier compensation for the running time sum
     termination = "reached_n_max"
-    while len(ts) < cfg.n_max:
+    # a for loop's unconditional back jump lets CPython 3.11 warm it up
+    for _ in range(cfg.n_max - 1):
         delta, r, a, beta = step(r, a, beta)
         s = t_sum + delta
         comp += (t_sum - s) + delta if t_sum >= delta else (delta - s) + t_sum

@@ -53,13 +53,40 @@ def test_recurrence_kernels_match_mpmath():
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp
     with mp.workdps(30):
-        for d in BELOW + ABOVE + [2.0, 3.0]:
+        # the two points either side of the five-term head's switch
+        for d in BELOW + ABOVE + [2.0, 3.0, math.nextafter(0.01, 0), 0.01]:
             x = mp.mpf(d)
             p_ref = 1 - (mp.sin(x) / x) ** 2
             m_ref = (x - mp.sin(x) * mp.cos(x)) / x ** 3
             p, m = recurrence_kernels(d)
             assert relative_error(p, p_ref) <= 1e-15, d
             assert relative_error(m, m_ref) <= 1e-15, d
+
+
+def test_five_term_head_is_the_full_series():
+    # below delta = 0.01 recurrence_kernels keeps five terms of each series;
+    # there u < 1e-4, so the rest lies below 1e-26 relative and the result
+    # must equal the full 11/12-term Horner sum bit for bit
+    p_coef = [(-1) ** n * 2 ** (2 * n + 3) / math.factorial(2 * n + 4)
+              for n in range(11)]
+    m_coef = [(-1) ** n * 4 ** (n + 1) / math.factorial(2 * n + 3)
+              for n in range(12)]
+
+    def horner(coef, u):
+        acc = coef[-1]
+        for c in reversed(coef[:-1]):
+            acc = c + u * acc
+        return acc
+
+    rng = random.Random(1701)
+    deltas = [10.0 ** rng.uniform(-8.0, -2.0) for _ in range(50_000)]
+    deltas += [rng.uniform(0.0, 0.01) for _ in range(50_000)]
+    for d in deltas:
+        if not 0.0 < d < 0.01:
+            continue
+        u = d * d
+        assert recurrence_kernels(d) == (u * horner(p_coef, u),
+                                         horner(m_coef, u)), d
 
 
 def test_reference_orbit_checkpoints():

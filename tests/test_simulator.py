@@ -1,6 +1,8 @@
+import dis
 import logging
 import math
 import random
+import sys
 
 import pytest
 
@@ -543,3 +545,14 @@ def test_row_view_slices_are_views(orbit_i1):
     tail = orbit_i1.impacts[1:]
     assert isinstance(tail, RowView) and len(tail) == len(orbit_i1.t) - 1
     assert tail == tuple(orbit_i1.impacts)[1:]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the warm-up rule is CPython 3.11's")
+def test_impact_loop_closes_with_an_unconditional_jump():
+    # CPython 3.11 counts a function's warm-up only at RESUME and at the
+    # unconditional JUMP_BACKWARD; a while loop closes with a conditional
+    # back jump instead, which leaves simulate unspecialised until about
+    # its 8th call in a process
+    assert any(ins.opname == "JUMP_BACKWARD"
+               for ins in dis.get_instructions(simulate))
