@@ -14,7 +14,8 @@ with p = 1 - (sin delta/delta)^2 and m = (delta - sin delta cos delta)/delta^3.
 Along an orbit delta_n ~ 3/(2n) and beta_n ~ delta_n, so the state
 carries beta itself (b would keep only eps/beta of its relative
 precision), p and m come from their Taylor series where the closed forms
-cancel, and the second forms above add positive terms only.
+cancel (five terms each on the cascade, where delta < 0.01), and the
+second forms above add positive terms only.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ def recurrence_kernels(delta: float) -> tuple[float, float]:
 
     Both to about an ulp: Taylor series below SERIES_MAX, where the
     closed forms would cancel (p ~ delta^2/3, m ~ 2/3), closed forms above.
+    Below delta = 0.01 five terms suffice: there u < 1e-4, and the rest
+    lies below 3e-27 (p/u) and 1e-26 (m) relative.
     """
     if delta < 0.01:
         u = delta * delta
