@@ -54,8 +54,8 @@ def recurrence_kernels(delta: float) -> tuple[float, float]:
 
     Both to about an ulp: Taylor series below SERIES_MAX, where the
     closed forms would cancel (p ~ delta^2/3, m ~ 2/3), closed forms above.
-    Below delta = 0.01 five terms suffice: there u < 1e-4, and the rest
-    lies below 3e-27 (p/u) and 1e-26 (m) relative.
+    Below delta = 0.01 five terms suffice: there u = delta^2 < 1e-4, and
+    the rest lies below 3e-27 (p/u) and 1e-26 (m) relative.
     """
     if delta < 0.01:
         u = delta * delta
