@@ -14,19 +14,23 @@ with p = 1 - (sin delta/delta)^2 and m = (delta - sin delta cos delta)/delta^3.
 Along an orbit delta_n ~ 3/(2n) and beta_n ~ delta_n, so the state
 carries beta itself (b would keep only eps/beta of its relative
 precision), p and m come from their Taylor series where the closed forms
-cancel (five terms each on the cascade, where delta < 0.01), and the
-second forms above add positive terms only.
+cancel, and the second forms above add positive terms only.  From impact
+~300 on, every orbit measured stays in the reversion box of ``solve_delta``;
+``cascade`` runs those impacts as ``step``'s arithmetic in a loop of its own.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 # DEGENERATE and TRANSVERSAL are imported for callers that take them from here
 from .core import (DEGENERATE, GRAZING_TOL, TRANSVERSAL, ContractViolation,
                    require_finite, unit_rotation)
-from .rootfind import (ROOT_REL_TOL, SERIES_MAX, T_STAR, hybrid_root,
+from .rootfind import (REVERSION_A_MAX, REVERSION_A_MIN, REVERSION_W_MAX,
+                       ROOT_REL_TOL, SERIES_MAX, T_STAR, hybrid_root,
                        reduced_arc, small_root_guess, solve_delta)
 
 # Taylor coefficients in u = delta^2 of p/u, (-1)^n 2^(2n+3)/(2n+4)!, and
@@ -54,13 +58,9 @@ def recurrence_kernels(delta: float) -> tuple[float, float]:
 
     Both to about an ulp: Taylor series below SERIES_MAX, where the
     closed forms would cancel (p ~ delta^2/3, m ~ 2/3), closed forms above.
-    Below delta = 0.01 five terms suffice: there u = delta^2 < 1e-4, and
-    the rest lies below 3e-27 (p/u) and 1e-26 (m) relative.
+    ``cascade`` keeps the five-term head of each series, which is enough
+    below delta = 0.01.
     """
-    if delta < 0.01:
-        u = delta * delta
-        return (u * (_P0 + u * (_P1 + u * (_P2 + u * (_P3 + u * _P4)))),
-                _M0 + u * (_M1 + u * (_M2 + u * (_M3 + u * _M4))))
     if delta < SERIES_MAX:
         u = delta * delta
         p = u * (_P0 + u * (_P1 + u * (_P2 + u * (_P3 + u * (_P4 + u * (
@@ -105,6 +105,45 @@ def step(r: float, a: float, beta: float
             f"radius failed to grow: r={r} -> {r_next} "
             f"(a={a}, beta={beta}, delta={delta})")
     return delta, r_next, a_next, beta_next
+
+
+def cascade(columns: tuple[list[float], ...], t_sum: float, comp: float,
+            t_max: float, passes: Iterator[int]) -> tuple[float, ...] | None:
+    """Extend ``simulate``'s columns (t, r, a, beta, delta) by ``step``'s
+    impacts, one per item of ``passes``, while the arc stays in the reversion
+    box, with five-term p and m (delta < 0.01 there).  Returns (r, a, beta,
+    t_sum, comp), the state and Neumaier time sum, or None past t_max."""
+    ts, rs, as_, betas, deltas = columns
+    r, a, beta = rs[-1], as_[-1], betas[-1]
+    for _ in passes:
+        delta = solve_delta(a, beta)
+        b = 1.0 + beta
+        r_next = r * b * (delta / math.sin(delta))
+        if not (math.isfinite(r_next) and r_next > r):
+            raise ContractViolation(f"radius failed to grow: r={r} -> {r_next} "
+                                    f"(a={a}, beta={beta}, delta={delta})")
+        u = delta * delta
+        r, a, beta = r_next, (beta / delta + delta * (
+            _M0 + u * (_M1 + u * (_M2 + u * (_M3 + u * _M4))))) / b, (
+            beta + u * (_P0 + u * (_P1 + u * (_P2 + u * (_P3 + u * _P4))))) / b
+        s = t_sum + delta
+        comp += (t_sum - s) + delta if t_sum >= delta else (delta - s) + t_sum
+        t_sum = s
+        if t_sum + comp > t_max:
+            return None
+        if beta <= GRAZING_TOL * a:
+            logging.getLogger(__name__).warning(
+                "near-grazing incoming velocity %r at n=%d",
+                complex(r * a, -r * beta), len(ts) + 1)
+        deltas.append(delta)
+        ts.append(t_sum + comp)
+        rs.append(r)
+        as_.append(a)
+        betas.append(beta)
+        if not (REVERSION_A_MIN < a <= REVERSION_A_MAX
+                and 0.0 < beta / (a * a) <= REVERSION_W_MAX):
+            break
+    return r, a, beta, t_sum, comp
 
 
 def segment_max_height(r: float, a: float, beta: float,

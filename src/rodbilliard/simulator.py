@@ -21,9 +21,10 @@ from .core import (DEFAULT_CONFIG, DEGENERATE, GRAZING_TOL, TRANSVERSAL,
 from .flight import (FlightSegment, FreeFlight, flight_position,
                      flight_velocity, reflect, segment_position,
                      segment_velocity)
-from .impact_map import (ImpactEvent, in_degenerate_set, segment_max_height,
-                         step)
-from .rootfind import T_STAR, UnsupportedFirstImpact, first_impact
+from .impact_map import (ImpactEvent, cascade, in_degenerate_set,
+                         segment_max_height, step)
+from .rootfind import (REVERSION_A_MAX, REVERSION_A_MIN, REVERSION_W_MAX,
+                       T_STAR, UnsupportedFirstImpact, first_impact)
 
 _log = logging.getLogger(__name__)
 
@@ -135,7 +136,8 @@ def simulate(z0: complex, v0: complex,
     """Run a billiard trajectory from lab-frame line data (z0, v0).
 
     The rotating-frame motion is (z0 + v0 t) e^{-it} until the first rod
-    contact; afterwards impacts follow from the closed-form recurrences.
+    contact; afterwards impacts follow from the closed-form recurrences, by
+    ``step`` and, once the arc is in the reversion box, by ``cascade``.
     Stops after cfg.n_max impacts or past cfg.t_max, at a degenerate
     (full-stop) impact per cfg.quasi_mode, or immediately when the first
     contact is off the positive semiaxis (reported, not simulated).
@@ -175,25 +177,21 @@ def simulate(z0: complex, v0: complex,
     # the first arc from the contact's verdict: beta > 0 if transversal,
     # and a grazing touch gets beta = 0 where rounding made it negative
     r, a, beta = r1, zdot_in.real / r1, max(-zdot_in.imag / r1, 0.0)
-    ts, rs, as_, betas, deltas = [t1], [r], [a], [beta], []
+    ts, rs, as_, betas, deltas = columns = [t1], [r], [a], [beta], []
     t_sum = t1
     comp = 0.0  # Neumaier compensation for the running time sum
-    termination = "reached_n_max"
-    # a for loop's unconditional back jump lets CPython 3.11 warm it up
-    for _ in range(cfg.n_max - 1):
+    # one budget of passes for both loops, in for loops CPython 3.11 warms up
+    passes = iter(range(cfg.n_max - 1))
+    for _ in passes:
         delta, r, a, beta = step(r, a, beta)
         s = t_sum + delta
         comp += (t_sum - s) + delta if t_sum >= delta else (delta - s) + t_sum
         t_sum = s
         t_next = t_sum + comp
         if t_next > cfg.t_max:
-            termination = "reached_t_max"
             break
-        # the incoming velocity, whose reflection is the new arc (a, beta),
-        # is r (a - i beta); a and beta are positive (see ``step``)
-        if r * beta <= GRAZING_TOL * (1.0 + math.hypot(r * a, r * beta)):
-            # within roundoff of grazing; the dynamics forbids true grazing
-            # past the first impact, so keep it transversal
+        # a > 0 (see ``step``), so a near-graze is roundoff; keep it transversal
+        if beta <= GRAZING_TOL * a:
             _log.warning("near-grazing incoming velocity %r at n=%d",
                          complex(r * a, -r * beta), len(ts) + 1)
         deltas.append(delta)
@@ -201,6 +199,13 @@ def simulate(z0: complex, v0: complex,
         rs.append(r)
         as_.append(a)
         betas.append(beta)
+        if (REVERSION_A_MIN < a <= REVERSION_A_MAX
+                and 0.0 < beta / (a * a) <= REVERSION_W_MAX):
+            state = cascade(columns, t_sum, comp, cfg.t_max, passes)
+            if state is None:
+                break
+            r, a, beta, t_sum, comp = state
+    termination = "reached_n_max" if len(ts) == cfg.n_max else "reached_t_max"
     return TrajectoryRecord(z0, v0, cfg, termination, t=tuple(ts),
                             r=tuple(rs), a=tuple(as_), beta=tuple(betas),
                             delta=tuple(deltas), first_zdot_in=zdot_in,

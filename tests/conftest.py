@@ -8,6 +8,9 @@ import pytest
 
 from rodbilliard import (FreeFlight, SimConfig, UnsupportedFirstImpact,
                          first_impact, simulate, unit_rotation)
+from rodbilliard.impact_map import cascade
+from rodbilliard.rootfind import (REVERSION_A_MAX, REVERSION_A_MIN,
+                                  REVERSION_W_MAX)
 
 
 @pytest.fixture(scope="session")
@@ -78,3 +81,32 @@ def recurrence_direct(delta: float, beta: float
     a_next = 1.0 / delta - cd * sd / (b * delta * delta)
     beta_next = 1.0 - (sd / delta) ** 2 / b
     return a_next, beta_next, delta / sd
+
+
+def in_reversion_box(a: float, beta: float) -> bool:
+    """Whether solve_delta takes its reversion series for the arc (a, beta)."""
+    return (REVERSION_A_MIN < a <= REVERSION_A_MAX
+            and 0.0 < beta / (a * a) <= REVERSION_W_MAX)
+
+
+def box_state(a: float, w: float) -> tuple[float, float]:
+    """The arc (a, beta = w a^2), moved down by ulps into the box if
+    rounding put beta/a^2 above REVERSION_W_MAX."""
+    beta = w * a * a
+    while beta / (a * a) > REVERSION_W_MAX:
+        beta = math.nextafter(beta, 0.0)
+    assert in_reversion_box(a, beta), (a, beta)
+    return a, beta
+
+
+def cascade_impact(r: float, a: float, beta: float
+                   ) -> tuple[float, float, float, float]:
+    """One impact of ``cascade`` from the in-box arc (r, a, beta), as
+    (delta, r', a', beta') like ``step``."""
+    columns = ([0.0], [r], [a], [beta], [])
+    state = cascade(columns, 0.0, 0.0, math.inf, iter(range(1)))
+    ts, rs, as_, betas, deltas = columns
+    assert len(deltas) == 1
+    assert state == (rs[1], as_[1], betas[1], deltas[0], 0.0) == (
+        rs[1], as_[1], betas[1], ts[1], 0.0)
+    return deltas[0], rs[1], as_[1], betas[1]

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -6,7 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 from rodbilliard import (DEGENERATE, ContractViolation, T_STAR,
                          classify_impact, in_degenerate_set, recurrence,
                          segment_max_height, solve_delta, step, unit_rotation)
-from conftest import recurrence_direct
+from rodbilliard.impact_map import cascade
+from rodbilliard.rootfind import (REVERSION_A_MAX, REVERSION_A_MIN,
+                                  REVERSION_W_MAX)
+from conftest import (box_state, cascade_impact, in_reversion_box,
+                      recurrence_direct)
 
 # frozen from a 50-digit computation of the (a=0, b=2) step
 DELTA_02 = 1.1655611852072113
@@ -212,6 +217,47 @@ def test_box_invariant_along_orbit():
         assert 1.0 < b < 2.0
         assert 0.0 < a < 1.0 / d_next
         assert (1.0 + a * d_next) / b < 1.0
+
+
+def test_cascade_impact_is_step():
+    # seeded arcs over the reversion box, r from 1 to 1e6 and w = beta/a^2
+    # down to 1e-9, plus its edges a = nextafter(0.5, 1), a = 1 and
+    # w = REVERSION_W_MAX; the last row leaves the box by an ulp of a
+    rng = random.Random(1818)
+    edges = (math.nextafter(REVERSION_A_MIN, 1.0), REVERSION_A_MAX)
+    arcs = [box_state(a, w) for a in edges
+            for w in (REVERSION_W_MAX, 1e-3, 1e-6, 1e-9)]
+    arcs += [box_state(rng.uniform(REVERSION_A_MIN, REVERSION_A_MAX),
+                       REVERSION_W_MAX) for _ in range(100)]
+    while len(arcs) < 12_000:
+        a = rng.uniform(REVERSION_A_MIN, REVERSION_A_MAX)
+        if a > REVERSION_A_MIN:
+            arcs.append(box_state(a, REVERSION_W_MAX * 10.0 ** rng.uniform(
+                -7.0, 0.0)))
+    arcs.append((1.0, 1e-6))
+    for a, beta in arcs:
+        r = 10.0 ** rng.uniform(0.0, 6.0)
+        assert cascade_impact(r, a, beta) == step(r, a, beta), (r, a, beta)
+    assert not in_reversion_box(*step(1.0, 1.0, 1e-6)[2:])
+
+
+def test_cascade_stops_where_the_arc_leaves_the_box():
+    # step(1, 1, 1e-6) gives a' = 1 + 2.2e-16: the cascade makes that
+    # impact and hands the passes left back
+    columns = ([0.0], [1.0], [1.0], [1e-6], [])
+    passes = iter(range(5))
+    assert cascade(columns, 0.0, 0.0, math.inf, passes) is not None
+    assert [len(col) for col in columns] == [2, 2, 2, 2, 1]
+    assert columns[2][1] == math.nextafter(1.0, 2.0)
+    assert next(passes) == 1
+
+
+def test_cascade_keeps_the_radius_check():
+    # in the box, yet b and delta/sin delta both round to 1.0
+    assert in_reversion_box(0.8, 1e-17)
+    for run in (step, cascade_impact):
+        with pytest.raises(ContractViolation, match="radius failed to grow"):
+            run(1.0, 0.8, 1e-17)
 
 
 def test_degenerate_set_member_by_construction():

@@ -14,11 +14,13 @@ from pathlib import Path
 
 import pytest
 
-from rodbilliard import (SimConfig, recurrence_kernels, segment_max_height,
-                         simulate, solve_delta, step)
+from rodbilliard import (SimConfig, recurrence, recurrence_kernels,
+                         segment_max_height, simulate, solve_delta, step)
 from rodbilliard import impact_map, rootfind
-from rodbilliard.rootfind import SERIES_MAX, reduced_arc
-from conftest import random_supported_starts
+from rodbilliard.rootfind import (REVERSION_A_MAX, REVERSION_A_MIN,
+                                  REVERSION_W_MAX, SERIES_MAX, reduced_arc)
+from conftest import (box_state, cascade_impact, in_reversion_box,
+                      random_supported_starts)
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -53,8 +55,7 @@ def test_recurrence_kernels_match_mpmath():
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp
     with mp.workdps(30):
-        # the two points either side of the five-term head's switch
-        for d in BELOW + ABOVE + [2.0, 3.0, math.nextafter(0.01, 0), 0.01]:
+        for d in BELOW + ABOVE + [2.0, 3.0]:
             x = mp.mpf(d)
             p_ref = 1 - (mp.sin(x) / x) ** 2
             m_ref = (x - mp.sin(x) * mp.cos(x)) / x ** 3
@@ -64,9 +65,9 @@ def test_recurrence_kernels_match_mpmath():
 
 
 def test_five_term_head_is_the_full_series():
-    # below delta = 0.01 recurrence_kernels keeps five terms of each series;
-    # there u < 1e-4, so the rest lies below 1e-26 relative and the result
-    # must equal the full 11/12-term Horner sum bit for bit
+    # cascade keeps five terms of each kernel series; in the box delta <
+    # 0.005, so u < 1e-4 leaves the rest below 1e-26 relative, and its
+    # (a', beta') must equal recurrence's, which sums all 11/12 terms
     p_coef = [(-1) ** n * 2 ** (2 * n + 3) / math.factorial(2 * n + 4)
               for n in range(11)]
     m_coef = [(-1) ** n * 4 ** (n + 1) / math.factorial(2 * n + 3)
@@ -79,14 +80,20 @@ def test_five_term_head_is_the_full_series():
         return acc
 
     rng = random.Random(1701)
-    deltas = [10.0 ** rng.uniform(-8.0, -2.0) for _ in range(50_000)]
-    deltas += [rng.uniform(0.0, 0.01) for _ in range(50_000)]
-    for d in deltas:
-        if not 0.0 < d < 0.01:
+    ws = [REVERSION_W_MAX * 10.0 ** rng.uniform(-8.0, 0.0)
+          for _ in range(25_000)]
+    ws += [rng.uniform(0.0, REVERSION_W_MAX) for _ in range(25_000)]
+    for w in ws:
+        a = rng.uniform(REVERSION_A_MIN, REVERSION_A_MAX)
+        if not (w > 0.0 and a > REVERSION_A_MIN):
             continue
-        u = d * d
-        assert recurrence_kernels(d) == (u * horner(p_coef, u),
-                                         horner(m_coef, u)), d
+        a, beta = box_state(a, w)
+        delta, _, a_next, beta_next = cascade_impact(1.0, a, beta)
+        assert delta < 0.01
+        assert (a_next, beta_next) == recurrence(delta, beta)[:2], (a, beta)
+        u = delta * delta
+        assert recurrence_kernels(delta) == (u * horner(p_coef, u),
+                                             horner(m_coef, u)), delta
 
 
 def test_reference_orbit_checkpoints():
@@ -140,20 +147,12 @@ def ulps_off(x, ref):
     return float(abs(x - ref)) / math.ulp(float(ref))
 
 
-def in_reversion_box(a, beta):
-    return (rootfind.REVERSION_A_MIN < a <= rootfind.REVERSION_A_MAX
-            and 0.0 < beta / (a * a) <= rootfind.REVERSION_W_MAX)
-
-
 def box_top(a):
     # the largest beta of the box at this a
-    beta = rootfind.REVERSION_W_MAX * a * a
-    while beta / (a * a) > rootfind.REVERSION_W_MAX:
-        beta = math.nextafter(beta, 0.0)
-    return beta
+    return box_state(a, REVERSION_W_MAX)[1]
 
 
-A_LOW = math.nextafter(rootfind.REVERSION_A_MIN, 1.0)
+A_LOW = math.nextafter(REVERSION_A_MIN, 1.0)
 
 
 def test_reversion_box_matches_mpmath():

@@ -13,13 +13,15 @@ from rodbilliard import (SimConfig, convergence_experiment, flight_position,
 from rodbilliard.core import (DEFAULT_CONFIG, GRAZING_TOL, require_finite,
                               unit_rotation)
 from rodbilliard.flight import FlightSegment, flight_velocity, reflect
+from rodbilliard import impact_map, simulator
 from rodbilliard.impact_map import (DEGENERATE, TRANSVERSAL,
-                                    ContractViolation, ImpactEvent,
+                                    ContractViolation, ImpactEvent, cascade,
                                     in_degenerate_set, segment_max_height,
                                     step)
 from rodbilliard.rootfind import UnsupportedFirstImpact, first_impact
 from rodbilliard.simulator import RowView
-from conftest import (GRAZING_V0, GRAZING_Z0, make_grazing_start,
+from conftest import (GRAZING_V0, GRAZING_Z0, in_reversion_box,
+                      make_grazing_start,
                       random_supported_starts, stopping_set_point)
 
 _log = logging.getLogger("rodbilliard.simulator")
@@ -266,10 +268,30 @@ def test_near_tangent_member_keeps_its_contact(caplog):
     assert (record.t[0], record.r[0]) == first_impact(FreeFlight(z0, v0))[:2]
     assert abs(record.first_zdot_in) > 1e3 * GRAZING_TOL * (1.0 + record.r[0])
     z0, v0 = make_grazing_start(1.0, -1e-6, 1.0)
-    with caplog.at_level(logging.WARNING, logger="rodbilliard.simulator"):
+    with caplog.at_level(logging.WARNING, logger="rodbilliard"):
         record = simulate(z0, v0, SimConfig(n_max=3))
     assert record.first_kind == "grazing"
-    assert "near-grazing incoming velocity" in caplog.text
+    # the later impacts are slow (|zdot| ~ 1e-6) but far from grazing
+    # (Im zdot/|zdot| ~ 1.5e-6): nothing is logged
+    assert caplog.records == []
+
+
+def test_near_grazing_warning_from_both_loops(caplog, monkeypatch):
+    # a band of 1e-2 holds the reference orbit's arcs from about n = 150,
+    # before its cascade starts at n = 301: each loop warns once an impact
+    for module in (simulator, impact_map):
+        monkeypatch.setattr(module, "GRAZING_TOL", 1e-2)
+    with caplog.at_level(logging.WARNING, logger="rodbilliard"):
+        record = simulate(1j, 1 + 0j, SimConfig(n_max=400))
+    warned = {name: [int(rec.getMessage().rpartition("n=")[2])
+                     for rec in caplog.records if rec.name == name]
+              for name in ("rodbilliard.simulator", "rodbilliard.impact_map")}
+    expected = [k + 1 for k in range(1, 400)
+                if record.beta[k] <= 1e-2 * record.a[k]]
+    assert warned["rodbilliard.simulator"] + warned["rodbilliard.impact_map"] \
+        == expected
+    assert warned["rodbilliard.simulator"] and warned["rodbilliard.impact_map"]
+    assert warned["rodbilliard.impact_map"][0] == BOX_ENTRY + 1
 
 
 def test_record_state_phases(orbit_i1):
@@ -371,6 +393,18 @@ def test_parallel_simulations_match_serial():
     with ThreadPoolExecutor(max_workers=4) as pool:
         parallel = list(pool.map(lambda s: simulate(*s, cfg), starts))
     assert parallel == serial
+
+
+# the impact of the reference orbit z0 = i, v0 = 1 whose arc is the first
+# in solve_delta's reversion box
+BOX_ENTRY = 301
+
+
+def test_reference_orbit_enters_the_box_at_box_entry():
+    record = simulate(1j, 1 + 0j, SimConfig(n_max=2000))
+    inside = [in_reversion_box(a, beta)
+              for a, beta in zip(record.a, record.beta)]
+    assert inside.index(True) == BOX_ENTRY - 1 and all(inside[BOX_ENTRY:])
 
 
 def reference_simulate(z0: complex, v0: complex,
@@ -484,6 +518,10 @@ _ASSEMBLY_CASES = [
     *(_full_stop_via_first_impact(quasi) for quasi in ("stop", "extend")),
     (1j, complex(-1, -10), SimConfig(n_max=5)),
     (1j, 1 + 0j, SimConfig(n_max=2000)),
+    # the cascade from BOX_ENTRY on: no impact of it, none, one, and an
+    # orbit cut by t_max near n = 420
+    *((1j, 1 + 0j, SimConfig(n_max=BOX_ENTRY + k)) for k in (-1, 0, 1)),
+    (1j, 1 + 0j, SimConfig(n_max=2000, t_max=10.0)),
 ]
 
 
@@ -499,6 +537,40 @@ def test_views_equal_object_assembly(z0, v0, cfg):
                            (record.heights, heights)):
         assert tuple(view) == expected
         assert repr(tuple(view)) == repr(expected)
+
+
+@pytest.mark.parametrize("narrowed", [("impact_map",),
+                                      ("impact_map", "simulator")])
+def test_generic_loop_resumes_where_the_cascade_stops(monkeypatch, narrowed):
+    # from line data no arc reaches the one known exit, a = 1 exactly
+    # (step(1, 1, 1e-6)): so the box's top edge is lowered to 0.99999, which
+    # the reference orbit's a crosses near n = 340.  Lowered for the cascade
+    # alone, the generic loop hands each arc back to it for one impact
+    runs = []  # impacts in the record when each cascade call began, ended
+
+    def counted(columns, *args):
+        start = len(columns[0])
+        sums = cascade(columns, *args)
+        runs.append((start, len(columns[0])))
+        return sums
+
+    monkeypatch.setattr(simulator, "cascade", counted)
+    for name in narrowed:
+        monkeypatch.setattr(globals()[name], "REVERSION_A_MAX", 0.99999)
+    cfg = SimConfig(n_max=600)
+    record = simulate(1j, 1 + 0j, cfg)
+    impacts, segments, heights, termination, _ = reference_simulate(
+        1j, 1 + 0j, cfg)
+    assert repr((tuple(record.impacts), tuple(record.segments),
+                 tuple(record.heights), record.termination)) == repr(
+        (impacts, segments, heights, termination))
+    (start, end), *rest = runs
+    assert start == BOX_ENTRY and end < cfg.n_max
+    assert record.a[end - 2] <= 0.99999 < record.a[end - 1]
+    if len(narrowed) == 2:
+        assert rest == []
+    else:
+        assert len(rest) > 100 and all(stop == begin + 1 for begin, stop in rest)
 
 
 def test_both_full_stop_paths_are_covered():
@@ -552,7 +624,8 @@ def test_row_view_slices_are_views(orbit_i1):
 def test_impact_loop_closes_with_an_unconditional_jump():
     # CPython 3.11 counts a function's warm-up only at RESUME and at the
     # unconditional JUMP_BACKWARD; a while loop closes with a conditional
-    # back jump instead, which leaves simulate unspecialised until about
-    # its 8th call in a process
-    assert any(ins.opname == "JUMP_BACKWARD"
-               for ins in dis.get_instructions(simulate))
+    # back jump instead, which leaves a loop unspecialised until about the
+    # 8th call of its function in a process
+    for loop in (simulate, cascade):
+        assert any(ins.opname == "JUMP_BACKWARD"
+                   for ins in dis.get_instructions(loop)), loop
