@@ -539,24 +539,25 @@ def test_views_equal_object_assembly(z0, v0, cfg):
         assert repr(tuple(view)) == repr(expected)
 
 
-@pytest.mark.parametrize("narrowed", [("impact_map",),
-                                      ("impact_map", "simulator")])
+@pytest.mark.parametrize("narrowed", [(impact_map,), (impact_map, simulator)],
+                         ids=["cascade", "both_loops"])
 def test_generic_loop_resumes_where_the_cascade_stops(monkeypatch, narrowed):
-    # from line data no arc reaches the one known exit, a = 1 exactly
-    # (step(1, 1, 1e-6)): so the box's top edge is lowered to 0.99999, which
-    # the reference orbit's a crosses near n = 340.  Lowered for the cascade
+    # the one known exit, a = 1 exactly (step(1, 1, 1e-6)), is reached by
+    # no orbit measured, and a start whose first arc is near it sits within
+    # the rod's band: so the box's top edge is lowered to 0.99999, which the
+    # reference orbit's a crosses near n = 340.  Lowered for the cascade
     # alone, the generic loop hands each arc back to it for one impact
     runs = []  # impacts in the record when each cascade call began, ended
 
     def counted(columns, *args):
         start = len(columns[0])
-        sums = cascade(columns, *args)
+        state = cascade(columns, *args)
         runs.append((start, len(columns[0])))
-        return sums
+        return state
 
     monkeypatch.setattr(simulator, "cascade", counted)
-    for name in narrowed:
-        monkeypatch.setattr(globals()[name], "REVERSION_A_MAX", 0.99999)
+    for module in narrowed:
+        monkeypatch.setattr(module, "REVERSION_A_MAX", 0.99999)
     cfg = SimConfig(n_max=600)
     record = simulate(1j, 1 + 0j, cfg)
     impacts, segments, heights, termination, _ = reference_simulate(
@@ -570,7 +571,8 @@ def test_generic_loop_resumes_where_the_cascade_stops(monkeypatch, narrowed):
     if len(narrowed) == 2:
         assert rest == []
     else:
-        assert len(rest) > 100 and all(stop == begin + 1 for begin, stop in rest)
+        assert len(rest) > 100
+        assert all(stop == begin + 1 for begin, stop in rest)
 
 
 def test_both_full_stop_paths_are_covered():
