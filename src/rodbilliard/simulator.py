@@ -180,7 +180,7 @@ def simulate(z0: complex, v0: complex,
     ts, rs, as_, betas, deltas = columns = [t1], [r], [a], [beta], []
     t_sum = t1
     comp = 0.0  # Neumaier compensation for the running time sum
-    # one budget of passes for both loops, in for loops CPython 3.11 warms up
+    # both loops draw on one budget of passes; CPython 3.11 warms up for loops
     passes = iter(range(cfg.n_max - 1))
     for _ in passes:
         delta, r, a, beta = step(r, a, beta)
@@ -190,7 +190,7 @@ def simulate(z0: complex, v0: complex,
         t_next = t_sum + comp
         if t_next > cfg.t_max:
             break
-        # a > 0 (see ``step``), so a near-graze is roundoff; keep it transversal
+        # a > 0 (see ``step``): a near-graze is roundoff, so stays transversal
         if beta <= GRAZING_TOL * a:
             _log.warning("near-grazing incoming velocity %r at n=%d",
                          complex(r * a, -r * beta), len(ts) + 1)
