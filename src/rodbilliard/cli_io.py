@@ -17,12 +17,12 @@ import sys
 from contextlib import nullcontext
 from dataclasses import asdict, astuple, dataclass, fields
 from functools import partial
-from itertools import count, zip_longest
-from typing import Callable, Iterator, NamedTuple
+from itertools import count, islice
+from typing import Callable, NamedTuple
 
-from .core import SimConfig
-from .flight import FreeFlight, flight_position, to_lab_frame, \
-    segment_position
+from .core import TRANSVERSAL, SimConfig
+from .flight import (FreeFlight, check_segment, flight_position,
+                     segment_position)
 from .impact_map import recurrence
 from .oracle import OracleMismatch, oracle_simulate
 from .rootfind import UnsupportedFirstImpact, solve_delta
@@ -49,11 +49,8 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True, slots=True)
 class ExportOptions:
-    """What to write for a trajectory export.
-
-    ``samples_per_segment`` is checked where the samples are drawn, in
-    ``trajectory_samples``.
-    """
+    """What to write for a trajectory export; ``export_trajectory``
+    checks ``samples_per_segment``."""
 
     format: str = "csv"
     frame: str = "both"
@@ -154,61 +151,57 @@ def record_from_json(text: str) -> TrajectoryRecord:
 # trajectory sampling and export
 
 
-def trajectory_samples(record: TrajectoryRecord, samples_per_segment: int
-                       ) -> Iterator[tuple[float, complex, int]]:
-    """Yield (t, rotating-frame position, segment label) rows for export.
-
-    Label 0 is the approach arc before the first impact; the arc leaving
-    impacts[k] carries label k + 1.  The open final arc (and the sliding
-    continuation in quasi mode) is sampled up to t_max when that is
-    finite, otherwise skipped.
-    """
-    if samples_per_segment < 2:
-        raise ValueError("samples_per_segment must be at least 2")
-    t_max = record.config.t_max
-
-    def horizon(start: float) -> float | None:
-        """Span of an open arc from ``start``: up to a finite t_max."""
-        return t_max - start if start < t_max < math.inf else None
-
-    def arcs():
-        """(start time, span or None, position at offset s, label)."""
-        yield (0.0, record.t[0] if record.t else horizon(0.0),
-               partial(flight_position, FreeFlight(record.z0, record.v0)), 0)
-        for k, seg in enumerate(record.segments, start=1):
-            yield (seg.t_start,
-                   horizon(seg.t_start) if seg.delta is None else seg.delta,
-                   partial(segment_position, seg), k)
-        q = record.quasi_start
-        if q is not None:
-            yield (q.t1, horizon(q.t1),
-                   lambda s: quasi_position(q, q.t1 + s), len(record.t))
-
-    last = samples_per_segment - 1
-    for start, span, position, label in arcs():
-        if span is not None:
-            for j in range(samples_per_segment):
-                s = span * j / last
-                yield start + s, position(s), label
+_CSV_HEADS = {"both": "t,re_rot,im_rot,re_lab,im_lab,segment",
+              "rotating": "t,re_rot,im_rot,segment",
+              "lab": "t,re_lab,im_lab,segment"}
 
 
 def export_trajectory(record: TrajectoryRecord, opts: ExportOptions) -> str:
-    """Render a record per the export options (CSV samples or JSON)."""
+    """Render a record per the export options: JSON, or CSV samples.
+
+    Arc k, the one leaving impact k (0: the approach), is sampled at
+    s = span j / (samples - 1), an open arc up to a finite t_max only, with
+    the positions of ``flight_position``, ``segment_position``,
+    ``quasi_position`` and ``to_lab_frame``.
+    """
     if opts.format == "json":
         return record_to_json(record)
-    frame = opts.frame
-    lines = [{"both": "t,re_rot,im_rot,re_lab,im_lab,segment",
-              "rotating": "t,re_rot,im_rot,segment",
-              "lab": "t,re_lab,im_lab,segment"}[frame]]
-    for t, z, label in trajectory_samples(record, opts.samples_per_segment):
-        if frame == "rotating":
-            lines.append(f"{t:.17g},{z.real:.17g},{z.imag:.17g},{label}")
-            continue
-        w = to_lab_frame(z, t)
-        lines.append(
-            f"{t:.17g},{w.real:.17g},{w.imag:.17g},{label}" if frame == "lab"
-            else f"{t:.17g},{z.real:.17g},{z.imag:.17g},"
-                 f"{w.real:.17g},{w.imag:.17g},{label}")
+    samples, frame = opts.samples_per_segment, opts.frame
+    if samples < 2:
+        raise ValueError("samples_per_segment must be at least 2")
+    lines = [_CSV_HEADS[frame]]
+    form = "%.17g," * lines[0].count(",") + "%d"  # floats print as {:.17g}
+    last, offsets, t_max = samples - 1, range(samples), record.config.t_max
+
+    def sample(start: float, label: int, position, span: float | None = None):
+        """Sample an arc over ``span``; an open one up to a finite t_max."""
+        if span is None and not start < t_max < math.inf:
+            return  # an open arc without a finite t_max
+        span = t_max - start if span is None else span
+        for j in offsets:
+            s = span * j / last
+            t, z = start + s, position(s)
+            if frame == "rotating":
+                lines.append(form % (t, z.real, z.imag, label))
+                continue
+            w = z * complex(math.cos(t), math.sin(t))  # to_lab_frame
+            lines.append(form % (t, w.real, w.imag, label) if frame == "lab"
+                         else form % (t, z.real, z.imag, w.real, w.imag, label))
+
+    sample(0.0, 0, partial(flight_position, FreeFlight(record.z0, record.v0)),
+           record.t[0] if record.t else None)
+    closed = zip(record.t, record.r, record.a, record.beta, record.delta)
+    for k, (start, r, a, beta, delta) in enumerate(closed, start=1):
+        # s rises from 0 with j, so its last value bounds every sample
+        check_segment(r, delta, delta * last / last)
+        w = complex(a, 1.0 + beta)  # as segment_position, with b = 1 + beta
+        sample(start, k, lambda s: r * (1.0 + w * s)
+               * complex(math.cos(-s), math.sin(-s)), delta)
+    if len(record.a) > len(record.delta):  # the open last arc
+        seg = record.segments[-1]
+        sample(seg.t_start, seg.n, partial(segment_position, seg))
+    if (q := record.quasi_start) is not None:
+        sample(q.t1, len(record.t), lambda s: quasi_position(q, q.t1 + s))
     return "\n".join(lines) + "\n"
 
 
@@ -331,17 +324,22 @@ def _simulate_render(record, args):
 
 
 def _impacts_render(record, args):
+    t, r, a, beta = record.t, record.r, record.a, record.beta
+    delta = list(record.delta)
+    if len(delta) < len(a):  # the open last arc, from beta rather than b - 1
+        delta.append(solve_delta(a[-1], beta[-1]))
     lines = ["n,t_n,delta_n,r_n,a_n,b_n,re_in,im_in,kind"]
-    for ev, seg in zip_longest(record.impacts, record.segments):
-        delta_s = a_s = b_s = ""
-        if seg is not None:
-            delta = seg.delta
-            if delta is None:  # the open last arc, from beta rather than b - 1
-                delta = solve_delta(seg.a, record.beta[-1])
-            delta_s, a_s, b_s = _FMT(delta), _FMT(seg.a), _FMT(seg.b)
-        lines.append(",".join([
-            str(ev.n), _FMT(ev.t), delta_s, _FMT(ev.r), a_s, b_s,
-            _FMT(ev.zdot_in.real), _FMT(ev.zdot_in.imag), ev.kind]))
+    if t:  # the first impact has its own velocity and kind, and maybe no arc
+        d, a1, b1 = (map(_FMT, (delta[0], a[0], 1.0 + beta[0])) if a
+                     else ("", "", ""))
+        z = record.first_zdot_in
+        lines.append(",".join(["1", _FMT(t[0]), d, _FMT(r[0]), a1, b1,
+                               _FMT(z.real), _FMT(z.imag), record.first_kind]))
+    # a later impact is transversal, with incoming velocity r (a - i beta)
+    form = "%d," + "%.17g," * 7 + TRANSVERSAL
+    lines += [form % (n, t_n, d, r_n, a_n, 1.0 + b_n, r_n * a_n, -r_n * b_n)
+              for n, t_n, d, r_n, a_n, b_n in islice(
+                  zip(count(1), t, delta, r, a, beta), 1, None)]
     return "\n".join(lines) + "\n", "", EXIT_OK
 
 

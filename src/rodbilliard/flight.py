@@ -67,31 +67,33 @@ class FlightSegment:
     delta: float | None = None
 
     def __post_init__(self) -> None:
-        if not (self.r > 0 and math.isfinite(self.r)):
-            raise ValueError(f"segment radius must be positive and finite, got {self.r}")
-        if self.delta is not None and not 0.0 < self.delta < math.pi:
-            raise ValueError(f"segment duration must lie in (0, pi), got {self.delta}")
+        check_segment(self.r, self.delta)
 
 
 _S_SLACK = 1e-12
 
 
-def _check_s(seg: FlightSegment, s: float) -> None:
+def check_segment(r: float, delta: float | None, s: float = 0.0) -> None:
+    """r > 0 and finite, delta in (0, pi) or None (open), s on the segment."""
+    if not (r > 0 and math.isfinite(r)):
+        raise ValueError(f"segment radius must be positive and finite, got {r}")
+    if delta is not None and not 0.0 < delta < math.pi:
+        raise ValueError(f"segment duration must lie in (0, pi), got {delta}")
     if s < -_S_SLACK:
         raise ValueError(f"s = {s} precedes the segment start")
-    if seg.delta is not None and s > seg.delta + _S_SLACK:
-        raise ValueError(f"s = {s} exceeds the segment duration {seg.delta}")
+    if delta is not None and s > delta + _S_SLACK:
+        raise ValueError(f"s = {s} exceeds the segment duration {delta}")
 
 
 def segment_position(seg: FlightSegment, s: float) -> complex:
     """Arc position f(s) = r (1 + w s) e^{-is}."""
-    _check_s(seg, s)
+    check_segment(seg.r, seg.delta, s)
     w = complex(seg.a, seg.b)
     return seg.r * (1.0 + w * s) * unit_rotation(-s)
 
 
 def segment_velocity(seg: FlightSegment, s: float) -> complex:
     """Arc velocity f'(s) = r (w - i (1 + w s)) e^{-is}; f'(0) = r (a + i(b - 1))."""
-    _check_s(seg, s)
+    check_segment(seg.r, seg.delta, s)
     w = complex(seg.a, seg.b)
     return seg.r * (w - 1j * (1.0 + w * s)) * unit_rotation(-s)
