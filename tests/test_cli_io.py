@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import random
+import struct
 import subprocess
 import sys
 from dataclasses import asdict
@@ -11,8 +13,9 @@ from rodbilliard import (FreeFlight, SimConfig, flight_position, quasi_position,
                          segment_position, simulate, to_lab_frame,
                          unit_rotation)
 from rodbilliard import cli_io
-from rodbilliard.cli_io import (ExportOptions, main, record_from_json,
-                                record_to_json)
+from rodbilliard.cli_io import (ExportOptions, export_trajectory, main,
+                                record_from_json, record_to_json)
+from rodbilliard.rootfind import solve_delta
 from conftest import (GRAZING_V0, GRAZING_Z0, random_supported_starts,
                       stopping_set_point)
 
@@ -162,6 +165,47 @@ def test_simulate_csv_matches_positions(capsys, frame, start, quasi):
                         "rotating": "t,re_rot,im_rot,segment",
                         "lab": "t,re_lab,im_lab,segment"}[frame]
     assert lines[1:] == _csv_rows_from_positions(record, frame, 7) + [""]
+
+
+@pytest.fixture(scope="module")
+def csv_records() -> list:
+    """Seeded records with a finite t_max: open last arcs, closed arcs,
+    full stops in both modes, and one record read back from its JSON."""
+    rng = random.Random(20261019)
+    records = [simulate(z0, v0, SimConfig(n_max=rng.randrange(1, 30),
+                                          t_max=rng.uniform(1.0, 9.0)))
+               for z0, v0 in random_supported_starts(70, seed=919)]
+    for quasi in ("stop", "extend"):
+        z0, v0 = stopping_set_point(rng.uniform(0.2, 3.0),
+                                    rng.uniform(0.1, 4.4))
+        records.append(simulate(z0, v0, SimConfig(n_max=5, t_max=6.0,
+                                                  quasi_mode=quasi)))
+    records = [record for record in records if record.t]
+    return records + [record_from_json(record_to_json(records[0]))]
+
+
+@pytest.mark.parametrize("samples", [2, 4])
+@pytest.mark.parametrize("frame", ["both", "rotating", "lab"])
+def test_csv_matches_positions_on_seeded_starts(csv_records, frame, samples):
+    assert len(csv_records) >= 53  # at least 50 seeded starts
+    assert {r.termination for r in csv_records} == {
+        "reached_n_max", "reached_t_max", "degenerate_stop",
+        "degenerate_quasi"}
+    opts = ExportOptions("csv", frame, samples)
+    for record in csv_records:
+        lines = export_trajectory(record, opts).split("\n")
+        assert lines[1:] == _csv_rows_from_positions(record, frame,
+                                                     samples) + [""]
+
+
+def test_percent_format_prints_as_format_spec():
+    # the CSV rows print floats with one %-format; the views and the
+    # earlier writer used {:.17g}
+    values = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.max,
+              -sys.float_info.max, 1e16, 1e17, math.inf, -math.inf, math.nan]
+    rng = random.Random(17)
+    values += struct.unpack("<100000d", rng.randbytes(800_000))
+    assert ["%.17g" % x for x in values] == [f"{x:.17g}" for x in values]
 
 
 def test_simulate_json_roundtrip(capsys):
@@ -465,6 +509,34 @@ def test_json_with_edited_radius_fails_on_height():
         record.heights[0]
 
 
+@pytest.mark.parametrize("key,k,value,match", [
+    ("r", 0, -1.0, "radius"),
+    ("r", 2, 0.0, "radius"),
+    ("r", -1, -2.0, "radius"),      # the open last arc
+    ("delta", 1, math.pi, "duration"),
+    ("delta", 0, 4.0, "duration"),
+    ("delta", 2, 0.0, "duration")])
+@pytest.mark.parametrize("t_max", [None, 40.0])
+def test_export_rejects_an_edited_arc(key, k, value, match, t_max):
+    # the loader takes the columns as stored; the CSV export checks each
+    # arc as a FlightSegment does
+    data = json.loads(record_to_json(simulate(1j, 1, SimConfig(n_max=4))))
+    data["config"]["t_max"] = t_max
+    data[key][k] = value
+    record = record_from_json(json.dumps(data))
+    assert export_trajectory(record, ExportOptions("json"))
+    with pytest.raises(ValueError, match=match):
+        export_trajectory(record, ExportOptions("csv", samples_per_segment=4))
+
+
+def test_export_rejects_one_sample_per_arc():
+    record = simulate(1j, 1, SimConfig(n_max=4))
+    assert export_trajectory(record, ExportOptions("json",
+                                                   samples_per_segment=1))
+    with pytest.raises(ValueError, match="at least 2"):
+        export_trajectory(record, ExportOptions("csv", samples_per_segment=1))
+
+
 def test_json_roundtrip_degenerate_record():
     z0, v0 = stopping_set_point(1.5, 2.0)
     record = simulate(z0, v0, SimConfig(n_max=3, quasi_mode="extend"))
@@ -533,6 +605,46 @@ def test_impacts_near_grazing_start(capsys, z0):
     assert [row[-1] for row in rows[1:]] == ["grazing", "transversal",
                                               "transversal"]
     assert rows[1][5] == "1"
+
+
+def _impacts_by_rows(record) -> str:
+    """The ``impacts`` CSV as the earlier renderer built it: one
+    ImpactEvent and FlightSegment view per row, each float by {:.17g}."""
+    fmt = "{:.17g}".format
+    lines = ["n,t_n,delta_n,r_n,a_n,b_n,re_in,im_in,kind"]
+    for ev, seg in itertools.zip_longest(record.impacts, record.segments):
+        delta_s = a_s = b_s = ""
+        if seg is not None:
+            delta = seg.delta
+            if delta is None:  # the open last arc, from beta rather than b - 1
+                delta = solve_delta(seg.a, record.beta[-1])
+            delta_s, a_s, b_s = fmt(delta), fmt(seg.a), fmt(seg.b)
+        lines.append(",".join([
+            str(ev.n), fmt(ev.t), delta_s, fmt(ev.r), a_s, b_s,
+            fmt(ev.zdot_in.real), fmt(ev.zdot_in.imag), ev.kind]))
+    return "\n".join(lines) + "\n"
+
+
+def test_impacts_rows_match_the_row_by_row_renderer():
+    rng = random.Random(20261020)
+    records = [simulate(1j, 1 + 0j, SimConfig(n_max=2000)),
+               simulate(GRAZING_Z0, GRAZING_V0, SimConfig(n_max=25))]
+    for z0, v0 in random_supported_starts(80, seed=920):
+        records.append(simulate(z0, v0, SimConfig(n_max=25)))
+        records.append(simulate(z0, v0, SimConfig(
+            n_max=1000, t_max=rng.uniform(1.0, 9.0))))
+    for quasi in ("stop", "extend"):
+        for _ in range(5):
+            z0, v0 = stopping_set_point(rng.uniform(0.2, 3.0),
+                                        rng.uniform(0.1, 4.4))
+            records.append(simulate(z0, v0, SimConfig(n_max=5,
+                                                      quasi_mode=quasi)))
+    assert {r.termination for r in records} == {
+        "reached_n_max", "reached_t_max", "degenerate_stop",
+        "degenerate_quasi"}
+    for record in records:
+        assert cli_io._impacts_render(record, None) == (
+            _impacts_by_rows(record), "", 0)
 
 
 def test_asympt_summary_format(capsys):
