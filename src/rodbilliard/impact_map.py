@@ -14,23 +14,20 @@ with p = 1 - (sin delta/delta)^2 and m = (delta - sin delta cos delta)/delta^3.
 Along an orbit delta_n ~ 3/(2n) and beta_n ~ delta_n, so the state
 carries beta itself (b would keep only eps/beta of its relative
 precision), p and m come from their Taylor series where the closed forms
-cancel, and the second forms above add positive terms only.  From impact
-~300 on, every orbit measured stays in the reversion box of ``solve_delta``;
-``cascade`` runs those impacts as ``step``'s arithmetic in a loop of its own.
+cancel, and the second forms above add positive terms only.  ``cascade``
+iterates the map over every impact after the first, with ``step``'s
+arithmetic in one loop; ``step`` is the reference that loop must equal.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
-# DEGENERATE and TRANSVERSAL are imported for callers that take them from here
-from .core import (DEGENERATE, GRAZING_TOL, TRANSVERSAL, ContractViolation,
-                   require_finite, unit_rotation)
-from .rootfind import (REVERSION_A_MAX, REVERSION_A_MIN, REVERSION_W_MAX,
-                       ROOT_REL_TOL, SERIES_MAX, T_STAR, hybrid_root,
+from .core import (GRAZING_TOL, ContractViolation, require_finite,
+                   unit_rotation)
+from .rootfind import (ROOT_REL_TOL, SERIES_MAX, T_STAR, hybrid_root,
                        reduced_arc, small_root_guess, solve_delta)
 
 # Taylor coefficients in u = delta^2 of p/u, (-1)^n 2^(2n+3)/(2n+4)!, and
@@ -58,8 +55,8 @@ def recurrence_kernels(delta: float) -> tuple[float, float]:
 
     Both to about an ulp: Taylor series below SERIES_MAX, where the
     closed forms would cancel (p ~ delta^2/3, m ~ 2/3), closed forms above.
-    ``cascade`` keeps the five-term head of each series, which is enough
-    below delta = 0.01.
+    ``cascade`` calls it from delta = 0.01 up; below, it sums the five-term
+    head of each series inline, which is the full series to the bit there.
     """
     if delta < SERIES_MAX:
         u = delta * delta
@@ -95,7 +92,8 @@ def step(r: float, a: float, beta: float
     /(2 delta^3) are positive (their series alternate, falling from 1/3
     and 2/3), and beta' = (beta + p)/b, a' = (beta/delta + delta m)/b are
     sums of positive finite terms over b >= 1.  The radius grows strictly,
-    r' = r b delta/sin delta > r, which is checked.
+    r' = r b delta/sin delta > r, which is checked.  This is the reference
+    the loop of ``cascade`` must equal bit for bit.
     """
     delta = solve_delta(a, beta)
     a_next, beta_next, dos = recurrence(delta, beta)
@@ -107,30 +105,34 @@ def step(r: float, a: float, beta: float
     return delta, r_next, a_next, beta_next
 
 
-def cascade(columns: tuple[list[float], ...], t_sum: float, comp: float,
-            t_max: float, passes: Iterator[int]) -> tuple[float, ...] | None:
-    """Extend ``simulate``'s columns (t, r, a, beta, delta) by ``step``'s
-    impacts, one per item of ``passes``, while the arc stays in the reversion
-    box, with five-term p and m (delta < 0.01 there).  Returns (r, a, beta,
-    t_sum, comp), the state and Neumaier time sum, or None past t_max."""
-    ts, rs, as_, betas, deltas = columns
-    r, a, beta = rs[-1], as_[-1], betas[-1]
-    for _ in passes:
+def cascade(t1: float, r: float, a: float, beta: float, n: int,
+            t_max: float) -> tuple[list[float], ...]:
+    """Columns (t, r, a, beta, delta) of the orbit from its first impact at
+    t1, whose arc is (r, a, beta): n more impacts by ``step``'s arithmetic,
+    fewer if one falls past t_max on the Neumaier-summed clock.  Below
+    delta = 0.01, p and m are the five-term heads of their series."""
+    ts, rs, as_, betas, deltas = [t1], [r], [a], [beta], []
+    t_sum, comp = t1, 0.0
+    for _ in range(n):
         delta = solve_delta(a, beta)
         b = 1.0 + beta
         r_next = r * b * (delta / math.sin(delta))
         if not (math.isfinite(r_next) and r_next > r):
             raise ContractViolation(f"radius failed to grow: r={r} -> {r_next} "
                                     f"(a={a}, beta={beta}, delta={delta})")
-        u = delta * delta
-        r, a, beta = r_next, (beta / delta + delta * (
-            _M0 + u * (_M1 + u * (_M2 + u * (_M3 + u * _M4))))) / b, (
-            beta + u * (_P0 + u * (_P1 + u * (_P2 + u * (_P3 + u * _P4))))) / b
+        if delta < 0.01:
+            u = delta * delta
+            p = u * (_P0 + u * (_P1 + u * (_P2 + u * (_P3 + u * _P4))))
+            m = _M0 + u * (_M1 + u * (_M2 + u * (_M3 + u * _M4)))
+        else:
+            p, m = recurrence_kernels(delta)
+        r, a, beta = r_next, (beta / delta + delta * m) / b, (beta + p) / b
         s = t_sum + delta
         comp += (t_sum - s) + delta if t_sum >= delta else (delta - s) + t_sum
         t_sum = s
         if t_sum + comp > t_max:
-            return None
+            break
+        # a > 0 (see ``step``): a near-graze is roundoff, so stays transversal
         if beta <= GRAZING_TOL * a:
             logging.getLogger(__name__).warning(
                 "near-grazing incoming velocity %r at n=%d",
@@ -140,10 +142,7 @@ def cascade(columns: tuple[list[float], ...], t_sum: float, comp: float,
         rs.append(r)
         as_.append(a)
         betas.append(beta)
-        if not (REVERSION_A_MIN < a <= REVERSION_A_MAX
-                and 0.0 < beta / (a * a) <= REVERSION_W_MAX):
-            break
-    return r, a, beta, t_sum, comp
+    return ts, rs, as_, betas, deltas
 
 
 def segment_max_height(r: float, a: float, beta: float,

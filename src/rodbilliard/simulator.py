@@ -1,32 +1,28 @@
-"""Full-trajectory orchestration: first impact, recurrence iteration,
-degenerate handling and record assembly.
+"""Full-trajectory orchestration: first impact, degenerate handling and
+record assembly.
 
 ``simulate`` finds the first rod contact in closed form from the angle
-of the free flight, then generates every further impact purely from the
-closed-form (r, a, beta) recurrences; no flight is searched again, which
-removes root-finding drift from long orbits.  The brute-force verifier
-in ``oracle`` exists precisely to validate that choice.
+of the free flight, and ``impact_map.cascade`` generates every further
+impact purely from the closed-form (r, a, beta) recurrences; no flight is
+searched again, which removes root-finding drift from long orbits.  The
+brute-force verifier in ``oracle`` exists precisely to validate that choice.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from bisect import bisect_right
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .core import (DEFAULT_CONFIG, DEGENERATE, GRAZING_TOL, TRANSVERSAL,
-                   PhaseState, SimConfig, require_finite, unit_rotation)
+from .core import (DEFAULT_CONFIG, DEGENERATE, TRANSVERSAL, PhaseState,
+                   SimConfig, require_finite, unit_rotation)
 from .flight import (FlightSegment, FreeFlight, flight_position,
                      flight_velocity, reflect, segment_position,
                      segment_velocity)
 from .impact_map import (ImpactEvent, cascade, in_degenerate_set,
-                         segment_max_height, step)
-from .rootfind import (REVERSION_A_MAX, REVERSION_A_MIN, REVERSION_W_MAX,
-                       T_STAR, UnsupportedFirstImpact, first_impact)
-
-_log = logging.getLogger(__name__)
+                         segment_max_height)
+from .rootfind import T_STAR, UnsupportedFirstImpact, first_impact
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,8 +132,7 @@ def simulate(z0: complex, v0: complex,
     """Run a billiard trajectory from lab-frame line data (z0, v0).
 
     The rotating-frame motion is (z0 + v0 t) e^{-it} until the first rod
-    contact; afterwards impacts follow from the closed-form recurrences, by
-    ``step`` and, once the arc is in the reversion box, by ``cascade``.
+    contact; ``cascade`` iterates the closed-form recurrences from there.
     Stops after cfg.n_max impacts or past cfg.t_max, at a degenerate
     (full-stop) impact per cfg.quasi_mode, or immediately when the first
     contact is off the positive semiaxis (reported, not simulated).
@@ -176,35 +171,9 @@ def simulate(z0: complex, v0: complex,
 
     # the first arc from the contact's verdict: beta > 0 if transversal,
     # and a grazing touch gets beta = 0 where rounding made it negative
-    r, a, beta = r1, zdot_in.real / r1, max(-zdot_in.imag / r1, 0.0)
-    ts, rs, as_, betas, deltas = columns = [t1], [r], [a], [beta], []
-    t_sum = t1
-    comp = 0.0  # Neumaier compensation for the running time sum
-    # both loops draw on one budget of passes; CPython 3.11 warms up for loops
-    passes = iter(range(cfg.n_max - 1))
-    for _ in passes:
-        delta, r, a, beta = step(r, a, beta)
-        s = t_sum + delta
-        comp += (t_sum - s) + delta if t_sum >= delta else (delta - s) + t_sum
-        t_sum = s
-        t_next = t_sum + comp
-        if t_next > cfg.t_max:
-            break
-        # a > 0 (see ``step``): a near-graze is roundoff, so stays transversal
-        if beta <= GRAZING_TOL * a:
-            _log.warning("near-grazing incoming velocity %r at n=%d",
-                         complex(r * a, -r * beta), len(ts) + 1)
-        deltas.append(delta)
-        ts.append(t_next)
-        rs.append(r)
-        as_.append(a)
-        betas.append(beta)
-        if (REVERSION_A_MIN < a <= REVERSION_A_MAX
-                and 0.0 < beta / (a * a) <= REVERSION_W_MAX):
-            state = cascade(columns, t_sum, comp, cfg.t_max, passes)
-            if state is None:
-                break
-            r, a, beta, t_sum, comp = state
+    ts, rs, as_, betas, deltas = cascade(
+        t1, r1, zdot_in.real / r1, max(-zdot_in.imag / r1, 0.0),
+        cfg.n_max - 1, cfg.t_max)
     termination = "reached_n_max" if len(ts) == cfg.n_max else "reached_t_max"
     return TrajectoryRecord(z0, v0, cfg, termination, t=tuple(ts),
                             r=tuple(rs), a=tuple(as_), beta=tuple(betas),

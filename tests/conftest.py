@@ -8,9 +8,10 @@ import pytest
 
 from rodbilliard import (FreeFlight, SimConfig, UnsupportedFirstImpact,
                          first_impact, simulate, unit_rotation)
+from rodbilliard import rootfind
 from rodbilliard.impact_map import cascade
 from rodbilliard.rootfind import (REVERSION_A_MAX, REVERSION_A_MIN,
-                                  REVERSION_W_MAX)
+                                  REVERSION_W_MAX, SERIES_MAX, solve_delta)
 
 
 @pytest.fixture(scope="session")
@@ -84,9 +85,10 @@ def recurrence_direct(delta: float, beta: float
 
 
 def in_reversion_box(a: float, beta: float) -> bool:
-    """Whether solve_delta takes its reversion series for the arc (a, beta)."""
-    return (REVERSION_A_MIN < a <= REVERSION_A_MAX
-            and 0.0 < beta / (a * a) <= REVERSION_W_MAX)
+    """Whether solve_delta takes its reversion series for the arc (a, beta),
+    with the box edges as they are set in ``rootfind`` when called."""
+    return (rootfind.REVERSION_A_MIN < a <= rootfind.REVERSION_A_MAX
+            and 0.0 < beta / (a * a) <= rootfind.REVERSION_W_MAX)
 
 
 def box_state(a: float, w: float) -> tuple[float, float]:
@@ -99,14 +101,43 @@ def box_state(a: float, w: float) -> tuple[float, float]:
     return a, beta
 
 
+def outside_box_arcs(seed: int, per_kind: int) -> list[tuple[float, float]]:
+    """Seeded arcs (a, beta) outside the reversion box, ``per_kind`` of each
+    kind: a > 1, a < 0.5, 0.5 < a <= 1 with beta/a^2 > REVERSION_W_MAX,
+    delta >= SERIES_MAX, and grazing (beta = 0, a < 0).  beta/a^2 of the
+    first two kinds and -a of the grazing kind are log-uniform down to
+    1e-10 and 1e-8, so many of their arcs have delta < 0.01."""
+    rng = random.Random(seed)
+
+    def draw(kind: int) -> tuple[float, float]:
+        if kind == 0 or kind == 1:
+            a = 10.0 ** rng.uniform(0.0, 3.0) if kind == 0 else rng.uniform(
+                -3.0, 0.5)
+            return a, 10.0 ** rng.uniform(-10.0, 0.0) * max(a * a, 1e-6)
+        if kind == 2:
+            a = rng.uniform(REVERSION_A_MIN, REVERSION_A_MAX)
+            return a, REVERSION_W_MAX * 10.0 ** rng.uniform(0.0, 4.0) * a * a
+        if kind == 3:
+            return rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-0.5, 1.5)
+        return -10.0 ** rng.uniform(-8.0, 1.0), 0.0
+
+    arcs = []
+    for kind in range(5):
+        kept = 0
+        while kept < per_kind:
+            a, beta = draw(kind)
+            if in_reversion_box(a, beta) or (
+                    kind == 3 and solve_delta(a, beta) < SERIES_MAX):
+                continue
+            arcs.append((a, beta))
+            kept += 1
+    return arcs
+
+
 def cascade_impact(r: float, a: float, beta: float
                    ) -> tuple[float, float, float, float]:
-    """One impact of ``cascade`` from the in-box arc (r, a, beta), as
+    """One impact of ``cascade`` from the arc (r, a, beta), as
     (delta, r', a', beta') like ``step``."""
-    columns = ([0.0], [r], [a], [beta], [])
-    state = cascade(columns, 0.0, 0.0, math.inf, iter(range(1)))
-    ts, rs, as_, betas, deltas = columns
-    assert len(deltas) == 1
-    assert state == (rs[1], as_[1], betas[1], deltas[0], 0.0) == (
-        rs[1], as_[1], betas[1], ts[1], 0.0)
+    ts, rs, as_, betas, deltas = cascade(0.0, r, a, beta, 1, math.inf)
+    assert len(deltas) == 1 and ts == [0.0, deltas[0]]
     return deltas[0], rs[1], as_[1], betas[1]

@@ -9,9 +9,9 @@ from rodbilliard import (DEGENERATE, ContractViolation, T_STAR,
                          segment_max_height, solve_delta, step, unit_rotation)
 from rodbilliard.impact_map import cascade
 from rodbilliard.rootfind import (REVERSION_A_MAX, REVERSION_A_MIN,
-                                  REVERSION_W_MAX)
+                                  REVERSION_W_MAX, SERIES_MAX)
 from conftest import (box_state, cascade_impact, in_reversion_box,
-                      recurrence_direct)
+                      outside_box_arcs, recurrence_direct)
 
 # frozen from a 50-digit computation of the (a=0, b=2) step
 DELTA_02 = 1.1655611852072113
@@ -222,7 +222,8 @@ def test_box_invariant_along_orbit():
 def test_cascade_impact_is_step():
     # seeded arcs over the reversion box, r from 1 to 1e6 and w = beta/a^2
     # down to 1e-9, plus its edges a = nextafter(0.5, 1), a = 1 and
-    # w = REVERSION_W_MAX; the last row leaves the box by an ulp of a
+    # w = REVERSION_W_MAX; the last row leaves the box by an ulp of a.
+    # Then as many arcs outside it, of each kind of ``outside_box_arcs``
     rng = random.Random(1818)
     edges = (math.nextafter(REVERSION_A_MIN, 1.0), REVERSION_A_MAX)
     arcs = [box_state(a, w) for a in edges
@@ -235,21 +236,34 @@ def test_cascade_impact_is_step():
             arcs.append(box_state(a, REVERSION_W_MAX * 10.0 ** rng.uniform(
                 -7.0, 0.0)))
     arcs.append((1.0, 1e-6))
-    for a, beta in arcs:
+    outside = outside_box_arcs(2020, 2_400)
+    assert not any(in_reversion_box(a, beta) for a, beta in outside)
+    deltas = []
+    for a, beta in arcs + outside:
         r = 10.0 ** rng.uniform(0.0, 6.0)
-        assert cascade_impact(r, a, beta) == step(r, a, beta), (r, a, beta)
+        stepped = step(r, a, beta)
+        assert cascade_impact(r, a, beta) == stepped, (r, a, beta)
+        deltas.append(stepped[0])
     assert not in_reversion_box(*step(1.0, 1.0, 1e-6)[2:])
+    # both sides of the head's switch at 0.01 and of SERIES_MAX, outside
+    outside_deltas = deltas[-len(outside):]
+    assert min(outside_deltas) < 0.01 <= SERIES_MAX <= max(outside_deltas)
+    assert sum(d < 0.01 for d in outside_deltas) >= 3_000
 
 
-def test_cascade_stops_where_the_arc_leaves_the_box():
-    # step(1, 1, 1e-6) gives a' = 1 + 2.2e-16: the cascade makes that
-    # impact and hands the passes left back
-    columns = ([0.0], [1.0], [1.0], [1e-6], [])
-    passes = iter(range(5))
-    assert cascade(columns, 0.0, 0.0, math.inf, passes) is not None
-    assert [len(col) for col in columns] == [2, 2, 2, 2, 1]
-    assert columns[2][1] == math.nextafter(1.0, 2.0)
-    assert next(passes) == 1
+def test_cascade_runs_on_past_the_box_exit():
+    # step(1, 1, 1e-6) gives a' = 1 + 2.2e-16, out of the box, and the
+    # fifth impact brings a back to 1: the loop goes on through both
+    ts, rs, as_, betas, deltas = cascade(0.0, 1.0, 1.0, 1e-6, 5, math.inf)
+    assert [in_reversion_box(a, beta) for a, beta in zip(as_, betas)] == [
+        True, False, False, False, False, True]
+    assert as_[1] == math.nextafter(1.0, 2.0)
+    r, a, beta = 1.0, 1.0, 1e-6
+    for k in range(5):
+        delta, r, a, beta = step(r, a, beta)
+        assert (deltas[k], rs[k + 1], as_[k + 1], betas[k + 1]) == (
+            delta, r, a, beta)
+    assert ts[-1] == math.fsum(deltas)
 
 
 def test_cascade_keeps_the_radius_check():

@@ -20,7 +20,7 @@ from rodbilliard import impact_map, rootfind
 from rodbilliard.rootfind import (REVERSION_A_MAX, REVERSION_A_MIN,
                                   REVERSION_W_MAX, SERIES_MAX, reduced_arc)
 from conftest import (box_state, cascade_impact, in_reversion_box,
-                      random_supported_starts)
+                      outside_box_arcs, random_supported_starts)
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -65,9 +65,10 @@ def test_recurrence_kernels_match_mpmath():
 
 
 def test_five_term_head_is_the_full_series():
-    # cascade keeps five terms of each kernel series; in the box delta <
-    # 0.005, so u < 1e-4 leaves the rest below 1e-26 relative, and its
-    # (a', beta') must equal recurrence's, which sums all 11/12 terms
+    # cascade keeps five terms of each kernel series below delta = 0.01, so
+    # u < 1e-4 leaves the rest below 1e-26 relative, and its (a', beta')
+    # must equal recurrence's, which sums all 11/12 terms: over the box,
+    # where delta < 0.005, and over the arcs outside it with delta < 0.01
     p_coef = [(-1) ** n * 2 ** (2 * n + 3) / math.factorial(2 * n + 4)
               for n in range(11)]
     m_coef = [(-1) ** n * 4 ** (n + 1) / math.factorial(2 * n + 3)
@@ -83,17 +84,24 @@ def test_five_term_head_is_the_full_series():
     ws = [REVERSION_W_MAX * 10.0 ** rng.uniform(-8.0, 0.0)
           for _ in range(25_000)]
     ws += [rng.uniform(0.0, REVERSION_W_MAX) for _ in range(25_000)]
+    arcs = []
     for w in ws:
         a = rng.uniform(REVERSION_A_MIN, REVERSION_A_MAX)
-        if not (w > 0.0 and a > REVERSION_A_MIN):
-            continue
-        a, beta = box_state(a, w)
+        if w > 0.0 and a > REVERSION_A_MIN:
+            arcs.append(box_state(a, w))
+    outside = 0
+    for a, beta in arcs + outside_box_arcs(1702, 12_000):
         delta, _, a_next, beta_next = cascade_impact(1.0, a, beta)
+        if not in_reversion_box(a, beta):
+            if delta >= 0.01:
+                continue
+            outside += 1
         assert delta < 0.01
         assert (a_next, beta_next) == recurrence(delta, beta)[:2], (a, beta)
         u = delta * delta
         assert recurrence_kernels(delta) == (u * horner(p_coef, u),
                                              horner(m_coef, u)), delta
+    assert outside >= 15_000
 
 
 def test_reference_orbit_checkpoints():

@@ -6,18 +6,17 @@ import sys
 
 import pytest
 
-from rodbilliard import (SimConfig, convergence_experiment, flight_position,
+from rodbilliard import (DEGENERATE, TRANSVERSAL, ContractViolation,
+                         SimConfig, convergence_experiment, flight_position,
                          FreeFlight, quasi_position, quasi_velocity,
                          record_state, segment_position, simulate,
                          QuasiTrajectory)
 from rodbilliard.core import (DEFAULT_CONFIG, GRAZING_TOL, require_finite,
                               unit_rotation)
 from rodbilliard.flight import FlightSegment, flight_velocity, reflect
-from rodbilliard import impact_map, simulator
-from rodbilliard.impact_map import (DEGENERATE, TRANSVERSAL,
-                                    ContractViolation, ImpactEvent, cascade,
-                                    in_degenerate_set, segment_max_height,
-                                    step)
+from rodbilliard import impact_map, rootfind
+from rodbilliard.impact_map import (ImpactEvent, cascade, in_degenerate_set,
+                                    segment_max_height, step)
 from rodbilliard.rootfind import UnsupportedFirstImpact, first_impact
 from rodbilliard.simulator import RowView
 from conftest import (GRAZING_V0, GRAZING_Z0, in_reversion_box,
@@ -115,6 +114,21 @@ def test_t_max_termination():
     assert len(record.impacts) == 2  # t3 ~ 2.55 lies past the budget
     assert all(ev.t <= 2.0 for ev in record.impacts)
     assert record.segments[-1].delta is None
+
+
+def test_t_max_cut_at_a_recorded_time():
+    # the cut compares the compensated time of each impact: t_max equal to
+    # a recorded t keeps that impact, and an ulp less drops it, before the
+    # box and in it
+    full = simulate(1j, 1 + 0j, SimConfig(n_max=2000))
+    for k in range(1, 1990, 37):
+        t = full.t[k]
+        kept = simulate(1j, 1 + 0j, SimConfig(n_max=2000, t_max=t))
+        cut = simulate(1j, 1 + 0j, SimConfig(n_max=2000,
+                                             t_max=math.nextafter(t, 0.0)))
+        assert kept.t == full.t[:k + 1] and cut.t == full.t[:k], k
+        assert kept.delta == full.delta[:k] and cut.delta == full.delta[:k - 1]
+        assert kept.termination == cut.termination == "reached_t_max"
 
 
 def test_t_max_before_first_impact():
@@ -276,22 +290,19 @@ def test_near_tangent_member_keeps_its_contact(caplog):
     assert caplog.records == []
 
 
-def test_near_grazing_warning_from_both_loops(caplog, monkeypatch):
+def test_near_grazing_warning_from_the_impact_loop(caplog, monkeypatch):
     # a band of 1e-2 holds the reference orbit's arcs from about n = 150,
-    # before its cascade starts at n = 301: each loop warns once an impact
-    for module in (simulator, impact_map):
-        monkeypatch.setattr(module, "GRAZING_TOL", 1e-2)
+    # before its arcs enter the reversion box at n = 301: the loop warns
+    # once an impact, before the box and in it
+    monkeypatch.setattr(impact_map, "GRAZING_TOL", 1e-2)
     with caplog.at_level(logging.WARNING, logger="rodbilliard"):
         record = simulate(1j, 1 + 0j, SimConfig(n_max=400))
-    warned = {name: [int(rec.getMessage().rpartition("n=")[2])
-                     for rec in caplog.records if rec.name == name]
-              for name in ("rodbilliard.simulator", "rodbilliard.impact_map")}
+    warned = [(rec.name, int(rec.getMessage().rpartition("n=")[2]))
+              for rec in caplog.records]
     expected = [k + 1 for k in range(1, 400)
                 if record.beta[k] <= 1e-2 * record.a[k]]
-    assert warned["rodbilliard.simulator"] + warned["rodbilliard.impact_map"] \
-        == expected
-    assert warned["rodbilliard.simulator"] and warned["rodbilliard.impact_map"]
-    assert warned["rodbilliard.impact_map"][0] == BOX_ENTRY + 1
+    assert warned == [("rodbilliard.impact_map", n) for n in expected]
+    assert expected[0] < BOX_ENTRY < expected[-1]
 
 
 def test_record_state_phases(orbit_i1):
@@ -539,25 +550,13 @@ def test_views_equal_object_assembly(z0, v0, cfg):
         assert repr(tuple(view)) == repr(expected)
 
 
-@pytest.mark.parametrize("narrowed", [(impact_map,), (impact_map, simulator)],
-                         ids=["cascade", "both_loops"])
-def test_generic_loop_resumes_where_the_cascade_stops(monkeypatch, narrowed):
+def test_loop_crosses_a_narrowed_box_edge(monkeypatch):
     # the one known exit, a = 1 exactly (step(1, 1, 1e-6)), is reached by
-    # no orbit measured, and a start whose first arc is near it sits within
-    # the rod's band: so the box's top edge is lowered to 0.99999, which the
-    # reference orbit's a crosses near n = 340.  Lowered for the cascade
-    # alone, the generic loop hands each arc back to it for one impact
-    runs = []  # impacts in the record when each cascade call began, ended
-
-    def counted(columns, *args):
-        start = len(columns[0])
-        state = cascade(columns, *args)
-        runs.append((start, len(columns[0])))
-        return state
-
-    monkeypatch.setattr(simulator, "cascade", counted)
-    for module in narrowed:
-        monkeypatch.setattr(module, "REVERSION_A_MAX", 0.99999)
+    # no orbit measured, so the box's top edge is lowered to 0.99999, which
+    # the reference orbit's a crosses near n = 340: its arcs take Newton's
+    # delta, then the series from BOX_ENTRY on, then Newton's again, and
+    # the five-term head of p and m on both sides of that edge
+    monkeypatch.setattr(rootfind, "REVERSION_A_MAX", 0.99999)
     cfg = SimConfig(n_max=600)
     record = simulate(1j, 1 + 0j, cfg)
     impacts, segments, heights, termination, _ = reference_simulate(
@@ -565,14 +564,11 @@ def test_generic_loop_resumes_where_the_cascade_stops(monkeypatch, narrowed):
     assert repr((tuple(record.impacts), tuple(record.segments),
                  tuple(record.heights), record.termination)) == repr(
         (impacts, segments, heights, termination))
-    (start, end), *rest = runs
-    assert start == BOX_ENTRY and end < cfg.n_max
-    assert record.a[end - 2] <= 0.99999 < record.a[end - 1]
-    if len(narrowed) == 2:
-        assert rest == []
-    else:
-        assert len(rest) > 100
-        assert all(stop == begin + 1 for begin, stop in rest)
+    inside = list(map(in_reversion_box, record.a, record.beta))
+    exit_ = inside.index(False, BOX_ENTRY)
+    assert inside == ([False] * (BOX_ENTRY - 1) + [True] * (exit_ - BOX_ENTRY + 1)
+                      + [False] * (cfg.n_max - exit_))
+    assert exit_ < cfg.n_max - 100 and max(record.delta[BOX_ENTRY - 100:]) < 0.01
 
 
 def test_both_full_stop_paths_are_covered():
@@ -628,6 +624,5 @@ def test_impact_loop_closes_with_an_unconditional_jump():
     # unconditional JUMP_BACKWARD; a while loop closes with a conditional
     # back jump instead, which leaves a loop unspecialised until about the
     # 8th call of its function in a process
-    for loop in (simulate, cascade):
-        assert any(ins.opname == "JUMP_BACKWARD"
-                   for ins in dis.get_instructions(loop)), loop
+    assert any(ins.opname == "JUMP_BACKWARD"
+               for ins in dis.get_instructions(cascade))
