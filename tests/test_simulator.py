@@ -566,9 +566,11 @@ def test_loop_crosses_a_narrowed_box_edge(monkeypatch):
         (impacts, segments, heights, termination))
     inside = list(map(in_reversion_box, record.a, record.beta))
     exit_ = inside.index(False, BOX_ENTRY)
-    assert inside == ([False] * (BOX_ENTRY - 1) + [True] * (exit_ - BOX_ENTRY + 1)
+    first = BOX_ENTRY - 1  # the arc leaving impact BOX_ENTRY
+    assert inside == ([False] * first + [True] * (exit_ - first)
                       + [False] * (cfg.n_max - exit_))
-    assert exit_ < cfg.n_max - 100 and max(record.delta[BOX_ENTRY - 100:]) < 0.01
+    assert exit_ < cfg.n_max - 100
+    assert max(record.delta[BOX_ENTRY - 100:]) < 0.01
 
 
 def test_both_full_stop_paths_are_covered():
