@@ -22,7 +22,8 @@ from .flight import (FlightSegment, FreeFlight, flight_position,
                      segment_velocity)
 from .impact_map import (ImpactEvent, cascade, in_degenerate_set,
                          segment_max_height)
-from .rootfind import T_STAR, UnsupportedFirstImpact, first_impact
+from .rootfind import (T_STAR, UnsupportedFirstImpact, first_impact,
+                       solve_delta)
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,7 +197,8 @@ def quasi_velocity(q: QuasiTrajectory, t: float) -> complex:
 
 
 def record_state(record: TrajectoryRecord, t: float) -> PhaseState:
-    """Phase state along a record at time t (right limits at impacts)."""
+    """Phase state along a record at time t (right limits at impacts), up
+    to the next impact of its open last arc."""
     if t < 0.0:
         raise ValueError(f"t = {t} precedes the start of the record")
     ts = record.t
@@ -205,6 +207,12 @@ def record_state(record: TrajectoryRecord, t: float) -> PhaseState:
         return PhaseState(t=t, z=flight_position(ff, t),
                           zdot=flight_velocity(ff, t))
     k = bisect_right(ts, t) - 1
+    if k == len(record.delta) < len(record.a):
+        # the open last arc holds the orbit up to its next impact only
+        t_end = ts[k] + solve_delta(record.a[k], record.beta[k])
+        if t > t_end:
+            raise ValueError(f"record ends at t = {t_end}, the next impact "
+                             f"of its open last arc; no state at t = {t}")
     if k < len(record.a):
         seg = record.segments[k]
         s = t - seg.t_start

@@ -101,6 +101,37 @@ def box_state(a: float, w: float) -> tuple[float, float]:
     return a, beta
 
 
+def in_start_window(a: float, beta: float) -> bool:
+    """Whether solve_delta starts Newton from its reversion series for the
+    arc (a, beta): a as in the box, REVERSION_W_MAX < beta/a^2 <= START_W_MAX."""
+    return (rootfind.REVERSION_A_MIN < a <= rootfind.REVERSION_A_MAX
+            and rootfind.REVERSION_W_MAX < beta / (a * a)
+            <= rootfind.START_W_MAX)
+
+
+def window_arc(a: float, w: float) -> tuple[float, float]:
+    """The arc (a, beta = w a^2), moved by ulps into the start window if
+    rounding put beta/a^2 on or past one of its edges."""
+    beta = w * a * a
+    while beta / (a * a) > rootfind.START_W_MAX:
+        beta = math.nextafter(beta, 0.0)
+    while beta / (a * a) <= rootfind.REVERSION_W_MAX:
+        beta = math.nextafter(beta, math.inf)
+    assert in_start_window(a, beta), (a, beta)
+    return a, beta
+
+
+def series_start(a: float, beta: float) -> float:
+    """Newton's start on a window arc: the reversion series, read from
+    solve_delta with its box widened to the window for this one call."""
+    saved = rootfind.REVERSION_W_MAX
+    rootfind.REVERSION_W_MAX = rootfind.START_W_MAX
+    try:
+        return solve_delta(a, beta)
+    finally:
+        rootfind.REVERSION_W_MAX = saved
+
+
 def outside_box_arcs(seed: int, per_kind: int) -> list[tuple[float, float]]:
     """Seeded arcs (a, beta) outside the reversion box, ``per_kind`` of each
     kind: a > 1, a < 0.5, 0.5 < a <= 1 with beta/a^2 > REVERSION_W_MAX,

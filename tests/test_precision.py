@@ -20,7 +20,8 @@ from rodbilliard import impact_map, rootfind
 from rodbilliard.rootfind import (REVERSION_A_MAX, REVERSION_A_MIN,
                                   REVERSION_W_MAX, SERIES_MAX, reduced_arc)
 from conftest import (box_state, cascade_impact, in_reversion_box,
-                      outside_box_arcs, random_supported_starts)
+                      in_start_window, outside_box_arcs,
+                      random_supported_starts, series_start, window_arc)
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -179,12 +180,12 @@ def test_reversion_box_matches_mpmath():
 
 
 @pytest.mark.parametrize("edge", ["a_min", "a_max", "w_max", "w_min"])
-def test_reversion_meets_newton_on_box_edges(monkeypatch, edge):
+def test_reversion_meets_newton_on_box_edges(edge):
     # the same (a, beta) on an edge of the box, from the series and from
-    # Newton (forced by emptying the box).  Where the orbit crosses, at
-    # w = W_MAX, they agree within 4 ulps, and within 2 on the other edges
-    # (the most seen over 5000 points an edge, where the series is within
-    # 1.5 ulps of the root: test above)
+    # Newton started at the quadratic, newton_delta's default.  Where the
+    # orbit crosses, at w = W_MAX, they agree within 4 ulps, and within 2
+    # on the other edges (the most seen over 5000 points an edge, where
+    # the series is within 1.5 ulps of the root: test above)
     fracs = [(k + 1) / 40 for k in range(40)]
     points = {
         "a_min": [(A_LOW, box_top(A_LOW) * f) for f in fracs],
@@ -193,10 +194,9 @@ def test_reversion_meets_newton_on_box_edges(monkeypatch, edge):
         "w_min": [(a, box_top(a) * 1e-9) for a in (0.5 + 0.5 * f for f in fracs)],
     }[edge]
     assert all(in_reversion_box(a, beta) for a, beta in points)
-    series = [solve_delta(a, beta) for a, beta in points]
-    monkeypatch.setattr(rootfind, "REVERSION_W_MAX", 0.0)
-    for (a, beta), d in zip(points, series):
-        newton = solve_delta(a, beta)
+    for a, beta in points:
+        d = solve_delta(a, beta)
+        newton, _ = rootfind.newton_delta(a, beta)
         assert ulps_off(d, newton) <= (4.0 if edge == "w_max" else 2.0), (
             a, beta)
 
@@ -237,29 +237,37 @@ def test_newton_delta_matches_mpmath():
 def test_outside_box_record_equals_newton_record(monkeypatch, z0, v0, n_max):
     # the reference orbit's first 300 arcs, and a start whose first arcs
     # have a > 1, stay outside the box: their records are the ones Newton
-    # alone builds, bit for bit
+    # alone builds (the box emptied), bit for bit.  That Newton starts from
+    # the reversion series on the arcs of the start window, most of them,
+    # and from the quadratic on the others
     record = simulate(z0, v0, SimConfig(n_max=n_max))
     closed = len(record.delta)
-    assert not any(map(in_reversion_box, record.a[:closed],
-                       record.beta[:closed]))
+    arcs = list(zip(record.a[:closed], record.beta[:closed]))
+    assert not any(in_reversion_box(a, beta) for a, beta in arcs)
+    window = [in_start_window(a, beta) for a, beta in arcs]
+    assert 0 < sum(window) < closed
+    for (a, beta), d, inside in zip(arcs, record.delta, window):
+        x0 = series_start(a, beta) if inside else None
+        assert d == rootfind.newton_delta(a, beta, x0)[0], (a, beta)
     monkeypatch.setattr(rootfind, "REVERSION_W_MAX", 0.0)
     assert simulate(z0, v0, SimConfig(n_max=n_max)) == record
 
 
 def test_newton_iterations_per_impact(monkeypatch):
     # from impact 301 of the reference orbit on, every arc lies in the
-    # reversion box and its delta takes no solve; before that, and for
-    # every arc height, delta is one Newton solve from its closed-form
-    # start (a fall-back to bisection would take ~50 steps).  In-box deltas
-    # are checked against mpmath at every 100th step
+    # reversion box and its delta takes no solve; before that delta is one
+    # Newton solve, from the series in the start window and from the
+    # quadratic elsewhere, and every arc height is one solve from its
+    # closed-form start (a fall-back to bisection would take ~50 steps).
+    # In-box deltas are checked against mpmath at every 100th step
     mpmath = pytest.importorskip("mpmath")
     record = simulate(1j, 1 + 0j, SimConfig(n_max=1))
     r, a, beta, n = record.r[0], record.a[0], record.beta[0], 1
     counts = {"delta": [], "height": []}
     newton_delta, hybrid_root = rootfind.newton_delta, rootfind.hybrid_root
 
-    def delta_counted(a, beta):
-        root, its = newton_delta(a, beta)
+    def delta_counted(a, beta, x0=None):
+        root, its = newton_delta(a, beta, x0)
         counts["delta"].append(its)
         return root, its
 
@@ -288,10 +296,54 @@ def test_newton_iterations_per_impact(monkeypatch):
         per_step.append(sum(its))
         r, a, beta, n = r_next, a_next, beta_next, n + 1
     assert inside == list(range(301, 10_001))
-    # the 300 Newton solves before the box take the evaluations they
-    # took before the series existed (3.06 each: the early arcs are long)
-    assert sum(per_step[:300]) == 918
+    # the 300 Newton solves before the box take 1.54 evaluations each
+    # (3.06 from the quadratic start: the early arcs are long)
+    assert sum(per_step[:300]) == 463
     assert len(counts["height"]) == 10_000
     for its in (per_step, counts["height"]):
         assert sum(its) / len(its) <= 3.0
         assert max(its) <= 8
+
+
+def test_newton_evaluations_per_delta_solve(monkeypatch):
+    # the work of the delta solves on 1000 seeded starts x 25 impacts, all
+    # outside the box: 24000 Newton solves, 2.6115 evaluations each (3.74
+    # from the quadratic start), none taking more than 8
+    counts = []
+    newton_delta = rootfind.newton_delta
+
+    def delta_counted(a, beta, x0=None):
+        root, its = newton_delta(a, beta, x0)
+        counts.append(its)
+        return root, its
+
+    starts = random_supported_starts(1000, seed=715)
+    monkeypatch.setattr(rootfind, "newton_delta", delta_counted)
+    cfg = SimConfig(n_max=25)
+    for z0, v0 in starts:
+        simulate(z0, v0, cfg)
+    assert len(counts) == 24_000
+    assert sum(counts) == 62_676
+    assert sum(counts) / len(counts) <= 2.7
+    assert max(counts) <= 8
+
+
+def test_series_started_delta_matches_mpmath():
+    # Newton from the series start is within 2.5 ulps of a 40-digit root on
+    # the window arcs of seeded orbits and on a grid over the window with
+    # its edges (a just above 0.5, a = 1, w just above W_MAX, w = START_W_MAX)
+    mpmath = pytest.importorskip("mpmath")
+    orbit_arcs = []
+    for z0, v0 in random_supported_starts(60, seed=22):
+        record = simulate(z0, v0, SimConfig(n_max=25))
+        orbit_arcs += [(a, beta) for a, beta in zip(record.a, record.beta[
+            :len(record.delta)]) if in_start_window(a, beta)]
+    w_lo, w_hi = REVERSION_W_MAX, rootfind.START_W_MAX
+    grid = [window_arc(a, w_lo * (w_hi / w_lo) ** (j / 25))
+            for a in [A_LOW] + [0.5 + 0.5 * (k + 1) / 25 for k in range(25)]
+            for j in range(26)]
+    assert len(orbit_arcs) > 1000
+    for a, beta in orbit_arcs + grid:
+        delta = solve_delta(a, beta)
+        ref = delta_root(mpmath.mp, a, beta, delta)
+        assert ulps_off(delta, ref) <= 2.5, (a, beta)

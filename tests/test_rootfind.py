@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from rodbilliard import (FreeFlight, T_STAR,
                          UnsupportedFirstImpact, first_impact, hybrid_root,
                          rootfind, solve_delta, solve_tstar)
-from conftest import (GRAZING_V0, GRAZING_Z0, make_grazing_start,
-                      stopping_set_point)
+from conftest import (GRAZING_V0, GRAZING_Z0, in_start_window,
+                      make_grazing_start, series_start, stopping_set_point,
+                      window_arc)
 
 
 def F(s, a, b):
@@ -148,9 +149,9 @@ def test_reversion_coefficients_rederived():
         assert abs(q) * w7 < Fraction(1, 10) * Fraction(1, 2 ** 53)
 
 
-def hybrid_delta(a, beta):
+def hybrid_delta(a, beta, x0=None):
     # the delta solve as hybrid_root over reduced_arc: the reference that
-    # rootfind.newton_delta inlines
+    # rootfind.newton_delta inlines, by default from the quadratic start
     def f_df(s):
         if beta > 0.0:
             g, g1, _ = rootfind.reduced_arc(s, a, beta)
@@ -159,7 +160,8 @@ def hybrid_delta(a, beta):
         return g / s, (g1 - g / s) / s
 
     res = hybrid_root(f_df, 0.0, math.pi, abs_tol=0.0,
-                      x0=rootfind.small_root_guess(1.0 / 3.0, a, beta),
+                      x0=rootfind.small_root_guess(1.0 / 3.0, a, beta)
+                      if x0 is None else x0,
                       rel_tol=rootfind.ROOT_REL_TOL, positive_lo=True)
     return res.root, res.iterations
 
@@ -184,6 +186,40 @@ def test_newton_delta_is_hybrid_root_over_reduced_arc():
     assert sum(a < 0.0 for a, _ in arcs) > 3000
     assert sum(d > rootfind.SERIES_MAX for d in roots) > 1000
     assert sum(d > math.pi - 1e-3 for d in roots) > 100
+
+
+def test_newton_delta_from_the_series_is_hybrid_root():
+    # in the start window (0.5 < a <= 1, W_MAX < w <= START_W_MAX) solve_delta
+    # runs Newton from the reversion series: same root and count as
+    # hybrid_root from that start, bit for bit, on 6400 seeded arcs, a
+    # quarter of them on the window's edges w = W_MAX + ulps, w = START_W_MAX,
+    # a = nextafter(0.5, 1) and a = 1
+    rng = random.Random(22)
+    w_lo, w_hi = rootfind.REVERSION_W_MAX, rootfind.START_W_MAX
+    a_lo = math.nextafter(rootfind.REVERSION_A_MIN, 1.0)
+    arcs = []
+    for _ in range(400):
+        a = rng.uniform(a_lo, 1.0)
+        w = rng.uniform(w_lo, w_hi)
+        arcs += [window_arc(a, w), window_arc(a, w_lo * (w_hi / w_lo) ** (
+            rng.random())), window_arc(rng.uniform(a_lo, 1.0), w_lo)]
+        arcs += [window_arc(a, w_hi), window_arc(a_lo, w), window_arc(1.0, w)]
+        arcs += [window_arc(rng.uniform(a_lo, 1.0), rng.uniform(w_lo, w_hi))
+                 for _ in range(10)]
+    assert len(arcs) == 6400
+    starts = [series_start(a, beta) for a, beta in arcs]
+    counts = []
+    for (a, beta), x0 in zip(arcs, starts):
+        assert in_start_window(a, beta)
+        got = rootfind.newton_delta(a, beta, x0)
+        assert got == hybrid_delta(a, beta, x0), (a, beta)
+        assert solve_delta(a, beta) == got[0], (a, beta)
+        counts.append(got[1])
+    assert sum(beta / (a * a) < w_lo * (1.0 + 1e-15) for a, beta in arcs) >= 400
+    assert sum(beta / (a * a) == w_hi for a, beta in arcs) >= 400
+    assert sum(a == a_lo for a, _ in arcs) >= 400
+    assert sum(a == 1.0 for a, _ in arcs) >= 400
+    assert max(counts) <= 8
 
 
 def test_delta_preconditions():

@@ -17,7 +17,8 @@ from rodbilliard.flight import FlightSegment, flight_velocity, reflect
 from rodbilliard import impact_map, rootfind
 from rodbilliard.impact_map import (ImpactEvent, cascade, in_degenerate_set,
                                     segment_max_height, step)
-from rodbilliard.rootfind import UnsupportedFirstImpact, first_impact
+from rodbilliard.rootfind import (UnsupportedFirstImpact, first_impact,
+                                 solve_delta)
 from rodbilliard.simulator import RowView
 from conftest import (GRAZING_V0, GRAZING_Z0, in_reversion_box,
                       make_grazing_start,
@@ -321,6 +322,20 @@ def test_record_state_phases(orbit_i1):
     assert st_last.z.imag > 0
     with pytest.raises(ValueError):
         record_state(record, -0.1)
+
+
+def test_record_state_refuses_times_past_the_record():
+    # the open last arc of a reached_n_max record holds the orbit up to its
+    # next impact, 0.278 after t[-1] here, and no further: past it the arc
+    # formula dips below the rod (t[-1] + 0.5) or leaves it far behind
+    # (t[-1] + 4.0, z = -118.09 + 4.35i)
+    record = simulate(1j, 1 + 0j, SimConfig(n_max=5))
+    assert record.termination == "reached_n_max"
+    t_end = record.t[-1] + solve_delta(record.a[-1], record.beta[-1])
+    assert record_state(record, t_end).z.imag == pytest.approx(0.0, abs=1e-12)
+    for t in (record.t[-1] + 0.5, record.t[-1] + 4.0):
+        with pytest.raises(ValueError, match=f"record ends at t = {t_end}"):
+            record_state(record, t)
 
 
 def test_record_state_after_degenerate():
