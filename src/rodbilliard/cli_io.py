@@ -23,7 +23,6 @@ from typing import Callable, NamedTuple
 from .core import TRANSVERSAL, SimConfig
 from .flight import (FreeFlight, check_segment, flight_position,
                      segment_position)
-from .impact_map import recurrence
 from .oracle import OracleMismatch, oracle_simulate
 from .rootfind import UnsupportedFirstImpact, solve_delta
 from .simulator import QuasiTrajectory, TrajectoryRecord, quasi_position, \
@@ -93,57 +92,39 @@ def record_to_json(record: TrajectoryRecord) -> str:
     return json.dumps(data, separators=(",", ":")) + "\n"
 
 
-def _table_columns(data: dict) -> dict:
-    """Record columns from an earlier version's impact and segment tables.
-
-    beta is -Im zdot_in / r on the first arc, and on a later arc the
-    recurrence's from the previous arc, as ``simulate`` made them; that
-    value must reproduce the stored Im zdot_in = -r beta and b = 1 + beta.
-    A short column ends the loop early; ``record_from_json`` checks lengths.
-    """
-    def column(table: dict | list, key: str) -> list:
-        """A column of a table; the earliest versions wrote row objects."""
-        if isinstance(table, dict):
-            return table[key]
-        return [row[key] for row in table]
-
-    imp, seg = data["impacts"], data["segments"]
-    zdot_in = column(imp, "zdot_in")
-    r, b = column(imp, "r"), column(seg, "b")
-    delta = [d for d in column(seg, "delta") if d is not None]
-    beta = [-zdot_in[0][1] / r[0]] if b and r and zdot_in else []
-    for n, d, r_n, (_, im), b_n in zip(count(2), delta, r[1:], zdot_in[1:],
-                                         b[1:]):
-        beta.append(recurrence(d, beta[-1])[1])
-        if -r_n * beta[-1] != im or 1.0 + beta[-1] != b_n:
-            raise ValueError(f"arc {n}: the recurrence's beta does not "
-                             "reproduce the stored impact and segment")
-    kinds = column(imp, "kind")
-    return {"t": column(imp, "t"), "r": r, "a": column(seg, "a"),
-            "beta": beta, "delta": delta,
-            "first_kind": kinds[0] if kinds else None,
-            "first_zdot_in": zdot_in[0] if kinds else None}
+_TERMINATIONS = ("reached_n_max", "reached_t_max", "degenerate_stop",
+                 "degenerate_quasi", "unsupported_first_impact")
 
 
 def record_from_json(text: str) -> TrajectoryRecord:
-    """Load a record written by ``record_to_json`` or an earlier version."""
+    """Load a record written by ``record_to_json``.
+
+    Raises ValueError for another layout, a non-finite number, an unknown
+    termination or columns of inconsistent lengths.
+    """
     data = json.loads(text)
+    if "impacts" in data or "segments" in data:
+        raise ValueError("record is in a pre-columnar layout (impacts and "
+                         "segments tables), which no longer loads")
     cfg = dict(data["config"])
-    for key in ("series_switch_delta", "max_bisect_iters", "grazing_tol"):
-        cfg.pop(key, None)  # settings of earlier versions
     if cfg.get("t_max") is None:
         cfg["t_max"] = math.inf
-    cols = _table_columns(data) if "impacts" in data else data
-    n, arcs = len(cols["t"]), len(cols["a"])
-    if (len(cols["r"]) != n or arcs not in (0, n) or len(cols["beta"]) != arcs
-            or len(cols["delta"]) + bool(arcs) != arcs):
+    t, r, a, beta, delta = cols = [data[key]
+                                   for key in ("t", "r", "a", "beta", "delta")]
+    n, arcs = len(t), len(a)
+    if (len(r) != n or arcs not in (0, n) or len(beta) != arcs
+            or len(delta) + bool(arcs) != arcs):
         raise ValueError("record columns have inconsistent lengths")
-    zdot_in, qs = cols["first_zdot_in"], data["quasi_start"]
+    zdot_in, qs = data["first_zdot_in"], data["quasi_start"]
+    if not all(all(map(math.isfinite, col)) for col in (
+            *cols, data["z0"], data["v0"], zdot_in or (), (qs or {}).values())):
+        raise ValueError("record holds a non-finite number")
+    if data["termination"] not in _TERMINATIONS:
+        raise ValueError(f"unknown termination {data['termination']!r}")
     return TrajectoryRecord(
         complex(*data["z0"]), complex(*data["v0"]), SimConfig(**cfg),
-        data["termination"],
-        *(tuple(cols[key]) for key in ("t", "r", "a", "beta", "delta")),
-        None if zdot_in is None else complex(*zdot_in), cols["first_kind"],
+        data["termination"], *map(tuple, cols),
+        None if zdot_in is None else complex(*zdot_in), data["first_kind"],
         None if qs is None else QuasiTrajectory(**qs))
 
 

@@ -125,8 +125,8 @@ class SimConfig:
                 raise ValueError(f"{name} must be finite and strictly positive")
         if not self.t_max > 0:
             raise ValueError("t_max must be strictly positive")
-        if self.n_max < 1:
-            raise ValueError("n_max must be at least 1")
+        if not isinstance(self.n_max, int) or self.n_max < 1:
+            raise ValueError(f"n_max must be an int >= 1, got {self.n_max!r}")
         if self.quasi_mode not in ("stop", "extend"):
             raise ValueError(
                 f"quasi_mode must be 'stop' or 'extend', got {self.quasi_mode!r}")

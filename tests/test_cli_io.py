@@ -5,7 +5,6 @@ import random
 import struct
 import subprocess
 import sys
-from dataclasses import asdict
 
 import pytest
 
@@ -219,187 +218,55 @@ def test_simulate_json_roundtrip(capsys):
     assert record == direct
 
 
-# simulate(1j, 1, SimConfig(n_max=3)) as earlier versions wrote it: one
-# object per impact and segment, indent=2, and the since-removed
-# series_switch_delta, max_bisect_iters and grazing_tol settings
-_ROW_FORMAT_JSON = """\
-{
-  "z0": [
-    0.0,
-    1.0
-  ],
-  "v0": [
-    1,
-    0
-  ],
-  "config": {
-    "root_abs_tol": 1e-13,
-    "scan_step": 0.001,
-    "series_switch_delta": 0.0001,
-    "max_bisect_iters": 200,
-    "grazing_tol": 1e-10,
-    "n_max": 3,
-    "t_max": null,
-    "quasi_mode": "stop"
-  },
-  "termination": "reached_n_max",
-  "quasi_start": null,
-  "impacts": [
-    {
-      "n": 1,
-      "t": 0.8603335890193797,
-      "r": 1.3191565048905178,
-      "zdot_in": [
-        0.652184623909187,
-        -2.0772166715899907
-      ],
-      "zdot_out": [
-        0.652184623909187,
-        2.0772166715899907
-      ],
-      "kind": "transversal"
-    },
-    {
-      "n": 2,
-      "t": 1.9223637703449956,
-      "r": 4.13015009536933,
-      "zdot_in": [
-        3.2838887029269017,
-        -3.04535955136144
-      ],
-      "zdot_out": [
-        3.2838887029269017,
-        3.04535955136144
-      ],
-      "kind": "transversal"
-    },
-    {
-      "n": 3,
-      "t": 2.5525310753237767,
-      "r": 7.673384573531324,
-      "zdot_in": [
-        6.881532557065486,
-        -3.8112124684090003
-      ],
-      "zdot_out": [
-        6.881532557065486,
-        3.8112124684090003
-      ],
-      "kind": "transversal"
-    }
-  ],
-  "segments": [
-    {
-      "n": 1,
-      "t_start": 0.8603335890193797,
-      "r": 1.3191565048905178,
-      "a": 0.49439518471943134,
-      "b": 2.5746552163364327,
-      "delta": 1.0620301813256159
-    },
-    {
-      "n": 2,
-      "t_start": 1.9223637703449956,
-      "r": 4.13015009536933,
-      "a": 0.7951015404037628,
-      "b": 1.7373483967993941,
-      "delta": 0.6301673049787813
-    },
-    {
-      "n": 3,
-      "t_start": 2.5525310753237767,
-      "r": 7.673384573531324,
-      "a": 0.8968053785291483,
-      "b": 1.4966794550550024,
-      "delta": null
-    }
-  ],
-  "heights": [
-    0.7175387862946464,
-    0.5506705748055817
-  ]
-}
-"""
-
-
-def test_json_from_earlier_version_loads():
-    record = simulate(1j, 1, SimConfig(n_max=3))
-    loaded = record_from_json(_ROW_FORMAT_JSON)
-    assert loaded == record
-    assert repr(loaded) == repr(record)
-
-
-# simulate(GRAZING_Z0, GRAZING_V0, SimConfig(n_max=3)) as the previous
-# version wrote it: impacts and segments as tables of columns, velocities
-# as [re, im] pairs, heights
-_COLUMN_TABLE_JSON = (
+# simulate(1j, 1, SimConfig(n_max=3)) and simulate(GRAZING_Z0, GRAZING_V0,
+# SimConfig(n_max=3)) as record_to_json writes them, with their arc heights
+_TRANSVERSAL_JSON = (
+    '{"z0":[0.0,1.0],"v0":[1.0,0.0],"config":{"root_abs_tol":1e-13,'
+    '"scan_step":0.001,"n_max":3,"t_max":null,"quasi_mode":"stop"},'
+    '"termination":"reached_n_max","quasi_start":null,"first_zdot_in":'
+    '[0.652184623909187,-2.0772166715899907],"first_kind":"transversal","t":'
+    '[0.8603335890193797,1.9223637703449956,2.5525310753237767],"r":'
+    '[1.3191565048905178,4.13015009536933,7.673384573531324],"a":'
+    '[0.49439518471943134,0.7951015404037628,0.8968053785291483],"beta":'
+    '[1.5746552163364327,0.7373483967993941,0.49667945505500244],"delta":'
+    '[1.0620301813256159,0.6301673049787813]}\n')
+_GRAZING_JSON = (
     '{"z0":[1.6547363797861485,0.9445885418594867],"v0":[-1.0769821877578958,'
     '-0.010457879910216962],"config":{"root_abs_tol":1e-13,"scan_step":0.001,'
     '"n_max":3,"t_max":null,"quasi_mode":"stop"},"termination":'
-    '"reached_n_max","quasi_start":null,"impacts":{"n":[1,2,3],"t":'
-    '[1.1999999999999997,2.299716106987903,2.7424090883367156],"r":'
-    '[1.0000000000000002,1.2341404753646517,1.7134197420362618],"zdot_in":'
-    '[[-0.40000000000000024,-2.498001805406602e-16],[0.7095389071063681,'
-    '-0.42385994412728956],[1.3513852349332536,-0.5191966479129121]],'
-    '"zdot_out":[[-0.40000000000000024,2.498001805406602e-16],'
-    '[0.7095389071063681,0.42385994412728956],[1.3513852349332536,'
-    '0.5191966479129121]],"kind":["grazing","transversal","transversal"]},'
-    '"segments":{"n":[1,2,3],"t_start":[1.1999999999999997,2.299716106987903,'
-    '2.7424090883367156],"r":[1.0000000000000002,1.2341404753646517,'
-    '1.7134197420362618],"a":[-0.40000000000000013,0.574925562583725,'
-    '0.7887064691616316],"b":[1.0000000000000002,1.3434454606976987,'
-    '1.3030177808596326],"delta":[1.0997161069879033,0.44269298134881263,'
-    'null]},"heights":[0.07183740895470603,0.05274314014934905]}\n')
+    '"reached_n_max","quasi_start":null,"first_zdot_in":[-0.40000000000000024,'
+    '-2.498001805406602e-16],"first_kind":"grazing","t":[1.1999999999999997,'
+    '2.299716106987903,2.7424090883367156],"r":[1.0000000000000002,'
+    '1.2341404753646517,1.7134197420362618],"a":[-0.40000000000000013,'
+    '0.574925562583725,0.7887064691616316],"beta":[2.4980018054066017e-16,'
+    '0.3434454606976986,0.30301778085963255],"delta":[1.0997161069879033,'
+    '0.44269298134881263]}\n')
 
 
-def test_json_with_column_tables_loads():
-    record = simulate(GRAZING_Z0, GRAZING_V0, SimConfig(n_max=3))
-    loaded = record_from_json(_COLUMN_TABLE_JSON)
+@pytest.mark.parametrize("text,start,heights", [
+    (_TRANSVERSAL_JSON, (1j, 1), [0.7175387862946464, 0.5506705748055817]),
+    (_GRAZING_JSON, (GRAZING_Z0, GRAZING_V0),
+     [0.07183740895470603, 0.05274314014934905])])
+def test_pinned_json_loads(text, start, heights):
+    record = simulate(*start, SimConfig(n_max=3))
+    loaded = record_from_json(text)
+    assert record_to_json(record) == text
     assert loaded == record
     assert repr(loaded) == repr(record)
-    assert list(loaded.heights) == [0.07183740895470603, 0.05274314014934905]
+    assert list(loaded.heights) == heights
 
 
-def column_table_json(record) -> str:
-    """``record_to_json`` of the previous version, which wrote impacts and
-    segments as tables of columns, with heights."""
-    cfg = asdict(record.config)
-    cfg["t_max"] = None if math.isinf(cfg["t_max"]) else cfg["t_max"]
-    impacts, segments = record.impacts, record.segments
-    data = {
-        "z0": [record.z0.real, record.z0.imag],
-        "v0": [record.v0.real, record.v0.imag],
-        "config": cfg,
-        "termination": record.termination,
-        "quasi_start": (None if record.quasi_start is None else
-                        asdict(record.quasi_start)),
-        "impacts": {
-            "n": [ev.n for ev in impacts],
-            "t": [ev.t for ev in impacts],
-            "r": [ev.r for ev in impacts],
-            "zdot_in": [[ev.zdot_in.real, ev.zdot_in.imag] for ev in impacts],
-            "zdot_out": [[ev.zdot_out.real, ev.zdot_out.imag]
-                         for ev in impacts],
-            "kind": [ev.kind for ev in impacts]},
-        "segments": {
-            "n": [seg.n for seg in segments],
-            "t_start": [seg.t_start for seg in segments],
-            "r": [seg.r for seg in segments],
-            "a": [seg.a for seg in segments],
-            "b": [seg.b for seg in segments],
-            "delta": [seg.delta for seg in segments]},
-        "heights": list(record.heights),
-    }
-    return json.dumps(data, separators=(",", ":")) + "\n"
-
-
-def row_object_json(record) -> str:
-    """The earliest layout: the same tables as lists of row objects."""
-    data = json.loads(column_table_json(record))
-    for key in ("impacts", "segments"):
-        table = data[key]
-        data[key] = [dict(zip(table, row)) for row in zip(*table.values())]
-    return json.dumps(data, indent=2)
+@pytest.mark.parametrize("tables", [
+    {"impacts": {"n": [1], "t": [0.86]}, "segments": {"n": [1], "a": [0.49]}},
+    {"impacts": [{"n": 1, "t": 0.86}], "segments": [{"n": 1, "a": 0.49}]}])
+def test_json_of_earlier_layout_is_rejected(tables):
+    # impacts and segments as tables of columns, or earlier still as lists
+    # of row objects
+    data = json.loads(record_to_json(simulate(1j, 1, SimConfig(n_max=1))))
+    for key in ("t", "r", "a", "beta", "delta", "first_zdot_in", "first_kind"):
+        del data[key]
+    with pytest.raises(ValueError, match="pre-columnar layout"):
+        record_from_json(json.dumps({**data, **tables}))
 
 
 _ROUNDTRIP_CASES = ("transversal", "grazing", "degenerate_stop",
@@ -444,59 +311,53 @@ def test_json_roundtrip_is_bit_exact(roundtrip_records, case):
     if case.startswith("degenerate"):
         assert records[0].impacts[-1].zdot_out == 0j
     for record in records:
-        for write in (record_to_json, column_table_json, row_object_json):
-            back = record_from_json(write(record))
-            # equal reprs tell -0.0 from 0.0, which == does not
-            assert back == record
-            assert repr(back) == repr(record)
+        back = record_from_json(record_to_json(record))
+        # equal reprs tell -0.0 from 0.0, which == does not
+        assert back == record
+        assert repr(back) == repr(record)
 
 
-def _first_rows(table: dict | list, m: int) -> dict | list:
-    """The first m rows of a table, in either earlier layout."""
-    if isinstance(table, dict):
-        return {key: col[:m] for key, col in table.items()}
-    return table[:m]
-
-
-@pytest.mark.parametrize("write,key,edit", [
-    (record_to_json, "a", lambda col: col[:2]),
-    (record_to_json, "delta", lambda col: col + col[:2]),
-    (record_to_json, "r", lambda col: col[:-1]),
-    (record_to_json, "beta", lambda col: col[1:]),
-    (record_to_json, "t", lambda col: col + col[-1:]),
-    (column_table_json, "impacts", lambda table: _first_rows(table, 0)),
-    (row_object_json, "impacts", lambda table: _first_rows(table, 0)),
-    (column_table_json, "segments", lambda table: _first_rows(table, 2)),
-    (row_object_json, "impacts", lambda table: _first_rows(table, 3))])
-def test_json_with_inconsistent_columns_is_rejected(write, key, edit):
-    data = json.loads(write(simulate(1j, 1, SimConfig(n_max=5))))
+@pytest.mark.parametrize("key,edit", [
+    ("a", lambda col: col[:2]),
+    ("delta", lambda col: col + col[:2]),
+    ("r", lambda col: col[:-1]),
+    ("beta", lambda col: col[1:]),
+    ("t", lambda col: col + col[-1:])])
+def test_json_with_inconsistent_columns_is_rejected(key, edit):
+    data = json.loads(record_to_json(simulate(1j, 1, SimConfig(n_max=5))))
     data[key] = edit(data[key])
     with pytest.raises(ValueError, match="inconsistent lengths"):
         record_from_json(json.dumps(data))
 
 
-def _cell(data: dict, table: str, key: str, k: int) -> tuple:
-    """(container, index) of entry k of a column, in either table layout;
-    for zdot_in, of its imaginary part."""
-    rows = data[table]
-    box, idx = (rows[key], k) if isinstance(rows, dict) else (rows[k], key)
-    return (box[idx], 1) if key == "zdot_in" else (box, idx)
-
-
-@pytest.mark.parametrize("write", [column_table_json, row_object_json])
-@pytest.mark.parametrize("table,key", [("segments", "b"),
-                                       ("impacts", "zdot_in")])
-def test_earlier_json_one_ulp_off_is_rejected(write, table, key):
-    # beta of a later arc is the recurrence's, and must reproduce the
-    # stored b = 1 + beta and Im zdot_in = -r beta to the bit
-    text = write(simulate(1j, 1, SimConfig(n_max=40)))
-    for k in range(1, 40):
-        for toward in (-math.inf, math.inf):
-            data = json.loads(text)
-            box, idx = _cell(data, table, key, k)
-            box[idx] = math.nextafter(box[idx], toward)
-            with pytest.raises(ValueError, match=f"arc {k + 1}:"):
-                record_from_json(json.dumps(data))
+@pytest.mark.parametrize("key,k,literal,match", [
+    ("r", 1, "NaN", "non-finite"),
+    ("z0", 0, "NaN", "non-finite"),
+    ("t", 2, "1e999", "non-finite"),
+    ("v0", 1, "-Infinity", "non-finite"),
+    ("a", 0, "Infinity", "non-finite"),
+    ("beta", 2, "NaN", "non-finite"),
+    ("delta", 1, "-1e999", "non-finite"),
+    ("first_zdot_in", 1, "NaN", "non-finite"),
+    ("quasi_start", "t1", "Infinity", "non-finite"),
+    ("termination", None, '"bogus"', "unknown termination"),
+    ("config", "n_max", "2.5", "n_max")])
+def test_json_with_bad_value_is_rejected(key, k, literal, match):
+    # a non-finite number, an unknown termination or a non-integer n_max,
+    # put in the text in place of one entry
+    if key == "quasi_start":
+        z0, v0 = stopping_set_point(1.5, 2.0)
+        record = simulate(z0, v0, SimConfig(n_max=3, quasi_mode="extend"))
+    else:
+        record = simulate(1j, 1, SimConfig(n_max=3))
+    data = json.loads(record_to_json(record))
+    if k is None:
+        data[key] = "@"
+    else:
+        data[key][k] = "@"
+    text = json.dumps(data).replace('"@"', literal)
+    with pytest.raises(ValueError, match=match):
+        record_from_json(text)
 
 
 def test_json_with_edited_radius_fails_on_height():

@@ -44,8 +44,9 @@ def test_config_validation():
         SimConfig(root_abs_tol=math.inf)
     with pytest.raises(ValueError):
         SimConfig(scan_step=math.inf)
-    with pytest.raises(ValueError):
-        SimConfig(n_max=0)
+    for n_max in (0, 2.5, 3.0):
+        with pytest.raises(ValueError):
+            SimConfig(n_max=n_max)
     with pytest.raises(ValueError):
         SimConfig(quasi_mode="bounce")
     cfg = SimConfig(n_max=5, t_max=2.0, quasi_mode="extend")
