@@ -20,7 +20,7 @@ from functools import partial
 from itertools import count, islice
 from typing import Callable, NamedTuple
 
-from .core import TRANSVERSAL, SimConfig
+from .core import DEGENERATE, GRAZING, TRANSVERSAL, SimConfig
 from .flight import (FreeFlight, check_segment, flight_position,
                      segment_position)
 from .oracle import OracleMismatch, oracle_simulate
@@ -99,33 +99,40 @@ _TERMINATIONS = ("reached_n_max", "reached_t_max", "degenerate_stop",
 def record_from_json(text: str) -> TrajectoryRecord:
     """Load a record written by ``record_to_json``.
 
-    Raises ValueError for another layout, a non-finite number, an unknown
-    termination or columns of inconsistent lengths.
+    Raises ValueError for another layout, a wrongly typed or non-finite
+    entry, an unknown termination or first impact, or ragged columns.
     """
     data = json.loads(text)
-    if "impacts" in data or "segments" in data:
-        raise ValueError("record is in a pre-columnar layout (impacts and "
-                         "segments tables), which no longer loads")
-    cfg = dict(data["config"])
-    if cfg.get("t_max") is None:
-        cfg["t_max"] = math.inf
-    t, r, a, beta, delta = cols = [data[key]
-                                   for key in ("t", "r", "a", "beta", "delta")]
-    n, arcs = len(t), len(a)
-    if (len(r) != n or arcs not in (0, n) or len(beta) != arcs
-            or len(delta) + bool(arcs) != arcs):
-        raise ValueError("record columns have inconsistent lengths")
-    zdot_in, qs = data["first_zdot_in"], data["quasi_start"]
-    if not all(all(map(math.isfinite, col)) for col in (
-            *cols, data["z0"], data["v0"], zdot_in or (), (qs or {}).values())):
-        raise ValueError("record holds a non-finite number")
-    if data["termination"] not in _TERMINATIONS:
-        raise ValueError(f"unknown termination {data['termination']!r}")
-    return TrajectoryRecord(
-        complex(*data["z0"]), complex(*data["v0"]), SimConfig(**cfg),
-        data["termination"], *map(tuple, cols),
-        None if zdot_in is None else complex(*zdot_in), data["first_kind"],
-        None if qs is None else QuasiTrajectory(**qs))
+    try:
+        if "impacts" in data or "segments" in data:
+            raise ValueError("record is in a pre-columnar layout (impacts "
+                             "and segments tables), which no longer loads")
+        cfg = dict(data["config"])
+        if cfg.get("t_max") is None:
+            cfg["t_max"] = math.inf
+        t, r, a, beta, delta = cols = [
+            data[key] for key in ("t", "r", "a", "beta", "delta")]
+        n, arcs = len(t), len(a)
+        if (len(r) != n or arcs not in (0, n) or len(beta) != arcs
+                or len(delta) + bool(arcs) != arcs):
+            raise ValueError("record columns have inconsistent lengths")
+        zdot_in, kind, qs = (data[key] for key in (
+            "first_zdot_in", "first_kind", "quasi_start"))
+        if (zdot_in is None) != (n == 0) or kind not in (
+                (TRANSVERSAL, GRAZING, DEGENERATE) if n else (None,)):
+            raise ValueError(f"first impact {kind!r}, {zdot_in!r} misfits t")
+        if not all(all(map(math.isfinite, col)) for col in (*cols, data["z0"],
+                   data["v0"], zdot_in or (), (qs or {}).values())):
+            raise ValueError("record holds a non-finite number")
+        if data["termination"] not in _TERMINATIONS:
+            raise ValueError(f"unknown termination {data['termination']!r}")
+        return TrajectoryRecord(
+            complex(*data["z0"]), complex(*data["v0"]), SimConfig(**cfg),
+            data["termination"], *map(tuple, cols),
+            None if zdot_in is None else complex(*zdot_in), kind,
+            None if qs is None else QuasiTrajectory(**qs))
+    except TypeError as exc:
+        raise ValueError(f"record holds a wrongly typed entry: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -341,10 +341,15 @@ def test_json_with_inconsistent_columns_is_rejected(key, edit):
     ("first_zdot_in", 1, "NaN", "non-finite"),
     ("quasi_start", "t1", "Infinity", "non-finite"),
     ("termination", None, '"bogus"', "unknown termination"),
-    ("config", "n_max", "2.5", "n_max")])
+    ("config", "n_max", "2.5", "n_max"),
+    ("r", 0, '"x"', "wrongly typed"),
+    ("r", None, "5", "wrongly typed"),
+    ("z0", None, "[0, 1, 2]", "wrongly typed"),
+    ("first_zdot_in", None, '"x"', "wrongly typed"),
+    ("config", None, '{"n_max": 3, "bogus": 1}', "wrongly typed")])
 def test_json_with_bad_value_is_rejected(key, k, literal, match):
-    # a non-finite number, an unknown termination or a non-integer n_max,
-    # put in the text in place of one entry
+    # a non-finite number, an unknown termination, a non-integer n_max or a
+    # wrongly typed entry, put in the text in place of one entry
     if key == "quasi_start":
         z0, v0 = stopping_set_point(1.5, 2.0)
         record = simulate(z0, v0, SimConfig(n_max=3, quasi_mode="extend"))
@@ -358,6 +363,25 @@ def test_json_with_bad_value_is_rejected(key, k, literal, match):
     text = json.dumps(data).replace('"@"', literal)
     with pytest.raises(ValueError, match=match):
         record_from_json(text)
+
+
+@pytest.mark.parametrize("n_max,t_max,key,value", [
+    (3, None, "first_zdot_in", None),
+    (3, None, "first_kind", None),
+    (3, None, "first_kind", "bogus"),
+    (3, 0.5, "first_zdot_in", [0.5, -1.0]),
+    (3, 0.5, "first_kind", "transversal")])
+def test_json_with_a_first_impact_that_does_not_fit_t_is_rejected(
+        n_max, t_max, key, value):
+    # first_zdot_in and first_kind are null exactly when t is empty (t_max =
+    # 0.5 ends the record before its first impact), else a known kind
+    record = simulate(1j, 1, SimConfig(n_max=n_max, t_max=t_max or math.inf))
+    assert len(record.t) == (0 if t_max else 3)
+    data = json.loads(record_to_json(record))
+    assert record_from_json(json.dumps(data)) == record
+    data[key] = value
+    with pytest.raises(ValueError, match="first impact"):
+        record_from_json(json.dumps(data))
 
 
 def test_json_with_edited_radius_fails_on_height():
