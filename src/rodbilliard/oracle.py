@@ -106,11 +106,11 @@ def _next_crossing(ff: FreeFlight, s0: float, h0: float,
     m2, err = 2.0 * vn + zn + vn * s_hi, 8.0 * EPS * (zn + vn * (1.0 + s_hi))
     s, s_prev, h, h_prev = s0, s0, h0, h0
     sn, c, a, b = sin(-s), cos(-s), zr + vr * s, zi + vi * s
-    while 0.0 < m2 < math.inf and s < window and (lo := h - 2.0 * err) > 0.0:
+    while 0.0 < m2 < math.inf and s < window and (h_lo := h - 2.0 * err) > 0.0:
         s_prev, h_prev = s, h
         q = (vr + b) * sn + (vi - a) * c - err  # h' less its error
-        disc = math.sqrt(q * q + 2.0 * m2 * lo)
-        d = ((q + disc) / m2 if q > 0.0 else 2.0 * lo / (disc - q)
+        disc = math.sqrt(q * q + 2.0 * m2 * h_lo)
+        d = ((q + disc) / m2 if q > 0.0 else 2.0 * h_lo / (disc - q)
              if disc > q else 0.0) * (1.0 - 2.0 ** -20) - 2.0 * EPS * s_hi
         if not 2.0 * step <= d < math.inf:
             break
