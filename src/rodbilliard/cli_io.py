@@ -99,8 +99,9 @@ _TERMINATIONS = ("reached_n_max", "reached_t_max", "degenerate_stop",
 def record_from_json(text: str) -> TrajectoryRecord:
     """Load a record written by ``record_to_json``.
 
-    Raises ValueError for another layout, a wrongly typed or non-finite
-    entry, an unknown termination or first impact, or ragged columns.
+    Raises ValueError for another layout, a missing key, a wrongly typed or
+    non-finite entry, an unknown termination or first impact, or ragged
+    columns.
     """
     data = json.loads(text)
     try:
@@ -131,6 +132,8 @@ def record_from_json(text: str) -> TrajectoryRecord:
             data["termination"], *map(tuple, cols),
             None if zdot_in is None else complex(*zdot_in), kind,
             None if qs is None else QuasiTrajectory(**qs))
+    except KeyError as exc:
+        raise ValueError(f"record lacks the key {exc}") from exc
     except TypeError as exc:
         raise ValueError(f"record holds a wrongly typed entry: {exc}") from exc
 

@@ -125,7 +125,8 @@ class SimConfig:
                 raise ValueError(f"{name} must be finite and strictly positive")
         if not self.t_max > 0:
             raise ValueError("t_max must be strictly positive")
-        if not isinstance(self.n_max, int) or self.n_max < 1:
+        if (isinstance(self.n_max, bool) or not isinstance(self.n_max, int)
+                or self.n_max < 1):
             raise ValueError(f"n_max must be an int >= 1, got {self.n_max!r}")
         if self.quasi_mode not in ("stop", "extend"):
             raise ValueError(

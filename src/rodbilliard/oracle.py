@@ -1,16 +1,19 @@
 """Brute-force trajectory verifier, independent of the impact recurrences.
 
 Every impact is found by scanning Im z(t) on the exact flight formula
-over a grid of step scan_step and bisecting; after each reflection the
-free flight is rebuilt from the contact point and the reflected
-velocity.  Flights are parametrized in local time from their own impact
-(rebasing the lab frame to the rod angle there), which keeps magnitudes
-of order r and avoids the loss of significance a global (z, v) anchor
-suffers as t grows.  Meant for cross-validation runs of at most ~10^3
-impacts, where the gaps stay above one scan step.  The scan evaluates
-Im z inline with the rounding of ``flight_position`` and skips the grid
-points a Taylor bound proves positive: its samples and roots are those
-of the dense complex scan, at under a third of its evaluations.
+over a grid of step scan_step and refining the first downward sign
+change by a safeguarded Newton iteration; after each reflection the free
+flight is rebuilt from the contact point and the reflected velocity.
+Flights are parametrized in local time from their own impact (rebasing
+the lab frame to the rod angle there), which keeps magnitudes of order r
+and avoids the loss of significance a global (z, v) anchor suffers as t
+grows.  Meant for cross-validation runs of at most ~10^3 impacts, where
+the gaps stay above one scan step.  The flight is carried as the four
+parts of z and v, and every height, slope, hit point and reflected
+velocity is computed inline with the rounding of ``flight_position``,
+``flight_velocity`` and ``reflect``.  The scan skips the grid points a
+Taylor bound proves positive: its brackets are those of the dense
+complex scan, at under a third of its evaluations.
 """
 
 from __future__ import annotations
@@ -18,8 +21,7 @@ from __future__ import annotations
 import math
 
 from .core import (EPS, BilliardError, DEFAULT_CONFIG, SimConfig,
-                   require_departing_start)
-from .flight import FreeFlight, flight_position, flight_velocity, reflect
+                   require_departing_start, require_finite)
 from .rootfind import UnsupportedFirstImpact
 
 
@@ -35,7 +37,7 @@ def oracle_simulate(z0: complex, v0: complex, n_impacts: int,
     a first contact inside the first scan step is bracketed.  Later scans
     start a lift-off guard of 10 scan_steps past each reflection (the
     outgoing vertical velocity is positive, so the ball is strictly above
-    the rod there) and bisect the first sign change of Im z(t).  Once the
+    the rod there) and refine the first sign change of Im z(t).  Once the
     gaps between impacts shrink below the guard the ball is back on the
     rod there, and the scan starts one scan_step past the reflection
     instead.  Strict radius growth is checked as a missed-impact
@@ -43,28 +45,38 @@ def oracle_simulate(z0: complex, v0: complex, n_impacts: int,
     recorded and ends the list.
     """
     cfg = cfg or DEFAULT_CONFIG
-    if not isinstance(n_impacts, int) or n_impacts < 1:
+    if (isinstance(n_impacts, bool) or not isinstance(n_impacts, int)
+            or n_impacts < 1):
         raise ValueError(f"n_impacts must be an int >= 1, got {n_impacts!r}")
-    # local-time flight: starts at the previous impact (t = 0 initially)
-    ff = FreeFlight(z0, v0)
+    require_finite(z0, "z")
+    require_finite(v0, "v")
     require_departing_start(z0, v0)
+    # local-time flight (z + v s) e^{-is} from the previous impact (t = 0
+    # initially), held as the parts of z and v
+    zr, zi, vr, vi = z0.real, z0.imag, v0.real, v0.imag
+    sin, cos, isfinite = math.sin, math.cos, math.isfinite
+    step, tol = cfg.scan_step, cfg.root_abs_tol
     t_base = 0.0
     out: list[tuple[float, float]] = []
-    guard = 10.0 * cfg.scan_step
+    guard = 10.0 * step
     for k in range(n_impacts):
         if k == 0:
-            s0, h0 = 0.0, z0.imag
+            s0, h0 = 0.0, zi
         else:
-            s0, h0 = guard, flight_position(ff, guard).imag
-        if k > 0 and h0 <= 0.0:
-            s0 = cfg.scan_step
-            h0 = flight_position(ff, s0).imag
+            s0 = guard
+            h0 = (zr + vr * s0) * sin(-s0) + (zi + vi * s0) * cos(-s0)
             if h0 <= 0.0:
-                raise OracleMismatch(
-                    f"the next impact after t = {t_base} comes within one "
-                    f"scan step (h = {h0} there); reduce scan_step")
-        s_hit = _next_crossing(ff, s0, h0, cfg)
-        r_hit = flight_position(ff, s_hit).real
+                s0 = step
+                h0 = (zr + vr * s0) * sin(-s0) + (zi + vi * s0) * cos(-s0)
+                if h0 <= 0.0:
+                    raise OracleMismatch(
+                        f"the next impact after t = {t_base} comes within one "
+                        f"scan step (h = {h0} there); reduce scan_step")
+        s_hit = _refine(zr, zi, vr, vi,
+                        *_scan(zr, zi, vr, vi, s0, h0, step), tol)
+        sn, c = sin(-s_hit), cos(-s_hit)
+        a, b = zr + vr * s_hit, zi + vi * s_hit
+        r_hit = a * c - b * sn
         if k == 0 and r_hit <= 0.0:
             raise UnsupportedFirstImpact(s_hit, r_hit)
         if t_base + s_hit > cfg.t_max:
@@ -76,15 +88,20 @@ def oracle_simulate(z0: complex, v0: complex, n_impacts: int,
         t_base += s_hit
         out.append((t_base, r_hit))
         # rebase the lab frame to the rod angle at this impact: the next
-        # arc reads (r + (u + i r) s) e^{-is} in local time s
-        u = reflect(flight_velocity(ff, s_hit))
-        ff = FreeFlight(z=complex(r_hit, 0.0), v=u + 1j * r_hit)
+        # arc reads (r + (u + i r) s) e^{-is}, u the conjugate of the
+        # velocity (v - i(z + v s)) e^{-is} at the hit
+        p, q = vr + b, vi - a
+        zr, zi, vr, vi = r_hit, 0.0, p * c - q * sn, r_hit - (p * sn + q * c)
+        if not (isfinite(zr) and isfinite(vr) and isfinite(vi)):
+            require_finite(complex(zr, zi), "z")
+            require_finite(complex(vr, vi), "v")
     return out
 
 
-def _next_crossing(ff: FreeFlight, s0: float, h0: float,
-                   cfg: SimConfig) -> float:
-    """First downward sign change of Im z(s) past s0, bisected to tolerance.
+def _scan(zr: float, zi: float, vr: float, vi: float, s0: float, h0: float,
+          step: float) -> tuple[float, float, float, float]:
+    """Grid bracket (s_prev, s, h_prev, h) of the first downward sign
+    change of h(s) = Im z(s) past s0.
 
     h is Im((z + v s) e^{-is}) term for term as CPython rounds the complex
     product in ``flight_position``, so it equals its ``.imag``.  Grid point
@@ -98,8 +115,7 @@ def _next_crossing(ff: FreeFlight, s0: float, h0: float,
     scan is dense from the first bound that skips under two points or is
     not finite and positive.
     """
-    zr, zi, vr, vi = ff.z.real, ff.z.imag, ff.v.real, ff.v.imag
-    sin, cos, step, tol = math.sin, math.cos, cfg.scan_step, cfg.root_abs_tol
+    sin, cos = math.sin, math.cos
     window = s0 + 2.0 * math.pi + 0.1
     s_hi = window + 2.0 * step
     zn, vn = abs(zr) + abs(zi), abs(vr) + abs(vi)
@@ -114,8 +130,10 @@ def _next_crossing(ff: FreeFlight, s0: float, h0: float,
              if disc > q else 0.0) * (1.0 - 2.0 ** -20) - 2.0 * EPS * s_hi
         if not 2.0 * step <= d < math.inf:
             break
-        lim, s = min(s + d, window), s + step
-        while s < lim:  # proven positive
+        # the points up to lim are proven positive; h_prev = inf marks the
+        # last of them as not evaluated
+        lim, s, h_prev = min(s + d, window), s + step, math.inf
+        while s < lim:
             s_prev, s = s, s + step
         sn, c, a, b = sin(-s), cos(-s), zr + vr * s, zi + vi * s
         h = a * sn + b * c
@@ -128,14 +146,48 @@ def _next_crossing(ff: FreeFlight, s0: float, h0: float,
         s_prev, h_prev = s, h
         s += step
         h = (zr + vr * s) * sin(-s) + (zi + vi * s) * cos(-s)
-    lo, hi = s_prev, s
-    for _ in range(200):  # 200 halvings reach any root_abs_tol
-        if hi - lo < tol:
-            break
-        mid = 0.5 * (lo + hi)
-        h = (zr + vr * mid) * sin(-mid) + (zi + vi * mid) * cos(-mid)
+    if h_prev == math.inf:
+        h_prev = (zr + vr * s_prev) * sin(-s_prev) + (zi + vi * s_prev) * cos(
+            -s_prev)
+    return s_prev, s, h_prev, h
+
+
+def _refine(zr: float, zi: float, vr: float, vi: float, lo: float, hi: float,
+            h_lo: float, h_hi: float, tol: float) -> float:
+    """Root of h in a bracket with h(lo) > 0 >= h(hi), by safeguarded Newton.
+
+    h and h' = Im((v - iz - ivs) e^{-is}) come from one sin/cos pair, as
+    in ``_scan``.  The first sample is the bracket's secant point, and each
+    sample replaces the end whose sign it shares.  The next sample is the
+    Newton point if that lies toward the other end and at most half the
+    bracket's width away, else the midpoint.  A Newton step shorter than
+    tol/2 (or than an ulp of hi, for a tol below the float spacing) is
+    lengthened to it, so that the next sample closes the bracket; from a
+    sample where h rounds to 0 that length doubles for the next such step,
+    which crosses a plateau of rounded zeros in logarithmically many
+    samples.  Stops once the bracket is narrower than tol or its ends are
+    adjacent floats, and returns its midpoint.
+    """
+    sin, cos = math.sin, math.cos
+    nudge = max(0.5 * tol, math.ulp(hi))
+    s = lo + (hi - lo) * (h_lo / (h_lo - h_hi))
+    while hi - lo >= tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+        if not lo < s < hi:
+            s = mid
+        sn, c = sin(-s), cos(-s)
+        a, b = zr + vr * s, zi + vi * s
+        h, dh = a * sn + b * c, (vr + b) * sn + (vi - a) * c
         if h > 0.0:
-            lo = mid
+            lo = s
         else:
-            hi = mid
+            hi = s
+        if -math.inf < dh < 0.0 and abs(h) <= -0.5 * dh * (hi - lo):
+            d = -h / dh
+            if abs(d) < nudge:
+                d = nudge if h > 0.0 else -nudge
+                if h == 0.0:
+                    nudge *= 2.0
+            s += d
+        else:
+            s = 0.5 * (lo + hi)
     return 0.5 * (lo + hi)

@@ -342,14 +342,15 @@ def test_json_with_inconsistent_columns_is_rejected(key, edit):
     ("quasi_start", "t1", "Infinity", "non-finite"),
     ("termination", None, '"bogus"', "unknown termination"),
     ("config", "n_max", "2.5", "n_max"),
+    ("config", "n_max", "true", "n_max"),
     ("r", 0, '"x"', "wrongly typed"),
     ("r", None, "5", "wrongly typed"),
     ("z0", None, "[0, 1, 2]", "wrongly typed"),
     ("first_zdot_in", None, '"x"', "wrongly typed"),
     ("config", None, '{"n_max": 3, "bogus": 1}', "wrongly typed")])
 def test_json_with_bad_value_is_rejected(key, k, literal, match):
-    # a non-finite number, an unknown termination, a non-integer n_max or a
-    # wrongly typed entry, put in the text in place of one entry
+    # a non-finite number, an unknown termination, a non-integer or boolean
+    # n_max or a wrongly typed entry, put in the text in place of one entry
     if key == "quasi_start":
         z0, v0 = stopping_set_point(1.5, 2.0)
         record = simulate(z0, v0, SimConfig(n_max=3, quasi_mode="extend"))
@@ -381,6 +382,16 @@ def test_json_with_a_first_impact_that_does_not_fit_t_is_rejected(
     assert record_from_json(json.dumps(data)) == record
     data[key] = value
     with pytest.raises(ValueError, match="first impact"):
+        record_from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize("key", [
+    "first_kind", "first_zdot_in", "quasi_start", "termination", "config",
+    "z0", "delta"])
+def test_json_that_lacks_a_key_is_rejected(key):
+    data = json.loads(record_to_json(simulate(1j, 1, SimConfig(n_max=3))))
+    del data[key]
+    with pytest.raises(ValueError, match=f"lacks the key '{key}'"):
         record_from_json(json.dumps(data))
 
 

@@ -44,7 +44,7 @@ def test_config_validation():
         SimConfig(root_abs_tol=math.inf)
     with pytest.raises(ValueError):
         SimConfig(scan_step=math.inf)
-    for n_max in (0, 2.5, 3.0):
+    for n_max in (0, 2.5, 3.0, True, False):
         with pytest.raises(ValueError):
             SimConfig(n_max=n_max)
     with pytest.raises(ValueError):

@@ -5,7 +5,9 @@ import pytest
 
 import rodbilliard.oracle
 from rodbilliard import (FreeFlight, SimConfig, UnsupportedFirstImpact,
-                         flight_position, oracle_simulate, simulate)
+                         flight_position, flight_velocity, oracle_simulate,
+                         reflect, simulate)
+from rodbilliard.core import EPS
 from rodbilliard.oracle import OracleMismatch
 from conftest import GRAZING_V0, GRAZING_Z0, random_supported_starts
 
@@ -73,9 +75,18 @@ def test_rejects_bad_arguments():
         oracle_simulate(1j, 0j, 0)
     with pytest.raises(ValueError):
         oracle_simulate(complex(0, -1), 0j, 1)
-    for n in (2.5, 3.0):
+    for n in (2.5, 3.0, True, False):
         with pytest.raises(ValueError, match="n_impacts must be an int"):
             oracle_simulate(1j, 1, n)
+
+
+@pytest.mark.parametrize("z0, v0", [(2j, -3 + 1j), (1 + 2j, 0.5 - 1j)])
+def test_overflowing_flight_is_rejected(z0, v0):
+    # the flight rebuilt after an impact near the float range overflows;
+    # the oracle raises FreeFlight's error for it instead of refining
+    # over infinite slopes
+    with pytest.raises(ValueError, match="must have finite components"):
+        oracle_simulate(z0 * 1e307, v0 * 1e307, 5)
 
 
 def test_stops_at_t_max_like_simulate():
@@ -106,9 +117,10 @@ def test_first_contact_within_the_first_scan_step(z0, v0):
         assert abs(ev.r - r_o) <= 1e-12 * (1 + ev.t)
 
 
-def _complex_next_crossing(ff, s0, h0, cfg):
-    """The scan as first written, sampling flight_position: the reference
-    the flat scan must reproduce bit for bit."""
+def _complex_scan(ff, s0, h0, cfg):
+    """The scan as first written, sampling flight_position at every grid
+    point: the bracket (s_prev, s, h_prev, h) the skipping scan must
+    reproduce bit for bit."""
     window = s0 + 2.0 * math.pi + 0.1
     s_prev, h_prev = s0, h0
     s = s0
@@ -116,24 +128,74 @@ def _complex_next_crossing(ff, s0, h0, cfg):
         s += cfg.scan_step
         h = flight_position(ff, s).imag
         if h_prev > 0.0 and h <= 0.0:
-            lo, hi = s_prev, s
-            for _ in range(200):
-                if hi - lo < cfg.root_abs_tol:
-                    break
-                mid = 0.5 * (lo + hi)
-                if flight_position(ff, mid).imag > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
+            return s_prev, s, h_prev, h
         s_prev, h_prev = s, h
     raise OracleMismatch(
         f"no rod crossing found within one extra turn past s = {s0}")
 
 
-def _oracle_outcome(z0, v0, n, cfg):
+def _complex_refine(ff, lo, hi, h_lo, h_hi, tol):
+    """The oracle's safeguarded Newton refinement, each sample's h and h'
+    taken from flight_position and flight_velocity."""
+    nudge = max(0.5 * tol, math.ulp(hi))
+    s = lo + (hi - lo) * (h_lo / (h_lo - h_hi))
+    while hi - lo >= tol and lo < 0.5 * (lo + hi) < hi:
+        if not lo < s < hi:
+            s = 0.5 * (lo + hi)
+        h, dh = flight_position(ff, s).imag, flight_velocity(ff, s).imag
+        if h > 0.0:
+            lo = s
+        else:
+            hi = s
+        if -math.inf < dh < 0.0 and abs(h) <= -0.5 * dh * (hi - lo):
+            d = -h / dh
+            if abs(d) < nudge:
+                d = nudge if h > 0.0 else -nudge
+                if h == 0.0:
+                    nudge *= 2.0
+            s += d
+        else:
+            s = 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
+
+
+def _complex_oracle(z0, v0, n_impacts, cfg):
+    """oracle_simulate as first written, its flight a FreeFlight rebuilt by
+    flight_position, flight_velocity and reflect, over the dense scan: the
+    reference the inline loop must reproduce bit for bit."""
+    ff = FreeFlight(z0, v0)
+    t_base = 0.0
+    out = []
+    guard = 10.0 * cfg.scan_step
+    for k in range(n_impacts):
+        if k == 0:
+            s0, h0 = 0.0, z0.imag
+        else:
+            s0, h0 = guard, flight_position(ff, guard).imag
+        if k > 0 and h0 <= 0.0:
+            s0 = cfg.scan_step
+            h0 = flight_position(ff, s0).imag
+            if h0 <= 0.0:
+                raise OracleMismatch("next impact within one scan step")
+        s_hit = _complex_refine(ff, *_complex_scan(ff, s0, h0, cfg),
+                                cfg.root_abs_tol)
+        r_hit = flight_position(ff, s_hit).real
+        if k == 0 and r_hit <= 0.0:
+            raise UnsupportedFirstImpact(s_hit, r_hit)
+        if t_base + s_hit > cfg.t_max:
+            break
+        if k > 0 and r_hit <= out[-1][1]:
+            raise OracleMismatch("radius failed to grow")
+        t_base += s_hit
+        out.append((t_base, r_hit))
+        u = reflect(flight_velocity(ff, s_hit))
+        ff = FreeFlight(z=complex(r_hit, 0.0), v=u + 1j * r_hit)
+    return out
+
+
+def _oracle_outcome(oracle, z0, v0, n, cfg):
     try:
-        return oracle_simulate(z0, v0, n, cfg)
+        return oracle(z0, v0, n, cfg)
     except UnsupportedFirstImpact as exc:
         return ("unsupported", exc.t, exc.r)
 
@@ -149,18 +211,19 @@ _STARTS = random_supported_starts(12, seed=4417)
     (1j, 1 + 0j, 10, SimConfig(t_max=3.0, root_abs_tol=1e-15)),
     (1j, complex(-1, -10), 3, SimConfig(root_abs_tol=1e-15)),
 ])
-def test_flat_scan_is_bit_identical_to_complex_scan(monkeypatch, z0, v0, n,
-                                                    cfg):
-    flat = _oracle_outcome(z0, v0, n, cfg)
-    monkeypatch.setattr(rodbilliard.oracle, "_next_crossing",
-                        _complex_next_crossing)
-    assert flat == _oracle_outcome(z0, v0, n, cfg)
+def test_inline_oracle_is_bit_identical_to_complex_reference(z0, v0, n, cfg):
+    assert (_oracle_outcome(oracle_simulate, z0, v0, n, cfg)
+            == _oracle_outcome(_complex_oracle, z0, v0, n, cfg))
 
 
-def _scan_outcome(scan, ff, s0, cfg):
-    """A scan's root as its repr, or its OracleMismatch message."""
+def _parts(ff):
+    return ff.z.real, ff.z.imag, ff.v.real, ff.v.imag
+
+
+def _scan_outcome(scan, *args):
+    """A scan's bracket as its repr, or its OracleMismatch message."""
     try:
-        return repr(scan(ff, s0, flight_position(ff, s0).imag, cfg))
+        return repr(scan(*args))
     except OracleMismatch as exc:
         return str(exc)
 
@@ -208,13 +271,14 @@ def _adversarial_scans(seed):
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-def test_skipping_scan_is_bit_identical_to_dense_scan(seed):
-    # the same root to the bit, or the same miss (the dense reference's
-    # message is the start of the oracle's)
+def test_skipping_scan_brackets_as_dense_scan(seed):
+    # the same grid bracket and end heights to the bit, or the same miss
+    # (the dense reference's message is the start of the oracle's)
     for ff, s0, cfg in _adversarial_scans(seed):
-        dense = _scan_outcome(_complex_next_crossing, ff, s0, cfg)
-        skipping = _scan_outcome(rodbilliard.oracle._next_crossing, ff, s0,
-                                 cfg)
+        h0 = flight_position(ff, s0).imag
+        dense = _scan_outcome(_complex_scan, ff, s0, h0, cfg)
+        skipping = _scan_outcome(rodbilliard.oracle._scan, *_parts(ff), s0,
+                                 h0, cfg.scan_step)
         if dense.startswith("no rod crossing"):
             assert skipping.startswith(dense + ";"), (ff, s0, cfg)
         else:
@@ -236,12 +300,14 @@ class _SinCountingMath:
 
 
 def test_skipping_scan_takes_under_a_third_of_the_evaluations(monkeypatch):
-    # each scan evaluates sin once per sample and per halving, plus once
-    # at its start; the dense reference once per flight_position call
+    # the oracle evaluates sin once per scan or refinement sample, once at
+    # each scan's start, and once each for the guard height and the hit;
+    # the dense reference calls flight_position at every sample
     counting = _SinCountingMath()
     monkeypatch.setattr(rodbilliard.oracle, "math", counting)
     cfg = SimConfig(root_abs_tol=1e-15)
-    skipping = [_oracle_outcome(z0, v0, 50, cfg) for z0, v0 in _STARTS]
+    inline = [_oracle_outcome(oracle_simulate, z0, v0, 50, cfg)
+              for z0, v0 in _STARTS]
     evals, dense_evals = counting.sin_calls, 0
 
     def counted_position(ff, s, position=flight_position):
@@ -250,11 +316,114 @@ def test_skipping_scan_takes_under_a_third_of_the_evaluations(monkeypatch):
         return position(ff, s)
 
     monkeypatch.setitem(globals(), "flight_position", counted_position)
-    monkeypatch.setattr(rodbilliard.oracle, "_next_crossing",
-                        _complex_next_crossing)
-    assert skipping == [_oracle_outcome(z0, v0, 50, cfg) for z0, v0 in _STARTS]
-    assert counting.sin_calls == evals == 29020
-    assert 3 * evals < dense_evals == 112499
+    assert inline == [_oracle_outcome(_complex_oracle, z0, v0, 50, cfg)
+                      for z0, v0 in _STARTS]
+    assert counting.sin_calls == evals == 8693
+    assert 3 * evals < dense_evals == 92082
+
+
+def _mp_height(flight, s):
+    """Im((z + v s) e^{-is}) of the float flight (zr, zi, vr, vi), exactly
+    to the working precision of mpmath."""
+    import mpmath
+    zr, zi, vr, vi = (mpmath.mpf(x) for x in flight)
+    s = mpmath.mpf(s)
+    return (zr + vr * s) * mpmath.sin(-s) + (zi + vi * s) * mpmath.cos(-s)
+
+
+def _bisection(flight, lo, hi, tol):
+    """The refinement the oracle used before Newton: halve to tol."""
+    zr, zi, vr, vi = flight
+    for _ in range(200):
+        if hi - lo < tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if (zr + vr * mid) * math.sin(-mid) + (zi + vi * mid) * math.cos(-mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_refined_roots_are_near_the_mpmath_roots(monkeypatch):
+    # every crossing of 12 seeded starts x 50 impacts; each root within
+    # 7e-16 of the 50-digit root of the same float flight, where the
+    # bisection to the same tol strays further on the same brackets
+    mpmath = pytest.importorskip("mpmath")
+    crossings = []
+
+    def recording(*args, refine=rodbilliard.oracle._refine):
+        crossings.append((args, refine(*args)))
+        return crossings[-1][1]
+
+    monkeypatch.setattr(rodbilliard.oracle, "_refine", recording)
+    cfg = SimConfig(root_abs_tol=1e-15)
+    for z0, v0 in random_supported_starts(12, seed=7):
+        assert len(oracle_simulate(z0, v0, 50, cfg)) == 50
+    assert len(crossings) == 600
+    worst = worst_bisection = 0.0
+    with mpmath.workdps(50):
+        for (*flight, lo, hi, _, _, tol), root in crossings:
+            exact = mpmath.findroot(lambda s: _mp_height(flight, s), root)
+            assert lo < exact < hi
+            zr, zi, vr, vi = (mpmath.mpf(x) for x in flight)
+            slope = ((vr + zi + vi * exact) * mpmath.sin(-exact)
+                     + (vi - zr - vr * exact) * mpmath.cos(-exact))
+            assert slope < -1e-3 * (abs(zr) + abs(zi) + abs(vr) + abs(vi))
+            worst = max(worst, abs(root - exact))
+            worst_bisection = max(worst_bisection, abs(
+                _bisection(flight, lo, hi, tol) - exact))
+    assert worst <= 7e-16 < worst_bisection
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_refinement_of_adversarial_brackets(monkeypatch, seed):
+    # near-tangent brackets included: the root lies in the grid bracket,
+    # across which mpmath certifies the sign change, and the exact height
+    # there is within rounding and tol of zero (two near-tangent
+    # crossings in one bracket may give another root than bisection's);
+    # no refinement takes more samples than bisection takes halvings
+    mpmath = pytest.importorskip("mpmath")
+    counting = _SinCountingMath()
+    monkeypatch.setattr(rodbilliard.oracle, "math", counting)
+    refined = 0
+    with mpmath.workdps(50):
+        for ff, s0, cfg in _adversarial_scans(seed):
+            flight, tol = _parts(ff), cfg.root_abs_tol
+            try:
+                bracket = rodbilliard.oracle._scan(
+                    *flight, s0, flight_position(ff, s0).imag, cfg.scan_step)
+            except OracleMismatch:
+                continue
+            lo, hi = bracket[:2]
+            counting.sin_calls = 0
+            root = rodbilliard.oracle._refine(*flight, *bracket, tol)
+            halvings, width = 0, hi - lo
+            while width >= tol:
+                halvings, width = halvings + 1, 0.5 * width
+            assert counting.sin_calls <= halvings, (ff, s0, cfg)
+            assert lo < root < hi
+            assert _mp_height(flight, lo) > 0 >= _mp_height(flight, hi)
+            scale = abs(ff.z.real) + abs(ff.z.imag) + (
+                abs(ff.v.real) + abs(ff.v.imag)) * (1.0 + hi)
+            assert abs(_mp_height(flight, root)) <= scale * (4 * EPS + tol)
+            refined += 1
+    assert refined > 200
+
+
+def test_tolerance_below_the_float_spacing(monkeypatch):
+    # adjacent floats end the refinement: at a tol of 1e-18, below the
+    # spacing of most roots, the bisection ran to its cap of 200 halvings
+    counting = _SinCountingMath()
+    monkeypatch.setattr(rodbilliard.oracle, "math", counting)
+    fine = oracle_simulate(1j, 1, 200, SimConfig(root_abs_tol=1e-18))
+    fine_evals, counting.sin_calls = counting.sin_calls, 0
+    coarse = oracle_simulate(1j, 1, 200, SimConfig(root_abs_tol=1e-15))
+    assert counting.sin_calls < fine_evals < 2 * counting.sin_calls
+    assert len(fine) == len(coarse) == 200
+    for (t_f, r_f), (t_c, r_c) in zip(fine, coarse):
+        assert abs(t_f - t_c) <= 1e-13 * (1 + t_c)
+        assert abs(r_f - r_c) <= 1e-13 * r_c
 
 
 @pytest.mark.parametrize("v0", [-1j, 1j])
