@@ -356,7 +356,7 @@ def _asympt_render(record, args):
 def _oracle_setup(args: argparse.Namespace) -> dict:
     if not 1 <= args.n_impacts <= 1000:
         raise ValueError("--n-impacts must lie in [1, 1000]")
-    # a tight bisection keeps the oracle's own noise well under the
+    # a tight root bracket keeps the oracle's own noise well under the
     # comparison band, as in the library's oracle acceptance check
     return {"n_max": args.n_impacts, "root_abs_tol": 1e-15}
 

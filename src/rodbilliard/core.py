@@ -109,8 +109,9 @@ class SimConfig:
     record, "extend" slides on along cosh (CLI --quasi).
     ``convergence_experiment`` sets these three itself.  scan_step,
     root_abs_tol: the oracle's sampling step for Im z(t) (CLI
-    --scan-step) and bisection width (1e-15 from the CLI ``oracle``
-    command and the benchmark).
+    --scan-step) and the width below which its Newton refinement stops
+    (1e-15 from the CLI ``oracle`` command and the benchmark; a width
+    below the float spacing stops at adjacent floats).
     """
 
     root_abs_tol: float = 1e-13

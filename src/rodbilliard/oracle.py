@@ -131,7 +131,7 @@ def _scan(zr: float, zi: float, vr: float, vi: float, s0: float, h0: float,
         if not 2.0 * step <= d < math.inf:
             break
         # the points up to lim are proven positive; h_prev = inf marks the
-        # last of them as not evaluated
+        # height at s_prev as not evaluated
         lim, s, h_prev = min(s + d, window), s + step, math.inf
         while s < lim:
             s_prev, s = s, s + step

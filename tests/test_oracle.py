@@ -338,7 +338,8 @@ def _bisection(flight, lo, hi, tol):
         if hi - lo < tol:
             break
         mid = 0.5 * (lo + hi)
-        if (zr + vr * mid) * math.sin(-mid) + (zi + vi * mid) * math.cos(-mid) > 0.0:
+        if (zr + vr * mid) * math.sin(-mid) + (zi + vi * mid) * math.cos(
+                -mid) > 0.0:
             lo = mid
         else:
             hi = mid
