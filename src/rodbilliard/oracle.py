@@ -7,17 +7,21 @@ flight is rebuilt from the contact point and the reflected velocity.
 Flights are parametrized in local time from their own impact (rebasing
 the lab frame to the rod angle there), which keeps magnitudes of order r
 and avoids the loss of significance a global (z, v) anchor suffers as t
-grows.  Meant for cross-validation runs of at most ~10^3 impacts, where
-the gaps stay above one scan step.  The flight is carried as the four
-parts of z and v, and every height, slope, hit point and reflected
-velocity is computed inline with the rounding of ``flight_position``,
-``flight_velocity`` and ``reflect``.  The scan skips the grid points a
-Taylor bound proves positive: its brackets are those of the dense
-complex scan, at under a third of its evaluations.
+grows.  Meant for cross-validation runs while the gaps between impacts
+stay above one scan step: on the reference orbit about 1500 impacts at
+the default scan_step 1e-3, and past 10^4 at 1e-5.  The flight is
+carried as the four parts of z and v, and every height, slope, hit point
+and reflected velocity is computed inline with the rounding of
+``flight_position``, ``flight_velocity`` and ``reflect``.  The scan skips
+the grid points a Taylor bound proves positive and jumps over them in
+O(1): its brackets are those of the dense complex scan, at under a
+fifteenth of its evaluations.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 
 from .core import (EPS, BilliardError, DEFAULT_CONFIG, SimConfig,
@@ -98,43 +102,137 @@ def oracle_simulate(z0: complex, v0: complex, n_impacts: int,
     return out
 
 
+@functools.lru_cache(maxsize=32)
+def _grid(s0: float, step: float) -> tuple[
+        tuple[float, ...], tuple[tuple[float, float, int], ...]]:
+    """The scan grid g_0 = s0, g_{k+1} = fl(g_k + step) as rows (P, D, N),
+    the points P + jD, 0 <= j < N, in one binade.  Also returns the rows'
+    first points P.
+
+    The last row is the first that starts at or past the window, and
+    there are at most two rows per binade (``_scan`` proves them).  A step
+    below half the float spacing stalls the grid before the window, where
+    the dense scan would never end; it raises ValueError.
+    """
+    window = s0 + 2.0 * math.pi + 0.1
+    starts, rows = [], []
+    p = s0
+    while p < window:
+        nxt = p + step
+        d = nxt - p
+        if not d > 0.0:
+            raise ValueError(f"scan_step {step!r} is below half the float "
+                             f"spacing at s = {p!r}; the scan grid stalls")
+        top = math.ldexp(1.0, math.frexp(p)[1])  # p lies in [top/2, top)
+        n = 1
+        if 0.0 < p and nxt < top:
+            u = math.ulp(p)
+            n = -(-int((top - p) / u) // int(d / u))
+            if n > 2 and (nxt + step) - nxt != d:
+                n = 1  # a tie: the increment is constant from nxt on
+        starts.append(p)
+        rows.append((p, d, n))
+        p = p + (n - 1) * d + step
+    starts.append(p)
+    rows.append((p, step, 1))
+    return tuple(starts), tuple(rows)
+
+
+def _jump(starts: tuple[float, ...],
+          rows: tuple[tuple[float, float, int], ...],
+          lim: float) -> tuple[float, float]:
+    """The point before the first point of the ``_grid`` rows at or past
+    lim, and that point; lim must lie past the grid's first point and not
+    past its last (``_scan`` proves the jump exact)."""
+    i = bisect.bisect_left(starts, lim) - 1
+    p, d, n = rows[i]
+    j = min(math.ceil((lim - p) / d), n)
+    if j < n:
+        return p + (j - 1) * d, p + j * d
+    return p + (n - 1) * d, starts[i + 1]
+
+
 def _scan(zr: float, zi: float, vr: float, vi: float, s0: float, h0: float,
           step: float) -> tuple[float, float, float, float]:
     """Grid bracket (s_prev, s, h_prev, h) of the first downward sign
-    change of h(s) = Im z(s) past s0.
+    change of h(s) = Im z(s) past s0, on the grid of ``_grid``.
 
     h is Im((z + v s) e^{-is}) term for term as CPython rounds the complex
-    product in ``flight_position``, so it equals its ``.imag``.  Grid point
-    s_k + d past an evaluated s_k is stepped over, not evaluated, while
-    (h_k - 2E) + (h'_k - E) d - M2 d^2/2 > 0: up to s_hi past the window,
-    |h''| = |Im((-2iv - z - vs) e^{-is})| <= M2 = 2|v|_1 + |z|_1 + |v|_1 s_hi,
-    and an ulp per sin, cos, sum and product moves the computed h and h' =
-    Im((v - iz - ivs) e^{-is}) under E/2 = 4 eps (|z|_1 + |v|_1 (1 + s_hi)).
-    The root d of that quadratic has relative condition 2, so a cut of 2^-20
-    relative and 2 eps s_hi covers its rounding and that of s_k + d.  The
-    scan is dense from the first bound that skips under two points or is
-    not finite and positive.
+    product in ``flight_position``, so it equals its ``.imag``.  From an
+    evaluated point s_k the scan proves h > 0 on [s_k, s_k + d), jumps to
+    the first grid point at or past s_k + d and evaluates h there; it is
+    dense from the first d under two steps.  Every grid point it skips
+    has a computed h > 0, so its bracket is the dense scan's.
+
+    The jump.  Inside a binade [2^(e-1), 2^e) the floats are the
+    multiples of u = ulp.  A grid point g whose successor lies in the
+    binade is one of them, so fl(g + step) = g + D with D the multiple of
+    u nearest to step, the same for every g (the sum lies within u/2 of
+    that successor, so below 2^e, and rounds in the binade).  If step
+    mod u = u/2 (a tie), round-half-even takes the even multiple, so every
+    sum is even, and from the binade's second point on D is the same; the
+    first point is a row of its own when its increment differs.  N is
+    (2^e - P)/D rounded up, in integers of u.  The first point at or past
+    lim lies in the last row with P < lim (a bisection): it is P + jD with
+    j = ceil((lim - P)/D) if j < N, else the next row's P.  That j is
+    exact.  For lim < 2^e, lim - P = ku is exact with k < 2^52, and
+    k/m (D = mu) is an integer or at least 1/m from one, while rounding
+    moves it by at most (k/m) 2^-53 < 1/(2m).  For lim >= 2^e the
+    quotient rounds to at least that of (2^e - P)/D, which is N or at
+    least N - 1 + 1/m, so j >= N.
+
+    The bound.  h' = Im((v - iz - ivs) e^{-is}) and
+    h'' = Im((-2iv - z - vs) e^{-is}) come from the same sin/cos pair, and
+    |h'''| = |Im((i(z + vs) - 3v) e^{-is})| <= M3(s) = 3|v|_1 + |z|_1 +
+    |v|_1 s.  By Taylor's theorem, for 0 <= x <= d <= w,
+    h(s_k + x) >= h + h'x + (h'' - M3(s_k + w) d/3) x^2/2.  An ulp per
+    sin, cos, sum and product moves each computed h, h' and h'' by under
+    E/2 = 4 eps (|z|_1 + |v|_1 (1 + s_hi)).  The scan takes H = h - 2E,
+    Q = h' - E and M = M3(s_k + w) w/3 - (h'' - E), so that
+    H + Qx - Mx^2/2 > 0 leaves the computed h at s_k + x positive.  The
+    span w is the first positive root of the Taylor quadratic
+    H + Qx + (h'' - E) x^2/2, or the rest of the window without one, and
+    d is the first positive root of H + Qx - Mx^2/2, or w if that is
+    smaller.  The root's formula adds terms of one sign, except that for
+    M < 0 the discriminant Q^2 + 2MH cancels: rounding moves it by under
+    2 eps Q^2 and the root by under sqrt(2 eps) relative, and only a
+    discriminant below -4 eps Q^2 proves no root.  A cut of 2^-20
+    relative covers the root's rounding and that of M3 w/3 (the remainder
+    needs only M3 d/3, and d <= w (1 - 2^-20)), and a cut of 2 eps s_hi
+    that of s_k + d.
     """
-    sin, cos = math.sin, math.cos
+    sin, cos, sqrt = math.sin, math.cos, math.sqrt
+    starts, rows = _grid(s0, step)
     window = s0 + 2.0 * math.pi + 0.1
     s_hi = window + 2.0 * step
     zn, vn = abs(zr) + abs(zi), abs(vr) + abs(vi)
-    m2, err = 2.0 * vn + zn + vn * s_hi, 8.0 * EPS * (zn + vn * (1.0 + s_hi))
+    m3, err = 3.0 * vn + zn, 8.0 * EPS * (zn + vn * (1.0 + s_hi))
     s, s_prev, h, h_prev = s0, s0, h0, h0
     sn, c, a, b = sin(-s), cos(-s), zr + vr * s, zi + vi * s
-    while 0.0 < m2 < math.inf and s < window and (h_lo := h - 2.0 * err) > 0.0:
-        s_prev, h_prev = s, h
-        q = (vr + b) * sn + (vi - a) * c - err  # h' less its error
-        disc = math.sqrt(q * q + 2.0 * m2 * h_lo)
-        d = ((q + disc) / m2 if q > 0.0 else 2.0 * h_lo / (disc - q)
-             if disc > q else 0.0) * (1.0 - 2.0 ** -20) - 2.0 * EPS * s_hi
+    while s < window and (h_lo := h - 2.0 * err) > 0.0:
+        # h' and h'' less their errors
+        q = (vr + b) * sn + (vi - a) * c - err
+        h2 = (vi + vi - a) * sn - (vr + vr + b) * c - err
+        if h2 >= 0.0 and q >= 0.0 or (dd := q * q - 2.0 * h2 * h_lo) < 0.0:
+            span = window - s
+        else:
+            disc = sqrt(dd)
+            span = (q + disc) / -h2 if q > 0.0 else 2.0 * h_lo / (disc - q)
+        m = (m3 + vn * (s + span)) * span / 3.0 - h2
+        if m <= 0.0 and q >= 0.0 or (dd := q * q + 2.0 * m * h_lo) < (
+                -4.0 * EPS * q * q):
+            d = span
+        else:
+            disc = sqrt(max(dd, 0.0))
+            d = min(span, (q + disc) / m if q > 0.0
+                    else 2.0 * h_lo / (disc - q))
+        d = d * (1.0 - 2.0 ** -20) - 2.0 * EPS * s_hi
         if not 2.0 * step <= d < math.inf:
             break
-        # the points up to lim are proven positive; h_prev = inf marks the
-        # height at s_prev as not evaluated
-        lim, s, h_prev = min(s + d, window), s + step, math.inf
-        while s < lim:
-            s_prev, s = s, s + step
+        # the points below s + d are proven positive; h_prev = inf marks
+        # the height at s_prev as not evaluated
+        s_prev, s = _jump(starts, rows, min(s + d, window))
+        h_prev = math.inf
         sn, c, a, b = sin(-s), cos(-s), zr + vr * s, zi + vi * s
         h = a * sn + b * c
     while not (h_prev > 0.0 and h <= 0.0):

@@ -1,3 +1,5 @@
+import bisect
+import collections
 import math
 import random
 
@@ -270,7 +272,7 @@ def _adversarial_scans(seed):
     return scans
 
 
-@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6])
 def test_skipping_scan_brackets_as_dense_scan(seed):
     # the same grid bracket and end heights to the bit, or the same miss
     # (the dense reference's message is the start of the oracle's)
@@ -302,7 +304,8 @@ class _SinCountingMath:
 def test_skipping_scan_takes_under_a_third_of_the_evaluations(monkeypatch):
     # the oracle evaluates sin once per scan or refinement sample, once at
     # each scan's start, and once each for the guard height and the hit;
-    # the dense reference calls flight_position at every sample
+    # the dense reference calls flight_position at every sample, over
+    # fifteen times as often
     counting = _SinCountingMath()
     monkeypatch.setattr(rodbilliard.oracle, "math", counting)
     cfg = SimConfig(root_abs_tol=1e-15)
@@ -318,8 +321,74 @@ def test_skipping_scan_takes_under_a_third_of_the_evaluations(monkeypatch):
     monkeypatch.setitem(globals(), "flight_position", counted_position)
     assert inline == [_oracle_outcome(_complex_oracle, z0, v0, 50, cfg)
                       for z0, v0 in _STARTS]
-    assert counting.sin_calls == evals == 8693
-    assert 3 * evals < dense_evals == 92082
+    assert counting.sin_calls == evals == 5809
+    assert 15 * evals < dense_evals == 92082
+
+
+# halfway between multiples of the float spacing in [4, 8), where
+# round-half-even decides every sum; 1e-3 and 1e-7 tie in lower binades
+_TIE_STEP = math.ldexp(round(1e-3 * 2**62 / 4096) * 4096 + 2048, -62)
+
+
+@pytest.mark.parametrize("step", [1e-3, 1e-5, 1e-7, _TIE_STEP])
+def test_grid_rows_and_jump_follow_the_additive_grid(step):
+    # from each scan start the rows give the points of g_{k+1} =
+    # fl(g_k + step): the first 10^5 as materialised, and past them the
+    # sums at each row's ends and middle; at most two rows per binade; the
+    # jump returns the first materialised point at or past each of 10^3
+    # seeded limits, and the point before it
+    rng = random.Random(step)
+    for s0 in (0.0, step, 10.0 * step):
+        starts, rows = rodbilliard.oracle._grid(s0, step)
+        assert starts == tuple(row[0] for row in rows)
+        per_binade = collections.Counter(math.frexp(p)[1] for p in starts if p)
+        assert max(per_binade.values()) <= 2
+        grid = [s0]
+        while len(grid) < 10**5 and grid[-1] < starts[-1]:
+            grid.append(grid[-1] + step)
+        points = []
+        for p, d, n in rows:
+            points.extend(p + j * d
+                          for j in range(min(n, len(grid) - len(points))))
+        assert points == grid
+        for (p, d, n), following in zip(rows, starts[1:]):
+            for j in {1, n // 2, n} - {0}:
+                assert p + (j - 1) * d + step == (
+                    p + j * d if j < n else following)
+        for _ in range(1000):
+            k = rng.randrange(1, len(grid))
+            lim = rng.choice([grid[k], math.nextafter(grid[k], 0.0),
+                              math.nextafter(grid[k - 1], math.inf),
+                              rng.uniform(grid[k - 1], grid[k])])
+            k = bisect.bisect_left(grid, lim)
+            if k > 0:
+                assert rodbilliard.oracle._jump(starts, rows, lim) == (
+                    grid[k - 1], grid[k]), (s0, step, lim)
+
+
+def test_a_step_that_stalls_the_grid_is_rejected():
+    # below half the float spacing fl(g + scan_step) = g inside the window,
+    # where the dense scan would never end
+    with pytest.raises(ValueError, match="the scan grid stalls"):
+        oracle_simulate(1j, 1, 1, SimConfig(scan_step=1e-17))
+
+
+@pytest.mark.parametrize("z0, v0", [(1j, 1 + 0j),
+                                    *random_supported_starts(5, seed=1301)])
+def test_fine_step_oracle_follows_simulate_to_ten_thousand_impacts(z0, v0):
+    # at scan_step 1e-5 the oracle reaches delta_n near 1.5e-4, deep in the
+    # reversion box.  t keeps the 1e-9 (1 + t) band.  The oracle's flight,
+    # rebuilt in floats after each impact, drifts along the orbit about like
+    # n^2 (3.5e-9 relative in r at n = 10^4, 3.4e-8 at 3 10^4), so r gets
+    # the relative band eps n^2 / 2 = 1.1e-8 at n = 10^4
+    n = 10**4
+    cfg = SimConfig(n_max=n, scan_step=1e-5, root_abs_tol=1e-15)
+    record = simulate(z0, v0, cfg)
+    reference = oracle_simulate(z0, v0, n, cfg)
+    assert len(reference) == len(record.impacts) == n
+    for ev, (t_o, r_o) in zip(record.impacts, reference):
+        assert abs(ev.t - t_o) <= 1e-9 * (1 + ev.t)
+        assert abs(ev.r - r_o) <= 0.5 * EPS * n * n * ev.r
 
 
 def _mp_height(flight, s):
