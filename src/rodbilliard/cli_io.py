@@ -24,7 +24,7 @@ from .core import DEGENERATE, GRAZING, TRANSVERSAL, SimConfig
 from .flight import (FreeFlight, check_segment, flight_position,
                      segment_position)
 from .oracle import OracleMismatch, oracle_simulate
-from .rootfind import UnsupportedFirstImpact, solve_delta
+from .rootfind import UnsupportedFirstImpact
 from .simulator import QuasiTrajectory, TrajectoryRecord, quasi_position, \
     simulate
 from .analysis import AsymptoticRow, asymptotic_table
@@ -151,9 +151,10 @@ def export_trajectory(record: TrajectoryRecord, opts: ExportOptions) -> str:
     """Render a record per the export options: JSON, or CSV samples.
 
     Arc k, the one leaving impact k (0: the approach), is sampled at
-    s = span j / (samples - 1), an open arc up to a finite t_max only, with
-    the positions of ``flight_position``, ``segment_position``,
-    ``quasi_position`` and ``to_lab_frame``.
+    s = span j / (samples - 1), with the positions of ``flight_position``,
+    ``segment_position``, ``quasi_position`` and ``to_lab_frame``.  An
+    open arc is sampled under a finite t_max only, up to t_max or the
+    open last arc's next impact, whichever comes first.
     """
     if opts.format == "json":
         return record_to_json(record)
@@ -164,11 +165,14 @@ def export_trajectory(record: TrajectoryRecord, opts: ExportOptions) -> str:
     form = "%.17g," * lines[0].count(",") + "%d"  # floats print as {:.17g}
     last, offsets, t_max = samples - 1, range(samples), record.config.t_max
 
-    def sample(start: float, label: int, position, span: float | None = None):
-        """Sample an arc over ``span``; an open one up to a finite t_max."""
-        if span is None and not start < t_max < math.inf:
-            return  # an open arc without a finite t_max
-        span = t_max - start if span is None else span
+    def sample(start: float, label: int, position, span: float | None = None,
+               reach: float = math.inf):
+        """Sample an arc over ``span``; an open one over the earlier of
+        ``reach`` and a finite t_max."""
+        if span is None:
+            if not start < t_max < math.inf:
+                return  # an open arc without a finite t_max
+            span = min(reach, t_max - start)
         for j in offsets:
             s = span * j / last
             t, z = start + s, position(s)
@@ -190,7 +194,8 @@ def export_trajectory(record: TrajectoryRecord, opts: ExportOptions) -> str:
                * complex(math.cos(-s), math.sin(-s)), delta)
     if len(record.a) > len(record.delta):  # the open last arc
         seg = record.segments[-1]
-        sample(seg.t_start, seg.n, partial(segment_position, seg))
+        sample(seg.t_start, seg.n, partial(segment_position, seg),
+               reach=record.open_delta)  # to its next impact
     if (q := record.quasi_start) is not None:
         sample(q.t1, len(record.t), lambda s: quasi_position(q, q.t1 + s))
     return "\n".join(lines) + "\n"
@@ -317,8 +322,8 @@ def _simulate_render(record, args):
 def _impacts_render(record, args):
     t, r, a, beta = record.t, record.r, record.a, record.beta
     delta = list(record.delta)
-    if len(delta) < len(a):  # the open last arc, from beta rather than b - 1
-        delta.append(solve_delta(a[-1], beta[-1]))
+    if len(delta) < len(a):  # the open last arc
+        delta.append(record.open_delta)
     lines = ["n,t_n,delta_n,r_n,a_n,b_n,re_in,im_in,kind"]
     if t:  # the first impact has its own velocity and kind, and maybe no arc
         d, a1, b1 = (map(_FMT, (delta[0], a[0], 1.0 + beta[0])) if a

@@ -13,15 +13,13 @@ the default scan_step 1e-3, and past 10^4 at 1e-5.  The flight is
 carried as the four parts of z and v, and every height, slope, hit point
 and reflected velocity is computed inline with the rounding of
 ``flight_position``, ``flight_velocity`` and ``reflect``.  The scan skips
-the grid points a Taylor bound proves positive and jumps over them in
-O(1): its brackets are those of the dense complex scan, at under a
-fifteenth of its evaluations.
+the grid points a Taylor bound proves positive and leaps over them a
+binade at a time: its brackets are those of the dense complex scan, at
+under a fifteenth of its evaluations.
 """
 
 from __future__ import annotations
 
-import bisect
-import functools
 import math
 
 from .core import (EPS, BilliardError, DEFAULT_CONFIG, SimConfig,
@@ -102,60 +100,30 @@ def oracle_simulate(z0: complex, v0: complex, n_impacts: int,
     return out
 
 
-@functools.lru_cache(maxsize=32)
-def _grid(s0: float, step: float) -> tuple[
-        tuple[float, ...], tuple[tuple[float, float, int], ...]]:
-    """The scan grid g_0 = s0, g_{k+1} = fl(g_k + step) as rows (P, D, N),
-    the points P + jD, 0 <= j < N, in one binade.  Also returns the rows'
-    first points P.
-
-    The last row is the first that starts at or past the window, and
-    there are at most two rows per binade (``_scan`` proves them).  A step
-    below half the float spacing stalls the grid before the window, where
-    the dense scan would never end; it raises ValueError.
-    """
-    window = s0 + 2.0 * math.pi + 0.1
-    starts, rows = [], []
-    p = s0
-    while p < window:
-        nxt = p + step
-        d = nxt - p
-        if not d > 0.0:
-            raise ValueError(f"scan_step {step!r} is below half the float "
-                             f"spacing at s = {p!r}; the scan grid stalls")
-        top = math.ldexp(1.0, math.frexp(p)[1])  # p lies in [top/2, top)
-        n = 1
-        if 0.0 < p and nxt < top:
-            u = math.ulp(p)
-            n = -(-int((top - p) / u) // int(d / u))
-            if n > 2 and (nxt + step) - nxt != d:
-                n = 1  # a tie: the increment is constant from nxt on
-        starts.append(p)
-        rows.append((p, d, n))
-        p = p + (n - 1) * d + step
-    starts.append(p)
-    rows.append((p, step, 1))
-    return tuple(starts), tuple(rows)
-
-
-def _jump(starts: tuple[float, ...],
-          rows: tuple[tuple[float, float, int], ...],
-          lim: float) -> tuple[float, float]:
-    """The point before the first point of the ``_grid`` rows at or past
-    lim, and that point; lim must lie past the grid's first point and not
-    past its last (``_scan`` proves the jump exact)."""
-    i = bisect.bisect_left(starts, lim) - 1
-    p, d, n = rows[i]
-    j = min(math.ceil((lim - p) / d), n)
-    if j < n:
-        return p + (j - 1) * d, p + j * d
-    return p + (n - 1) * d, starts[i + 1]
+def _jump(s: float, lim: float, step: float) -> tuple[float, float]:
+    """The point before the first point at or past lim of the grid
+    g_{k+1} = fl(g_k + step) through s < lim, and that point; ``_scan``
+    proves the leaps exact."""
+    nxt = s + step
+    while nxt < lim:
+        q = nxt + step
+        top = math.ulp(nxt) * 2.0 ** 53  # nxt lies in [top/2, top)
+        if q < lim and (r := q + step) < top:
+            d, end = r - q, lim if lim < top else top
+            s = q - ((q - end) // d + 1.0) * d  # the last point below end
+        else:
+            s = nxt
+        nxt = s + step
+    return s, nxt
 
 
 def _scan(zr: float, zi: float, vr: float, vi: float, s0: float, h0: float,
           step: float) -> tuple[float, float, float, float]:
     """Grid bracket (s_prev, s, h_prev, h) of the first downward sign
-    change of h(s) = Im z(s) past s0, on the grid of ``_grid``.
+    change of h(s) = Im z(s) past s0, on the grid g_0 = s0,
+    g_{k+1} = fl(g_k + step) up to the window's end.  A step not above
+    half the float spacing there stalls the grid before it, where the
+    dense scan would never end; it raises ValueError.
 
     h is Im((z + v s) e^{-is}) term for term as CPython rounds the complex
     product in ``flight_position``, so it equals its ``.imag``.  From an
@@ -164,22 +132,22 @@ def _scan(zr: float, zi: float, vr: float, vi: float, s0: float, h0: float,
     dense from the first d under two steps.  Every grid point it skips
     has a computed h > 0, so its bracket is the dense scan's.
 
-    The jump.  Inside a binade [2^(e-1), 2^e) the floats are the
-    multiples of u = ulp.  A grid point g whose successor lies in the
-    binade is one of them, so fl(g + step) = g + D with D the multiple of
-    u nearest to step, the same for every g (the sum lies within u/2 of
-    that successor, so below 2^e, and rounds in the binade).  If step
-    mod u = u/2 (a tie), round-half-even takes the even multiple, so every
-    sum is even, and from the binade's second point on D is the same; the
-    first point is a row of its own when its increment differs.  N is
-    (2^e - P)/D rounded up, in integers of u.  The first point at or past
-    lim lies in the last row with P < lim (a bisection): it is P + jD with
-    j = ceil((lim - P)/D) if j < N, else the next row's P.  That j is
-    exact.  For lim < 2^e, lim - P = ku is exact with k < 2^52, and
-    k/m (D = mu) is an integer or at least 1/m from one, while rounding
-    moves it by at most (k/m) 2^-53 < 1/(2m).  For lim >= 2^e the
-    quotient rounds to at least that of (2^e - P)/D, which is N or at
-    least N - 1 + 1/m, so j >= N.
+    The jump.  Inside a binade [2^(e-1), 2^e) the floats are the multiples
+    of u = ulp.  A grid point g whose successor lies below 2^e is one of
+    them, so fl(g + step) = g + D with D the multiple of u nearest to
+    step, the same for every g.  If step mod u = u/2 (a tie),
+    round-half-even takes the even multiple: the sum of a point of the
+    binade that lands inside it is even, and so is every later point
+    there, so their increments are one D too.  ``_jump`` takes the grid's
+    own steps from a point s to nxt and q.  If q < lim and fl(q + step) <
+    2^e, the top of nxt's binade, then q is such a sum, every later point
+    below 2^e is q + jd with d = fl(q + step) - q, and the jump leaps to
+    the last of them below L = min(lim, 2^e), j = ceil((L - q)/d) - 1;
+    else it steps to nxt.  That j is exact.  L - q = ku is exact (the two
+    lie within a factor 2) with k <= 2^52, d = mu, and the float floor
+    division (q - L) // d = -ceil(k/m) is exact: CPython subtracts the
+    exact fmod(q - L, d) first, which leaves a multiple of d whose
+    quotient is an integer below 2^53.  So each binade costs a few sums.
 
     The bound.  h' = Im((v - iz - ivs) e^{-is}) and
     h'' = Im((-2iv - z - vs) e^{-is}) come from the same sin/cos pair, and
@@ -202,8 +170,10 @@ def _scan(zr: float, zi: float, vr: float, vi: float, s0: float, h0: float,
     that of s_k + d.
     """
     sin, cos, sqrt = math.sin, math.cos, math.sqrt
-    starts, rows = _grid(s0, step)
     window = s0 + 2.0 * math.pi + 0.1
+    if not step > 0.5 * math.ulp(window):
+        raise ValueError(f"scan_step {step!r} is not above half the float "
+                         f"spacing at s = {window!r}; the scan grid stalls")
     s_hi = window + 2.0 * step
     zn, vn = abs(zr) + abs(zi), abs(vr) + abs(vi)
     m3, err = 3.0 * vn + zn, 8.0 * EPS * (zn + vn * (1.0 + s_hi))
@@ -231,7 +201,7 @@ def _scan(zr: float, zi: float, vr: float, vi: float, s0: float, h0: float,
             break
         # the points below s + d are proven positive; h_prev = inf marks
         # the height at s_prev as not evaluated
-        s_prev, s = _jump(starts, rows, min(s + d, window))
+        s_prev, s = _jump(s, min(s + d, window), step)
         h_prev = math.inf
         sn, c, a, b = sin(-s), cos(-s), zr + vr * s, zi + vi * s
         h = a * sn + b * c

@@ -106,6 +106,14 @@ class TrajectoryRecord:
         """Peak height of each closed arc, solved on access."""
         return RowView(self._height, range(len(self.delta)))
 
+    @property
+    def open_delta(self) -> float | None:
+        """Time from the open last arc's start to its next impact, solved
+        on access from beta rather than b - 1; None without an open arc."""
+        if len(self.delta) < len(self.a):
+            return solve_delta(self.a[-1], self.beta[-1])
+        return None
+
     def _impact(self, k: int) -> ImpactEvent:
         r = self.r[k]
         if k:
@@ -209,7 +217,7 @@ def record_state(record: TrajectoryRecord, t: float) -> PhaseState:
     k = bisect_right(ts, t) - 1
     if k == len(record.delta) < len(record.a):
         # the open last arc holds the orbit up to its next impact only
-        t_end = ts[k] + solve_delta(record.a[k], record.beta[k])
+        t_end = ts[k] + record.open_delta
         if t > t_end:
             raise ValueError(f"record ends at t = {t_end}, the next impact "
                              f"of its open last arc; no state at t = {t}")

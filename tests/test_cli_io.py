@@ -14,6 +14,7 @@ from rodbilliard import (FreeFlight, SimConfig, flight_position, quasi_position,
 from rodbilliard import cli_io
 from rodbilliard.cli_io import (ExportOptions, export_trajectory, main,
                                 record_from_json, record_to_json)
+from rodbilliard.core import EPS
 from rodbilliard.rootfind import solve_delta
 from conftest import (GRAZING_V0, GRAZING_Z0, random_supported_starts,
                       stopping_set_point)
@@ -132,7 +133,10 @@ def _csv_rows_from_positions(record, frame, samples):
         t = record.impacts[0].t * j / last
         rows.append(row(t, flight_position(ff, t), 0))
     for k, seg in enumerate(record.segments, start=1):
-        span = seg.delta if seg.delta is not None else t_max - seg.t_start
+        span = seg.delta
+        if span is None:  # the open last arc, up to its next impact
+            span = min(solve_delta(seg.a, record.beta[-1]),
+                       t_max - seg.t_start)
         for j in range(samples):
             s = span * j / last
             rows.append(row(seg.t_start + s, segment_position(seg, s), k))
@@ -195,6 +199,22 @@ def test_csv_matches_positions_on_seeded_starts(csv_records, frame, samples):
         lines = export_trajectory(record, opts).split("\n")
         assert lines[1:] == _csv_rows_from_positions(record, frame,
                                                      samples) + [""]
+
+
+def test_csv_samples_stay_above_the_rod(csv_records):
+    # an open last arc ends at its next impact, even under a later t_max:
+    # no rotating-frame sample lies below the rod beyond rounding
+    record = simulate(1j, 1, SimConfig(n_max=6, t_max=4.0))
+    rows = [[float(x) for x in line.split(",")] for line in export_trajectory(
+        record, ExportOptions("csv", "rotating", 64)).splitlines()[1:]]
+    assert max(t for t, _, _, k in rows if k == 6) == 3.8494025690353366
+    for record in csv_records:
+        for samples in (2, 4, 64):
+            for line in export_trajectory(record, ExportOptions(
+                    "csv", "rotating", samples)).splitlines()[1:]:
+                _, x, y, _ = map(float, line.split(","))
+                assert y >= -8.0 * EPS * max(1.0, math.hypot(x, y)), (
+                    record.z0, record.v0, line)
 
 
 def test_percent_format_prints_as_format_spec():

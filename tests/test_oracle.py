@@ -1,5 +1,4 @@
 import bisect
-import collections
 import math
 import random
 
@@ -331,39 +330,25 @@ _TIE_STEP = math.ldexp(round(1e-3 * 2**62 / 4096) * 4096 + 2048, -62)
 
 
 @pytest.mark.parametrize("step", [1e-3, 1e-5, 1e-7, _TIE_STEP])
-def test_grid_rows_and_jump_follow_the_additive_grid(step):
-    # from each scan start the rows give the points of g_{k+1} =
-    # fl(g_k + step): the first 10^5 as materialised, and past them the
-    # sums at each row's ends and middle; at most two rows per binade; the
-    # jump returns the first materialised point at or past each of 10^3
-    # seeded limits, and the point before it
+def test_jump_follows_the_additive_grid(step):
+    # from each scan start, for 10^3 seeded grid points s and limits lim
+    # past them, the jump returns the first point at or past lim of
+    # g_{k+1} = fl(g_k + step), as materialised to 10^5 points, and the
+    # point before it
     rng = random.Random(step)
     for s0 in (0.0, step, 10.0 * step):
-        starts, rows = rodbilliard.oracle._grid(s0, step)
-        assert starts == tuple(row[0] for row in rows)
-        per_binade = collections.Counter(math.frexp(p)[1] for p in starts if p)
-        assert max(per_binade.values()) <= 2
         grid = [s0]
-        while len(grid) < 10**5 and grid[-1] < starts[-1]:
+        while len(grid) < 10**5:
             grid.append(grid[-1] + step)
-        points = []
-        for p, d, n in rows:
-            points.extend(p + j * d
-                          for j in range(min(n, len(grid) - len(points))))
-        assert points == grid
-        for (p, d, n), following in zip(rows, starts[1:]):
-            for j in {1, n // 2, n} - {0}:
-                assert p + (j - 1) * d + step == (
-                    p + j * d if j < n else following)
         for _ in range(1000):
             k = rng.randrange(1, len(grid))
             lim = rng.choice([grid[k], math.nextafter(grid[k], 0.0),
                               math.nextafter(grid[k - 1], math.inf),
                               rng.uniform(grid[k - 1], grid[k])])
             k = bisect.bisect_left(grid, lim)
-            if k > 0:
-                assert rodbilliard.oracle._jump(starts, rows, lim) == (
-                    grid[k - 1], grid[k]), (s0, step, lim)
+            i = rng.choice([k - 1, rng.randrange(k)])
+            assert rodbilliard.oracle._jump(grid[i], lim, step) == (
+                grid[k - 1], grid[k]), (s0, step, grid[i], lim)
 
 
 def test_a_step_that_stalls_the_grid_is_rejected():
@@ -371,6 +356,27 @@ def test_a_step_that_stalls_the_grid_is_rejected():
     # where the dense scan would never end
     with pytest.raises(ValueError, match="the scan grid stalls"):
         oracle_simulate(1j, 1, 1, SimConfig(scan_step=1e-17))
+
+
+def test_a_step_of_half_the_window_spacing_stalls():
+    # at exactly half an ulp of the window round-half-even stalls every
+    # even grid point in its binade.  From the lift-off guard start the
+    # window is an odd multiple of its ulp, so fl(window + step) > window
+    # there although the grid stalls below it; one float more scans
+    step = 0.5 * math.ulp(2.0 * math.pi + 0.1)
+    with pytest.raises(ValueError, match="the scan grid stalls"):
+        oracle_simulate(1j, 1, 1, SimConfig(scan_step=step))
+    s0 = 10.0 * step
+    window = s0 + 2.0 * math.pi + 0.1
+    assert window == float.fromhex("0x1.98861baaa9383p+2")
+    assert window + step > window and math.ulp(window) == 2.0 * step
+    h0 = s0 * math.sin(-s0) + math.cos(-s0)  # the flight z = i, v = 1
+    with pytest.raises(ValueError, match="the scan grid stalls"):
+        rodbilliard.oracle._scan(0.0, 1.0, 1.0, 0.0, s0, h0, step)
+    lo, hi, h_lo, h_hi = rodbilliard.oracle._scan(
+        0.0, 1.0, 1.0, 0.0, s0, h0, math.nextafter(step, 1.0))
+    assert h_lo > 0.0 >= h_hi and 0.0 < hi - lo < 1e-15
+    assert abs(hi - 0.86033358901938) < 1e-14  # the first impact
 
 
 @pytest.mark.parametrize("z0, v0", [(1j, 1 + 0j),
