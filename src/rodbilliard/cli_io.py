@@ -159,8 +159,10 @@ def export_trajectory(record: TrajectoryRecord, opts: ExportOptions) -> str:
     if opts.format == "json":
         return record_to_json(record)
     samples, frame = opts.samples_per_segment, opts.frame
-    if samples < 2:
-        raise ValueError("samples_per_segment must be at least 2")
+    if (isinstance(samples, bool) or not isinstance(samples, int)
+            or samples < 2):
+        raise ValueError(
+            f"samples_per_segment must be an int at least 2, got {samples!r}")
     lines = [_CSV_HEADS[frame]]
     form = "%.17g," * lines[0].count(",") + "%d"  # floats print as {:.17g}
     last, offsets, t_max = samples - 1, range(samples), record.config.t_max

@@ -25,10 +25,13 @@ import logging
 import math
 from dataclasses import dataclass
 
+from . import rootfind
 from .core import (GRAZING_TOL, ContractViolation, require_finite,
                    unit_rotation)
-from .rootfind import (ROOT_REL_TOL, SERIES_MAX, T_STAR, hybrid_root,
-                       reduced_arc, small_root_guess, solve_delta)
+from .rootfind import (_Q2, _Q30, _Q31, _Q40, _Q41, _Q50, _Q51, _Q52, _Q60,
+                       _Q61, _Q62, _Q70, _Q71, _Q72, _Q73, ROOT_REL_TOL,
+                       SERIES_MAX, T_STAR, hybrid_root, reduced_arc,
+                       small_root_guess, solve_delta)
 
 # Taylor coefficients in u = delta^2 of p/u, (-1)^n 2^(2n+3)/(2n+4)!, and
 # of m, (-1)^n 4^(n+1)/(2n+3)!: exact to an ulp below SERIES_MAX
@@ -110,11 +113,28 @@ def cascade(t1: float, r: float, a: float, beta: float, n: int,
     """Columns (t, r, a, beta, delta) of the orbit from its first impact at
     t1, whose arc is (r, a, beta): n more impacts by ``step``'s arithmetic,
     fewer if one falls past t_max on the Neumaier-summed clock.  Below
-    delta = 0.01, p and m are the five-term heads of their series."""
+    delta = 0.01, p and m are the five-term heads of their series.
+
+    Inside ``solve_delta``'s reversion box (its edges as set in
+    ``rootfind`` when called) delta is that function's series, summed
+    here with the same operations.  A box arc has beta = w a^2 <=
+    w_max a_max^2 up to two roundings, so an arc with beta above twice
+    that bound is out of the box after one comparison."""
+    a_min, a_max = rootfind.REVERSION_A_MIN, rootfind.REVERSION_A_MAX
+    w_max = rootfind.REVERSION_W_MAX
+    beta_cap = 2.0 * w_max * max(1.0, a_max * a_max)
     ts, rs, as_, betas, deltas = [t1], [r], [a], [beta], []
     t_sum, comp = t1, 0.0
     for _ in range(n):
-        delta = solve_delta(a, beta)
+        if (beta <= beta_cap and a_min < a <= a_max
+                and 0.0 < (w := beta / (u := a * a)) <= w_max):
+            d = beta / a
+            delta = d + d * w * (_Q2 + w * (_Q30 + _Q31 * u + w * (
+                _Q40 + _Q41 * u + w * (_Q50 + u * (_Q51 + u * _Q52) + w * (
+                    _Q60 + u * (_Q61 + u * _Q62) + w * (
+                        _Q70 + u * (_Q71 + u * (_Q72 + u * _Q73))))))))
+        else:
+            delta = solve_delta(a, beta)
         b = 1.0 + beta
         r_next = r * b * (delta / math.sin(delta))
         if not (math.isfinite(r_next) and r_next > r):

@@ -110,7 +110,8 @@ ROOT_REL_TOL = 1e-15
 # 1, u, u^2, ..., common denominator).  The box below (a in (0.5, 1],
 # 0 < w <= 0.005) keeps the 7-term sum within 1.5 ulps of the root, checked
 # against 40-digit mpmath roots (tests/test_precision.py); the omitted
-# Q_8 w^7 is below 0.1 ulp there.
+# Q_8 w^7 is below 0.1 ulp there.  ``impact_map.cascade`` sums the same
+# series inside the box, with the edges read from here when it is called.
 REVERSION_Q = (
     ((1,), 1),
     ((-1,), 3),

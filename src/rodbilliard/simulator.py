@@ -237,13 +237,22 @@ def record_state(record: TrajectoryRecord, t: float) -> PhaseState:
                      f"no state at t = {t}")
 
 
+# impact budget of each perturbed run of ``convergence_experiment``
+CONVERGENCE_N_MAX = 1_000_000
+
+
 @dataclass(frozen=True, slots=True)
 class ConvergenceRow:
+    """One perturbed run; the suprema are over the grid points up to
+    ``horizon``, the end of what its record covers (T, or earlier when
+    the run spent its impact budget first)."""
+
     epsilon: float
     sup_pos: float
     sup_vel: float
     n_impacts: int
     termination: str
+    horizon: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -264,8 +273,10 @@ def convergence_experiment(r: float, t1: float, epsilons: list[float],
     Starts from the full-stop initial condition with parameters (r, t1),
     scales the lab-frame velocity by (1 + eps), simulates, and reports
     sup |z - z_quasi| and sup |zdot - zdot_quasi| over a uniform grid on
-    [0, T].  Report only: whether these suprema vanish as eps -> 0 is an
-    open conjecture, so nothing here asserts a trend.
+    [0, T], cut at the next impact of a record's open last arc when the
+    run ends on its ``CONVERGENCE_N_MAX`` impacts before T.  Report only:
+    whether these suprema vanish as eps -> 0 is an open conjecture, so
+    nothing here asserts a trend.
     """
     if not 0.0 < t1 < T_STAR:
         raise ValueError(f"t1 must lie in (0, {T_STAR}), got {t1}")
@@ -276,7 +287,7 @@ def convergence_experiment(r: float, t1: float, epsilons: list[float],
     zdot0 = -r * t1 * rot
     v0 = zdot0 + 1j * z0
     quasi = QuasiTrajectory(r=r, t1=t1)
-    run_cfg = SimConfig(n_max=1_000_000, t_max=T, quasi_mode="extend")
+    run_cfg = SimConfig(n_max=CONVERGENCE_N_MAX, t_max=T, quasi_mode="extend")
 
     def quasi_state(t: float) -> tuple[complex, complex]:
         if t >= t1:
@@ -289,9 +300,12 @@ def convergence_experiment(r: float, t1: float, epsilons: list[float],
     grid = [T * j / grid_points for j in range(grid_points + 1)]
     for eps in epsilons:
         record = simulate(z0, v0 * (1.0 + eps), run_cfg)
+        horizon, open_delta = T, record.open_delta
+        if open_delta is not None:
+            horizon = min(T, record.t[-1] + open_delta)
         sup_pos = 0.0
         sup_vel = 0.0
-        for t in grid:
+        for t in grid[:bisect_right(grid, horizon)]:
             state = record_state(record, t)
             zq, zdq = quasi_state(t)
             sup_pos = max(sup_pos, abs(state.z - zq))
@@ -299,6 +313,7 @@ def convergence_experiment(r: float, t1: float, epsilons: list[float],
         rows.append(ConvergenceRow(epsilon=eps, sup_pos=sup_pos,
                                    sup_vel=sup_vel,
                                    n_impacts=len(record.t),
-                                   termination=record.termination))
+                                   termination=record.termination,
+                                   horizon=horizon))
     return ConvergenceTable(r=r, t1=t1, horizon=T, grid_points=grid_points,
                             perturbation="v0-scale", rows=tuple(rows))

@@ -453,6 +453,16 @@ def test_export_rejects_one_sample_per_arc():
         export_trajectory(record, ExportOptions("csv", samples_per_segment=1))
 
 
+@pytest.mark.parametrize("samples", [2.5, 3.0, True, False, "4"])
+def test_export_rejects_a_non_int_sample_count(samples):
+    # refused as SimConfig.n_max refuses it: 2.5 and 3.0 used to raise
+    # TypeError inside range, and True was taken as 1
+    record = simulate(1j, 1, SimConfig(n_max=4))
+    with pytest.raises(ValueError, match="must be an int at least 2"):
+        export_trajectory(record, ExportOptions(
+            "csv", samples_per_segment=samples))
+
+
 def test_json_roundtrip_degenerate_record():
     z0, v0 = stopping_set_point(1.5, 2.0)
     record = simulate(z0, v0, SimConfig(n_max=3, quasi_mode="extend"))

@@ -3,6 +3,7 @@ files with ``ast``, so that no import is executed."""
 
 import ast
 import pathlib
+import re
 import sys
 
 _PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "rodbilliard"
@@ -44,3 +45,38 @@ def test_oracle_imports_from_the_package_only_core_and_one_error():
         assert module == ".core" or (module == ".rootfind"
                                      and names == {"UnsupportedFirstImpact"}
                                      ), (module, names)
+
+
+def test_impact_map_takes_the_reversion_table_from_rootfind():
+    # cascade sums solve_delta's box series inline: its coefficients _Q*
+    # and box edges REVERSION_* have one copy, in rootfind, and the edges
+    # are read as rootfind's attributes, so a patched edge applies
+    table = re.compile(r"_Q\d+$|REVERSION_")
+    tree = ast.parse((_PACKAGE / "impact_map.py").read_text(encoding="utf-8"))
+    bound = set()
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.arg)):
+            bound.add(getattr(node, "name", None) or node.arg)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if table.match(alias.asname or alias.name.split(".")[-1]):
+                    assert (isinstance(node, ast.ImportFrom)
+                            and node.level == 1 and node.module == "rootfind"
+                            and alias.asname in (None, alias.name)), alias.name
+                    imported.add(alias.name)
+    assert not {name for name in bound if table.match(name)}
+    rootfind = ast.parse((_PACKAGE / "rootfind.py").read_text(
+        encoding="utf-8"))
+    coefficients = {node.id for node in ast.walk(rootfind)
+                    if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Store)
+                    and re.match(r"_Q\d+$", node.id)}
+    assert imported == coefficients and len(coefficients) == 15
+    edges = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name)
+             and node.value.id == "rootfind" and table.match(node.attr)}
+    assert edges == {"REVERSION_A_MIN", "REVERSION_A_MAX", "REVERSION_W_MAX"}

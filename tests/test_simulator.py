@@ -14,7 +14,7 @@ from rodbilliard import (DEGENERATE, TRANSVERSAL, ContractViolation,
 from rodbilliard.core import (DEFAULT_CONFIG, GRAZING_TOL, require_finite,
                               unit_rotation)
 from rodbilliard.flight import FlightSegment, flight_velocity, reflect
-from rodbilliard import impact_map, rootfind
+from rodbilliard import impact_map, rootfind, simulator
 from rodbilliard.impact_map import (ImpactEvent, cascade, in_degenerate_set,
                                     segment_max_height, step)
 from rodbilliard.rootfind import (UnsupportedFirstImpact, first_impact,
@@ -400,6 +400,39 @@ def test_convergence_experiment_reports():
         assert math.isfinite(row.sup_pos) and row.sup_pos > 0
         assert math.isfinite(row.sup_vel) and row.sup_vel > 0
         assert row.n_impacts >= 1
+
+
+def test_convergence_row_ends_where_its_record_does(monkeypatch):
+    # at eps = 1e-10 the run grazes and then chatters along the rod, so its
+    # impact budget runs out long before T (at t = 1.0908 with 10^6
+    # impacts, 1.00095 with 500): the row reports the horizon its record
+    # covers and the suprema over the grid points up to it
+    monkeypatch.setattr(simulator, "CONVERGENCE_N_MAX", 500)
+    T, points = 3.0, 1000
+    chatter, far = convergence_experiment(1.0, 1.0, [1e-10, 1e-2], T,
+                                          points).rows
+    assert (far.termination, far.horizon) == ("reached_t_max", T)
+    z0, v0 = stopping_set_point(1.0, 1.0)
+    record = simulate(z0, v0 * (1.0 + 1e-10),
+                      SimConfig(n_max=500, t_max=T, quasi_mode="extend"))
+    assert (chatter.termination, chatter.n_impacts) == ("reached_n_max", 500)
+    assert chatter.horizon == record.t[-1] + record.open_delta < 1.001
+    quasi = QuasiTrajectory(r=1.0, t1=1.0)
+    sup_pos = sup_vel = 0.0
+    grid = [T * j / points for j in range(points + 1)]
+    covered = [t for t in grid if t <= chatter.horizon]
+    for t in covered:
+        state = record_state(record, t)
+        if t >= 1.0:
+            zq, zdq = quasi_position(quasi, t), quasi_velocity(quasi, t)
+        else:
+            rot_s = unit_rotation(1.0 - t)
+            zq, zdq = complex(1.0, t - 1.0) * rot_s, (t - 1.0) * rot_s
+        sup_pos = max(sup_pos, abs(state.z - zq))
+        sup_vel = max(sup_vel, abs(state.zdot - zdq))
+    assert (chatter.sup_pos, chatter.sup_vel) == (sup_pos, sup_vel)
+    with pytest.raises(ValueError, match="open last arc"):
+        record_state(record, grid[len(covered)])
 
 
 def test_convergence_experiment_preconditions():
