@@ -117,17 +117,13 @@ def cascade(t1: float, r: float, a: float, beta: float, n: int,
 
     Inside ``solve_delta``'s reversion box (its edges as set in
     ``rootfind`` when called) delta is that function's series, summed
-    here with the same operations.  A box arc has beta = w a^2 <=
-    w_max a_max^2 up to two roundings, so an arc with beta above twice
-    that bound is out of the box after one comparison."""
+    here with the same operations."""
     a_min, a_max = rootfind.REVERSION_A_MIN, rootfind.REVERSION_A_MAX
     w_max = rootfind.REVERSION_W_MAX
-    beta_cap = 2.0 * w_max * max(1.0, a_max * a_max)
     ts, rs, as_, betas, deltas = [t1], [r], [a], [beta], []
     t_sum, comp = t1, 0.0
     for _ in range(n):
-        if (beta <= beta_cap and a_min < a <= a_max
-                and 0.0 < (w := beta / (u := a * a)) <= w_max):
+        if a_min < a <= a_max and 0.0 < (w := beta / (u := a * a)) <= w_max:
             d = beta / a
             delta = d + d * w * (_Q2 + w * (_Q30 + _Q31 * u + w * (
                 _Q40 + _Q41 * u + w * (_Q50 + u * (_Q51 + u * _Q52) + w * (
