@@ -372,9 +372,9 @@ def _oracle_render(record, args):
     try:
         reference = oracle_simulate(record.z0, record.v0, args.n_impacts,
                                     record.config)
-        if len(record.impacts) != len(reference):
+        if len(record.t) != len(reference):
             raise OracleMismatch(
-                f"recurrence path produced {len(record.impacts)} impacts, "
+                f"recurrence path produced {len(record.t)} impacts, "
                 f"oracle {len(reference)}")
     except (OracleMismatch, UnsupportedFirstImpact) as exc:
         # simulate found a supported first contact: any other verdict of
@@ -383,12 +383,12 @@ def _oracle_render(record, args):
         return None, "", EXIT_ORACLE
     lines = ["n,t_map,t_oracle,abs_diff,r_map,r_oracle"]
     breach = False
-    for ev, (t_o, r_o) in zip(record.impacts, reference):
-        diff = abs(ev.t - t_o)
-        if diff > 1e-9 * (1.0 + ev.t) or abs(ev.r - r_o) > 1e-9 * (1.0 + ev.t):
+    for n, t, r, (t_o, r_o) in zip(count(1), record.t, record.r, reference):
+        diff = abs(t - t_o)
+        if diff > 1e-9 * (1.0 + t) or abs(r - r_o) > 1e-9 * (1.0 + t):
             breach = True
-        lines.append(",".join([str(ev.n), _FMT(ev.t), _FMT(t_o), _FMT(diff),
-                               _FMT(ev.r), _FMT(r_o)]))
+        lines.append(",".join([str(n), _FMT(t), _FMT(t_o), _FMT(diff),
+                               _FMT(r), _FMT(r_o)]))
     if breach:
         print("oracle failure: impact data disagree beyond 1e-9*(1+t)",
               file=sys.stderr)

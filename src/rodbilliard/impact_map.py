@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import rootfind
 from .core import (GRAZING_TOL, ContractViolation, require_finite,
@@ -41,8 +41,8 @@ from .rootfind import (_Q2, _Q30, _Q31, _Q40, _Q41, _Q50, _Q51, _Q52, _Q60,
 (_M0, _M1, _M2, _M3, _M4, _M5, _M6, _M7, _M8, _M9, _M10, _M11) = (
     (-1) ** n * 4 ** (n + 1) / math.factorial(2 * n + 3) for n in range(12))
 
-@dataclass(frozen=True, slots=True)
-class ImpactEvent:
+
+class ImpactEvent(NamedTuple):
     """One collision: index, time, radius, velocities on both sides, kind."""
 
     n: int

@@ -60,22 +60,24 @@ def oracle_simulate(z0: complex, v0: complex, n_impacts: int,
     step, tol = cfg.scan_step, cfg.root_abs_tol
     t_base = 0.0
     out: list[tuple[float, float]] = []
+    # the scan's starts past a reflection, each with its sin/cos at -s0
     guard = 10.0 * step
+    starts = ((guard, sin(-guard), cos(-guard)),
+              (step, sin(-step), cos(-step)))
     for k in range(n_impacts):
         if k == 0:
-            s0, h0 = 0.0, zi
+            s0, sn0, c0, h0 = 0.0, -0.0, 1.0, zi  # sin(-0.0) is -0.0
         else:
-            s0 = guard
-            h0 = (zr + vr * s0) * sin(-s0) + (zi + vi * s0) * cos(-s0)
-            if h0 <= 0.0:
-                s0 = step
-                h0 = (zr + vr * s0) * sin(-s0) + (zi + vi * s0) * cos(-s0)
-                if h0 <= 0.0:
-                    raise OracleMismatch(
-                        f"the next impact after t = {t_base} comes within one "
-                        f"scan step (h = {h0} there); reduce scan_step")
+            for s0, sn0, c0 in starts:
+                h0 = (zr + vr * s0) * sn0 + (zi + vi * s0) * c0
+                if h0 > 0.0:
+                    break
+            else:
+                raise OracleMismatch(
+                    f"the next impact after t = {t_base} comes within one "
+                    f"scan step (h = {h0} there); reduce scan_step")
         s_hit = _refine(zr, zi, vr, vi,
-                        *_scan(zr, zi, vr, vi, s0, h0, step), tol)
+                        *_scan(zr, zi, vr, vi, s0, h0, sn0, c0, step), tol)
         sn, c = sin(-s_hit), cos(-s_hit)
         a, b = zr + vr * s_hit, zi + vi * s_hit
         r_hit = a * c - b * sn
@@ -118,9 +120,11 @@ def _jump(s: float, lim: float, step: float) -> tuple[float, float]:
 
 
 def _scan(zr: float, zi: float, vr: float, vi: float, s0: float, h0: float,
-          step: float) -> tuple[float, float, float, float]:
+          sn0: float, c0: float, step: float
+          ) -> tuple[float, float, float, float]:
     """Grid bracket (s_prev, s, h_prev, h) of the first downward sign
-    change of h(s) = Im z(s) past s0, on the grid g_0 = s0,
+    change of h(s) = Im z(s) past s0, where h is h0 and (sin, cos)(-s0)
+    are (sn0, c0) as the caller evaluated them, on the grid g_0 = s0,
     g_{k+1} = fl(g_k + step) up to the window's end.  A step not above
     half the float spacing there stalls the grid before it, where the
     dense scan would never end; it raises ValueError.
@@ -178,7 +182,7 @@ def _scan(zr: float, zi: float, vr: float, vi: float, s0: float, h0: float,
     zn, vn = abs(zr) + abs(zi), abs(vr) + abs(vi)
     m3, err = 3.0 * vn + zn, 8.0 * EPS * (zn + vn * (1.0 + s_hi))
     s, s_prev, h, h_prev = s0, s0, h0, h0
-    sn, c, a, b = sin(-s), cos(-s), zr + vr * s, zi + vi * s
+    sn, c, a, b = sn0, c0, zr + vr * s, zi + vi * s
     while s < window and (h_lo := h - 2.0 * err) > 0.0:
         # h' and h'' less their errors
         q = (vr + b) * sn + (vi - a) * c - err

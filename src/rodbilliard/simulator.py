@@ -122,8 +122,7 @@ class TrajectoryRecord:
         else:
             zdot_in, kind = self.first_zdot_in, self.first_kind
             zdot_out = reflect(zdot_in) if zdot_in else 0j
-        return ImpactEvent(n=k + 1, t=self.t[k], r=r, zdot_in=zdot_in,
-                           zdot_out=zdot_out, kind=kind)
+        return ImpactEvent(k + 1, self.t[k], r, zdot_in, zdot_out, kind)
 
     def _segment(self, k: int) -> FlightSegment:
         return FlightSegment(

@@ -279,7 +279,8 @@ def test_skipping_scan_brackets_as_dense_scan(seed):
         h0 = flight_position(ff, s0).imag
         dense = _scan_outcome(_complex_scan, ff, s0, h0, cfg)
         skipping = _scan_outcome(rodbilliard.oracle._scan, *_parts(ff), s0,
-                                 h0, cfg.scan_step)
+                                 h0, math.sin(-s0), math.cos(-s0),
+                                 cfg.scan_step)
         if dense.startswith("no rod crossing"):
             assert skipping.startswith(dense + ";"), (ff, s0, cfg)
         else:
@@ -301,10 +302,11 @@ class _SinCountingMath:
 
 
 def test_skipping_scan_takes_under_a_third_of_the_evaluations(monkeypatch):
-    # the oracle evaluates sin once per scan or refinement sample, once at
-    # each scan's start, and once each for the guard height and the hit;
-    # the dense reference calls flight_position at every sample, over
-    # fifteen times as often
+    # the oracle evaluates sin once per scan or refinement sample and once
+    # at each hit; the sin of the lift-off guard and of its one-step
+    # fallback once per call, and the scan takes its start's from the
+    # caller.  The dense reference calls flight_position at every sample,
+    # over fifteen times as often
     counting = _SinCountingMath()
     monkeypatch.setattr(rodbilliard.oracle, "math", counting)
     cfg = SimConfig(root_abs_tol=1e-15)
@@ -320,7 +322,7 @@ def test_skipping_scan_takes_under_a_third_of_the_evaluations(monkeypatch):
     monkeypatch.setitem(globals(), "flight_position", counted_position)
     assert inline == [_oracle_outcome(_complex_oracle, z0, v0, 50, cfg)
                       for z0, v0 in _STARTS]
-    assert counting.sin_calls == evals == 5809
+    assert counting.sin_calls == evals == 4645
     assert 15 * evals < dense_evals == 92082
 
 
@@ -371,10 +373,11 @@ def test_a_step_of_half_the_window_spacing_stalls():
     assert window == float.fromhex("0x1.98861baaa9383p+2")
     assert window + step > window and math.ulp(window) == 2.0 * step
     h0 = s0 * math.sin(-s0) + math.cos(-s0)  # the flight z = i, v = 1
+    sn0, c0 = math.sin(-s0), math.cos(-s0)
     with pytest.raises(ValueError, match="the scan grid stalls"):
-        rodbilliard.oracle._scan(0.0, 1.0, 1.0, 0.0, s0, h0, step)
+        rodbilliard.oracle._scan(0.0, 1.0, 1.0, 0.0, s0, h0, sn0, c0, step)
     lo, hi, h_lo, h_hi = rodbilliard.oracle._scan(
-        0.0, 1.0, 1.0, 0.0, s0, h0, math.nextafter(step, 1.0))
+        0.0, 1.0, 1.0, 0.0, s0, h0, sn0, c0, math.nextafter(step, 1.0))
     assert h_lo > 0.0 >= h_hi and 0.0 < hi - lo < 1e-15
     assert abs(hi - 0.86033358901938) < 1e-14  # the first impact
 
@@ -468,7 +471,8 @@ def test_refinement_of_adversarial_brackets(monkeypatch, seed):
             flight, tol = _parts(ff), cfg.root_abs_tol
             try:
                 bracket = rodbilliard.oracle._scan(
-                    *flight, s0, flight_position(ff, s0).imag, cfg.scan_step)
+                    *flight, s0, flight_position(ff, s0).imag,
+                    math.sin(-s0), math.cos(-s0), cfg.scan_step)
             except OracleMismatch:
                 continue
             lo, hi = bracket[:2]

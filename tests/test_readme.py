@@ -3,8 +3,11 @@
 every other line.  A ``> file`` redirect is dropped, the JSON example
 must reload equal to ``simulate``'s record, and the full-stop example
 must be a member of the full-stop set that ``first_impact`` calls
-degenerate."""
+degenerate.  The python quick start runs as written and prints its
+first row unchanged."""
 
+import contextlib
+import io
 import re
 import shlex
 from pathlib import Path
@@ -64,3 +67,21 @@ def test_readme_example(capsys, argv, comment):
     if "json" in argv:
         record = simulate(z0, v0, SimConfig(n_max=int(flag("--n-max"))))
         assert record_from_json(out) == record
+
+
+FIRST_ROW = ("ImpactEvent(n=1, t=0.8603335890193797, r=1.3191565048905178, "
+             "zdot_in=(0.652184623909187-2.0772166715899907j), "
+             "zdot_out=(0.652184623909187+2.0772166715899907j), "
+             "kind='transversal')")
+
+
+def test_library_quick_start():
+    blocks = re.findall(r"```python\n(.*?)```",
+                        README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(blocks[0], {})
+    lines = out.getvalue().splitlines()
+    assert lines[0] == FIRST_ROW
+    assert [line.split()[0] for line in lines[1:]] == ["100", "1000", "10000"]

@@ -643,6 +643,21 @@ def test_row_views_index_slice_and_compare(orbit_i1):
         impacts[1.0]
 
 
+def test_impact_rows_are_immutable_hashable_tuples(orbit_i1):
+    # a row is the same from keywords or positions, read-only and
+    # hashable, and the view equals the tuple of its rows
+    ev = orbit_i1.impacts[1]
+    assert ev == ImpactEvent(n=ev.n, t=ev.t, r=ev.r, zdot_in=ev.zdot_in,
+                             zdot_out=ev.zdot_out, kind=ev.kind)
+    assert ev == ImpactEvent(ev.n, ev.t, ev.r, ev.zdot_in, ev.zdot_out,
+                             ev.kind)
+    with pytest.raises(AttributeError):
+        ev.t = 0.0
+    assert hash(ev) == hash(orbit_i1.impacts[1])
+    assert len(set(orbit_i1.impacts)) == len(orbit_i1.t)
+    assert orbit_i1.impacts == tuple(orbit_i1.impacts)
+
+
 def test_row_view_slices_are_views(orbit_i1):
     # a slice is a view over the sub-range that builds no row until read,
     # and equals the tuple of its rows from either side
