@@ -303,8 +303,8 @@ class _SinCountingMath:
 
 def test_skipping_scan_takes_under_a_third_of_the_evaluations(monkeypatch):
     # the oracle evaluates sin once per scan or refinement sample and once
-    # at each hit; the sin of the lift-off guard and of its one-step
-    # fallback once per call, and the scan takes its start's from the
+    # at each hit; the lift-off guard and its one-step fallback take one
+    # sin each per call, and the scan takes its start's sin from the
     # caller.  The dense reference calls flight_position at every sample,
     # over fifteen times as often
     counting = _SinCountingMath()
@@ -372,8 +372,8 @@ def test_a_step_of_half_the_window_spacing_stalls():
     window = s0 + 2.0 * math.pi + 0.1
     assert window == float.fromhex("0x1.98861baaa9383p+2")
     assert window + step > window and math.ulp(window) == 2.0 * step
-    h0 = s0 * math.sin(-s0) + math.cos(-s0)  # the flight z = i, v = 1
     sn0, c0 = math.sin(-s0), math.cos(-s0)
+    h0 = s0 * sn0 + c0  # the flight z = i, v = 1
     with pytest.raises(ValueError, match="the scan grid stalls"):
         rodbilliard.oracle._scan(0.0, 1.0, 1.0, 0.0, s0, h0, sn0, c0, step)
     lo, hi, h_lo, h_hi = rodbilliard.oracle._scan(

@@ -645,7 +645,7 @@ def test_row_views_index_slice_and_compare(orbit_i1):
 
 def test_impact_rows_are_immutable_hashable_tuples(orbit_i1):
     # a row is the same from keywords or positions, read-only and
-    # hashable, and the view equals the tuple of its rows
+    # hashable; the view equals the tuple of its rows (tested above)
     ev = orbit_i1.impacts[1]
     assert ev == ImpactEvent(n=ev.n, t=ev.t, r=ev.r, zdot_in=ev.zdot_in,
                              zdot_out=ev.zdot_out, kind=ev.kind)
@@ -655,7 +655,6 @@ def test_impact_rows_are_immutable_hashable_tuples(orbit_i1):
         ev.t = 0.0
     assert hash(ev) == hash(orbit_i1.impacts[1])
     assert len(set(orbit_i1.impacts)) == len(orbit_i1.t)
-    assert orbit_i1.impacts == tuple(orbit_i1.impacts)
 
 
 def test_row_view_slices_are_views(orbit_i1):
