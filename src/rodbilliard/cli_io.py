@@ -200,7 +200,8 @@ def export_trajectory(record: TrajectoryRecord, opts: ExportOptions) -> str:
                reach=record.open_delta)  # to its next impact
     if (q := record.quasi_start) is not None:
         sample(q.t1, len(record.t), lambda s: quasi_position(q, q.t1 + s))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the closing newline, without copying the text again
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +339,8 @@ def _impacts_render(record, args):
     lines += [form % (n, t_n, d, r_n, a_n, 1.0 + b_n, r_n * a_n, -r_n * b_n)
               for n, t_n, d, r_n, a_n, b_n in islice(
                   zip(count(1), t, delta, r, a, beta), 1, None)]
-    return "\n".join(lines) + "\n", "", EXIT_OK
+    lines.append("")
+    return "\n".join(lines), "", EXIT_OK
 
 
 def _asympt_setup(args: argparse.Namespace) -> dict:

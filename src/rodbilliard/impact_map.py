@@ -31,7 +31,7 @@ from .core import (GRAZING_TOL, ContractViolation, require_finite,
 from .rootfind import (_Q2, _Q30, _Q31, _Q40, _Q41, _Q50, _Q51, _Q52, _Q60,
                        _Q61, _Q62, _Q70, _Q71, _Q72, _Q73, ROOT_REL_TOL,
                        SERIES_MAX, T_STAR, hybrid_root, reduced_arc,
-                       small_root_guess, solve_delta)
+                       require_arc, small_root_guess, solve_delta)
 
 # Taylor coefficients in u = delta^2 of p/u, (-1)^n 2^(2n+3)/(2n+4)!, and
 # of m, (-1)^n 4^(n+1)/(2n+3)!: exact to an ulp below SERIES_MAX
@@ -115,11 +115,18 @@ def cascade(t1: float, r: float, a: float, beta: float, n: int,
     fewer if one falls past t_max on the Neumaier-summed clock.  Below
     delta = 0.01, p and m are the five-term heads of their series.
 
-    Inside ``solve_delta``'s reversion box (its edges as set in
-    ``rootfind`` when called) delta is that function's series, summed
-    here with the same operations."""
+    delta is ``solve_delta``'s, by its steps taken here.  In its box and
+    start window (edges as set in ``rootfind`` when called) the reversion
+    series, summed with the same operations, is delta in the box and
+    Newton's start in the window; outside, ``rootfind.newton_delta``
+    (looked up when called) starts from its default.  Only the first arc
+    is checked, by ``require_arc`` when n > 0: every later one is
+    admissible (see ``step``)."""
     a_min, a_max = rootfind.REVERSION_A_MIN, rootfind.REVERSION_A_MAX
-    w_max = rootfind.REVERSION_W_MAX
+    w_box, w_max = rootfind.REVERSION_W_MAX, rootfind.START_W_MAX
+    newton_delta = rootfind.newton_delta
+    if n > 0:
+        require_arc(a, beta)
     ts, rs, as_, betas, deltas = [t1], [r], [a], [beta], []
     t_sum, comp = t1, 0.0
     for _ in range(n):
@@ -129,8 +136,10 @@ def cascade(t1: float, r: float, a: float, beta: float, n: int,
                 _Q40 + _Q41 * u + w * (_Q50 + u * (_Q51 + u * _Q52) + w * (
                     _Q60 + u * (_Q61 + u * _Q62) + w * (
                         _Q70 + u * (_Q71 + u * (_Q72 + u * _Q73))))))))
+            if w > w_box:
+                delta = newton_delta(a, beta, delta)[0]
         else:
-            delta = solve_delta(a, beta)
+            delta = newton_delta(a, beta)[0]
         b = 1.0 + beta
         r_next = r * b * (delta / math.sin(delta))
         if not (math.isfinite(r_next) and r_next > r):
@@ -214,10 +223,12 @@ def in_degenerate_set(z0: complex, zdot0: complex
     if zdot0 == 0 or v0 == 0:
         return False, 0.0, 0.0
     q = z0 / v0
-    tau, r = -q.real, abs(v0)
-    rest = -1j * v0 * unit_rotation(-tau)
+    tau = -q.real
     if (abs(q.imag + 1.0) > GRAZING_TOL * (1.0 + abs(q))
-            or not 0.0 < tau < T_STAR or not rest.real > 0.0
-            or abs(rest.imag) > GRAZING_TOL * (1.0 + r)):
+            or not 0.0 < tau < T_STAR):
+        return False, 0.0, 0.0
+    r = abs(v0)
+    rest = -1j * v0 * unit_rotation(-tau)
+    if not rest.real > 0.0 or abs(rest.imag) > GRAZING_TOL * (1.0 + r):
         return False, 0.0, 0.0
     return True, r, tau

@@ -10,7 +10,10 @@ falls back to bisection, so convergence is guaranteed for continuous
 functions.  Inside a fixed box of arc parameters, which holds the long
 orbit's small steps, the return time needs no solve: its reversion
 series in beta is within 1.5 ulps of the root there.  In a wider window
-around the box the same series is Newton's start.
+around the box the same series is Newton's start.  ``solve_delta`` makes
+these choices for one arc; ``impact_map.cascade`` makes them inline for
+every arc of an orbit and calls ``newton_delta`` itself, having checked
+only the orbit's first arc with ``require_arc``.
 """
 
 from __future__ import annotations
@@ -111,7 +114,8 @@ ROOT_REL_TOL = 1e-15
 # 0 < w <= 0.005) keeps the 7-term sum within 1.5 ulps of the root, checked
 # against 40-digit mpmath roots (tests/test_precision.py); the omitted
 # Q_8 w^7 is below 0.1 ulp there.  ``impact_map.cascade`` sums the same
-# series inside the box, with the edges read from here when it is called.
+# series in the box and the start window, with the edges read from here
+# when it is called.
 REVERSION_Q = (
     ((1,), 1),
     ((-1,), 3),
@@ -183,7 +187,8 @@ def solve_delta(a: float, beta: float) -> float:
     Newton starts from the series, elsewhere from the root of the quadratic
     beta = a s + s^2/3, the small-s form of g.  A grazing arc has
     g(0) = 0, so its equation is divided once more by s: g/s falls from
-    -a > 0, with the root near -3a.
+    -a > 0, with the root near -3a.  ``impact_map.cascade`` takes the
+    same steps for the arcs of an orbit without calling this function.
     """
     x0 = None
     if REVERSION_A_MIN < a <= REVERSION_A_MAX:
@@ -197,13 +202,19 @@ def solve_delta(a: float, beta: float) -> float:
                         _Q70 + u * (_Q71 + u * (_Q72 + u * _Q73))))))))
             if w <= REVERSION_W_MAX:
                 return x0
+    require_arc(a, beta)
+    return newton_delta(a, beta, x0)[0]
+
+
+def require_arc(a: float, beta: float) -> None:
+    """Raise ValueError unless (a, beta) is finite and describes a
+    reflection: beta > 0, or beta = 0 with a < 0 (a grazing one)."""
     if not (math.isfinite(a) and math.isfinite(beta)):
         raise ValueError(f"non-finite arc parameters a={a}, beta={beta}")
     if not (beta > 0.0 or beta == 0.0 and a < 0.0):
         raise ValueError(
             f"arc parameters a={a}, beta={beta} do not describe a reflection "
             "(need beta > 0, or beta = 0 with a < 0)")
-    return newton_delta(a, beta, x0)[0]
 
 
 def newton_delta(a: float, beta: float,
@@ -215,7 +226,7 @@ def newton_delta(a: float, beta: float,
     ``ROOT_REL_TOL``.  g and g' are inlined from ``reduced_arc`` and the
     decisions are ``hybrid_root``'s, so root and count are bit for bit
     those of ``hybrid_root`` over ``reduced_arc`` from the same start.  The
-    caller checks a, beta.
+    caller checks a, beta (``require_arc``).
     """
     grazing = beta == 0.0
     lo, hi = 0.0, math.pi

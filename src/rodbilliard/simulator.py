@@ -152,19 +152,25 @@ def simulate(z0: complex, v0: complex,
     if z0.imag < 0.0:
         raise ValueError(f"initial position {z0!r} lies below the rod")
 
-    # a full-stop member stops in closed form where first_impact agrees or
-    # finds it on the rod; a near-tangent line in the set's band passes on
-    member, r_m, tau = in_degenerate_set(z0, v0 - 1j * z0)
+    zdot0 = require_finite(v0 - 1j * z0, "zdot0")
+
+    # the full-stop set is tested only where first_impact finds a full stop
+    # or raises ValueError: a member stops there in closed form, and a
+    # near-tangent line in the set's band passes on
     ff = FreeFlight(z0, v0)
     try:
         t1, r1, kind = first_impact(ff)
     except UnsupportedFirstImpact:
         return TrajectoryRecord(z0, v0, cfg, "unsupported_first_impact")
     except ValueError:
+        member, r_m, tau = in_degenerate_set(z0, zdot0)
         if not member:
             raise
         kind = DEGENERATE
-    if member and kind == DEGENERATE:
+    else:
+        member, r_m, tau = (in_degenerate_set(z0, zdot0) if kind == DEGENERATE
+                            else (False, 0.0, 0.0))
+    if member:
         t1, r1, zdot_in = tau, r_m, 0j
     else:
         zdot_in = flight_velocity(ff, t1)
@@ -179,13 +185,17 @@ def simulate(z0: complex, v0: complex,
 
     # the first arc from the contact's verdict: beta > 0 if transversal,
     # and a grazing touch gets beta = 0 where rounding made it negative
-    ts, rs, as_, betas, deltas = cascade(
+    columns = list(cascade(
         t1, r1, zdot_in.real / r1, max(-zdot_in.imag / r1, 0.0),
-        cfg.n_max - 1, cfg.t_max)
+        cfg.n_max - 1, cfg.t_max))
+    # each list is dropped as soon as its tuple is made, so the build
+    # never holds all five lists beside all five tuples
+    for k in range(5):
+        columns[k] = tuple(columns[k])
+    ts, rs, as_, betas, deltas = columns
     termination = "reached_n_max" if len(ts) == cfg.n_max else "reached_t_max"
-    return TrajectoryRecord(z0, v0, cfg, termination, t=tuple(ts),
-                            r=tuple(rs), a=tuple(as_), beta=tuple(betas),
-                            delta=tuple(deltas), first_zdot_in=zdot_in,
+    return TrajectoryRecord(z0, v0, cfg, termination, t=ts, r=rs, a=as_,
+                            beta=betas, delta=deltas, first_zdot_in=zdot_in,
                             first_kind=kind)
 
 

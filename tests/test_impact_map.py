@@ -289,6 +289,29 @@ def test_cascade_keeps_the_radius_check():
             run(1.0, 0.8, 1e-17)
 
 
+@pytest.mark.parametrize("a, beta", [
+    (0.5, 0.0), (0.75, 0.0), (math.nan, 1.0), (0.75, math.nan),
+    (0.75, math.inf), (0.5, -0.2), (-0.5, -1e-17)])
+def test_cascade_checks_its_first_arc_as_solve_delta(a, beta):
+    # cascade checks only its first arc, before its loop, with solve_delta's
+    # check and message; with no impact to take it checks nothing
+    with pytest.raises(ValueError) as expected:
+        solve_delta(a, beta)
+    with pytest.raises(ValueError) as got:
+        cascade(0.0, 1.0, a, beta, 3, math.inf)
+    assert str(got.value) == str(expected.value)
+    ts, rs, as_, betas, deltas = cascade(0.0, 1.0, a, beta, 0, math.inf)
+    assert (ts, rs, deltas) == ([0.0], [1.0], [])
+    assert as_[0] is a and betas[0] is beta
+
+
+def test_degenerate_set_rejects_an_infinite_ratio():
+    # z0/v0 overflows to tau = -inf: rejected before the rest point
+    # e^{-i tau} is formed, which raised a math domain error
+    z0, v0 = 1e300 + 1e-300j, 1e-300 + 0j
+    assert in_degenerate_set(z0, v0 - 1j * z0) == (False, 0.0, 0.0)
+
+
 def test_degenerate_set_member_by_construction():
     z0 = (1 - 1j) * unit_rotation(1.0)
     zdot0 = -unit_rotation(1.0)
