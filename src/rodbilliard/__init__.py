@@ -14,8 +14,8 @@ from .flight import (FlightSegment, FreeFlight, flight_position,
                      segment_velocity, to_lab_frame)
 from .rootfind import (RootFindError, T_STAR, UnsupportedFirstImpact,
                        first_impact, hybrid_root, solve_delta, solve_tstar)
-from .impact_map import (ImpactEvent, in_degenerate_set, recurrence,
-                         recurrence_kernels, segment_max_height, step)
+from .impact_map import (ImpactEvent, in_degenerate_set, recurrence_kernels,
+                         segment_max_height, step)
 from .simulator import (ConvergenceRow, ConvergenceTable, QuasiTrajectory,
                         TrajectoryRecord, convergence_experiment,
                         quasi_position, quasi_velocity, record_state,

@@ -15,8 +15,8 @@ Along an orbit delta_n ~ 3/(2n) and beta_n ~ delta_n, so the state
 carries beta itself (b would keep only eps/beta of its relative
 precision), p and m come from their Taylor series where the closed forms
 cancel, and the second forms above add positive terms only.  ``cascade``
-iterates the map over every impact after the first, with ``step``'s
-arithmetic in one loop; ``step`` is the reference that loop must equal.
+alone solves for delta and applies the map, over every impact after the
+first; ``step`` is one impact of it.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .core import (GRAZING_TOL, ContractViolation, require_finite,
 from .rootfind import (_Q2, _Q30, _Q31, _Q40, _Q41, _Q50, _Q51, _Q52, _Q60,
                        _Q61, _Q62, _Q70, _Q71, _Q72, _Q73, ROOT_REL_TOL,
                        SERIES_MAX, T_STAR, hybrid_root, reduced_arc,
-                       require_arc, small_root_guess, solve_delta)
+                       require_arc, small_root_guess)
 
 # Taylor coefficients in u = delta^2 of p/u, (-1)^n 2^(2n+3)/(2n+4)!, and
 # of m, (-1)^n 4^(n+1)/(2n+3)!: exact to an ulp below SERIES_MAX
@@ -73,55 +73,24 @@ def recurrence_kernels(delta: float) -> tuple[float, float]:
             (delta - sd * math.cos(delta)) / (delta * delta * delta))
 
 
-def recurrence(delta: float, beta: float) -> tuple[float, float, float]:
-    """(a', beta', delta/sin delta) after an arc of duration ``delta``.
-
-    The forms a' = (beta/delta + delta m)/b and beta' = (beta + p)/b add
-    positive terms only, so both keep the relative precision of beta and
-    delta at any step size.
-    """
-    p, m = recurrence_kernels(delta)
-    b = 1.0 + beta
-    return ((beta / delta + delta * m) / b, (beta + p) / b,
-            delta / math.sin(delta))
-
-
-def step(r: float, a: float, beta: float
-         ) -> tuple[float, float, float, float]:
-    """One impact of the arc (r, a, beta): (delta, r', a', beta').
-
-    The next arc is admissible unchecked: with beta >= 0, delta lies in
-    (0, pi), so p = 1 - (sin delta/delta)^2 and m = (2 delta - sin 2delta)
-    /(2 delta^3) are positive (their series alternate, falling from 1/3
-    and 2/3), and beta' = (beta + p)/b, a' = (beta/delta + delta m)/b are
-    sums of positive finite terms over b >= 1.  The radius grows strictly,
-    r' = r b delta/sin delta > r, which is checked.  This is the reference
-    the loop of ``cascade`` must equal bit for bit.
-    """
-    delta = solve_delta(a, beta)
-    a_next, beta_next, dos = recurrence(delta, beta)
-    r_next = r * (1.0 + beta) * dos
-    if not (math.isfinite(r_next) and r_next > r):
-        raise ContractViolation(
-            f"radius failed to grow: r={r} -> {r_next} "
-            f"(a={a}, beta={beta}, delta={delta})")
-    return delta, r_next, a_next, beta_next
-
-
 def cascade(t1: float, r: float, a: float, beta: float, n: int,
             t_max: float) -> tuple[list[float], ...]:
     """Columns (t, r, a, beta, delta) of the orbit from its first impact at
-    t1, whose arc is (r, a, beta): n more impacts by ``step``'s arithmetic,
-    fewer if one falls past t_max on the Neumaier-summed clock.  Below
-    delta = 0.01, p and m are the five-term heads of their series.
+    t1, whose arc is (r, a, beta): n more impacts, fewer if one falls past
+    t_max on the Neumaier-summed clock.
 
-    delta is ``solve_delta``'s, by its steps taken here.  In its box and
-    start window (edges as set in ``rootfind`` when called) the reversion
-    series, summed with the same operations, is delta in the box and
-    Newton's start in the window; outside, ``rootfind.newton_delta``
-    (looked up when called) starts from its default.  Only the first arc
-    is checked, by ``require_arc`` when n > 0: every later one is
-    admissible (see ``step``)."""
+    delta is the reversion series ``rootfind.REVERSION_Q`` in its box
+    (where the long orbit stays from its 301st impact on), Newton's start
+    in the start window beyond, up to w = beta/a^2 = ``START_W_MAX``, and
+    elsewhere ``rootfind.newton_delta`` starts from its default; edges and
+    solver are read from ``rootfind`` when called.  Below delta = 0.01,
+    p and m are the five-term heads of their series.
+
+    Only the first arc is checked, by ``require_arc`` when n > 0: with
+    beta >= 0, delta is in (0, pi), where p and m are positive (their
+    series alternate from 1/3 and 2/3), so every later arc has finite
+    a', beta' > 0.  ContractViolation unless r' = r b delta/sin delta > r.
+    """
     a_min, a_max = rootfind.REVERSION_A_MIN, rootfind.REVERSION_A_MAX
     w_box, w_max = rootfind.REVERSION_W_MAX, rootfind.START_W_MAX
     newton_delta = rootfind.newton_delta
@@ -157,7 +126,7 @@ def cascade(t1: float, r: float, a: float, beta: float, n: int,
         t_sum = s
         if t_sum + comp > t_max:
             break
-        # a > 0 (see ``step``): a near-graze is roundoff, so stays transversal
+        # a > 0 (see above): a near-graze is roundoff, so stays transversal
         if beta <= GRAZING_TOL * a:
             logging.getLogger(__name__).warning(
                 "near-grazing incoming velocity %r at n=%d",
@@ -168,6 +137,13 @@ def cascade(t1: float, r: float, a: float, beta: float, n: int,
         as_.append(a)
         betas.append(beta)
     return ts, rs, as_, betas, deltas
+
+
+def step(r: float, a: float, beta: float
+         ) -> tuple[float, float, float, float]:
+    """One impact of ``cascade`` from (r, a, beta): (delta, r', a', beta')."""
+    _, rs, as_, betas, deltas = cascade(0.0, r, a, beta, 1, math.inf)
+    return deltas[0], rs[1], as_[1], betas[1]
 
 
 def segment_max_height(r: float, a: float, beta: float,

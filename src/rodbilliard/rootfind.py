@@ -9,11 +9,9 @@ Newton steps accelerate a sign-change bracket; any step that leaves it
 falls back to bisection, so convergence is guaranteed for continuous
 functions.  Inside a fixed box of arc parameters, which holds the long
 orbit's small steps, the return time needs no solve: its reversion
-series in beta is within 1.5 ulps of the root there.  In a wider window
-around the box the same series is Newton's start.  ``solve_delta`` makes
-these choices for one arc; ``impact_map.cascade`` makes them inline for
-every arc of an orbit and calls ``newton_delta`` itself, having checked
-only the orbit's first arc with ``require_arc``.
+series in beta is within 1.5 ulps of the root there, and Newton's start
+in a wider window.  Table and edges are kept here; ``impact_map.cascade``
+alone makes these choices, and ``solve_delta`` is one impact of it.
 """
 
 from __future__ import annotations
@@ -113,9 +111,8 @@ ROOT_REL_TOL = 1e-15
 # 1, u, u^2, ..., common denominator).  The box below (a in (0.5, 1],
 # 0 < w <= 0.005) keeps the 7-term sum within 1.5 ulps of the root, checked
 # against 40-digit mpmath roots (tests/test_precision.py); the omitted
-# Q_8 w^7 is below 0.1 ulp there.  ``impact_map.cascade`` sums the same
-# series in the box and the start window, with the edges read from here
-# when it is called.
+# Q_8 w^7 is below 0.1 ulp there.  Only ``impact_map.cascade`` sums it,
+# in the box and the start window, reading the edges here when called.
 REVERSION_Q = (
     ((1,), 1),
     ((-1,), 3),
@@ -173,37 +170,11 @@ def small_root_guess(c2: float, c1: float, beta: float) -> float:
 
 
 def solve_delta(a: float, beta: float) -> float:
-    """Time to the next impact: the root in (0, pi) of b s cos s = (1 + a s) sin s.
-
-    (a, beta = b - 1) parametrize the arc leaving the rod, with beta > 0
-    for a transversal reflection or beta = 0, a < 0 for a grazing one.
-    Inside the box 0.5 < a <= 1, 0 < w = beta/a^2 <= 0.005, where the long
-    orbit stays from its 301st impact on, the root is the 7-term reversion
-    series ``REVERSION_Q`` in beta, with no solve.  Elsewhere the equation
-    is solved by ``newton_delta`` as g(s) = F(s)/s = 0 (see
-    ``reduced_arc``), which has no trivial root at 0 and keeps full
-    relative precision however small the root is: g falls from beta at 0
-    to -1 - beta at pi.  For 0.5 < a <= 1 and w up to ``START_W_MAX``
-    Newton starts from the series, elsewhere from the root of the quadratic
-    beta = a s + s^2/3, the small-s form of g.  A grazing arc has
-    g(0) = 0, so its equation is divided once more by s: g/s falls from
-    -a > 0, with the root near -3a.  ``impact_map.cascade`` takes the
-    same steps for the arcs of an orbit without calling this function.
-    """
-    x0 = None
-    if REVERSION_A_MIN < a <= REVERSION_A_MAX:
-        u = a * a
-        w = beta / u
-        if 0.0 < w <= START_W_MAX:
-            d = beta / a
-            x0 = d + d * w * (_Q2 + w * (_Q30 + _Q31 * u + w * (
-                _Q40 + _Q41 * u + w * (_Q50 + u * (_Q51 + u * _Q52) + w * (
-                    _Q60 + u * (_Q61 + u * _Q62) + w * (
-                        _Q70 + u * (_Q71 + u * (_Q72 + u * _Q73))))))))
-            if w <= REVERSION_W_MAX:
-                return x0
-    require_arc(a, beta)
-    return newton_delta(a, beta, x0)[0]
+    """Time to the next impact of the arc (a, beta = b - 1), the root in
+    (0, pi) of b s cos s = (1 + a s) sin s: one impact of ``cascade`` from
+    r = 1, so ContractViolation where b delta/sin delta rounds to 1."""
+    from .impact_map import cascade  # not at the top: it imports this module
+    return cascade(0.0, 1.0, a, beta, 1, math.inf)[4][0]
 
 
 def require_arc(a: float, beta: float) -> None:
@@ -221,12 +192,14 @@ def newton_delta(a: float, beta: float,
                  x0: float | None = None) -> tuple[float, int]:
     """(root, evaluations) of the delta equation, by ``hybrid_root``'s steps.
 
-    Solves g = 0 (g/s for a grazing arc, beta = 0) on (0, pi) from ``x0``,
-    by default ``small_root_guess(1/3, a, beta)``, with the relative stop
-    ``ROOT_REL_TOL``.  g and g' are inlined from ``reduced_arc`` and the
-    decisions are ``hybrid_root``'s, so root and count are bit for bit
-    those of ``hybrid_root`` over ``reduced_arc`` from the same start.  The
-    caller checks a, beta (``require_arc``).
+    Solves g = 0 on (0, pi), where g falls from beta to -1 - beta with no
+    trivial root at 0 (a grazing arc, beta = 0, solves g/s, which falls
+    from -a > 0), from ``x0``, by default the root of beta = a s + s^2/3,
+    g's small-s form, with the relative stop ``ROOT_REL_TOL``.  g and g'
+    are inlined from ``reduced_arc`` and the decisions are
+    ``hybrid_root``'s, so root and count are bit for bit those of
+    ``hybrid_root`` over ``reduced_arc`` from the same start.  The caller
+    checks a, beta (``require_arc``).
     """
     grazing = beta == 0.0
     lo, hi = 0.0, math.pi
@@ -332,6 +305,8 @@ def first_impact(ff: FreeFlight) -> FirstImpact:
         r = abs(z0 + v0 * t)
         if negative_side:
             raise UnsupportedFirstImpact(t, -r)
+        if r == 0.0:  # the pivot, reached through rounding
+            raise UnsupportedFirstImpact(t, 0.0)
         try:
             kind = classify_impact(r, flight_velocity(ff, t))
         except ContractViolation:

@@ -1,17 +1,25 @@
 """Shared fixtures: reference orbits, the seeded random-start suite and
-the closed-form recurrence reference."""
+the closed-form references of the impact map.
+
+``reference_solve_delta``, ``recurrence`` and ``reference_step`` make the
+delta decision and apply the map apart from ``impact_map.cascade``, which
+is the only code of the package that does either: they are what cascade,
+and ``solve_delta`` and ``step`` through it, must equal bit for bit."""
 
 import math
 import random
 
 import pytest
 
-from rodbilliard import (FreeFlight, SimConfig, UnsupportedFirstImpact,
-                         first_impact, simulate, unit_rotation)
+from rodbilliard import (ContractViolation, FreeFlight, SimConfig,
+                         UnsupportedFirstImpact, first_impact, simulate,
+                         unit_rotation)
 from rodbilliard import rootfind
-from rodbilliard.impact_map import cascade
-from rodbilliard.rootfind import (REVERSION_A_MAX, REVERSION_A_MIN,
-                                  REVERSION_W_MAX, SERIES_MAX, solve_delta)
+from rodbilliard.impact_map import cascade, recurrence_kernels
+from rodbilliard.rootfind import (_Q2, _Q30, _Q31, _Q40, _Q41, _Q50, _Q51,
+                                  _Q52, _Q60, _Q61, _Q62, _Q70, _Q71, _Q72,
+                                  _Q73, REVERSION_A_MAX, REVERSION_A_MIN,
+                                  REVERSION_W_MAX, SERIES_MAX)
 
 
 @pytest.fixture(scope="session")
@@ -70,6 +78,54 @@ def random_supported_starts(count: int, seed: int = 20240817):
     return out
 
 
+def reference_solve_delta(a: float, beta: float) -> float:
+    """The root in (0, pi) of b s cos s = (1 + a s) sin s for the arc
+    (a, beta): the 7-term reversion series in the box, Newton from the
+    series in the start window, Newton from its default start elsewhere,
+    with the edges and ``newton_delta`` read from ``rootfind`` when called."""
+    x0 = None
+    if rootfind.REVERSION_A_MIN < a <= rootfind.REVERSION_A_MAX:
+        u = a * a
+        w = beta / u
+        if 0.0 < w <= rootfind.START_W_MAX:
+            d = beta / a
+            x0 = d + d * w * (_Q2 + w * (_Q30 + _Q31 * u + w * (
+                _Q40 + _Q41 * u + w * (_Q50 + u * (_Q51 + u * _Q52) + w * (
+                    _Q60 + u * (_Q61 + u * _Q62) + w * (
+                        _Q70 + u * (_Q71 + u * (_Q72 + u * _Q73))))))))
+            if w <= rootfind.REVERSION_W_MAX:
+                return x0
+    rootfind.require_arc(a, beta)
+    return rootfind.newton_delta(a, beta, x0)[0]
+
+
+def recurrence(delta: float, beta: float) -> tuple[float, float, float]:
+    """(a', beta', delta/sin delta) after an arc of duration ``delta``.
+
+    The forms a' = (beta/delta + delta m)/b and beta' = (beta + p)/b add
+    positive terms only, so both keep the relative precision of beta and
+    delta at any step size.
+    """
+    p, m = recurrence_kernels(delta)
+    b = 1.0 + beta
+    return ((beta / delta + delta * m) / b, (beta + p) / b,
+            delta / math.sin(delta))
+
+
+def reference_step(r: float, a: float, beta: float
+                   ) -> tuple[float, float, float, float]:
+    """One impact of the arc (r, a, beta): (delta, r', a', beta'), with
+    ContractViolation unless the radius grows."""
+    delta = reference_solve_delta(a, beta)
+    a_next, beta_next, dos = recurrence(delta, beta)
+    r_next = r * (1.0 + beta) * dos
+    if not (math.isfinite(r_next) and r_next > r):
+        raise ContractViolation(
+            f"radius failed to grow: r={r} -> {r_next} "
+            f"(a={a}, beta={beta}, delta={delta})")
+    return delta, r_next, a_next, beta_next
+
+
 def recurrence_direct(delta: float, beta: float
                       ) -> tuple[float, float, float]:
     """Textbook closed forms of ``recurrence``; cancel badly as delta -> 0.
@@ -85,7 +141,7 @@ def recurrence_direct(delta: float, beta: float
 
 
 def in_reversion_box(a: float, beta: float) -> bool:
-    """Whether solve_delta takes its reversion series for the arc (a, beta),
+    """Whether cascade takes its reversion series for the arc (a, beta),
     with the box edges as they are set in ``rootfind`` when called."""
     return (rootfind.REVERSION_A_MIN < a <= rootfind.REVERSION_A_MAX
             and 0.0 < beta / (a * a) <= rootfind.REVERSION_W_MAX)
@@ -102,7 +158,7 @@ def box_state(a: float, w: float) -> tuple[float, float]:
 
 
 def in_start_window(a: float, beta: float) -> bool:
-    """Whether solve_delta starts Newton from its reversion series for the
+    """Whether cascade starts Newton from its reversion series for the
     arc (a, beta): a as in the box, REVERSION_W_MAX < beta/a^2 <= START_W_MAX."""
     return (rootfind.REVERSION_A_MIN < a <= rootfind.REVERSION_A_MAX
             and rootfind.REVERSION_W_MAX < beta / (a * a)
@@ -123,11 +179,12 @@ def window_arc(a: float, w: float) -> tuple[float, float]:
 
 def series_start(a: float, beta: float) -> float:
     """Newton's start on a window arc: the reversion series, read from
-    solve_delta with its box widened to the window for this one call."""
+    ``reference_solve_delta`` with its box widened to the window for this
+    one call."""
     saved = rootfind.REVERSION_W_MAX
     rootfind.REVERSION_W_MAX = rootfind.START_W_MAX
     try:
-        return solve_delta(a, beta)
+        return reference_solve_delta(a, beta)
     finally:
         rootfind.REVERSION_W_MAX = saved
 
@@ -158,7 +215,7 @@ def outside_box_arcs(seed: int, per_kind: int) -> list[tuple[float, float]]:
         while kept < per_kind:
             a, beta = draw(kind)
             if in_reversion_box(a, beta) or (
-                    kind == 3 and solve_delta(a, beta) < SERIES_MAX):
+                    kind == 3 and reference_solve_delta(a, beta) < SERIES_MAX):
                 continue
             arcs.append((a, beta))
             kept += 1
@@ -168,7 +225,7 @@ def outside_box_arcs(seed: int, per_kind: int) -> list[tuple[float, float]]:
 def cascade_impact(r: float, a: float, beta: float
                    ) -> tuple[float, float, float, float]:
     """One impact of ``cascade`` from the arc (r, a, beta), as
-    (delta, r', a', beta') like ``step``."""
+    (delta, r', a', beta') like ``reference_step``."""
     ts, rs, as_, betas, deltas = cascade(0.0, r, a, beta, 1, math.inf)
     assert len(deltas) == 1 and ts == [0.0, deltas[0]]
     return deltas[0], rs[1], as_[1], betas[1]

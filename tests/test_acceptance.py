@@ -13,8 +13,8 @@ import pytest
 from rodbilliard import (FreeFlight, SimConfig, asymptotic_table,
                          convergence_experiment, estimate_growth_constant,
                          flight_velocity, oracle_simulate, quasi_position,
-                         recurrence, simulate, solve_tstar)
-from conftest import (random_supported_starts, recurrence_direct,
+                         simulate, solve_tstar)
+from conftest import (random_supported_starts, recurrence, recurrence_direct,
                       stopping_set_point)
 
 

@@ -6,20 +6,26 @@ function that exists but is no longer called reads as 0 instead.
 """
 
 import importlib.util
+import math
 from collections import Counter
 from pathlib import Path
 
 import rodbilliard
 from rodbilliard import SimConfig
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+    return load_perfbench("tracing")
 
 
 def test_tracer_finds_every_traced_function():
@@ -34,7 +40,7 @@ def test_tracer_finds_every_traced_function():
     assert rodbilliard.simulate is original
 
 
-def test_traced_layers_run_on_the_reference_orbit():
+def test_traced_layers_run_on_the_reference_orbit(capsys):
     # 400 impacts take one first contact; cascade's loop calls no step and
     # no solve_delta, since it sums the reversion series itself and calls
     # newton_delta directly for the 300 arcs before the box; reading one
@@ -51,3 +57,13 @@ def test_traced_layers_run_on_the_reference_orbit():
     assert spans["rootfind.solve_delta"] == 0
     assert spans["rootfind.first_impact"] == 1
     assert spans["impact_map.segment_max_height"] == 1
+    # a traced benchmark run prints its metrics as the last line of
+    # stdout: each must be a number, and the program must print nothing
+    run = load_perfbench("run")
+    last = run.Round()
+    last.records.append(record)
+    metrics = run.layer_metrics(tracer, last, 1)
+    assert metrics.keys() == {name for name, _ in run.PER_LAYER}
+    assert all(isinstance(value, float) and math.isfinite(value)
+               for value in metrics.values()), metrics
+    assert capsys.readouterr().out == ""

@@ -94,6 +94,13 @@ def test_simulate_unsupported_exit_2(capsys):
     assert "unsupported" in captured.err
 
 
+def test_impacts_pivot_hit_through_rounding_exit_2(capsys):
+    # the first contact's radius rounds to 0 (see test_rootfind)
+    code = run_cli(["impacts", "--z0=-1,0", "--v0=1e154,-1e-300"])
+    assert code == 2
+    assert "unsupported" in capsys.readouterr().err
+
+
 def test_simulate_degenerate_exit_3(capsys):
     z0, v0 = stopping_set_point(1.0, 1.0)
     code = run_cli(["simulate", f"--z0={z0.real},{z0.imag}",

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rodbilliard import (DEGENERATE, ContractViolation, T_STAR,
-                         classify_impact, in_degenerate_set, recurrence,
+                         classify_impact, in_degenerate_set,
                          segment_max_height, solve_delta, step, unit_rotation)
 from rodbilliard.impact_map import cascade
 from rodbilliard.rootfind import (REVERSION_A_MAX, REVERSION_A_MIN,
                                   REVERSION_W_MAX, SERIES_MAX)
 from conftest import (box_state, cascade_impact, in_reversion_box,
-                      outside_box_arcs, recurrence_direct)
+                      outside_box_arcs, recurrence, recurrence_direct,
+                      reference_solve_delta, reference_step)
 
 # frozen from a 50-digit computation of the (a=0, b=2) step
 DELTA_02 = 1.1655611852072113
@@ -225,7 +226,8 @@ def test_cascade_impact_is_step():
     # w = REVERSION_W_MAX; the last row leaves the box by an ulp of a.
     # Then arcs one ulp outside each edge (a = 0.5, a = nextafter(1, 2),
     # the first beta above w = REVERSION_W_MAX), and as many arcs outside
-    # the box, of each kind of ``outside_box_arcs``
+    # the box, of each kind of ``outside_box_arcs``.  ``step``, one impact
+    # of cascade, must equal the reference as well
     rng = random.Random(1818)
     edges = (math.nextafter(REVERSION_A_MIN, 1.0), REVERSION_A_MAX)
     arcs = [box_state(a, w) for a in edges
@@ -256,10 +258,11 @@ def test_cascade_impact_is_step():
     deltas = []
     for a, beta in arcs + beyond + outside:
         r = 10.0 ** rng.uniform(0.0, 6.0)
-        stepped = step(r, a, beta)
+        stepped = reference_step(r, a, beta)
         assert cascade_impact(r, a, beta) == stepped, (r, a, beta)
+        assert step(r, a, beta) == stepped, (r, a, beta)
         deltas.append(stepped[0])
-    assert not in_reversion_box(*step(1.0, 1.0, 1e-6)[2:])
+    assert not in_reversion_box(*reference_step(1.0, 1.0, 1e-6)[2:])
     # both sides of the head's switch at 0.01 and of SERIES_MAX, outside
     outside_deltas = deltas[-len(outside):]
     assert min(outside_deltas) < 0.01 <= SERIES_MAX <= max(outside_deltas)
@@ -275,16 +278,19 @@ def test_cascade_runs_on_past_the_box_exit():
     assert as_[1] == math.nextafter(1.0, 2.0)
     r, a, beta = 1.0, 1.0, 1e-6
     for k in range(5):
-        delta, r, a, beta = step(r, a, beta)
+        delta, r, a, beta = reference_step(r, a, beta)
         assert (deltas[k], rs[k + 1], as_[k + 1], betas[k + 1]) == (
             delta, r, a, beta)
     assert ts[-1] == math.fsum(deltas)
 
 
 def test_cascade_keeps_the_radius_check():
-    # in the box, yet b and delta/sin delta both round to 1.0
+    """In the box, yet b and delta/sin delta both round to 1.0, so the
+    radius does not grow.  ``solve_delta`` is one impact of cascade from
+    r = 1 and raises here as well; it returned the series delta before."""
     assert in_reversion_box(0.8, 1e-17)
-    for run in (step, cascade_impact):
+    for run in (step, cascade_impact,
+                lambda r, a, beta: solve_delta(a, beta)):
         with pytest.raises(ContractViolation, match="radius failed to grow"):
             run(1.0, 0.8, 1e-17)
 
@@ -296,7 +302,7 @@ def test_cascade_checks_its_first_arc_as_solve_delta(a, beta):
     # cascade checks only its first arc, before its loop, with solve_delta's
     # check and message; with no impact to take it checks nothing
     with pytest.raises(ValueError) as expected:
-        solve_delta(a, beta)
+        reference_solve_delta(a, beta)
     with pytest.raises(ValueError) as got:
         cascade(0.0, 1.0, a, beta, 3, math.inf)
     assert str(got.value) == str(expected.value)

@@ -47,10 +47,34 @@ def test_oracle_imports_from_the_package_only_core_and_one_error():
                                      ), (module, names)
 
 
+def _readers(tree, wanted):
+    """Names of the functions in ``tree`` that read a name in ``wanted``,
+    bare or as an attribute of ``rootfind``."""
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "rootfind"):
+                name = node.attr
+            else:
+                continue
+            if name in wanted:
+                found.add(fn.name)
+    return found
+
+
 def test_impact_map_takes_the_reversion_table_from_rootfind():
-    # cascade sums solve_delta's box series inline: its coefficients _Q*
-    # and box edges REVERSION_* have one copy, in rootfind, and the edges
-    # are read as rootfind's attributes, so a patched edge applies
+    # cascade sums the reversion series inline: its coefficients _Q* and
+    # box edges REVERSION_* have one copy, in rootfind, and the edges are
+    # read as rootfind's attributes, so a patched edge applies.  The delta
+    # decision has one home: no function of rootfind reads a coefficient,
+    # and in impact_map only cascade reads them and the box and window
+    # edges
     table = re.compile(r"_Q\d+$|REVERSION_")
     tree = ast.parse((_PACKAGE / "impact_map.py").read_text(encoding="utf-8"))
     bound = set()
@@ -80,3 +104,7 @@ def test_impact_map_takes_the_reversion_table_from_rootfind():
              and isinstance(node.value, ast.Name)
              and node.value.id == "rootfind" and table.match(node.attr)}
     assert edges == {"REVERSION_A_MIN", "REVERSION_A_MAX", "REVERSION_W_MAX"}
+    assert _readers(rootfind, coefficients) == set()
+    decision = coefficients | {"REVERSION_W_MAX", "START_W_MAX"}
+    readers = {name: _readers(tree, {name}) for name in decision}
+    assert readers == dict.fromkeys(decision, {"cascade"})

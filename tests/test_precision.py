@@ -14,14 +14,15 @@ from pathlib import Path
 
 import pytest
 
-from rodbilliard import (SimConfig, recurrence, recurrence_kernels,
-                         segment_max_height, simulate, solve_delta, step)
+from rodbilliard import (SimConfig, recurrence_kernels, segment_max_height,
+                         simulate, solve_delta, step)
 from rodbilliard import impact_map, rootfind
 from rodbilliard.rootfind import (REVERSION_A_MAX, REVERSION_A_MIN,
                                   REVERSION_W_MAX, SERIES_MAX, reduced_arc)
 from conftest import (box_state, cascade_impact, in_reversion_box,
                       in_start_window, outside_box_arcs,
-                      random_supported_starts, series_start, window_arc)
+                      random_supported_starts, recurrence, series_start,
+                      window_arc)
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 

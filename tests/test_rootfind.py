@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from rodbilliard import (FreeFlight, T_STAR,
                          UnsupportedFirstImpact, first_impact, hybrid_root,
-                         rootfind, solve_delta, solve_tstar)
+                         rootfind, simulate, solve_delta, solve_tstar)
 from conftest import (GRAZING_V0, GRAZING_Z0, in_start_window,
                       make_grazing_start, series_start, stopping_set_point,
                       window_arc)
@@ -322,6 +322,17 @@ def test_first_impact_through_pivot_unsupported():
         first_impact(FreeFlight(1j, -2j))
     assert abs(exc.value.t - 0.5) < 1e-9
     assert abs(exc.value.r) < 1e-9
+
+
+@pytest.mark.parametrize("v0", [1e154 - 1e-300j, 1e150 - 1e-290j])
+def test_first_impact_at_the_pivot_through_rounding(v0):
+    # L = 1e-300 > 0, so the line passes just beside the pivot, but at the
+    # contact t = 1/|v0| the radius |z0 + v0 t| rounds to 0: an unsupported
+    # hit there, where classify_impact would reject the radius
+    with pytest.raises(UnsupportedFirstImpact) as exc:
+        first_impact(FreeFlight(-1 + 0j, v0))
+    assert (exc.value.t, exc.value.r) == (1.0 / v0.real, 0.0)
+    assert simulate(-1, v0).termination == "unsupported_first_impact"
 
 
 def test_first_impact_departure_from_rod():

@@ -17,13 +17,13 @@ from rodbilliard.core import (DEFAULT_CONFIG, GRAZING_TOL, require_finite,
 from rodbilliard.flight import FlightSegment, flight_velocity, reflect
 from rodbilliard import impact_map, rootfind, simulator
 from rodbilliard.impact_map import (ImpactEvent, cascade, in_degenerate_set,
-                                    segment_max_height, step)
+                                    segment_max_height)
 from rodbilliard.rootfind import (UnsupportedFirstImpact, first_impact,
                                  solve_delta)
 from rodbilliard.simulator import RowView
 from conftest import (GRAZING_V0, GRAZING_Z0, in_reversion_box,
-                      make_grazing_start,
-                      random_supported_starts, stopping_set_point)
+                      make_grazing_start, random_supported_starts,
+                      reference_step, stopping_set_point)
 
 _log = logging.getLogger("rodbilliard.simulator")
 
@@ -480,7 +480,8 @@ def reference_simulate(z0: complex, v0: complex,
     """``simulate`` as it assembled the record from per-impact objects.
 
     Returns (impacts, segments, heights, termination, quasi_start); the
-    body is that version's, with ``finished`` returning the tuple.
+    body is that version's, with ``finished`` returning the tuple and each
+    impact taken by ``reference_step``, apart from ``cascade``.
     """
     cfg = cfg or DEFAULT_CONFIG
     # stored as complex even from simulate(1j, 1), as record_from_json reads it
@@ -531,7 +532,7 @@ def reference_simulate(z0: complex, v0: complex,
     comp = 0.0  # Neumaier compensation for the running time sum
     termination = "reached_n_max"
     while len(impacts) < cfg.n_max:
-        delta, r_next, a_next, beta_next = step(r, a, beta)
+        delta, r_next, a_next, beta_next = reference_step(r, a, beta)
         height = segment_max_height(r, a, beta, delta)
         s = t_sum + delta
         comp += (t_sum - s) + delta if t_sum >= delta else (delta - s) + t_sum
