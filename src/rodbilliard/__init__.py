@@ -9,9 +9,8 @@ t_n ~ (3/2) ln n).
 from .core import (BilliardError, ContractViolation, DEFAULT_CONFIG,
                    DEGENERATE, GRAZING, PhaseState, SimConfig, TRANSVERSAL,
                    classify_impact, unit_rotation)
-from .flight import (FlightSegment, FreeFlight, flight_position,
-                     flight_velocity, reflect, segment_position,
-                     segment_velocity, to_lab_frame)
+from .flight import (FlightSegment, flight_position, flight_velocity,
+                     segment_position, segment_velocity)
 from .rootfind import (RootFindError, T_STAR, UnsupportedFirstImpact,
                        first_impact, hybrid_root, solve_delta, solve_tstar)
 from .impact_map import (ImpactEvent, in_degenerate_set, recurrence_kernels,

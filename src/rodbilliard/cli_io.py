@@ -21,12 +21,10 @@ from itertools import count, islice
 from typing import Callable, NamedTuple
 
 from .core import DEGENERATE, GRAZING, TRANSVERSAL, SimConfig
-from .flight import (FreeFlight, check_segment, flight_position,
-                     segment_position)
+from .flight import check_segment, flight_position, segment_position
 from .oracle import OracleMismatch, oracle_simulate
 from .rootfind import UnsupportedFirstImpact
-from .simulator import QuasiTrajectory, TrajectoryRecord, quasi_position, \
-    simulate
+from .simulator import TrajectoryRecord, quasi_position, simulate
 from .analysis import AsymptoticRow, asymptotic_table
 
 _FMT = "{:.17g}".format
@@ -78,8 +76,6 @@ def record_to_json(record: TrajectoryRecord) -> str:
         "v0": [record.v0.real, record.v0.imag],
         "config": cfg,
         "termination": record.termination,
-        "quasi_start": (None if record.quasi_start is None else
-                        asdict(record.quasi_start)),
         "first_zdot_in": (None if zdot_in is None else
                           [zdot_in.real, zdot_in.imag]),
         "first_kind": record.first_kind,
@@ -100,8 +96,8 @@ def record_from_json(text: str) -> TrajectoryRecord:
     """Load a record written by ``record_to_json``.
 
     Raises ValueError for another layout, a missing key, a wrongly typed or
-    non-finite entry, an unknown termination or first impact, or ragged
-    columns.
+    non-finite entry, an unknown termination or first impact, ragged
+    columns, or a termination that misfits them; ignores ``quasi_start``.
     """
     data = json.loads(text)
     try:
@@ -117,21 +113,26 @@ def record_from_json(text: str) -> TrajectoryRecord:
         if (len(r) != n or arcs not in (0, n) or len(beta) != arcs
                 or len(delta) + bool(arcs) != arcs):
             raise ValueError("record columns have inconsistent lengths")
-        zdot_in, kind, qs = (data[key] for key in (
-            "first_zdot_in", "first_kind", "quasi_start"))
+        zdot_in, kind, term = (data[key] for key in (
+            "first_zdot_in", "first_kind", "termination"))
         if (zdot_in is None) != (n == 0) or kind not in (
                 (TRANSVERSAL, GRAZING, DEGENERATE) if n else (None,)):
             raise ValueError(f"first impact {kind!r}, {zdot_in!r} misfits t")
         if not all(all(map(math.isfinite, col)) for col in (*cols, data["z0"],
-                   data["v0"], zdot_in or (), (qs or {}).values())):
+                   data["v0"], zdot_in or ())):
             raise ValueError("record holds a non-finite number")
-        if data["termination"] not in _TERMINATIONS:
-            raise ValueError(f"unknown termination {data['termination']!r}")
+        if term not in _TERMINATIONS:
+            raise ValueError(f"unknown termination {term!r}")
+        # a full stop ends the orbit at its one impact; any other leaves an arc
+        stopped = term in ("degenerate_stop", "degenerate_quasi")
+        if (stopped != (kind == DEGENERATE)
+                or (n, arcs) != ((1, 0) if stopped else (n, n))):
+            raise ValueError(f"termination {term!r} misfits the first impact "
+                             f"{kind!r}, {n} impacts and {arcs} arcs")
         return TrajectoryRecord(
             complex(*data["z0"]), complex(*data["v0"]), SimConfig(**cfg),
-            data["termination"], *map(tuple, cols),
-            None if zdot_in is None else complex(*zdot_in), kind,
-            None if qs is None else QuasiTrajectory(**qs))
+            term, *map(tuple, cols),
+            None if zdot_in is None else complex(*zdot_in), kind)
     except KeyError as exc:
         raise ValueError(f"record lacks the key {exc}") from exc
     except TypeError as exc:
@@ -152,9 +153,9 @@ def export_trajectory(record: TrajectoryRecord, opts: ExportOptions) -> str:
 
     Arc k, the one leaving impact k (0: the approach), is sampled at
     s = span j / (samples - 1), with the positions of ``flight_position``,
-    ``segment_position``, ``quasi_position`` and ``to_lab_frame``.  An
-    open arc is sampled under a finite t_max only, up to t_max or the
-    open last arc's next impact, whichever comes first.
+    ``segment_position`` and ``quasi_position``, turned by e^{it} into the
+    lab frame.  An open arc is sampled under a finite t_max only, up to
+    t_max or the open last arc's next impact, whichever comes first.
     """
     if opts.format == "json":
         return record_to_json(record)
@@ -181,11 +182,11 @@ def export_trajectory(record: TrajectoryRecord, opts: ExportOptions) -> str:
             if frame == "rotating":
                 lines.append(form % (t, z.real, z.imag, label))
                 continue
-            w = z * complex(math.cos(t), math.sin(t))  # to_lab_frame
+            w = z * complex(math.cos(t), math.sin(t))  # to the lab frame
             lines.append(form % (t, w.real, w.imag, label) if frame == "lab"
                          else form % (t, z.real, z.imag, w.real, w.imag, label))
 
-    sample(0.0, 0, partial(flight_position, FreeFlight(record.z0, record.v0)),
+    sample(0.0, 0, partial(flight_position, record.z0, record.v0),
            record.t[0] if record.t else None)
     closed = zip(record.t, record.r, record.a, record.beta, record.delta)
     for k, (start, r, a, beta, delta) in enumerate(closed, start=1):

@@ -1,4 +1,4 @@
-"""Free flight in the rotating frame, elastic reflection, inter-impact arcs.
+"""Free flight in the rotating frame and the inter-impact arcs.
 
 Between impacts the ball moves along a straight lab-frame line, which in
 the rotating frame reads z(t) = (z + v t) e^{-it}.  Anchored at an impact
@@ -15,39 +15,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import require_finite, unit_rotation
+from .core import unit_rotation
 
 
-@dataclass(frozen=True, slots=True)
-class FreeFlight:
-    """Straight lab-frame motion: line intercept ``z`` and constant velocity ``v``."""
-
-    z: complex
-    v: complex
-
-    def __post_init__(self) -> None:
-        require_finite(self.z, "z")
-        require_finite(self.v, "v")
-
-
-def flight_position(ff: FreeFlight, t: float) -> complex:
+def flight_position(z: complex, v: complex, t: float) -> complex:
     """Rotating-frame position (z + v t) e^{-it}."""
-    return (ff.z + ff.v * t) * unit_rotation(-t)
+    return (z + v * t) * unit_rotation(-t)
 
 
-def flight_velocity(ff: FreeFlight, t: float) -> complex:
+def flight_velocity(z: complex, v: complex, t: float) -> complex:
     """Rotating-frame velocity (v - i (z + v t)) e^{-it}."""
-    return (ff.v - 1j * (ff.z + ff.v * t)) * unit_rotation(-t)
-
-
-def reflect(zdot_in: complex) -> complex:
-    """Elastic reflection at the rod: conjugate the velocity."""
-    return zdot_in.conjugate()
-
-
-def to_lab_frame(z_rot: complex, t: float) -> complex:
-    """Undo the frame rotation: multiply by e^{+it}."""
-    return z_rot * unit_rotation(t)
+    return (v - 1j * (z + v * t)) * unit_rotation(-t)
 
 
 @dataclass(frozen=True, slots=True)

@@ -21,7 +21,6 @@ first; ``step`` is one impact of it.
 
 from __future__ import annotations
 
-import logging
 import math
 from typing import NamedTuple
 
@@ -126,11 +125,6 @@ def cascade(t1: float, r: float, a: float, beta: float, n: int,
         t_sum = s
         if t_sum + comp > t_max:
             break
-        # a > 0 (see above): a near-graze is roundoff, so stays transversal
-        if beta <= GRAZING_TOL * a:
-            logging.getLogger(__name__).warning(
-                "near-grazing incoming velocity %r at n=%d",
-                complex(r * a, -r * beta), len(ts) + 1)
         deltas.append(delta)
         ts.append(t_sum + comp)
         rs.append(r)

@@ -10,12 +10,12 @@ and avoids the loss of significance a global (z, v) anchor suffers as t
 grows.  Meant for cross-validation runs while the gaps between impacts
 stay above one scan step: on the reference orbit about 1500 impacts at
 the default scan_step 1e-3, and past 10^4 at 1e-5.  The flight is
-carried as the four parts of z and v, and every height, slope, hit point
-and reflected velocity is computed inline with the rounding of
-``flight_position``, ``flight_velocity`` and ``reflect``.  The scan skips
-the grid points a Taylor bound proves positive and leaps over them a
-binade at a time: its brackets are those of the dense complex scan, at
-under a fifteenth of its evaluations.
+carried as the four parts of z and v, and every height, slope and hit
+point is computed inline with the rounding of ``flight_position`` and
+``flight_velocity``; the reflected velocity is the incoming one's
+conjugate.  The scan skips the grid points a Taylor bound proves
+positive and leaps over them a binade at a time: its brackets are those
+of the dense complex scan, at under a fifteenth of its evaluations.
 """
 
 from __future__ import annotations

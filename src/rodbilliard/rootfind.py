@@ -20,8 +20,8 @@ import math
 from typing import Callable, NamedTuple
 
 from .core import (BilliardError, EPS, GRAZING, GRAZING_TOL, ContractViolation,
-                   classify_impact, require_departing_start)
-from .flight import FreeFlight, flight_velocity
+                   classify_impact, require_departing_start, require_finite)
+from .flight import flight_velocity
 
 
 class RootFindError(BilliardError):
@@ -268,8 +268,8 @@ class FirstImpact(NamedTuple):
     kind: str
 
 
-def first_impact(ff: FreeFlight) -> FirstImpact:
-    """Earliest contact of a free flight with the rod, in closed form.
+def first_impact(z0: complex, v0: complex) -> FirstImpact:
+    """Earliest rod contact of the free flight (z0, v0), in closed form.
 
     With u = z0 + v0 t the lab-frame position and c + iL = conj(z0) v0,
     the rotating-frame position z(t) = u e^{-it} has the angle
@@ -297,7 +297,8 @@ def first_impact(ff: FreeFlight) -> FirstImpact:
     velocity.  A tangency touches the rod by construction: there a velocity
     neither degenerate nor transversal is grazing, never a violation.
     """
-    z0, v0 = ff.z, ff.v
+    require_finite(z0, "z")
+    require_finite(v0, "v")
     require_departing_start(z0, v0)
 
     def hit(t: float, negative_side: bool = False,
@@ -308,7 +309,7 @@ def first_impact(ff: FreeFlight) -> FirstImpact:
         if r == 0.0:  # the pivot, reached through rounding
             raise UnsupportedFirstImpact(t, 0.0)
         try:
-            kind = classify_impact(r, flight_velocity(ff, t))
+            kind = classify_impact(r, flight_velocity(z0, v0, t))
         except ContractViolation:
             if not tangency:
                 raise

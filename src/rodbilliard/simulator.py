@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 from .core import (DEFAULT_CONFIG, DEGENERATE, TRANSVERSAL, PhaseState,
                    SimConfig, require_finite, unit_rotation)
-from .flight import (FlightSegment, FreeFlight, flight_position,
-                     flight_velocity, reflect, segment_position,
-                     segment_velocity)
+from .flight import (FlightSegment, flight_position, flight_velocity,
+                     segment_position, segment_velocity)
 from .impact_map import (ImpactEvent, cascade, in_degenerate_set,
                          segment_max_height)
 from .rootfind import (T_STAR, UnsupportedFirstImpact, first_impact,
@@ -73,8 +72,8 @@ class TrajectoryRecord:
     has ``a[k]``, ``beta[k]`` = b - 1 and, once closed, ``delta[k]``.  The
     last arc is open, or absent after a degenerate impact.  Every impact
     but the first is transversal with incoming velocity r (a - i beta).
-    ``impacts``, ``segments`` and ``heights`` are built on access; a
-    height is solved when read.  (z0, v0) give the approach arc.
+    ``impacts``, ``segments``, ``heights`` and ``quasi_start`` are built
+    on access; a height is solved when read.  (z0, v0): the approach arc.
     """
 
     z0: complex
@@ -88,7 +87,6 @@ class TrajectoryRecord:
     delta: tuple[float, ...] = ()
     first_zdot_in: complex | None = None
     first_kind: str | None = None
-    quasi_start: QuasiTrajectory | None = None
 
     @property
     def impacts(self) -> RowView:
@@ -107,6 +105,13 @@ class TrajectoryRecord:
         return RowView(self._height, range(len(self.delta)))
 
     @property
+    def quasi_start(self) -> QuasiTrajectory | None:
+        """Sliding start of a ``degenerate_quasi`` record, else None."""
+        if self.termination == "degenerate_quasi":
+            return QuasiTrajectory(r=self.r[0], t1=self.t[0])
+        return None
+
+    @property
     def open_delta(self) -> float | None:
         """Time from the open last arc's start to its next impact, solved
         on access from beta rather than b - 1; None without an open arc."""
@@ -118,10 +123,10 @@ class TrajectoryRecord:
         r = self.r[k]
         if k:
             zdot_in = complex(r * self.a[k], -r * self.beta[k])
-            zdot_out, kind = reflect(zdot_in), TRANSVERSAL
+            zdot_out, kind = zdot_in.conjugate(), TRANSVERSAL
         else:
             zdot_in, kind = self.first_zdot_in, self.first_kind
-            zdot_out = reflect(zdot_in) if zdot_in else 0j
+            zdot_out = zdot_in.conjugate() if zdot_in else 0j
         return ImpactEvent(k + 1, self.t[k], r, zdot_in, zdot_out, kind)
 
     def _segment(self, k: int) -> FlightSegment:
@@ -157,9 +162,8 @@ def simulate(z0: complex, v0: complex,
     # the full-stop set is tested only where first_impact finds a full stop
     # or raises ValueError: a member stops there in closed form, and a
     # near-tangent line in the set's band passes on
-    ff = FreeFlight(z0, v0)
     try:
-        t1, r1, kind = first_impact(ff)
+        t1, r1, kind = first_impact(z0, v0)
     except UnsupportedFirstImpact:
         return TrajectoryRecord(z0, v0, cfg, "unsupported_first_impact")
     except ValueError:
@@ -173,15 +177,14 @@ def simulate(z0: complex, v0: complex,
     if member:
         t1, r1, zdot_in = tau, r_m, 0j
     else:
-        zdot_in = flight_velocity(ff, t1)
+        zdot_in = flight_velocity(z0, v0, t1)
     if t1 > cfg.t_max:
         return TrajectoryRecord(z0, v0, cfg, "reached_t_max")
     if kind == DEGENERATE:
-        extend = cfg.quasi_mode == "extend"
         return TrajectoryRecord(
-            z0, v0, cfg, "degenerate_quasi" if extend else "degenerate_stop",
-            t=(t1,), r=(r1,), first_zdot_in=zdot_in, first_kind=kind,
-            quasi_start=QuasiTrajectory(r=r1, t1=t1) if extend else None)
+            z0, v0, cfg, "degenerate_quasi" if cfg.quasi_mode == "extend"
+            else "degenerate_stop", t=(t1,), r=(r1,), first_zdot_in=zdot_in,
+            first_kind=kind)
 
     # the first arc from the contact's verdict: beta > 0 if transversal,
     # and a grazing touch gets beta = 0 where rounding made it negative
@@ -220,9 +223,9 @@ def record_state(record: TrajectoryRecord, t: float) -> PhaseState:
         raise ValueError(f"t = {t} precedes the start of the record")
     ts = record.t
     if not ts or t < ts[0]:
-        ff = FreeFlight(record.z0, record.v0)
-        return PhaseState(t=t, z=flight_position(ff, t),
-                          zdot=flight_velocity(ff, t))
+        z0, v0 = record.z0, record.v0
+        return PhaseState(t=t, z=flight_position(z0, v0, t),
+                          zdot=flight_velocity(z0, v0, t))
     k = bisect_right(ts, t) - 1
     if k == len(record.delta) < len(record.a):
         # the open last arc holds the orbit up to its next impact only
@@ -235,8 +238,7 @@ def record_state(record: TrajectoryRecord, t: float) -> PhaseState:
         s = t - seg.t_start
         return PhaseState(t=t, z=segment_position(seg, s),
                           zdot=segment_velocity(seg, s))
-    if record.quasi_start is not None:
-        q = record.quasi_start
+    if (q := record.quasi_start) is not None:
         return PhaseState(t=t, z=quasi_position(q, t),
                           zdot=quasi_velocity(q, t))
     last = record.impacts[-1]

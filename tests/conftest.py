@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from rodbilliard import (ContractViolation, FreeFlight, SimConfig,
+from rodbilliard import (ContractViolation, SimConfig,
                          UnsupportedFirstImpact, first_impact, simulate,
                          unit_rotation)
 from rodbilliard import rootfind
@@ -69,7 +69,7 @@ def random_supported_starts(count: int, seed: int = 20240817):
         if abs(v0) > 5.0:
             continue
         try:
-            hit = first_impact(FreeFlight(z0, v0))
+            hit = first_impact(z0, v0)
         except UnsupportedFirstImpact:
             continue
         if hit.kind != "transversal":

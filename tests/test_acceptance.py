@@ -10,7 +10,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from rodbilliard import (FreeFlight, SimConfig, asymptotic_table,
+from rodbilliard import (SimConfig, asymptotic_table,
                          convergence_experiment, estimate_growth_constant,
                          flight_velocity, oracle_simulate, quasi_position,
                          simulate, solve_tstar)
@@ -164,7 +164,7 @@ def test_criterion_10_degenerate_handling():
             q = extended.quasi_start
             # C^1 matching: the incoming arc stops dead where cosh starts
             assert abs(quasi_position(q, q.t1).real - ev.r) <= 1e-12
-            v_in = flight_velocity(FreeFlight(z0, v0), q.t1)
+            v_in = flight_velocity(z0, v0, q.t1)
             assert abs(v_in) <= 1e-10 * (1.0 + ev.r)
             # sliding obeys x'' = x: central-difference residual
             h = 1e-4

@@ -8,8 +8,8 @@ import sys
 
 import pytest
 
-from rodbilliard import (FreeFlight, SimConfig, flight_position, quasi_position,
-                         segment_position, simulate, to_lab_frame,
+from rodbilliard import (QuasiTrajectory, SimConfig, flight_position,
+                         quasi_position, segment_position, simulate,
                          unit_rotation)
 from rodbilliard import cli_io
 from rodbilliard.cli_io import (ExportOptions, export_trajectory, main,
@@ -128,17 +128,16 @@ def _csv_rows_from_positions(record, frame, samples):
     """The CSV rows of a record with a finite t_max, built sample by sample
     from the position functions and ``{:.17g}``."""
     def row(t, z, label):
-        w = to_lab_frame(z, t)
+        w = z * unit_rotation(t)
         cols = {"both": (t, z.real, z.imag, w.real, w.imag),
                 "rotating": (t, z.real, z.imag), "lab": (t, w.real, w.imag)}
         return ",".join(f"{x:.17g}" for x in cols[frame]) + f",{label}"
 
     t_max, last = record.config.t_max, samples - 1
-    ff = FreeFlight(record.z0, record.v0)
     rows = []
     for j in range(samples):
         t = record.impacts[0].t * j / last
-        rows.append(row(t, flight_position(ff, t), 0))
+        rows.append(row(t, flight_position(record.z0, record.v0, t), 0))
     for k, seg in enumerate(record.segments, start=1):
         span = seg.delta
         if span is None:  # the open last arc, up to its next impact
@@ -250,7 +249,7 @@ def test_simulate_json_roundtrip(capsys):
 _TRANSVERSAL_JSON = (
     '{"z0":[0.0,1.0],"v0":[1.0,0.0],"config":{"root_abs_tol":1e-13,'
     '"scan_step":0.001,"n_max":3,"t_max":null,"quasi_mode":"stop"},'
-    '"termination":"reached_n_max","quasi_start":null,"first_zdot_in":'
+    '"termination":"reached_n_max","first_zdot_in":'
     '[0.652184623909187,-2.0772166715899907],"first_kind":"transversal","t":'
     '[0.8603335890193797,1.9223637703449956,2.5525310753237767],"r":'
     '[1.3191565048905178,4.13015009536933,7.673384573531324],"a":'
@@ -261,7 +260,7 @@ _GRAZING_JSON = (
     '{"z0":[1.6547363797861485,0.9445885418594867],"v0":[-1.0769821877578958,'
     '-0.010457879910216962],"config":{"root_abs_tol":1e-13,"scan_step":0.001,'
     '"n_max":3,"t_max":null,"quasi_mode":"stop"},"termination":'
-    '"reached_n_max","quasi_start":null,"first_zdot_in":[-0.40000000000000024,'
+    '"reached_n_max","first_zdot_in":[-0.40000000000000024,'
     '-2.498001805406602e-16],"first_kind":"grazing","t":[1.1999999999999997,'
     '2.299716106987903,2.7424090883367156],"r":[1.0000000000000002,'
     '1.2341404753646517,1.7134197420362618],"a":[-0.40000000000000013,'
@@ -366,7 +365,6 @@ def test_json_with_inconsistent_columns_is_rejected(key, edit):
     ("beta", 2, "NaN", "non-finite"),
     ("delta", 1, "-1e999", "non-finite"),
     ("first_zdot_in", 1, "NaN", "non-finite"),
-    ("quasi_start", "t1", "Infinity", "non-finite"),
     ("termination", None, '"bogus"', "unknown termination"),
     ("config", "n_max", "2.5", "n_max"),
     ("config", "n_max", "true", "n_max"),
@@ -378,12 +376,7 @@ def test_json_with_inconsistent_columns_is_rejected(key, edit):
 def test_json_with_bad_value_is_rejected(key, k, literal, match):
     # a non-finite number, an unknown termination, a non-integer or boolean
     # n_max or a wrongly typed entry, put in the text in place of one entry
-    if key == "quasi_start":
-        z0, v0 = stopping_set_point(1.5, 2.0)
-        record = simulate(z0, v0, SimConfig(n_max=3, quasi_mode="extend"))
-    else:
-        record = simulate(1j, 1, SimConfig(n_max=3))
-    data = json.loads(record_to_json(record))
+    data = json.loads(record_to_json(simulate(1j, 1, SimConfig(n_max=3))))
     if k is None:
         data[key] = "@"
     else:
@@ -412,9 +405,57 @@ def test_json_with_a_first_impact_that_does_not_fit_t_is_rejected(
         record_from_json(json.dumps(data))
 
 
+def _full_stop_json(quasi_mode):
+    z0, v0 = stopping_set_point(1.5, 2.0)
+    return json.loads(record_to_json(simulate(
+        z0, v0, SimConfig(n_max=3, quasi_mode=quasi_mode))))
+
+
+@pytest.mark.parametrize("full_stop,edits", [
+    (False, {"termination": "degenerate_stop"}),
+    (False, {"termination": "degenerate_quasi"}),
+    (True, {"termination": "reached_n_max"}),
+    (True, {"termination": "reached_t_max"}),
+    (True, {"first_kind": "transversal"}),
+    (True, {"t": [2.0, 2.5], "r": [1.5, 2.0]}),
+    (True, {"a": [0.5], "beta": [0.5]}),
+    (False, {"a": [], "beta": [], "delta": []})])
+def test_json_with_a_termination_that_misfits_its_columns_is_rejected(
+        full_stop, edits):
+    # degenerate_stop or degenerate_quasi exactly when the first impact is
+    # degenerate, and then with that one impact and no arc; without a full
+    # stop every impact leaves an arc
+    data = (_full_stop_json("extend") if full_stop else
+            json.loads(record_to_json(simulate(1j, 1, SimConfig(n_max=3)))))
+    assert record_from_json(json.dumps(data)).termination == (
+        "degenerate_quasi" if full_stop else "reached_n_max")
+    data.update(edits)
+    with pytest.raises(ValueError, match="misfits the first impact"):
+        record_from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize("full_stop,quasi_start", [
+    (True, {"r": 2, "t1": 0.5}),
+    (True, None),
+    (False, {"r": 2, "t1": 0.5})])
+def test_json_quasi_start_of_older_documents_is_ignored(full_stop,
+                                                        quasi_start):
+    # the record derives its sliding start from the termination and the
+    # first impact; a document written with the key loads as without it
+    if full_stop:
+        data = _full_stop_json("extend")
+        data["t"] = data["r"] = [1.0]
+    else:
+        data = json.loads(record_to_json(simulate(1j, 1, SimConfig(n_max=3))))
+    text = json.dumps(data, separators=(",", ":")) + "\n"
+    loaded = record_from_json(json.dumps({**data, "quasi_start": quasi_start}))
+    assert record_to_json(loaded) == text
+    assert loaded.quasi_start == (QuasiTrajectory(r=1.0, t1=1.0) if full_stop
+                                  else None)
+
+
 @pytest.mark.parametrize("key", [
-    "first_kind", "first_zdot_in", "quasi_start", "termination", "config",
-    "z0", "delta"])
+    "first_kind", "first_zdot_in", "termination", "config", "z0", "delta"])
 def test_json_that_lacks_a_key_is_rejected(key):
     data = json.loads(record_to_json(simulate(1j, 1, SimConfig(n_max=3))))
     del data[key]

@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from rodbilliard import (FreeFlight, UnsupportedFirstImpact, first_impact,
+from rodbilliard import (UnsupportedFirstImpact, first_impact,
                          oracle_simulate, rootfind)
 from conftest import (GRAZING_V0, GRAZING_Z0, make_grazing_start,
                       random_supported_starts, stopping_set_point)
@@ -52,7 +52,7 @@ def outcome(z0, v0):
     """(t, r, kind) of the first contact; kind 'unsupported' off the
     positive semiaxis, with the exception's (t, r)."""
     try:
-        hit = first_impact(FreeFlight(z0, v0))
+        hit = first_impact(z0, v0)
     except UnsupportedFirstImpact as exc:
         return exc.t, exc.r, "unsupported"
     return hit
@@ -173,7 +173,7 @@ def test_root_solve_iterations(monkeypatch):
     starts = random_supported_starts(100)
     monkeypatch.setattr(rootfind, "hybrid_root", counted)
     for z0, v0 in starts:
-        first_impact(FreeFlight(z0, v0))
+        first_impact(z0, v0)
     assert len(counts) == len(starts)
     assert sum(counts) / len(counts) <= 8.0
     assert max(counts) <= 20

@@ -5,9 +5,8 @@ import random
 import pytest
 
 import rodbilliard.oracle
-from rodbilliard import (FreeFlight, SimConfig, UnsupportedFirstImpact,
-                         flight_position, flight_velocity, oracle_simulate,
-                         reflect, simulate)
+from rodbilliard import (SimConfig, UnsupportedFirstImpact, flight_position,
+                         flight_velocity, oracle_simulate, simulate)
 from rodbilliard.core import EPS
 from rodbilliard.oracle import OracleMismatch
 from conftest import GRAZING_V0, GRAZING_Z0, random_supported_starts
@@ -84,8 +83,8 @@ def test_rejects_bad_arguments():
 @pytest.mark.parametrize("z0, v0", [(2j, -3 + 1j), (1 + 2j, 0.5 - 1j)])
 def test_overflowing_flight_is_rejected(z0, v0):
     # the flight rebuilt after an impact near the float range overflows;
-    # the oracle raises FreeFlight's error for it instead of refining
-    # over infinite slopes
+    # the oracle rejects its non-finite (z, v) instead of refining over
+    # infinite slopes
     with pytest.raises(ValueError, match="must have finite components"):
         oracle_simulate(z0 * 1e307, v0 * 1e307, 5)
 
@@ -127,7 +126,7 @@ def _complex_scan(ff, s0, h0, cfg):
     s = s0
     while s < window:
         s += cfg.scan_step
-        h = flight_position(ff, s).imag
+        h = flight_position(*ff, s).imag
         if h_prev > 0.0 and h <= 0.0:
             return s_prev, s, h_prev, h
         s_prev, h_prev = s, h
@@ -143,7 +142,7 @@ def _complex_refine(ff, lo, hi, h_lo, h_hi, tol):
     while hi - lo >= tol and lo < 0.5 * (lo + hi) < hi:
         if not lo < s < hi:
             s = 0.5 * (lo + hi)
-        h, dh = flight_position(ff, s).imag, flight_velocity(ff, s).imag
+        h, dh = flight_position(*ff, s).imag, flight_velocity(*ff, s).imag
         if h > 0.0:
             lo = s
         else:
@@ -161,10 +160,10 @@ def _complex_refine(ff, lo, hi, h_lo, h_hi, tol):
 
 
 def _complex_oracle(z0, v0, n_impacts, cfg):
-    """oracle_simulate as first written, its flight a FreeFlight rebuilt by
-    flight_position, flight_velocity and reflect, over the dense scan: the
-    reference the inline loop must reproduce bit for bit."""
-    ff = FreeFlight(z0, v0)
+    """oracle_simulate as first written, its flight a pair (z, v) rebuilt by
+    flight_position, flight_velocity and conjugation, over the dense scan:
+    the reference the inline loop must reproduce bit for bit."""
+    ff = (z0, v0)
     t_base = 0.0
     out = []
     guard = 10.0 * cfg.scan_step
@@ -172,15 +171,15 @@ def _complex_oracle(z0, v0, n_impacts, cfg):
         if k == 0:
             s0, h0 = 0.0, z0.imag
         else:
-            s0, h0 = guard, flight_position(ff, guard).imag
+            s0, h0 = guard, flight_position(*ff, guard).imag
         if k > 0 and h0 <= 0.0:
             s0 = cfg.scan_step
-            h0 = flight_position(ff, s0).imag
+            h0 = flight_position(*ff, s0).imag
             if h0 <= 0.0:
                 raise OracleMismatch("next impact within one scan step")
         s_hit = _complex_refine(ff, *_complex_scan(ff, s0, h0, cfg),
                                 cfg.root_abs_tol)
-        r_hit = flight_position(ff, s_hit).real
+        r_hit = flight_position(*ff, s_hit).real
         if k == 0 and r_hit <= 0.0:
             raise UnsupportedFirstImpact(s_hit, r_hit)
         if t_base + s_hit > cfg.t_max:
@@ -189,8 +188,8 @@ def _complex_oracle(z0, v0, n_impacts, cfg):
             raise OracleMismatch("radius failed to grow")
         t_base += s_hit
         out.append((t_base, r_hit))
-        u = reflect(flight_velocity(ff, s_hit))
-        ff = FreeFlight(z=complex(r_hit, 0.0), v=u + 1j * r_hit)
+        u = flight_velocity(*ff, s_hit).conjugate()
+        ff = (complex(r_hit, 0.0), u + 1j * r_hit)
     return out
 
 
@@ -218,7 +217,8 @@ def test_inline_oracle_is_bit_identical_to_complex_reference(z0, v0, n, cfg):
 
 
 def _parts(ff):
-    return ff.z.real, ff.z.imag, ff.v.real, ff.v.imag
+    z, v = ff
+    return z.real, z.imag, v.real, v.imag
 
 
 def _scan_outcome(scan, *args):
@@ -252,20 +252,20 @@ def _adversarial_scans(seed):
                 a, beta = rng.uniform(0.5, 3.0), 10.0 ** rng.uniform(-3, -1.5)
             else:
                 a, beta = rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3, 1)
-            ff = FreeFlight(complex(r, 0.0), r * complex(a, 1.0 + beta))
+            ff = complex(r, 0.0), r * complex(a, 1.0 + beta)
             s0 = 10.0 * step
         elif kind == 1:  # a tangential touch at t1, just above or below
             a = -10.0 ** rng.uniform(-3.0, -2.0 if short else -0.3)
             t1 = rng.uniform(0.001, 0.03) if short else rng.uniform(0.05, 3)
             w = complex(a, 1.0 + rng.uniform(-1e-12, 1e-12))
             rot = complex(math.cos(t1), math.sin(t1))
-            ff, s0 = FreeFlight(r * (1.0 - w * t1) * rot, r * w * rot), 0.0
+            ff, s0 = (r * (1.0 - w * t1) * rot, r * w * rot), 0.0
         elif kind == 2:  # first scan of a random start
             z0, v0 = random_supported_starts(1, seed=rng.randrange(2**32))[0]
-            ff, s0 = FreeFlight(r * z0, r * v0), 0.0
+            ff, s0 = (r * z0, r * v0), 0.0
         else:  # below the rod, rising, no downward crossing in the window
-            ff = FreeFlight(r * complex(1.0, -rng.uniform(1e-3, 0.1)),
-                            r * complex(rng.uniform(-0.1, 0.1), 1.0))
+            ff = (r * complex(1.0, -rng.uniform(1e-3, 0.1)),
+                  r * complex(rng.uniform(-0.1, 0.1), 1.0))
             s0 = 0.0
         scans.append((ff, s0, SimConfig(scan_step=step, root_abs_tol=1e-15)))
     return scans
@@ -276,7 +276,7 @@ def test_skipping_scan_brackets_as_dense_scan(seed):
     # the same grid bracket and end heights to the bit, or the same miss
     # (the dense reference's message is the start of the oracle's)
     for ff, s0, cfg in _adversarial_scans(seed):
-        h0 = flight_position(ff, s0).imag
+        h0 = flight_position(*ff, s0).imag
         dense = _scan_outcome(_complex_scan, ff, s0, h0, cfg)
         skipping = _scan_outcome(rodbilliard.oracle._scan, *_parts(ff), s0,
                                  h0, math.sin(-s0), math.cos(-s0),
@@ -314,10 +314,10 @@ def test_skipping_scan_takes_under_a_third_of_the_evaluations(monkeypatch):
               for z0, v0 in _STARTS]
     evals, dense_evals = counting.sin_calls, 0
 
-    def counted_position(ff, s, position=flight_position):
+    def counted_position(z, v, s, position=flight_position):
         nonlocal dense_evals
         dense_evals += 1
-        return position(ff, s)
+        return position(z, v, s)
 
     monkeypatch.setitem(globals(), "flight_position", counted_position)
     assert inline == [_oracle_outcome(_complex_oracle, z0, v0, 50, cfg)
@@ -471,7 +471,7 @@ def test_refinement_of_adversarial_brackets(monkeypatch, seed):
             flight, tol = _parts(ff), cfg.root_abs_tol
             try:
                 bracket = rodbilliard.oracle._scan(
-                    *flight, s0, flight_position(ff, s0).imag,
+                    *flight, s0, flight_position(*ff, s0).imag,
                     math.sin(-s0), math.cos(-s0), cfg.scan_step)
             except OracleMismatch:
                 continue
@@ -484,8 +484,8 @@ def test_refinement_of_adversarial_brackets(monkeypatch, seed):
             assert counting.sin_calls <= halvings, (ff, s0, cfg)
             assert lo < root < hi
             assert _mp_height(flight, lo) > 0 >= _mp_height(flight, hi)
-            scale = abs(ff.z.real) + abs(ff.z.imag) + (
-                abs(ff.v.real) + abs(ff.v.imag)) * (1.0 + hi)
+            zr, zi, vr, vi = flight
+            scale = abs(zr) + abs(zi) + (abs(vr) + abs(vi)) * (1.0 + hi)
             assert abs(_mp_height(flight, root)) <= scale * (4 * EPS + tol)
             refined += 1
     assert refined > 200

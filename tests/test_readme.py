@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from rodbilliard import (DEGENERATE, FreeFlight, SimConfig, first_impact,
+from rodbilliard import (DEGENERATE, SimConfig, first_impact,
                          in_degenerate_set, simulate)
 from rodbilliard.cli_io import main, record_from_json
 
@@ -63,7 +63,7 @@ def test_readme_example(capsys, argv, comment):
               for name in ("--z0", "--v0"))
     if "full-stop" in comment:
         assert in_degenerate_set(z0, v0 - 1j * z0)[0]
-        assert first_impact(FreeFlight(z0, v0)).kind == DEGENERATE
+        assert first_impact(z0, v0).kind == DEGENERATE
     if "json" in argv:
         record = simulate(z0, v0, SimConfig(n_max=int(flag("--n-max"))))
         assert record_from_json(out) == record

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rodbilliard import (FreeFlight, T_STAR,
+from rodbilliard import (T_STAR,
                          UnsupportedFirstImpact, first_impact, hybrid_root,
                          rootfind, simulate, solve_delta, solve_tstar)
 from conftest import (GRAZING_V0, GRAZING_Z0, in_start_window,
@@ -251,14 +251,14 @@ def test_tstar_runtime_under_1ms():
 
 
 def test_first_impact_worked_example():
-    hit = first_impact(FreeFlight(1j, 1 + 0j))
+    hit = first_impact(1j, 1 + 0j)
     assert abs(hit.t - 0.8603335890193798) < 1e-12
     assert abs(hit.r - 1.3191565048905179) < 1e-12
     assert hit.kind == "transversal"
 
 
 def test_first_impact_pure_rotation():
-    hit = first_impact(FreeFlight(1j, 0j))
+    hit = first_impact(1j, 0j)
     assert abs(hit.t - math.pi / 2) < 1e-12
     assert abs(hit.r - 1.0) < 1e-12
     assert hit.kind == "transversal"
@@ -266,14 +266,14 @@ def test_first_impact_pure_rotation():
 
 def test_first_impact_full_stop_point():
     z0, v0 = stopping_set_point(1.0, 1.0)
-    hit = first_impact(FreeFlight(z0, v0))
+    hit = first_impact(z0, v0)
     assert abs(hit.t - 1.0) < 1e-9
     assert abs(hit.r - 1.0) < 1e-9
     assert hit.kind == "degenerate"
 
 
 def test_first_impact_grazing_touch():
-    hit = first_impact(FreeFlight(GRAZING_Z0, GRAZING_V0))
+    hit = first_impact(GRAZING_Z0, GRAZING_V0)
     assert abs(hit.t - 1.2) < 1e-7
     assert abs(hit.r - 1.0) < 1e-7
     assert hit.kind == "grazing"
@@ -287,10 +287,9 @@ def test_first_impact_detects_constructed_tangencies(r, a, t1):
     # minimum of the flight's angle, within GRAZING_TOL of the rod
     from rodbilliard import flight_position
     z0, v0 = make_grazing_start(r, a, t1)
-    ff = FreeFlight(z0, v0)
-    assert min(flight_position(ff, t1 * k / 100).imag
+    assert min(flight_position(z0, v0, t1 * k / 100).imag
                for k in range(1, 100)) > 0.0  # touch is the first contact
-    hit = first_impact(ff)
+    hit = first_impact(z0, v0)
     assert abs(hit.t - t1) < 1e-7
     assert abs(hit.r - r) < 1e-6 * r
     assert hit.kind == "grazing"
@@ -302,24 +301,24 @@ def test_first_impact_grid_aligned_tangency_window():
     # the sqrt(eps) tangency window
     from rodbilliard import flight_velocity
     z0, v0 = make_grazing_start(2.0, -0.8, 0.7)
-    hit = first_impact(FreeFlight(z0, v0))
+    hit = first_impact(z0, v0)
     assert abs(hit.t - 0.7) < 1e-6
     assert abs(hit.r - 2.0) < 1e-6
     assert hit.kind in ("grazing", "transversal")
-    zdot = flight_velocity(FreeFlight(z0, v0), hit.t)
+    zdot = flight_velocity(z0, v0, hit.t)
     assert abs(zdot.imag) < 1e-7 * abs(zdot)
 
 
 def test_first_impact_negative_axis_unsupported():
     with pytest.raises(UnsupportedFirstImpact) as exc:
-        first_impact(FreeFlight(1j, complex(-1, -10)))
+        first_impact(1j, complex(-1, -10))
     assert abs(exc.value.t - 0.101024) < 1e-4
     assert exc.value.r < 0
 
 
 def test_first_impact_through_pivot_unsupported():
     with pytest.raises(UnsupportedFirstImpact) as exc:
-        first_impact(FreeFlight(1j, -2j))
+        first_impact(1j, -2j)
     assert abs(exc.value.t - 0.5) < 1e-9
     assert abs(exc.value.r) < 1e-9
 
@@ -330,7 +329,7 @@ def test_first_impact_at_the_pivot_through_rounding(v0):
     # contact t = 1/|v0| the radius |z0 + v0 t| rounds to 0: an unsupported
     # hit there, where classify_impact would reject the radius
     with pytest.raises(UnsupportedFirstImpact) as exc:
-        first_impact(FreeFlight(-1 + 0j, v0))
+        first_impact(-1 + 0j, v0)
     assert (exc.value.t, exc.value.r) == (1.0 / v0.real, 0.0)
     assert simulate(-1, v0).termination == "unsupported_first_impact"
 
@@ -339,14 +338,14 @@ def test_first_impact_departure_from_rod():
     # on the rod at t = 0 but moving upward: the start is not a contact
     z0 = 1 + 0j
     v0 = 2.5j  # rotating-frame velocity v0 - i z0 = 1.5j points up
-    hit = first_impact(FreeFlight(z0, v0))
+    hit = first_impact(z0, v0)
     assert hit.t > 0.0
     assert hit.r > 0.0
 
 
 def test_first_impact_inside_first_scan_step():
     # a start just above the rod hits before one scan step has elapsed
-    hit = first_impact(FreeFlight(complex(1.0, 1e-5), 0j))
+    hit = first_impact(complex(1.0, 1e-5), 0j)
     assert 0.0 < hit.t < 1e-3
     assert abs(hit.r - 1.0) < 1e-9
     assert hit.kind == "transversal"
@@ -354,6 +353,10 @@ def test_first_impact_inside_first_scan_step():
 
 def test_first_impact_preconditions():
     with pytest.raises(ValueError):
-        first_impact(FreeFlight(complex(0, -1), 0j))
+        first_impact(complex(0, -1), 0j)
     with pytest.raises(ValueError):
-        first_impact(FreeFlight(1 + 0j, 0j))  # on the rod, not departing
+        first_impact(1 + 0j, 0j)  # on the rod, not departing
+    with pytest.raises(ValueError, match="z must have finite components"):
+        first_impact(complex(math.nan, 1.0), 1 + 0j)
+    with pytest.raises(ValueError, match="v must have finite components"):
+        first_impact(1j, complex(1.0, math.inf))
