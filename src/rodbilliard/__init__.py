@@ -15,10 +15,9 @@ from .rootfind import (RootFindError, T_STAR, UnsupportedFirstImpact,
                        first_impact, hybrid_root, solve_delta, solve_tstar)
 from .impact_map import (ImpactEvent, in_degenerate_set, recurrence_kernels,
                          segment_max_height, step)
-from .simulator import (ConvergenceRow, ConvergenceTable, QuasiTrajectory,
-                        TrajectoryRecord, convergence_experiment,
-                        quasi_position, quasi_velocity, record_state,
-                        simulate)
+from .simulator import (ConvergenceRow, QuasiTrajectory, TrajectoryRecord,
+                        convergence_experiment, quasi_position,
+                        quasi_velocity, record_state, simulate)
 from .oracle import OracleMismatch, oracle_simulate
 from .analysis import AsymptoticRow, asymptotic_table, estimate_growth_constant
 from .cli_io import (ExportOptions, export_trajectory, record_from_json,

@@ -67,17 +67,14 @@ class ExportOptions:
 
 def record_to_json(record: TrajectoryRecord) -> str:
     """The record as one compact JSON document: one array per column of
-    the record, the first impact's incoming velocity as a [re, im] pair."""
+    the record, and no value that the record derives."""
     cfg = asdict(record.config)
     cfg["t_max"] = None if math.isinf(cfg["t_max"]) else cfg["t_max"]
-    zdot_in = record.first_zdot_in
     data = {
         "z0": [record.z0.real, record.z0.imag],
         "v0": [record.v0.real, record.v0.imag],
         "config": cfg,
         "termination": record.termination,
-        "first_zdot_in": (None if zdot_in is None else
-                          [zdot_in.real, zdot_in.imag]),
         "first_kind": record.first_kind,
         "t": record.t,
         "r": record.r,
@@ -97,7 +94,8 @@ def record_from_json(text: str) -> TrajectoryRecord:
 
     Raises ValueError for another layout, a missing key, a wrongly typed or
     non-finite entry, an unknown termination or first impact, ragged
-    columns, or a termination that misfits them; ignores ``quasi_start``.
+    columns, or a termination that misfits them; ignores ``quasi_start``
+    and ``first_zdot_in``, which the record derives.
     """
     data = json.loads(text)
     try:
@@ -113,13 +111,11 @@ def record_from_json(text: str) -> TrajectoryRecord:
         if (len(r) != n or arcs not in (0, n) or len(beta) != arcs
                 or len(delta) + bool(arcs) != arcs):
             raise ValueError("record columns have inconsistent lengths")
-        zdot_in, kind, term = (data[key] for key in (
-            "first_zdot_in", "first_kind", "termination"))
-        if (zdot_in is None) != (n == 0) or kind not in (
-                (TRANSVERSAL, GRAZING, DEGENERATE) if n else (None,)):
-            raise ValueError(f"first impact {kind!r}, {zdot_in!r} misfits t")
+        kind, term = data["first_kind"], data["termination"]
+        if kind not in ((TRANSVERSAL, GRAZING, DEGENERATE) if n else (None,)):
+            raise ValueError(f"first impact {kind!r} misfits t")
         if not all(all(map(math.isfinite, col)) for col in (*cols, data["z0"],
-                   data["v0"], zdot_in or ())):
+                   data["v0"])):
             raise ValueError("record holds a non-finite number")
         if term not in _TERMINATIONS:
             raise ValueError(f"unknown termination {term!r}")
@@ -131,8 +127,7 @@ def record_from_json(text: str) -> TrajectoryRecord:
                              f"{kind!r}, {n} impacts and {arcs} arcs")
         return TrajectoryRecord(
             complex(*data["z0"]), complex(*data["v0"]), SimConfig(**cfg),
-            term, *map(tuple, cols),
-            None if zdot_in is None else complex(*zdot_in), kind)
+            term, *map(tuple, cols), kind)
     except KeyError as exc:
         raise ValueError(f"record lacks the key {exc}") from exc
     except TypeError as exc:
@@ -247,11 +242,14 @@ _FLAGS = (
     _Flag("config", str, None, "key=value file mirroring the flags; flags win",
           metavar="PATH"),
     _Flag("out", str, None, "output path (default: stdout)", metavar="PATH"),
-    _Flag("n-max", int, None, "impact budget (default 1000)"),
+    _Flag("n-max", int, None, "impact budget (default 1000)",
+          ("simulate", "impacts", "asympt")),
     _Flag("t-max", float, None, "time budget (default unbounded)"),
-    _Flag("scan-step", float, None, "oracle scan step (default 1e-3)"),
+    _Flag("scan-step", float, None, "oracle scan step (default 1e-3)",
+          ("simulate", "oracle")),
     _Flag("quasi", str, None, "behaviour at a degenerate impact (default stop)",
-          choices=("stop", "extend"), dest="quasi_mode"),
+          ("simulate", "impacts"), choices=("stop", "extend"),
+          dest="quasi_mode"),
     _Flag("frame", str, "both", "coordinate columns (default both)",
           ("simulate",), choices=("rotating", "lab", "both")),
     _Flag("samples", int, 64, "samples per segment (default 64)",
@@ -418,7 +416,7 @@ def _termination_exit(record: TrajectoryRecord, cascade: bool) -> int:
         print("first impact off the positive semiaxis: unsupported",
               file=sys.stderr)
         return EXIT_UNSUPPORTED
-    if term == "degenerate_stop" or cascade and term == "degenerate_quasi":
+    if term == "degenerate_stop":
         print(f"degenerate impact at t = {record.t[-1]}: " + (
             f"not applicable without a full cascade ({term})" if cascade
             else "trajectory cannot be extended"), file=sys.stderr)

@@ -319,8 +319,13 @@ def first_impact(z0: complex, v0: complex) -> FirstImpact:
     if z0 == 0:
         return hit(math.atan2(v0.imag, v0.real))  # leaving the pivot
     theta0 = math.atan2(abs(z0.imag), z0.real)  # abs: -0.0 is on the rod
-    n0 = z0.real * z0.real + z0.imag * z0.imag
-    p = z0.conjugate() * v0
+    # n0, p, w, phi and phi' are scale-free: they are formed from the pair
+    # scaled by 2^k, its largest part in [0.5, 1), so |z0|^2 cannot overflow
+    k = -math.frexp(max(map(abs, (z0.real, z0.imag, v0.real, v0.imag))))[1]
+    zr, zi = math.ldexp(z0.real, k), math.ldexp(z0.imag, k)
+    vr, vi = math.ldexp(v0.real, k), math.ldexp(v0.imag, k)
+    n0 = zr * zr + zi * zi
+    p = complex(zr, -zi) * complex(vr, vi)
     c, L = p.real, p.imag
     if L == 0.0:
         if c < 0.0 and -n0 / c <= theta0:
@@ -333,7 +338,7 @@ def first_impact(z0: complex, v0: complex) -> FirstImpact:
     # breakpoints t1 <= t2; since |z0|^2 w = c^2 + L^2 the quadratic's
     # discriminant is L (w - L), and |w - L| within rounding of its terms
     # is the double root of a full stop
-    w = v0.real * v0.real + v0.imag * v0.imag
+    w = vr * vr + vi * vi
     t1 = t2 = 0.0
     band = 8.0 * EPS * (w + math.sqrt(n0 * w))
     if L > 0.0 and w - L >= -band:
@@ -361,8 +366,8 @@ def first_impact(z0: complex, v0: complex) -> FirstImpact:
         b, rising, target = theta0 + max(0.0, math.atan2(L, c)), False, 0.0
 
     def phi_dphi(t: float) -> tuple[float, float]:
-        x = z0.real + v0.real * t
-        y = z0.imag + v0.imag * t
+        x = zr + vr * t
+        y = zi + vi * t
         return phi(t) - target, L / (x * x + y * y) - 1.0
 
     res = hybrid_root(phi_dphi, a, b, abs_tol=ROOT_REL_TOL,

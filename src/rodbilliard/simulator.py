@@ -72,8 +72,8 @@ class TrajectoryRecord:
     has ``a[k]``, ``beta[k]`` = b - 1 and, once closed, ``delta[k]``.  The
     last arc is open, or absent after a degenerate impact.  Every impact
     but the first is transversal with incoming velocity r (a - i beta).
-    ``impacts``, ``segments``, ``heights`` and ``quasi_start`` are built
-    on access; a height is solved when read.  (z0, v0): the approach arc.
+    ``impacts``, ``segments``, ``heights``, ``quasi_start`` and
+    ``first_zdot_in`` are derived on access.  (z0, v0): the approach arc.
     """
 
     z0: complex
@@ -85,7 +85,6 @@ class TrajectoryRecord:
     a: tuple[float, ...] = ()
     beta: tuple[float, ...] = ()
     delta: tuple[float, ...] = ()
-    first_zdot_in: complex | None = None
     first_kind: str | None = None
 
     @property
@@ -110,6 +109,17 @@ class TrajectoryRecord:
         if self.termination == "degenerate_quasi":
             return QuasiTrajectory(r=self.r[0], t1=self.t[0])
         return None
+
+    @property
+    def first_zdot_in(self) -> complex | None:
+        """The first impact's incoming velocity: 0j at ``simulate``'s analytic
+        full stop, else the approach arc's at t[0]; None without impacts."""
+        if not self.t:
+            return None
+        if self.first_kind == DEGENERATE and in_degenerate_set(
+                self.z0, self.v0 - 1j * self.z0)[0]:
+            return 0j
+        return flight_velocity(self.z0, self.v0, self.t[0])
 
     @property
     def open_delta(self) -> float | None:
@@ -175,19 +185,17 @@ def simulate(z0: complex, v0: complex,
         member, r_m, tau = (in_degenerate_set(z0, zdot0) if kind == DEGENERATE
                             else (False, 0.0, 0.0))
     if member:
-        t1, r1, zdot_in = tau, r_m, 0j
-    else:
-        zdot_in = flight_velocity(z0, v0, t1)
+        t1, r1 = tau, r_m
     if t1 > cfg.t_max:
         return TrajectoryRecord(z0, v0, cfg, "reached_t_max")
     if kind == DEGENERATE:
         return TrajectoryRecord(
             z0, v0, cfg, "degenerate_quasi" if cfg.quasi_mode == "extend"
-            else "degenerate_stop", t=(t1,), r=(r1,), first_zdot_in=zdot_in,
-            first_kind=kind)
+            else "degenerate_stop", t=(t1,), r=(r1,), first_kind=kind)
 
     # the first arc from the contact's verdict: beta > 0 if transversal,
     # and a grazing touch gets beta = 0 where rounding made it negative
+    zdot_in = flight_velocity(z0, v0, t1)
     columns = list(cascade(
         t1, r1, zdot_in.real / r1, max(-zdot_in.imag / r1, 0.0),
         cfg.n_max - 1, cfg.t_max))
@@ -198,8 +206,7 @@ def simulate(z0: complex, v0: complex,
     ts, rs, as_, betas, deltas = columns
     termination = "reached_n_max" if len(ts) == cfg.n_max else "reached_t_max"
     return TrajectoryRecord(z0, v0, cfg, termination, t=ts, r=rs, a=as_,
-                            beta=betas, delta=deltas, first_zdot_in=zdot_in,
-                            first_kind=kind)
+                            beta=betas, delta=deltas, first_kind=kind)
 
 
 def quasi_position(q: QuasiTrajectory, t: float) -> complex:
@@ -266,28 +273,18 @@ class ConvergenceRow:
     horizon: float
 
 
-@dataclass(frozen=True, slots=True)
-class ConvergenceTable:
-    r: float
-    t1: float
-    horizon: float
-    grid_points: int
-    perturbation: str
-    rows: tuple[ConvergenceRow, ...]
-
-
 def convergence_experiment(r: float, t1: float, epsilons: list[float],
                            T: float, grid_points: int = 1000
-                           ) -> ConvergenceTable:
+                           ) -> tuple[ConvergenceRow, ...]:
     """Distance of perturbed trajectories from the sliding continuation.
 
     Starts from the full-stop initial condition with parameters (r, t1),
-    scales the lab-frame velocity by (1 + eps), simulates, and reports
-    sup |z - z_quasi| and sup |zdot - zdot_quasi| over a uniform grid on
-    [0, T], cut at the next impact of a record's open last arc when the
-    run ends on its ``CONVERGENCE_N_MAX`` impacts before T.  Report only:
-    whether these suprema vanish as eps -> 0 is an open conjecture, so
-    nothing here asserts a trend.
+    scales the lab-frame velocity by (1 + eps), simulates, and gives per
+    eps a row of sup |z - z_quasi| and sup |zdot - zdot_quasi| over a
+    uniform grid on [0, T], cut at the next impact of a record's open last
+    arc when the run ends on its ``CONVERGENCE_N_MAX`` impacts before T.
+    Report only: whether these suprema vanish as eps -> 0 is an open
+    conjecture, so nothing here asserts a trend.
     """
     if not 0.0 < t1 < T_STAR:
         raise ValueError(f"t1 must lie in (0, {T_STAR}), got {t1}")
@@ -326,5 +323,4 @@ def convergence_experiment(r: float, t1: float, epsilons: list[float],
                                    n_impacts=len(record.t),
                                    termination=record.termination,
                                    horizon=horizon))
-    return ConvergenceTable(r=r, t1=t1, horizon=T, grid_points=grid_points,
-                            perturbation="v0-scale", rows=tuple(rows))
+    return tuple(rows)

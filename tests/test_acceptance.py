@@ -195,9 +195,9 @@ def test_criterion_12_report_only_experiments(big_orbit):
         assert len(residuals) > 0
         assert all(math.isfinite(res) for res in residuals)
 
-        table = convergence_experiment(1.0, 1.0, [1e-2, 1e-3, 1e-4], T=2.5)
-        assert len(table.rows) == 3
-        for row in table.rows:
+        rows = convergence_experiment(1.0, 1.0, [1e-2, 1e-3, 1e-4], T=2.5)
+        assert len(rows) == 3
+        for row in rows:
             assert math.isfinite(row.sup_pos)
             assert math.isfinite(row.sup_vel)
             assert row.n_impacts >= 1

@@ -9,8 +9,8 @@ import sys
 import pytest
 
 from rodbilliard import (QuasiTrajectory, SimConfig, flight_position,
-                         quasi_position, segment_position, simulate,
-                         unit_rotation)
+                         flight_velocity, quasi_position, segment_position,
+                         simulate, unit_rotation)
 from rodbilliard import cli_io
 from rodbilliard.cli_io import (ExportOptions, export_trajectory, main,
                                 record_from_json, record_to_json)
@@ -249,8 +249,7 @@ def test_simulate_json_roundtrip(capsys):
 _TRANSVERSAL_JSON = (
     '{"z0":[0.0,1.0],"v0":[1.0,0.0],"config":{"root_abs_tol":1e-13,'
     '"scan_step":0.001,"n_max":3,"t_max":null,"quasi_mode":"stop"},'
-    '"termination":"reached_n_max","first_zdot_in":'
-    '[0.652184623909187,-2.0772166715899907],"first_kind":"transversal","t":'
+    '"termination":"reached_n_max","first_kind":"transversal","t":'
     '[0.8603335890193797,1.9223637703449956,2.5525310753237767],"r":'
     '[1.3191565048905178,4.13015009536933,7.673384573531324],"a":'
     '[0.49439518471943134,0.7951015404037628,0.8968053785291483],"beta":'
@@ -260,8 +259,7 @@ _GRAZING_JSON = (
     '{"z0":[1.6547363797861485,0.9445885418594867],"v0":[-1.0769821877578958,'
     '-0.010457879910216962],"config":{"root_abs_tol":1e-13,"scan_step":0.001,'
     '"n_max":3,"t_max":null,"quasi_mode":"stop"},"termination":'
-    '"reached_n_max","first_zdot_in":[-0.40000000000000024,'
-    '-2.498001805406602e-16],"first_kind":"grazing","t":[1.1999999999999997,'
+    '"reached_n_max","first_kind":"grazing","t":[1.1999999999999997,'
     '2.299716106987903,2.7424090883367156],"r":[1.0000000000000002,'
     '1.2341404753646517,1.7134197420362618],"a":[-0.40000000000000013,'
     '0.574925562583725,0.7887064691616316],"beta":[2.4980018054066017e-16,'
@@ -289,7 +287,7 @@ def test_json_of_earlier_layout_is_rejected(tables):
     # impacts and segments as tables of columns, or earlier still as lists
     # of row objects
     data = json.loads(record_to_json(simulate(1j, 1, SimConfig(n_max=1))))
-    for key in ("t", "r", "a", "beta", "delta", "first_zdot_in", "first_kind"):
+    for key in ("t", "r", "a", "beta", "delta", "first_kind"):
         del data[key]
     with pytest.raises(ValueError, match="pre-columnar layout"):
         record_from_json(json.dumps({**data, **tables}))
@@ -364,14 +362,12 @@ def test_json_with_inconsistent_columns_is_rejected(key, edit):
     ("a", 0, "Infinity", "non-finite"),
     ("beta", 2, "NaN", "non-finite"),
     ("delta", 1, "-1e999", "non-finite"),
-    ("first_zdot_in", 1, "NaN", "non-finite"),
     ("termination", None, '"bogus"', "unknown termination"),
     ("config", "n_max", "2.5", "n_max"),
     ("config", "n_max", "true", "n_max"),
     ("r", 0, '"x"', "wrongly typed"),
     ("r", None, "5", "wrongly typed"),
     ("z0", None, "[0, 1, 2]", "wrongly typed"),
-    ("first_zdot_in", None, '"x"', "wrongly typed"),
     ("config", None, '{"n_max": 3, "bogus": 1}', "wrongly typed")])
 def test_json_with_bad_value_is_rejected(key, k, literal, match):
     # a non-finite number, an unknown termination, a non-integer or boolean
@@ -387,15 +383,13 @@ def test_json_with_bad_value_is_rejected(key, k, literal, match):
 
 
 @pytest.mark.parametrize("n_max,t_max,key,value", [
-    (3, None, "first_zdot_in", None),
     (3, None, "first_kind", None),
     (3, None, "first_kind", "bogus"),
-    (3, 0.5, "first_zdot_in", [0.5, -1.0]),
     (3, 0.5, "first_kind", "transversal")])
 def test_json_with_a_first_impact_that_does_not_fit_t_is_rejected(
         n_max, t_max, key, value):
-    # first_zdot_in and first_kind are null exactly when t is empty (t_max =
-    # 0.5 ends the record before its first impact), else a known kind
+    # first_kind is null exactly when t is empty (t_max = 0.5 ends the
+    # record before its first impact), else a known kind
     record = simulate(1j, 1, SimConfig(n_max=n_max, t_max=t_max or math.inf))
     assert len(record.t) == (0 if t_max else 3)
     data = json.loads(record_to_json(record))
@@ -454,8 +448,45 @@ def test_json_quasi_start_of_older_documents_is_ignored(full_stop,
                                   else None)
 
 
+def _first_zdot_in_records():
+    """A transversal, a grazing and a full-stop record, one cut before its
+    first impact, and each one's derived first incoming velocity."""
+    full_stop = simulate(*stopping_set_point(1.5, 2.0), SimConfig(n_max=3))
+    transversal = simulate(1j, 1, SimConfig(n_max=3))
+    grazing = simulate(GRAZING_Z0, GRAZING_V0, SimConfig(n_max=3))
+    return [(full_stop, 0j),
+            (transversal, flight_velocity(1j, 1, transversal.t[0])),
+            (grazing, flight_velocity(GRAZING_Z0, GRAZING_V0, grazing.t[0])),
+            (simulate(1j, 1, SimConfig(n_max=3, t_max=0.5)), None)]
+
+
+@pytest.mark.parametrize("first_zdot_in", [[0.5, -1.0], [0.0, 0.0], None])
+def test_json_first_zdot_in_of_older_documents_is_ignored(first_zdot_in):
+    # the record derives the first impact's incoming velocity from z0, v0,
+    # t[0] and first_kind; an older document's value, even one that
+    # contradicts the flight or the impacts, loads as without it
+    for record, derived in _first_zdot_in_records():
+        text = record_to_json(record)
+        loaded = record_from_json(json.dumps(
+            {**json.loads(text), "first_zdot_in": first_zdot_in}))
+        assert loaded == record and record_to_json(loaded) == text
+        assert loaded.first_zdot_in == derived
+        assert loaded.impacts == record.impacts
+
+
+def test_json_without_first_zdot_in_loads():
+    for record, derived in _first_zdot_in_records():
+        data = json.loads(record_to_json(record))
+        data.pop("first_zdot_in", None)
+        loaded = record_from_json(json.dumps(data))
+        assert loaded == record
+        assert loaded.first_zdot_in == derived
+        if record.t:
+            assert loaded.impacts[0].zdot_in == derived
+
+
 @pytest.mark.parametrize("key", [
-    "first_kind", "first_zdot_in", "termination", "config", "z0", "delta"])
+    "first_kind", "termination", "config", "z0", "delta"])
 def test_json_that_lacks_a_key_is_rejected(key):
     data = json.loads(record_to_json(simulate(1j, 1, SimConfig(n_max=3))))
     del data[key]
@@ -811,15 +842,13 @@ def test_impacts_open_last_arc_matches_closed_row(capsys, n):
     assert rows[0][n] == rows[1][n]
 
 
-@pytest.mark.parametrize("quasi,exit_code", [(None, 2), ("stop", 3),
-                                             ("extend", 3)])
-def test_asympt_early_end_reported_without_csv(capsys, quasi, exit_code):
+@pytest.mark.parametrize("exit_code", [2, 3])
+def test_asympt_early_end_reported_without_csv(capsys, exit_code):
     if exit_code == 2:
         start = ["--z0", "0,1", "--v0=-1,-10"]
     else:
         z0, v0 = stopping_set_point(1.0, 1.0)
-        start = [f"--z0={z0.real},{z0.imag}", f"--v0={v0.real},{v0.imag}",
-                 "--quasi", quasi]
+        start = [f"--z0={z0.real},{z0.imag}", f"--v0={v0.real},{v0.imag}"]
     code = run_cli(["asympt", *start, "--at", "10"])
     captured = capsys.readouterr()
     assert code == exit_code
@@ -840,11 +869,9 @@ def test_out_into_missing_directory_exit_1(tmp_path, capsys):
 CONFIG_KEYS = {
     "simulate": ["z0", "v0", "out", "n-max", "t-max", "scan-step", "quasi",
                  "frame", "samples", "format"],
-    "impacts": ["z0", "v0", "out", "n-max", "t-max", "scan-step", "quasi"],
-    "asympt": ["z0", "v0", "out", "n-max", "t-max", "scan-step", "quasi",
-               "at", "band"],
-    "oracle": ["z0", "v0", "out", "n-max", "t-max", "scan-step", "quasi",
-               "n-impacts"],
+    "impacts": ["z0", "v0", "out", "n-max", "t-max", "quasi"],
+    "asympt": ["z0", "v0", "out", "n-max", "t-max", "at", "band"],
+    "oracle": ["z0", "v0", "out", "t-max", "scan-step", "n-impacts"],
 }
 BASE_FLAGS = {"z0": "0,1", "v0": "1,0", "n-max": "6", "at": "5",
               "n-impacts": "5"}
@@ -896,3 +923,23 @@ def test_config_file_bad_value_or_foreign_key_exit_1(tmp_path, command,
     with pytest.raises(SystemExit) as exc:
         run_cli([command, "--config", str(cfg_file)])
     assert exc.value.code == 1
+
+
+# flags that no output of the subcommand depends on: impacts and asympt
+# never scan, asympt and oracle end at any full stop, and oracle's
+# --n-impacts sets the impact budget
+@pytest.mark.parametrize("command,key", [
+    ("impacts", "scan-step"), ("asympt", "scan-step"), ("asympt", "quasi"),
+    ("oracle", "quasi"), ("oracle", "n-max")])
+def test_flag_the_subcommand_does_not_take_exit_1(tmp_path, capsys, command,
+                                                  key):
+    base = [command] + [f"--{k}={v}" for k, v in BASE_FLAGS.items()
+                        if k in CONFIG_KEYS[command]]
+    assert run_captured(base, capsys)[0] == 0
+    code, out, err = run_captured(base + [f"--{key}={KEY_VALUES[key]}"],
+                                  capsys)
+    assert (code, out) == (1, "") and "unrecognized arguments" in err
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{key}={KEY_VALUES[key]}\n")
+    code, out, err = run_captured(base + ["--config", str(cfg_file)], capsys)
+    assert (code, out) == (1, "") and f"unknown key {key!r}" in err

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rodbilliard import (T_STAR,
+from rodbilliard import (SimConfig, T_STAR,
                          UnsupportedFirstImpact, first_impact, hybrid_root,
                          rootfind, simulate, solve_delta, solve_tstar)
 from conftest import (GRAZING_V0, GRAZING_Z0, in_start_window,
@@ -332,6 +332,37 @@ def test_first_impact_at_the_pivot_through_rounding(v0):
         first_impact(-1 + 0j, v0)
     assert (exc.value.t, exc.value.r) == (1.0 / v0.real, 0.0)
     assert simulate(-1, v0).termination == "unsupported_first_impact"
+
+
+@pytest.mark.parametrize("k", [515, 520, 1000])
+def test_orbit_scaled_past_the_square_overflow(k):
+    # the reference orbit scaled by 2^k, where |z0|^2 overflows (formed
+    # directly, it puts the contact at pi/4).  The contact's angle is
+    # scale-free, so the contact is the unit orbit's, and every column but
+    # r is the same
+    scale = 2.0 ** k
+    unit = simulate(1j, 1, SimConfig(n_max=50))
+    record = simulate(scale * 1j, scale, SimConfig(n_max=50))
+    assert record.r == tuple(scale * r for r in unit.r)
+    assert (record.t, record.a, record.beta, record.delta) == (
+        unit.t, unit.a, unit.beta, unit.delta)
+    assert record.first_zdot_in == scale * unit.first_zdot_in
+
+
+def test_first_impact_far_above_the_rod():
+    # the reference orbit scaled by 1e155, not a power of two: its first
+    # contact keeps the unit orbit's time
+    hit = first_impact(1e155j, 1e155)
+    assert hit.t == 0.8603335890193797
+    assert hit.r == pytest.approx(1e155 * 1.3191565048905178, rel=4e-16)
+    # |z0|^2 = 1e600 overflows (formed directly, it leaves the root search
+    # a bracket of [inf, inf]); the ball falls 1.57 from height 1e300 and
+    # meets the rod a quarter turn later
+    hit = first_impact(-1 + 1e300j, -1j)
+    assert (hit.t, hit.r, hit.kind) == (math.pi / 2, 1e300, "transversal")
+    record = simulate(-1 + 1e300j, -1j, SimConfig(n_max=3))
+    assert (record.termination, record.t[0], record.r[0]) == (
+        "reached_n_max", math.pi / 2, 1e300)
 
 
 def test_first_impact_departure_from_rod():

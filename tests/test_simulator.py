@@ -246,7 +246,7 @@ def test_full_stop_start_near_the_rod_stops():
     # the stop lies past a shorter time budget
     record = simulate(z0, v0, SimConfig(t_max=5e-5))
     assert record.termination == "reached_t_max"
-    row, = convergence_experiment(1.0, 1e-4, [0.0], 1.0).rows
+    row, = convergence_experiment(1.0, 1e-4, [0.0], 1.0)
     assert row.termination == "degenerate_quasi"
     with pytest.raises(ValueError, match="sits on the rod"):
         first_impact(z0, v0)
@@ -256,7 +256,7 @@ def test_full_stop_start_with_tiny_tau_stops():
     # tau < 1e-6: zdot0 = v0 - i z0 cancels to a relative error eps/tau,
     # and membership is tested on z0/v0 = -tau - i, which does not cancel
     row, = convergence_experiment(3.1952324545280613, 4.777886050771952e-07,
-                                  [0.0], 1.0).rows
+                                  [0.0], 1.0)
     assert row.termination == "degenerate_quasi"
     assert row.n_impacts == 1
     z0, v0 = stopping_set_point(3.1952324545280613, 4.777886050771952e-07)
@@ -316,8 +316,7 @@ def test_impact_map_logs_nothing_near_grazing(caplog):
             assert step(1.0, a, beta) == reference_step(1.0, a, beta)
             record = TrajectoryRecord(
                 1j, 1 + 0j, DEFAULT_CONFIG, "reached_n_max", t=(1.0,),
-                r=(1.0,), a=(a,), beta=(beta,), first_zdot_in=complex(a, -beta),
-                first_kind=TRANSVERSAL)
+                r=(1.0,), a=(a,), beta=(beta,), first_kind=TRANSVERSAL)
             assert record.open_delta == delta
     assert caplog.records == []
 
@@ -401,16 +400,15 @@ def test_quasi_matches_degenerate_arc_c1():
 
 
 def test_convergence_experiment_reports():
-    table = convergence_experiment(1.0, 1.0, [0.0, 1e-2, 1e-3], T=2.5,
-                                   grid_points=400)
-    assert table.perturbation == "v0-scale"
-    assert table.horizon == 2.5
-    assert len(table.rows) == 3
-    zero_row = table.rows[0]
+    rows = convergence_experiment(1.0, 1.0, [0.0, 1e-2, 1e-3], T=2.5,
+                                  grid_points=400)
+    assert [row.epsilon for row in rows] == [0.0, 1e-2, 1e-3]
+    assert all(row.horizon == 2.5 for row in rows)
+    zero_row = rows[0]
     assert zero_row.termination == "degenerate_quasi"
     assert zero_row.sup_pos < 1e-9
     assert zero_row.sup_vel < 1e-9
-    for row in table.rows[1:]:
+    for row in rows[1:]:
         assert math.isfinite(row.sup_pos) and row.sup_pos > 0
         assert math.isfinite(row.sup_vel) and row.sup_vel > 0
         assert row.n_impacts >= 1
@@ -424,7 +422,7 @@ def test_convergence_row_ends_where_its_record_does(monkeypatch):
     monkeypatch.setattr(simulator, "CONVERGENCE_N_MAX", 500)
     T, points = 3.0, 1000
     chatter, far = convergence_experiment(1.0, 1.0, [1e-10, 1e-2], T,
-                                          points).rows
+                                          points)
     assert (far.termination, far.horizon) == ("reached_t_max", T)
     z0, v0 = stopping_set_point(1.0, 1.0)
     record = simulate(z0, v0 * (1.0 + 1e-10),
