@@ -20,7 +20,8 @@ from functools import partial
 from itertools import count, islice
 from typing import Callable, NamedTuple
 
-from .core import DEGENERATE, GRAZING, TRANSVERSAL, SimConfig
+from .core import (DEGENERATE, GRAZING, TRANSVERSAL, ContractViolation,
+                   SimConfig, classify_impact)
 from .flight import check_segment, flight_position, segment_position
 from .oracle import OracleMismatch, oracle_simulate
 from .rootfind import UnsupportedFirstImpact
@@ -94,8 +95,8 @@ def record_from_json(text: str) -> TrajectoryRecord:
 
     Raises ValueError for another layout, a missing key, a wrongly typed or
     non-finite entry, an unknown termination or first impact, ragged
-    columns, or a termination that misfits them; ignores ``quasi_start``
-    and ``first_zdot_in``, which the record derives.
+    columns, or a termination or first impact that misfits them; ignores
+    ``quasi_start`` and ``first_zdot_in``, which the record derives.
     """
     data = json.loads(text)
     try:
@@ -125,9 +126,17 @@ def record_from_json(text: str) -> TrajectoryRecord:
                 or (n, arcs) != ((1, 0) if stopped else (n, n))):
             raise ValueError(f"termination {term!r} misfits the first impact "
                              f"{kind!r}, {n} impacts and {arcs} arcs")
-        return TrajectoryRecord(
+        record = TrajectoryRecord(
             complex(*data["z0"]), complex(*data["v0"]), SimConfig(**cfg),
             term, *map(tuple, cols), kind)
+        if n and r[0] > 0.0:  # a radius r <= 0 is left to the arc checks
+            try:  # first_impact's verdict, where a tangency grazes
+                verdict = classify_impact(r[0], record.first_zdot_in)
+            except ContractViolation:
+                verdict = GRAZING
+            if verdict != kind:
+                raise ValueError(f"first impact {kind!r} misfits its velocity")
+        return record
     except KeyError as exc:
         raise ValueError(f"record lacks the key {exc}") from exc
     except TypeError as exc:

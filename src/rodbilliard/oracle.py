@@ -1,21 +1,21 @@
 """Brute-force trajectory verifier, independent of the impact recurrences.
 
-Every impact is found by scanning Im z(t) on the exact flight formula
-over a grid of step scan_step and refining the first downward sign
-change by a safeguarded Newton iteration; after each reflection the free
-flight is rebuilt from the contact point and the reflected velocity.
-Flights are parametrized in local time from their own impact (rebasing
-the lab frame to the rod angle there), which keeps magnitudes of order r
-and avoids the loss of significance a global (z, v) anchor suffers as t
-grows.  Meant for cross-validation runs while the gaps between impacts
-stay above one scan step: on the reference orbit about 1500 impacts at
-the default scan_step 1e-3, and past 10^4 at 1e-5.  The flight is
-carried as the four parts of z and v, and every height, slope and hit
-point is computed inline with the rounding of ``flight_position`` and
-``flight_velocity``; the reflected velocity is the incoming one's
-conjugate.  The scan skips the grid points a Taylor bound proves
-positive and leaps over them a binade at a time: its brackets are those
-of the dense complex scan, at under a fifteenth of its evaluations.
+Every impact is found by scanning Im z(t) on the exact flight formula over
+a grid of step scan_step and refining the first downward sign change to
+the end point of a converged step of safeguarded Newton; after each
+reflection the free flight is rebuilt from the contact point and the
+reflected velocity.  Flights are parametrized in local time from their own
+impact (rebasing the lab frame to the rod angle there), which keeps
+magnitudes of order r and avoids the loss of significance a global (z, v)
+anchor suffers as t grows.  Meant for cross-validation runs while the gaps
+between impacts stay above one scan step: on the reference orbit about
+1500 impacts at the default scan_step 1e-3, and past 10^4 at 1e-5.  The
+flight is carried as the four parts of z and v, and every height, slope
+and hit point is computed inline with the rounding of ``flight_position``
+and ``flight_velocity``; the reflected velocity is the incoming one's
+conjugate.  The scan skips the grid points a Taylor bound proves positive
+and leaps over them a binade at a time: its brackets are those of the
+dense complex scan, at under a fifteenth of its evaluations.
 """
 
 from __future__ import annotations
@@ -233,15 +233,14 @@ def _refine(zr: float, zi: float, vr: float, vi: float, lo: float, hi: float,
     sample replaces the end whose sign it shares.  The next sample is the
     Newton point if that lies toward the other end and at most half the
     bracket's width away, else the midpoint.  A Newton step shorter than
-    tol/2 (or than an ulp of hi, for a tol below the float spacing) is
-    lengthened to it, so that the next sample closes the bracket; from a
-    sample where h rounds to 0 that length doubles for the next such step,
-    which crosses a plateau of rounded zeros in logarithmically many
-    samples.  Stops once the bracket is narrower than tol or its ends are
-    adjacent floats, and returns its midpoint.
+    tol/2 (or than an ulp of hi, for a tol below the float spacing) has
+    converged: its end point, inside the bracket by the step test, is
+    returned, unbiased by a midpoint.  Without such a step the refinement
+    stops once the bracket is narrower than tol or its ends are adjacent
+    floats, and returns its midpoint.
     """
     sin, cos = math.sin, math.cos
-    nudge = max(0.5 * tol, math.ulp(hi))
+    step_tol = max(0.5 * tol, math.ulp(hi))
     s = lo + (hi - lo) * (h_lo / (h_lo - h_hi))
     while hi - lo >= tol and lo < (mid := 0.5 * (lo + hi)) < hi:
         if not lo < s < hi:
@@ -255,10 +254,8 @@ def _refine(zr: float, zi: float, vr: float, vi: float, lo: float, hi: float,
             hi = s
         if -math.inf < dh < 0.0 and abs(h) <= -0.5 * dh * (hi - lo):
             d = -h / dh
-            if abs(d) < nudge:
-                d = nudge if h > 0.0 else -nudge
-                if h == 0.0:
-                    nudge *= 2.0
+            if abs(d) < step_tol:
+                return s + d
             s += d
         else:
             s = 0.5 * (lo + hi)

@@ -16,8 +16,8 @@ from rodbilliard.cli_io import (ExportOptions, export_trajectory, main,
                                 record_from_json, record_to_json)
 from rodbilliard.core import EPS
 from rodbilliard.rootfind import solve_delta
-from conftest import (GRAZING_V0, GRAZING_Z0, random_supported_starts,
-                      stopping_set_point)
+from conftest import (GRAZING_V0, GRAZING_Z0, make_grazing_start,
+                      random_supported_starts, stopping_set_point)
 
 
 def run_cli(args):
@@ -399,6 +399,43 @@ def test_json_with_a_first_impact_that_does_not_fit_t_is_rejected(
         record_from_json(json.dumps(data))
 
 
+@pytest.mark.parametrize("text,kind", [(_TRANSVERSAL_JSON, "grazing"),
+                                       (_GRAZING_JSON, "transversal")],
+                         ids=["transversal", "grazing"])
+def test_json_with_a_first_kind_that_misfits_its_velocity_is_rejected(
+        text, kind):
+    # the first kind is the verdict on the derived incoming velocity: the
+    # transversal contact at 0.652 - 2.077i does not graze
+    data = json.loads(text)
+    data["first_kind"] = kind
+    with pytest.raises(ValueError, match="misfits its velocity"):
+        record_from_json(json.dumps(data))
+
+
+def test_json_first_kind_is_the_verdict_on_its_velocity():
+    # simulate's first kinds pass the reader's verdict: random starts,
+    # grazing starts and full-stop starts with v0 scaled by 1 + eps, in
+    # both quasi modes, reload as written, and every kind occurs
+    rng = random.Random(3401)
+    starts = [(complex(rng.uniform(-5, 5), rng.uniform(0.1, 5)),
+               complex(rng.uniform(-5, 5), rng.uniform(-5, 5)))
+              for _ in range(300)]
+    for eps in (0.0, 1e-12, -1e-12, 1e-8, -1e-8, 1e-4):
+        for _ in range(30):
+            z0, v0 = stopping_set_point(10.0 ** rng.uniform(-3, 3),
+                                        rng.uniform(0.01, 3))
+            starts.append((z0, v0 * (1.0 + eps)))
+    starts += [make_grazing_start(10.0 ** rng.uniform(-3, 3),
+                                  -10.0 ** rng.uniform(-3, 0.3),
+                                  rng.uniform(0.05, 3)) for _ in range(60)]
+    kinds = set()
+    for (z0, v0), quasi_mode in itertools.product(starts, ("stop", "extend")):
+        record = simulate(z0, v0, SimConfig(n_max=3, quasi_mode=quasi_mode))
+        assert record_from_json(record_to_json(record)) == record
+        kinds.add(record.first_kind)
+    assert kinds == {None, "transversal", "grazing", "degenerate"}
+
+
 def _full_stop_json(quasi_mode):
     z0, v0 = stopping_set_point(1.5, 2.0)
     return json.loads(record_to_json(simulate(
@@ -701,6 +738,17 @@ def test_oracle_hundred_impacts_ok(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert code == 0
     assert len(lines) == 101
+
+
+def test_oracle_four_hundred_impacts_ok(capsys):
+    # radii reach 1.2e4 here; the oracle's roots carry no bias that
+    # compounds along the orbit, so r stays inside the absolute band
+    code = run_cli(["oracle", "--z0", "0,1", "--v0", "1,0",
+                    "--n-impacts", "400"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert len(captured.out.splitlines()) == 401
 
 
 def test_oracle_honours_t_max(capsys):

@@ -137,7 +137,7 @@ def _complex_scan(ff, s0, h0, cfg):
 def _complex_refine(ff, lo, hi, h_lo, h_hi, tol):
     """The oracle's safeguarded Newton refinement, each sample's h and h'
     taken from flight_position and flight_velocity."""
-    nudge = max(0.5 * tol, math.ulp(hi))
+    step_tol = max(0.5 * tol, math.ulp(hi))
     s = lo + (hi - lo) * (h_lo / (h_lo - h_hi))
     while hi - lo >= tol and lo < 0.5 * (lo + hi) < hi:
         if not lo < s < hi:
@@ -149,10 +149,8 @@ def _complex_refine(ff, lo, hi, h_lo, h_hi, tol):
             hi = s
         if -math.inf < dh < 0.0 and abs(h) <= -0.5 * dh * (hi - lo):
             d = -h / dh
-            if abs(d) < nudge:
-                d = nudge if h > 0.0 else -nudge
-                if h == 0.0:
-                    nudge *= 2.0
+            if abs(d) < step_tol:
+                return s + d
             s += d
         else:
             s = 0.5 * (lo + hi)
@@ -322,8 +320,8 @@ def test_skipping_scan_takes_under_a_third_of_the_evaluations(monkeypatch):
     monkeypatch.setitem(globals(), "flight_position", counted_position)
     assert inline == [_oracle_outcome(_complex_oracle, z0, v0, 50, cfg)
                       for z0, v0 in _STARTS]
-    assert counting.sin_calls == evals == 4645
-    assert 15 * evals < dense_evals == 92082
+    assert counting.sin_calls == evals == 4045
+    assert 15 * evals < dense_evals == 91482
 
 
 # halfway between multiples of the float spacing in [4, 8), where
@@ -386,18 +384,33 @@ def test_a_step_of_half_the_window_spacing_stalls():
                                     *random_supported_starts(5, seed=1301)])
 def test_fine_step_oracle_follows_simulate_to_ten_thousand_impacts(z0, v0):
     # at scan_step 1e-5 the oracle reaches delta_n near 1.5e-4, deep in the
-    # reversion box.  t keeps the 1e-9 (1 + t) band.  The oracle's flight,
-    # rebuilt in floats after each impact, drifts along the orbit about like
-    # n^2 (3.5e-9 relative in r at n = 10^4, 3.4e-8 at 3 10^4), so r gets
-    # the relative band eps n^2 / 2 = 1.1e-8 at n = 10^4
+    # reversion box.  The oracle's flight, rebuilt in floats after each
+    # impact, drifts along the orbit, but its roots carry no bias that
+    # compounds like n^2: the worst of these six starts reads 7.8e-11
+    # relative in r and 5.1e-12 in t / (1 + t) to n = 10^4
     n = 10**4
     cfg = SimConfig(n_max=n, scan_step=1e-5, root_abs_tol=1e-15)
     record = simulate(z0, v0, cfg)
     reference = oracle_simulate(z0, v0, n, cfg)
     assert len(reference) == len(record.impacts) == n
     for ev, (t_o, r_o) in zip(record.impacts, reference):
-        assert abs(ev.t - t_o) <= 1e-9 * (1 + ev.t)
-        assert abs(ev.r - r_o) <= 0.5 * EPS * n * n * ev.r
+        assert abs(ev.t - t_o) <= 1e-10 * (1 + ev.t)
+        assert abs(ev.r - r_o) <= 1e-9 * ev.r
+
+
+@pytest.mark.parametrize("tol", [1e-15, 1e-13])
+def test_oracle_root_tolerance_leaves_no_drift(tol):
+    # the reference orbit to n = 1000 at the default scan step: a root
+    # biased by a fraction of tol would compound along the orbit (4e-9 at
+    # 1e-13); the gap to simulate reads about 1.5e-12 at either tol
+    n = 1000
+    cfg = SimConfig(n_max=n, root_abs_tol=tol)
+    record = simulate(1j, 1, cfg)
+    reference = oracle_simulate(1j, 1, n, cfg)
+    assert len(reference) == len(record.impacts) == n
+    for t, r, (t_o, r_o) in zip(record.t, record.r, reference):
+        assert abs(t_o - t) <= 5e-12
+        assert abs(r_o / r - 1.0) <= 5e-12
 
 
 def _mp_height(flight, s):
@@ -424,10 +437,12 @@ def _bisection(flight, lo, hi, tol):
     return 0.5 * (lo + hi)
 
 
-def test_refined_roots_are_near_the_mpmath_roots(monkeypatch):
+@pytest.mark.parametrize("tol", [1e-15, 1e-13])
+def test_refined_roots_are_near_the_mpmath_roots(monkeypatch, tol):
     # every crossing of 12 seeded starts x 50 impacts; each root within
-    # 7e-16 of the 50-digit root of the same float flight, where the
-    # bisection to the same tol strays further on the same brackets
+    # 5e-16 of the 50-digit root of the same float flight, where the
+    # bisection to the same tol strays further on the same brackets, and
+    # the roots unbiased: their mean signed error within 2e-17
     mpmath = pytest.importorskip("mpmath")
     crossings = []
 
@@ -436,23 +451,25 @@ def test_refined_roots_are_near_the_mpmath_roots(monkeypatch):
         return crossings[-1][1]
 
     monkeypatch.setattr(rodbilliard.oracle, "_refine", recording)
-    cfg = SimConfig(root_abs_tol=1e-15)
+    cfg = SimConfig(root_abs_tol=tol)
     for z0, v0 in random_supported_starts(12, seed=7):
         assert len(oracle_simulate(z0, v0, 50, cfg)) == 50
     assert len(crossings) == 600
-    worst = worst_bisection = 0.0
+    worst = worst_bisection = total = 0.0
     with mpmath.workdps(50):
-        for (*flight, lo, hi, _, _, tol), root in crossings:
+        for (*flight, lo, hi, _, _, _), root in crossings:
             exact = mpmath.findroot(lambda s: _mp_height(flight, s), root)
             assert lo < exact < hi
             zr, zi, vr, vi = (mpmath.mpf(x) for x in flight)
             slope = ((vr + zi + vi * exact) * mpmath.sin(-exact)
                      + (vi - zr - vr * exact) * mpmath.cos(-exact))
             assert slope < -1e-3 * (abs(zr) + abs(zi) + abs(vr) + abs(vi))
+            total += root - exact
             worst = max(worst, abs(root - exact))
             worst_bisection = max(worst_bisection, abs(
                 _bisection(flight, lo, hi, tol) - exact))
-    assert worst <= 7e-16 < worst_bisection
+    assert worst <= 5e-16 < worst_bisection
+    assert abs(total) <= 2e-17 * len(crossings)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -492,8 +509,8 @@ def test_refinement_of_adversarial_brackets(monkeypatch, seed):
 
 
 def test_tolerance_below_the_float_spacing(monkeypatch):
-    # adjacent floats end the refinement: at a tol of 1e-18, below the
-    # spacing of most roots, the bisection ran to its cap of 200 halvings
+    # at a tol of 1e-18, below the spacing of most roots, a Newton step
+    # shorter than an ulp ends the refinement, or else adjacent floats
     counting = _SinCountingMath()
     monkeypatch.setattr(rodbilliard.oracle, "math", counting)
     fine = oracle_simulate(1j, 1, 200, SimConfig(root_abs_tol=1e-18))
