@@ -1,21 +1,20 @@
-"""Safeguarded scalar root finding for the impact-time equations.
+"""Scalar root finding for the impact-time equations.
 
 ``hybrid_root``, a bracketed Newton/bisection hybrid, solves the first
 contact of a free flight (from its closed-form angle, split into at most
-three monotone pieces), the arc height and t = tan t.  The return time of
-an arc, b s cos s = (1 + a s) sin s, takes the same steps in
-``newton_delta``, with the reduced form of ``reduced_arc`` inlined.
-Newton steps accelerate a sign-change bracket; any step that leaves it
-falls back to bisection, so convergence is guaranteed for continuous
-functions.  Inside a fixed box of arc parameters, which holds the long
-orbit's small steps, the return time needs no solve: its reversion
-series in beta is within 1.5 ulps of the root there, and Newton's start
-in a wider window.  Table and edges are kept here; ``impact_map.cascade``
-alone makes these choices, and ``solve_delta`` is one impact of it.
+three monotone pieces), the arc height and t = tan t.  The return time
+of an arc, b s cos s = (1 + a s) sin s, has a concave form with a unique
+root, which ``newton_delta`` approaches monotonically from the right.
+Inside a fixed box of arc parameters, which holds the long orbit's small
+steps, it needs no solve: its reversion series in beta is within 1.5
+ulps of the root there, and Newton's start in a wider window.  Table and
+edges are kept here; ``impact_map.cascade`` alone makes these choices,
+and ``solve_delta`` is one impact of it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, NamedTuple
 
@@ -128,8 +127,8 @@ REVERSION_Q = (
 REVERSION_A_MIN = 0.5   # exclusive
 REVERSION_A_MAX = 1.0
 REVERSION_W_MAX = 0.005
-# beyond the box, up to this w, the series starts Newton (2.6 evaluations
-# per solve on seeded random starts against 3.7 from the quadratic)
+# beyond the box, up to this w, the series starts Newton (1.45 evaluations
+# per solve on seeded random starts against 2.09 from the quadratic)
 START_W_MAX = 0.5
 
 
@@ -190,56 +189,55 @@ def require_arc(a: float, beta: float) -> None:
 
 def newton_delta(a: float, beta: float,
                  x0: float | None = None) -> tuple[float, int]:
-    """(root, evaluations) of the delta equation, by ``hybrid_root``'s steps.
+    """(root, evaluations) of the delta equation by Newton on its concave
+    form, from ``x0`` or by default from the right of the root.
 
-    Solves g = 0 on (0, pi), where g falls from beta to -1 - beta with no
-    trivial root at 0 (a grazing arc, beta = 0, solves g/s, which falls
-    from -a > 0), from ``x0``, by default the root of beta = a s + s^2/3,
-    g's small-s form, with the relative stop ``ROOT_REL_TOL``.  g and g'
-    are inlined from ``reduced_arc`` and the decisions are
-    ``hybrid_root``'s, so root and count are bit for bit those of
-    ``hybrid_root`` over ``reduced_arc`` from the same start.  The caller
-    checks a, beta (``require_arc``).
+    Over sin s, the equation reads G(s) = beta - a s - b c(s) = 0, with
+    c = 1 - s cot s = s k/sin s = sum 2^(2n) |B_2n| s^(2n)/(2n)!, all terms
+    positive.  So G is strictly concave on (0, pi), from G(0+) = beta >= 0
+    (G'(0) = -a > 0 if beta = 0) to -inf at pi: its root is unique, and
+    Newton falls to it monotonically from the right (from the left, one
+    step lands right).  By c >= s^2/3 and c >= s^2/(pi (pi - s)), the
+    roots of b s^2/3 + a s = beta and, where that reaches 3 (a < 0), of
+    (b - a pi) s^2 + pi (beta + a pi) s = pi^2 beta lie right of it.  By
+    c'' = 2c/sin^2 s, a step d leaves an error within K d^2 (1 + 4Kd),
+    K = b c/(sin^2 s |G'|); the iterate is returned once that is below
+    2^-55 s, or d below ``ROOT_REL_TOL`` s.  For a < 0, G is g s/sin s (g
+    of ``reduced_arc``: beta + |a| s - b c cancels), and G >= 0 with
+    G' >= 0 or at math.pi, where a root within ulps of pi lies right of
+    the rounded start, gives math.pi.  Huge arcs are scaled by 2^-k.  The
+    caller checks a, beta (``require_arc``).
     """
-    grazing = beta == 0.0
-    lo, hi = 0.0, math.pi
-    x = small_root_guess(1.0 / 3.0, a, beta) if x0 is None else x0
-    if not lo < x < hi:
-        x = 0.5 * (lo + hi)
-    for it in range(1, 201):
-        sn = math.sin(x)
-        cs = math.cos(x)
+    one = 1.0
+    if not (-2.0 ** 500 < a < 2.0 ** 500 and beta < 2.0 ** 500):
+        one = math.ldexp(1.0, -math.frexp(max(abs(a), beta))[1])
+        a, beta = a * one, beta * one
+    b = one + beta
+    x = small_root_guess(b / 3.0, a, beta) if x0 is None else x0
+    if x >= 3.0:
+        x = min(math.pi, small_root_guess(
+            b - a * math.pi, math.pi * (beta + a * math.pi),
+            math.pi * math.pi * beta))
+    for it in itertools.count(1):
+        sn, cs = math.sin(x), math.cos(x)
         if x < SERIES_MAX:
             u = x * x
             k = u * (_K0 + u * (_K1 + u * (_K2 + u * (_K3 + u * (
                 _K4 + u * (_K5 + u * (_K6 + u * (_K7 + u * _K8))))))))
         else:
             k = sn / x - cs
-        fx = beta * cs - a * sn - k
-        dfx = -beta * sn - a * cs - (sn - k / x)
-        if grazing:
-            fx /= x
-            dfx = (dfx - fx) / x
-        if fx == 0.0:
-            return x, it
-        if fx > 0.0:
-            lo = x
-        else:
-            hi = x
-        tol = ROOT_REL_TOL * x
-        if dfx != 0.0:
-            step = fx / dfx
-            xn = x - step
-            if abs(step) < tol and lo <= xn <= hi:
-                return xn, it
-        if hi - lo < 2.0 * tol:
-            return 0.5 * (lo + hi), it
-        if dfx != 0.0 and lo < xn < hi and abs(step) <= 0.5 * (hi - lo):
-            x = xn
-        else:
-            x = 0.5 * (lo + hi)
-    raise RootFindError(
-        f"no convergence after 200 iterations on [{lo}, {hi}]")
+        c = k / sn * x
+        dg = -a - b * (x - c * (1.0 - c) / x)
+        g = ((beta * cs - a * sn - one * k) * x / sn if a < 0.0
+             else beta - a * x - b * c)
+        if g >= 0.0 and (dg >= 0.0 or x == math.pi):
+            return math.pi, it
+        d = g / dg
+        kd = b * c / sn / sn / -dg * abs(d)
+        if (kd * abs(d) * (1.0 + 4.0 * kd) <= 2.0 ** -55 * x
+                or abs(d) < ROOT_REL_TOL * x):
+            return (x - d if x - d < math.pi else math.pi), it
+        x = x - d if x - d < math.pi else math.pi
 
 
 def solve_tstar() -> float:

@@ -6,8 +6,10 @@ delta decision and apply the map apart from ``impact_map.cascade``, which
 is the only code of the package that does either: they are what cascade,
 and ``solve_delta`` and ``step`` through it, must equal bit for bit."""
 
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -229,3 +231,30 @@ def cascade_impact(r: float, a: float, beta: float
     ts, rs, as_, betas, deltas = cascade(0.0, r, a, beta, 1, math.inf)
     assert len(deltas) == 1 and ts == [0.0, deltas[0]]
     return deltas[0], rs[1], as_[1], betas[1]
+
+
+def delta_root(mp, a, beta, guess):
+    """Root of g(s) = beta cos s - a sin s - (sin s/s - cos s) to 40 digits,
+    by Newton steps from a float root."""
+    with mp.workdps(40):
+        a, beta, s = mp.mpf(a), mp.mpf(beta), mp.mpf(guess)
+        for _ in range(3):
+            sn, cs = mp.sin(s), mp.cos(s)
+            g = beta * cs - a * sn - (sn / s - cs)
+            g1 = -beta * sn - a * cs - (cs / s - sn / s ** 2 + sn)
+            s -= g / g1
+        return s
+
+
+def ulps_off(x, ref) -> float:
+    """|x - ref| in units of the last place of ref as a float."""
+    return float(abs(x - ref)) / math.ulp(float(ref))
+
+
+def load_perfbench(name: str):
+    """The module ``perfbench/<name>.py`` of this checkout."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -5,23 +5,12 @@ absent, which turns its per-layer metric into null without an error; a
 function that exists but is no longer called reads as 0 instead.
 """
 
-import importlib.util
 import math
 from collections import Counter
-from pathlib import Path
 
 import rodbilliard
 from rodbilliard import SimConfig
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def load_perfbench(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
-                                                  PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_perfbench
 
 
 def load_tracing():

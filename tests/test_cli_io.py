@@ -5,6 +5,9 @@ import random
 import struct
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +21,9 @@ from rodbilliard.core import EPS
 from rodbilliard.rootfind import solve_delta
 from conftest import (GRAZING_V0, GRAZING_Z0, make_grazing_start,
                       random_supported_starts, stopping_set_point)
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def run_cli(args):
@@ -213,7 +219,8 @@ def test_csv_samples_stay_above_the_rod(csv_records):
     record = simulate(1j, 1, SimConfig(n_max=6, t_max=4.0))
     rows = [[float(x) for x in line.split(",")] for line in export_trajectory(
         record, ExportOptions("csv", "rotating", 64)).splitlines()[1:]]
-    assert max(t for t, _, _, k in rows if k == 6) == 3.8494025690353366
+    assert max(t for t, _, _, k in rows if k == 6) == simulate(
+        1j, 1, SimConfig(n_max=7)).t[6]
     for record in csv_records:
         for samples in (2, 4, 64):
             for line in export_trajectory(record, ExportOptions(
@@ -252,25 +259,25 @@ _TRANSVERSAL_JSON = (
     '"termination":"reached_n_max","first_kind":"transversal","t":'
     '[0.8603335890193797,1.9223637703449956,2.5525310753237767],"r":'
     '[1.3191565048905178,4.13015009536933,7.673384573531324],"a":'
-    '[0.49439518471943134,0.7951015404037628,0.8968053785291483],"beta":'
+    '[0.49439518471943134,0.7951015404037628,0.8968053785291485],"beta":'
     '[1.5746552163364327,0.7373483967993941,0.49667945505500244],"delta":'
-    '[1.0620301813256159,0.6301673049787813]}\n')
+    '[1.0620301813256159,0.6301673049787812]}\n')
 _GRAZING_JSON = (
     '{"z0":[1.6547363797861485,0.9445885418594867],"v0":[-1.0769821877578958,'
     '-0.010457879910216962],"config":{"root_abs_tol":1e-13,"scan_step":0.001,'
     '"n_max":3,"t_max":null,"quasi_mode":"stop"},"termination":'
     '"reached_n_max","first_kind":"grazing","t":[1.1999999999999997,'
-    '2.299716106987903,2.7424090883367156],"r":[1.0000000000000002,'
-    '1.2341404753646517,1.7134197420362618],"a":[-0.40000000000000013,'
-    '0.574925562583725,0.7887064691616316],"beta":[2.4980018054066017e-16,'
-    '0.3434454606976986,0.30301778085963255],"delta":[1.0997161069879033,'
-    '0.44269298134881263]}\n')
+    '2.2997161069879026,2.742409088336715],"r":[1.0000000000000002,'
+    '1.2341404753646514,1.7134197420362611],"a":[-0.40000000000000013,'
+    '0.5749255625837248,0.7887064691616316],"beta":[2.4980018054066017e-16,'
+    '0.3434454606976984,0.30301778085963244],"delta":[1.099716106987903,'
+    '0.44269298134881246]}\n')
 
 
 @pytest.mark.parametrize("text,start,heights", [
     (_TRANSVERSAL_JSON, (1j, 1), [0.7175387862946464, 0.5506705748055817]),
     (_GRAZING_JSON, (GRAZING_Z0, GRAZING_V0),
-     [0.07183740895470603, 0.05274314014934905])])
+     [0.07183740895470603, 0.05274314014934899])])
 def test_pinned_json_loads(text, start, heights):
     record = simulate(*start, SimConfig(n_max=3))
     loaded = record_from_json(text)
@@ -278,6 +285,22 @@ def test_pinned_json_loads(text, start, heights):
     assert loaded == record
     assert repr(loaded) == repr(record)
     assert list(loaded.heights) == heights
+
+
+def test_pinned_transversal_record_is_near_the_reference_orbit():
+    # t, r and delta of the pinned transversal record within an ulp of the
+    # 50-digit checkpoints n = 1-3 of perfbench/reference.json (the
+    # bracketed delta solve left delta_2 1.23 ulps off)
+    record = simulate(1j, 1, SimConfig(n_max=3))
+    checkpoints = json.loads(REFERENCE.read_text())["checkpoints"]
+    for n in (1, 2, 3):
+        for key in ("t", "r", "delta"):
+            column = getattr(record, key)
+            if n > len(column):
+                continue
+            ref = Fraction(Decimal(checkpoints[str(n)][key]))
+            x = column[n - 1]
+            assert abs(Fraction(x) - ref) <= math.ulp(x), (n, key)
 
 
 @pytest.mark.parametrize("tables", [

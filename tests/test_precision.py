@@ -3,7 +3,8 @@
 The series kernels of the step are checked one by one at 30 digits, the
 reversion series of delta over its box at 40 digits, the reference orbit
 z0 = i, v0 = 1 against the 50-digit checkpoints stored with the benchmark,
-and the Newton iteration counts on that orbit.
+every step of seeded orbits against the exact step from its stored state,
+and the Newton evaluation counts.
 """
 
 import json
@@ -19,10 +20,10 @@ from rodbilliard import (SimConfig, recurrence_kernels, segment_max_height,
 from rodbilliard import impact_map, rootfind
 from rodbilliard.rootfind import (REVERSION_A_MAX, REVERSION_A_MIN,
                                   REVERSION_W_MAX, SERIES_MAX, reduced_arc)
-from conftest import (box_state, cascade_impact, in_reversion_box,
-                      in_start_window, outside_box_arcs,
+from conftest import (box_state, cascade_impact, delta_root, in_reversion_box,
+                      in_start_window, load_perfbench, outside_box_arcs,
                       random_supported_starts, recurrence, series_start,
-                      window_arc)
+                      stopping_set_point, ulps_off, window_arc)
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -140,23 +141,6 @@ def test_grazing_arc_height_matches_mpmath():
         assert relative_error(height, ref) <= 1e-15, a
 
 
-def delta_root(mp, a, beta, guess):
-    """Root of g(s) = beta cos s - a sin s - (sin s/s - cos s) to 40 digits,
-    by Newton steps from a float root."""
-    with mp.workdps(40):
-        a, beta, s = mp.mpf(a), mp.mpf(beta), mp.mpf(guess)
-        for _ in range(3):
-            sn, cs = mp.sin(s), mp.cos(s)
-            g = beta * cs - a * sn - (sn / s - cs)
-            g1 = -beta * sn - a * cs - (cs / s - sn / s ** 2 + sn)
-            s -= g / g1
-        return s
-
-
-def ulps_off(x, ref):
-    return float(abs(x - ref)) / math.ulp(float(ref))
-
-
 def box_top(a):
     # the largest beta of the box at this a
     return box_state(a, REVERSION_W_MAX)[1]
@@ -203,10 +187,10 @@ def test_reversion_meets_newton_on_box_edges(edge):
 
 
 def test_newton_delta_matches_mpmath():
-    # outside the box delta is Newton's last iterate, not the midpoint of a
-    # collapsed bracket: within 2.5 ulps of a 40-digit root on the arcs of
-    # seeded orbits, and within 3.5 on synthetic arcs down to grazing ones
-    # (whose g/s carries about 3 ulps of rounding noise at small roots)
+    # outside the box delta is Newton's last iterate: within 2.5 ulps of a
+    # 40-digit root on the arcs of seeded orbits, and within 3.5 on
+    # synthetic arcs down to grazing ones (whose G = g s/sin s carries
+    # about 3 ulps of rounding noise at small roots)
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(14)
     orbit_arcs = []
@@ -226,8 +210,8 @@ def test_newton_delta_matches_mpmath():
             delta, _ = rootfind.newton_delta(a, beta)
             ref = delta_root(mpmath.mp, a, beta, delta)
             assert ulps_off(delta, ref) <= bound, (a, beta)
-    # the bracket collapses below 2 tol at the step that converges; its
-    # midpoint is 8.5 ulps off the root
+    # an arc where the bracketed solve once returned the midpoint of a
+    # collapsed bracket, 8.5 ulps off the root
     a, beta = 0.5000000000000001, 0.00095625
     delta, _ = rootfind.newton_delta(a, beta)
     assert ulps_off(delta, delta_root(mpmath.mp, a, beta, delta)) <= 1.0
@@ -297,19 +281,17 @@ def test_newton_iterations_per_impact(monkeypatch):
         per_step.append(sum(its))
         r, a, beta, n = r_next, a_next, beta_next, n + 1
     assert inside == list(range(301, 10_001))
-    # the 300 Newton solves before the box take 1.54 evaluations each
-    # (3.06 from the quadratic start: the early arcs are long)
-    assert sum(per_step[:300]) == 463
+    # the 300 Newton solves before the box take 1.06 evaluations each
+    # (1.35 from the quadratic start: the early arcs are long)
+    assert sum(per_step[:300]) == 317
     assert len(counts["height"]) == 10_000
     for its in (per_step, counts["height"]):
         assert sum(its) / len(its) <= 3.0
         assert max(its) <= 8
 
 
-def test_newton_evaluations_per_delta_solve(monkeypatch):
-    # the work of the delta solves on 1000 seeded starts x 25 impacts, all
-    # outside the box: 24000 Newton solves, 2.6115 evaluations each (3.74
-    # from the quadratic start), none taking more than 8
+def counted_delta_solves(monkeypatch):
+    """The evaluation count of every later ``newton_delta`` call, in order."""
     counts = []
     newton_delta = rootfind.newton_delta
 
@@ -318,15 +300,36 @@ def test_newton_evaluations_per_delta_solve(monkeypatch):
         counts.append(its)
         return root, its
 
-    starts = random_supported_starts(1000, seed=715)
     monkeypatch.setattr(rootfind, "newton_delta", delta_counted)
+    return counts
+
+
+def test_newton_evaluations_per_delta_solve(monkeypatch):
+    # the work of the delta solves on 1000 seeded starts x 25 impacts, all
+    # outside the box: 24000 Newton solves, 1.6844 evaluations each (2.25
+    # from the quadratic start), none taking more than 8
+    starts = random_supported_starts(1000, seed=715)
+    counts = counted_delta_solves(monkeypatch)
     cfg = SimConfig(n_max=25)
     for z0, v0 in starts:
         simulate(z0, v0, cfg)
     assert len(counts) == 24_000
-    assert sum(counts) == 62_676
-    assert sum(counts) / len(counts) <= 2.7
+    assert sum(counts) == 40_426
+    assert sum(counts) / len(counts) <= 1.75
     assert max(counts) <= 8
+
+
+@pytest.mark.parametrize("eps", [1e-10, -1e-12])
+def test_near_stop_arcs_take_one_evaluation(monkeypatch, eps):
+    # the (1, 1) full-stop start with v0 scaled by 1 + eps chatters on
+    # short arcs, each a Newton solve from the quadratic start, which lies
+    # within the stop's error bound of the root there: one evaluation per
+    # solve (the bracketed solve took two)
+    counts = counted_delta_solves(monkeypatch)
+    z0, v0 = stopping_set_point(1.0, 1.0)
+    simulate(z0, v0 * (1.0 + eps), SimConfig(n_max=3000))
+    assert len(counts) == 2999
+    assert sum(counts) / len(counts) <= 1.1
 
 
 def test_series_started_delta_matches_mpmath():
@@ -348,3 +351,39 @@ def test_series_started_delta_matches_mpmath():
         delta = solve_delta(a, beta)
         ref = delta_root(mpmath.mp, a, beta, delta)
         assert ulps_off(delta, ref) <= 2.5, (a, beta)
+
+
+def step_errors(mp, record):
+    """Per closed arc k, the ulps of (delta_k, r_k+1, a_k+1, beta_k+1) off
+    the exact step from the stored (r_k, a_k, beta_k): delta solved and the
+    map applied at 40 digits."""
+    errors = []
+    for k, delta in enumerate(record.delta):
+        r, beta = record.r[k], record.beta[k]
+        d = delta_root(mp, record.a[k], beta, delta)
+        with mp.workdps(40):
+            b, sd, cd = 1 + mp.mpf(beta), mp.sin(d), mp.cos(d)
+            exact = (d, r * b * d / sd, 1 / d - cd * sd / (b * d * d),
+                     1 - (sd / d) ** 2 / b)
+        stored = (delta, record.r[k + 1], record.a[k + 1], record.beta[k + 1])
+        errors.append([ulps_off(x, e) for x, e in zip(stored, exact)])
+    return errors
+
+
+def test_every_step_is_within_ulps_of_the_exact_step():
+    # a local audit, apart from the error the orbit propagates: every
+    # closed arc of 40 benchmark starts x 25 impacts and of the reference
+    # orbit to 1000 impacts against the exact step from its own stored
+    # state.  Measured worst (mean) in ulps: delta 1.18 (0.32) and 0.98
+    # (0.33), r' 2.78 and 2.72, a' 3.67 and 3.64, beta' 2.02 and 2.10.
+    # A delta (1 + 2^-52) bias planted in cascade reads 3.11 (1.43)
+    mpmath = pytest.importorskip("mpmath")
+    records = [simulate(z0, v0, SimConfig(n_max=25))
+               for z0, v0 in load_perfbench("run").draw_starts(1, 40)]
+    records.append(simulate(1j, 1 + 0j, SimConfig(n_max=1000)))
+    errors = [e for record in records for e in step_errors(mpmath.mp, record)]
+    assert len(errors) == 912 + 999
+    worst = [max(column) for column in zip(*errors)]
+    mean_delta = sum(e[0] for e in errors) / len(errors)
+    assert worst[0] <= 1.5 and mean_delta <= 0.4, (worst, mean_delta)
+    assert worst[1] <= 4.0 and worst[2] <= 6.0 and worst[3] <= 3.0, worst

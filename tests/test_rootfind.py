@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from rodbilliard import (SimConfig, T_STAR,
                          UnsupportedFirstImpact, first_impact, hybrid_root,
                          rootfind, simulate, solve_delta, solve_tstar)
-from conftest import (GRAZING_V0, GRAZING_Z0, in_start_window,
+from conftest import (GRAZING_V0, GRAZING_Z0, delta_root, in_start_window,
                       make_grazing_start, series_start, stopping_set_point,
-                      window_arc)
+                      ulps_off, window_arc)
 
 
 def F(s, a, b):
@@ -149,27 +149,13 @@ def test_reversion_coefficients_rederived():
         assert abs(q) * w7 < Fraction(1, 10) * Fraction(1, 2 ** 53)
 
 
-def hybrid_delta(a, beta, x0=None):
-    # the delta solve as hybrid_root over reduced_arc: the reference that
-    # rootfind.newton_delta inlines, by default from the quadratic start
-    def f_df(s):
-        if beta > 0.0:
-            g, g1, _ = rootfind.reduced_arc(s, a, beta)
-            return g, g1
-        g, g1, _ = rootfind.reduced_arc(s, a, 0.0)
-        return g / s, (g1 - g / s) / s
-
-    res = hybrid_root(f_df, 0.0, math.pi, abs_tol=0.0,
-                      x0=rootfind.small_root_guess(1.0 / 3.0, a, beta)
-                      if x0 is None else x0,
-                      rel_tol=rootfind.ROOT_REL_TOL, positive_lo=True)
-    return res.root, res.iterations
-
-
-def test_newton_delta_is_hybrid_root_over_reduced_arc():
-    # same root and evaluation count, bit for bit, on 6000 seeded arcs:
-    # transversal with a of either sign, grazing, roots past SERIES_MAX
-    # and roots within 1e-3 of pi (a -> -inf)
+def test_newton_delta_matches_mpmath_over_seeded_arcs():
+    # 6000 seeded arcs: transversal with a of either sign, grazing, roots
+    # past SERIES_MAX and roots within 1e-3 of pi (a -> -inf).  Every root
+    # is in (0, pi) after at most 10 evaluations, and within 2 ulps of a
+    # 40-digit root, or 3.5 on grazing arcs (their G = g s/sin s carries
+    # about 3 ulps of rounding noise at small roots)
+    mpmath = pytest.importorskip("mpmath")
     rng = random.Random(14)
     arcs = []
     for _ in range(1500):
@@ -179,21 +165,24 @@ def test_newton_delta_is_hybrid_root_over_reduced_arc():
         arcs.append((rng.uniform(-0.5, 1.5), rng.uniform(0.0, 4.0) or 1.0))
     roots = []
     for a, beta in arcs:
-        got = rootfind.newton_delta(a, beta)
-        assert got == hybrid_delta(a, beta), (a, beta)
-        roots.append(got[0])
+        delta, evaluations = rootfind.newton_delta(a, beta)
+        assert 0.0 < delta < math.pi and evaluations <= 10, (a, beta)
+        ref = delta_root(mpmath.mp, a, beta, delta)
+        assert ulps_off(delta, ref) <= (3.5 if beta == 0.0 else 2.0), (a, beta)
+        roots.append(delta)
     assert sum(beta == 0.0 for _, beta in arcs) == 1500
     assert sum(a < 0.0 for a, _ in arcs) > 3000
     assert sum(d > rootfind.SERIES_MAX for d in roots) > 1000
     assert sum(d > math.pi - 1e-3 for d in roots) > 100
 
 
-def test_newton_delta_from_the_series_is_hybrid_root():
+def test_newton_delta_from_the_series_matches_mpmath():
     # in the start window (0.5 < a <= 1, W_MAX < w <= START_W_MAX) solve_delta
-    # runs Newton from the reversion series: same root and count as
-    # hybrid_root from that start, bit for bit, on 6400 seeded arcs, a
-    # quarter of them on the window's edges w = W_MAX + ulps, w = START_W_MAX,
+    # runs Newton from the reversion series: within 1.5 ulps of a 40-digit
+    # root after at most 3 evaluations, on 6400 seeded arcs, a quarter of
+    # them on the window's edges w = W_MAX + ulps, w = START_W_MAX,
     # a = nextafter(0.5, 1) and a = 1
+    mpmath = pytest.importorskip("mpmath")
     rng = random.Random(22)
     w_lo, w_hi = rootfind.REVERSION_W_MAX, rootfind.START_W_MAX
     a_lo = math.nextafter(rootfind.REVERSION_A_MIN, 1.0)
@@ -208,19 +197,48 @@ def test_newton_delta_from_the_series_is_hybrid_root():
             arcs.append(window_arc(rng.uniform(a_lo, 1.0),
                                    w_lo * (w_hi / w_lo) ** rng.random()))
     assert len(arcs) == 6400
-    counts = []
     for a, beta in arcs:
         assert in_start_window(a, beta)
-        x0 = series_start(a, beta)
-        got = rootfind.newton_delta(a, beta, x0)
-        assert got == hybrid_delta(a, beta, x0), (a, beta)
-        assert solve_delta(a, beta) == got[0], (a, beta)
-        counts.append(got[1])
+        delta, evaluations = rootfind.newton_delta(a, beta,
+                                                   series_start(a, beta))
+        assert solve_delta(a, beta) == delta, (a, beta)
+        assert evaluations <= 3, (a, beta)
+        ref = delta_root(mpmath.mp, a, beta, delta)
+        assert ulps_off(delta, ref) <= 1.5, (a, beta)
     assert sum(beta / (a * a) < w_lo * (1.0 + 1e-15) for a, beta in arcs) >= 400
     assert sum(beta / (a * a) == w_hi for a, beta in arcs) >= 400
     assert sum(a == a_lo for a, _ in arcs) >= 400
     assert sum(a == 1.0 for a, _ in arcs) >= 400
-    assert max(counts) <= 8
+
+
+def test_newton_delta_on_extreme_arcs():
+    # 60,010 seeded arcs far outside any orbit: |a| and beta log-uniform in
+    # [1e-300, 1e300], a of either sign, grazing arcs, and ten named ones.
+    # Huge arcs are scaled, tiny roots do not underflow in the stop, and
+    # roots in [math.pi, pi) stay at math.pi.  Every arc whose root does
+    # not underflow (beta/a >= 1e-320 where a > 0) has a root in (0, pi]
+    # after at most 10 evaluations; the bracketed solve took up to 200 on
+    # these arcs, 49 near pi, and raised on 4344 of them
+    rng = random.Random(36)
+    arcs = [(1.18e145, 1.31e177), (-2.7e-151, 0.0), (-1e205, 1.0),
+            (-1e20, 1.0), (-1e16, 1.0), (-1e300, 0.0), (1e300, 1e300),
+            (-1e300, 1e300), (1e-300, 1e300), (1e300, 1e-10)]
+    for _ in range(20000):
+        arcs.append((10.0 ** rng.uniform(-300, 300),
+                     10.0 ** rng.uniform(-300, 300)))
+        arcs.append((-(10.0 ** rng.uniform(-300, 300)),
+                     10.0 ** rng.uniform(-300, 300)))
+        arcs.append((-(10.0 ** rng.uniform(-300, 300)), 0.0))
+    solved = 0
+    for a, beta in arcs:
+        if a > 0.0 and beta / a < 1e-320:
+            continue
+        delta, evaluations = rootfind.newton_delta(a, beta)
+        assert 0.0 < delta <= math.pi and evaluations <= 10, (a, beta)
+        solved += 1
+    assert solved > 57_800
+    # delta = pi - 2.0e-20, whose nearest float is math.pi
+    assert rootfind.newton_delta(-1e20, 1.0)[0] == math.pi
 
 
 def test_delta_preconditions():
