@@ -16,13 +16,12 @@ import math
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict, astuple, dataclass, fields
-from functools import partial
-from itertools import count, islice
+from itertools import chain, count, islice
 from typing import Callable, NamedTuple
 
 from .core import (DEGENERATE, GRAZING, TRANSVERSAL, ContractViolation,
                    SimConfig, classify_impact)
-from .flight import check_segment, flight_position, segment_position
+from .flight import check_segment, flight_position
 from .oracle import OracleMismatch, oracle_simulate
 from .rootfind import UnsupportedFirstImpact
 from .simulator import TrajectoryRecord, quasi_position, simulate
@@ -156,10 +155,14 @@ def export_trajectory(record: TrajectoryRecord, opts: ExportOptions) -> str:
     """Render a record per the export options: JSON, or CSV samples.
 
     Arc k, the one leaving impact k (0: the approach), is sampled at
-    s = span j / (samples - 1), with the positions of ``flight_position``,
-    ``segment_position`` and ``quasi_position``, turned by e^{it} into the
-    lab frame.  An open arc is sampled under a finite t_max only, up to
-    t_max or the open last arc's next impact, whichever comes first.
+    s = span j / (samples - 1) and turned by e^{it} into the lab frame.
+    The approach and the sliding arc take ``flight_position`` and
+    ``quasi_position``; an impact's arc r (1 + a s + i b s) e^{-is} is
+    summed in floats with the roundings of ``segment_position``'s complex
+    products, whose other terms are products with 0.0 that change no sum
+    or sign of zero (r > 0, b >= 1, s >= 0).  An open arc is sampled under
+    a finite t_max only, up to t_max or the open last arc's next impact,
+    whichever comes first.
     """
     if opts.format == "json":
         return record_to_json(record)
@@ -171,38 +174,50 @@ def export_trajectory(record: TrajectoryRecord, opts: ExportOptions) -> str:
     lines = [_CSV_HEADS[frame]]
     form = "%.17g," * lines[0].count(",") + "%d"  # floats print as {:.17g}
     last, offsets, t_max = samples - 1, range(samples), record.config.t_max
+    rot, lab, cos, sin = frame != "lab", frame != "rotating", math.cos, math.sin
 
-    def sample(start: float, label: int, position, span: float | None = None,
-               reach: float = math.inf):
-        """Sample an arc over ``span``; an open one over the earlier of
-        ``reach`` and a finite t_max."""
+    def sample(start: float, label: int, position, span: float | None = None):
+        """Sample an arc over ``span``; an open one up to a finite t_max."""
         if span is None:
             if not start < t_max < math.inf:
                 return  # an open arc without a finite t_max
-            span = min(reach, t_max - start)
+            span = t_max - start
         for j in offsets:
             s = span * j / last
             t, z = start + s, position(s)
-            if frame == "rotating":
+            if not lab:
                 lines.append(form % (t, z.real, z.imag, label))
                 continue
-            w = z * complex(math.cos(t), math.sin(t))  # to the lab frame
-            lines.append(form % (t, w.real, w.imag, label) if frame == "lab"
-                         else form % (t, z.real, z.imag, w.real, w.imag, label))
+            w = z * complex(cos(t), sin(t))  # to the lab frame
+            lines.append(form % (t, z.real, z.imag, w.real, w.imag, label)
+                         if rot else form % (t, w.real, w.imag, label))
 
-    sample(0.0, 0, partial(flight_position, record.z0, record.v0),
+    sample(0.0, 0, lambda s: flight_position(record.z0, record.v0, s),
            record.t[0] if record.t else None)
-    closed = zip(record.t, record.r, record.a, record.beta, record.delta)
-    for k, (start, r, a, beta, delta) in enumerate(closed, start=1):
-        # s rises from 0 with j, so its last value bounds every sample
-        check_segment(r, delta, delta * last / last)
-        w = complex(a, 1.0 + beta)  # as segment_position, with b = 1 + beta
-        sample(start, k, lambda s: r * (1.0 + w * s)
-               * complex(math.cos(-s), math.sin(-s)), delta)
-    if len(record.a) > len(record.delta):  # the open last arc
-        seg = record.segments[-1]
-        sample(seg.t_start, seg.n, partial(segment_position, seg),
-               reach=record.open_delta)  # to its next impact
+    closed = len(record.delta)
+    arcs = zip(record.t, record.r, record.a, record.beta, record.delta)
+    if len(record.a) > closed:  # the open last arc, to its next impact
+        start, r = record.t[-1], record.r[-1]
+        check_segment(r, None)
+        if start < t_max < math.inf:
+            arcs = chain(arcs, [(start, r, record.a[-1], record.beta[-1],
+                                 min(record.open_delta, t_max - start))])
+    for k, (start, r, a, beta, span) in enumerate(arcs, start=1):
+        if not (0.0 < r < math.inf and 0.0 < span < math.pi):
+            check_segment(r, span if k <= closed else None)
+        b = 1.0 + beta
+        for j in offsets:
+            s = span * j / last
+            t, c, sn = start + s, cos(-s), sin(-s)
+            x, y = r * (1.0 + a * s), r * (b * s)
+            zr, zi = x * c - y * sn, x * sn + y * c
+            if not lab:
+                lines.append(form % (t, zr, zi, k))
+                continue
+            c, sn = cos(t), sin(t)
+            wr, wi = zr * c - zi * sn, zr * sn + zi * c
+            lines.append(form % (t, zr, zi, wr, wi, k) if rot
+                         else form % (t, wr, wi, k))
     if (q := record.quasi_start) is not None:
         sample(q.t1, len(record.t), lambda s: quasi_position(q, q.t1 + s))
     lines.append("")  # the closing newline, without copying the text again

@@ -202,8 +202,11 @@ def newton_delta(a: float, beta: float,
     (b - a pi) s^2 + pi (beta + a pi) s = pi^2 beta lie right of it.  By
     c'' = 2c/sin^2 s, a step d leaves an error within K d^2 (1 + 4Kd),
     K = b c/(sin^2 s |G'|); the iterate is returned once that is below
-    2^-55 s, or d below ``ROOT_REL_TOL`` s.  For a < 0, G is g s/sin s (g
-    of ``reduced_arc``: beta + |a| s - b c cancels), and G >= 0 with
+    2^-55 s, or d below ``ROOT_REL_TOL`` s.  A default start below 2^-27
+    is the root to an ulp (c - s^2/3 moves it by s^2/15 of itself at
+    most): it is returned with no evaluation, formed without squaring a,
+    and at least the smallest positive float.  For a < 0, G is g s/sin s
+    (g of ``reduced_arc``: beta + |a| s - b c cancels), and G >= 0 with
     G' >= 0 or at math.pi, where a root within ulps of pi lies right of
     the rounded start, gives math.pi.  Huge arcs are scaled by 2^-k.  The
     caller checks a, beta (``require_arc``).
@@ -214,6 +217,10 @@ def newton_delta(a: float, beta: float,
         a, beta = a * one, beta * one
     b = one + beta
     x = small_root_guess(b / 3.0, a, beta) if x0 is None else x0
+    if x < 2.0 ** -27 and x0 is None:  # the quadratic's root is delta's
+        disc = math.hypot(a, 2.0 * math.sqrt(b / 3.0) * math.sqrt(beta))
+        x = 2.0 * beta / (a + disc) if a > 0.0 else 1.5 * (disc - a) / b
+        return max(x, 5e-324), 0
     if x >= 3.0:
         x = min(math.pi, small_root_guess(
             b - a * math.pi, math.pi * (beta + a * math.pi),

@@ -213,6 +213,30 @@ def test_csv_matches_positions_on_seeded_starts(csv_records, frame, samples):
                                                      samples) + [""]
 
 
+@pytest.fixture(scope="module")
+def long_cut_record():
+    """The reference orbit cut at t_max = 12: 1586 impacts, r up to 1e5."""
+    record = simulate(1j, 1, SimConfig(n_max=10_000, t_max=12.0))
+    assert len(record.t) == 1586 and record.t[-1] < 12.0
+    assert record.termination == "reached_t_max" and record.r[-1] > 9e4
+    return record
+
+
+@pytest.mark.parametrize("samples", [4, 64])
+@pytest.mark.parametrize("frame", ["both", "rotating", "lab"])
+def test_long_record_csv_matches_positions(long_cut_record, frame,
+                                           samples):
+    # the arcs sampled in floats print as the complex products of the
+    # position functions, row for row, along the long orbit to large r
+    # and t, and the record read back from its JSON prints the same
+    opts = ExportOptions("csv", frame, samples)
+    text = export_trajectory(long_cut_record, opts)
+    assert text.split("\n")[1:] == _csv_rows_from_positions(
+        long_cut_record, frame, samples) + [""]
+    back = record_from_json(record_to_json(long_cut_record))
+    assert export_trajectory(back, opts) == text
+
+
 def test_csv_samples_stay_above_the_rod(csv_records):
     # an open last arc ends at its next impact, even under a later t_max:
     # no rotating-frame sample lies below the rod beyond rounding

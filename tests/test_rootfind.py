@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rodbilliard import (SimConfig, T_STAR,
+from rodbilliard import (ContractViolation, SimConfig, T_STAR,
                          UnsupportedFirstImpact, first_impact, hybrid_root,
                          rootfind, simulate, solve_delta, solve_tstar)
 from conftest import (GRAZING_V0, GRAZING_Z0, delta_root, in_start_window,
@@ -215,10 +215,11 @@ def test_newton_delta_on_extreme_arcs():
     # 60,010 seeded arcs far outside any orbit: |a| and beta log-uniform in
     # [1e-300, 1e300], a of either sign, grazing arcs, and ten named ones.
     # Huge arcs are scaled, tiny roots do not underflow in the stop, and
-    # roots in [math.pi, pi) stay at math.pi.  Every arc whose root does
-    # not underflow (beta/a >= 1e-320 where a > 0) has a root in (0, pi]
-    # after at most 10 evaluations; the bracketed solve took up to 200 on
-    # these arcs, 49 near pi, and raised on 4344 of them
+    # roots in [math.pi, pi) stay at math.pi.  Every arc has a root in
+    # (0, pi] after at most 10 evaluations, the smallest positive float
+    # where the root underflows (beta/a below about 5e-324: 2142 arcs);
+    # the bracketed solve took up to 200 on these arcs, 49 near pi, and
+    # raised on 4344 of them
     rng = random.Random(36)
     arcs = [(1.18e145, 1.31e177), (-2.7e-151, 0.0), (-1e205, 1.0),
             (-1e20, 1.0), (-1e16, 1.0), (-1e300, 0.0), (1e300, 1e300),
@@ -229,16 +230,58 @@ def test_newton_delta_on_extreme_arcs():
         arcs.append((-(10.0 ** rng.uniform(-300, 300)),
                      10.0 ** rng.uniform(-300, 300)))
         arcs.append((-(10.0 ** rng.uniform(-300, 300)), 0.0))
-    solved = 0
+    assert len(arcs) == 60_010
     for a, beta in arcs:
-        if a > 0.0 and beta / a < 1e-320:
-            continue
         delta, evaluations = rootfind.newton_delta(a, beta)
         assert 0.0 < delta <= math.pi and evaluations <= 10, (a, beta)
-        solved += 1
-    assert solved > 57_800
     # delta = pi - 2.0e-20, whose nearest float is math.pi
     assert rootfind.newton_delta(-1e20, 1.0)[0] == math.pi
+
+
+def tiny_delta_root(mp, a, beta, guess):
+    """Root of G(s) = beta - a s - b c(s) to 40 digits, by Newton steps
+    from a float root below 1e-8, with c = 1 - s cot s summed to s^8 (the
+    next term is below 1e-80 of c there)."""
+    with mp.workdps(40):
+        a, beta, s = mp.mpf(a), mp.mpf(beta), mp.mpf(guess)
+        b, coef = 1 + beta, [4 ** n * abs(mp.bernoulli(2 * n))
+                             / mp.factorial(2 * n) for n in range(1, 5)]
+        for _ in range(4):
+            g = beta - a * s - b * sum(q * s ** (2 * n + 2)
+                                       for n, q in enumerate(coef))
+            g1 = -a - b * sum((2 * n + 2) * q * s ** (2 * n + 1)
+                              for n, q in enumerate(coef))
+            s -= g / g1
+        return s
+
+
+def test_newton_delta_on_tiny_roots():
+    # below 2^-27 the root of b s^2/3 + a s = beta is delta to an ulp (the
+    # dropped b s^4/45 moves it by s^2/15 relative, s^2/30 for a > 0), and
+    # newton_delta forms it without squaring a: grazing roots 3|a| once
+    # came out 1.5|a| below a = -1e-162 and lost digits to 1e-155
+    mpmath = pytest.importorskip("mpmath")
+    arcs = [(-(10.0 ** -e), 0.0) for e in range(100, 301, 4)]
+    arcs += [(-1e-160, 0.0), (-2.7e-151, 0.0), (-1e-300, 1e-300),
+             (1.0, 1e-10), (1e-3, 1e-12), (0.0, 1e-20), (1e-200, 1e-250),
+             (0.5, 1e-300), (-1e-12, 1e-20), (2.0, 1e-17),
+             (0.0, 1e-320), (1e-300, 3e-321)]  # beta subnormal, root not
+    for a, beta in arcs:
+        delta, _ = rootfind.newton_delta(a, beta)
+        assert delta < 1e-9, (a, beta)
+        ref = tiny_delta_root(mpmath.mp, a, beta, delta)
+        assert ulps_off(delta, ref) <= 1.0, (a, beta)
+    assert rootfind.newton_delta(-1e-200, 0.0)[0] == 3e-200
+
+
+def test_newton_delta_on_underflowing_roots():
+    # a root below the smallest positive float is returned as that float,
+    # so cascade, and solve_delta through it, report the arc's radius
+    # failing to grow rather than dividing by zero
+    for a, beta in ((1e300, 1e-300), (1e10, 1e-320), (2.0, 5e-324)):
+        assert rootfind.newton_delta(a, beta)[0] == 5e-324
+        with pytest.raises(ContractViolation, match="radius failed to grow"):
+            solve_delta(a, beta)
 
 
 def test_delta_preconditions():
