@@ -13,9 +13,9 @@ between impacts stay above one scan step: on the reference orbit about
 flight is carried as the four parts of z and v, and every height, slope
 and hit point is computed inline with the rounding of ``flight_position``
 and ``flight_velocity``; the reflected velocity is the incoming one's
-conjugate.  The scan skips the grid points a Taylor bound proves positive
-and leaps over them a binade at a time: its brackets are those of the
-dense complex scan, at under a fifteenth of its evaluations.
+conjugate.  The scan's grid is indexed, s0 + k scan_step, and it skips the
+points a Taylor bound proves positive: its brackets are those of the dense
+complex scan, at under a fifteenth of its evaluations.
 """
 
 from __future__ import annotations
@@ -102,56 +102,28 @@ def oracle_simulate(z0: complex, v0: complex, n_impacts: int,
     return out
 
 
-def _jump(s: float, lim: float, step: float) -> tuple[float, float]:
-    """The point before the first point at or past lim of the grid
-    g_{k+1} = fl(g_k + step) through s < lim, and that point; ``_scan``
-    proves the leaps exact."""
-    nxt = s + step
-    while nxt < lim:
-        q = nxt + step
-        top = math.ulp(nxt) * 2.0 ** 53  # nxt lies in [top/2, top)
-        if q < lim and (r := q + step) < top:
-            d, end = r - q, lim if lim < top else top
-            s = q - ((q - end) // d + 1.0) * d  # the last point below end
-        else:
-            s = nxt
-        nxt = s + step
-    return s, nxt
-
-
 def _scan(zr: float, zi: float, vr: float, vi: float, s0: float, h0: float,
           sn0: float, c0: float, step: float
           ) -> tuple[float, float, float, float]:
     """Grid bracket (s_prev, s, h_prev, h) of the first downward sign
     change of h(s) = Im z(s) past s0, where h is h0 and (sin, cos)(-s0)
-    are (sn0, c0) as the caller evaluated them, on the grid g_0 = s0,
-    g_{k+1} = fl(g_k + step) up to the window's end.  A step not above
-    half the float spacing there stalls the grid before it, where the
-    dense scan would never end; it raises ValueError.
+    are (sn0, c0) as the caller evaluated them, on the grid
+    g_k = fl(s0 + fl(k step)), k = 0, 1, ..., up to the window's end.  A
+    step not above half the float spacing there lets grid points repeat,
+    and from the oracle's starts the dense scan would take over 2^52 of
+    them; it raises ValueError.
 
     h is Im((z + v s) e^{-is}) term for term as CPython rounds the complex
     product in ``flight_position``, so it equals its ``.imag``.  From an
-    evaluated point s_k the scan proves h > 0 on [s_k, s_k + d), jumps to
-    the first grid point at or past s_k + d and evaluates h there; it is
-    dense from the first d under two steps.  Every grid point it skips
-    has a computed h > 0, so its bracket is the dense scan's.
+    evaluated point s = g_k the scan proves h > 0 on [s, s + d), moves to
+    the first index j with g_j at or past lim = s + d and evaluates h
+    there; it is dense from the first d under two steps.  Every grid point
+    it skips has a computed h > 0, so its bracket is the dense scan's.
 
-    The jump.  Inside a binade [2^(e-1), 2^e) the floats are the multiples
-    of u = ulp.  A grid point g whose successor lies below 2^e is one of
-    them, so fl(g + step) = g + D with D the multiple of u nearest to
-    step, the same for every g.  If step mod u = u/2 (a tie),
-    round-half-even takes the even multiple: the sum of a point of the
-    binade that lands inside it is even, and so is every later point
-    there, so their increments are one D too.  ``_jump`` takes the grid's
-    own steps from a point s to nxt and q.  If q < lim and fl(q + step) <
-    2^e, the top of nxt's binade, then q is such a sum, every later point
-    below 2^e is q + jd with d = fl(q + step) - q, and the jump leaps to
-    the last of them below L = min(lim, 2^e), j = ceil((L - q)/d) - 1;
-    else it steps to nxt.  That j is exact.  L - q = ku is exact (the two
-    lie within a factor 2) with k <= 2^52, d = mu, and the float floor
-    division (q - L) // d = -ceil(k/m) is exact: CPython subtracts the
-    exact fmod(q - L, d) first, which leaves a multiple of d whose
-    quotient is an integer below 2^53.  So each binade costs a few sums.
+    The index.  fl is monotone, so g is non-decreasing in k, and the
+    first index j with g_j >= lim is the one with g_{j-1} < lim <= g_j.
+    The skip estimates j as ceil((lim - s0)/step), whose rounding is a
+    few eps relative, and steps the estimate to that condition.
 
     The bound.  h' = Im((v - iz - ivs) e^{-is}) and
     h'' = Im((-2iv - z - vs) e^{-is}) come from the same sin/cos pair, and
@@ -181,7 +153,7 @@ def _scan(zr: float, zi: float, vr: float, vi: float, s0: float, h0: float,
     s_hi = window + 2.0 * step
     zn, vn = abs(zr) + abs(zi), abs(vr) + abs(vi)
     m3, err = 3.0 * vn + zn, 8.0 * EPS * (zn + vn * (1.0 + s_hi))
-    s, s_prev, h, h_prev = s0, s0, h0, h0
+    k, s, s_prev, h, h_prev = 0, s0, s0, h0, h0
     sn, c, a, b = sn0, c0, zr + vr * s, zi + vi * s
     while s < window and (h_lo := h - 2.0 * err) > 0.0:
         # h' and h'' less their errors
@@ -205,8 +177,13 @@ def _scan(zr: float, zi: float, vr: float, vi: float, s0: float, h0: float,
             break
         # the points below s + d are proven positive; h_prev = inf marks
         # the height at s_prev as not evaluated
-        s_prev, s = _jump(s, min(s + d, window), step)
-        h_prev = math.inf
+        lim = min(s + d, window)
+        k = math.ceil((lim - s0) / step)
+        while s0 + k * step < lim:
+            k += 1
+        while (s_prev := s0 + (k - 1) * step) >= lim:
+            k -= 1
+        s, h_prev = s0 + k * step, math.inf
         sn, c, a, b = sin(-s), cos(-s), zr + vr * s, zi + vi * s
         h = a * sn + b * c
     while not (h_prev > 0.0 and h <= 0.0):
@@ -216,7 +193,8 @@ def _scan(zr: float, zi: float, vr: float, vi: float, s0: float, h0: float,
                 "this contradicts the sweep argument or the scan started "
                 "below the rod")
         s_prev, h_prev = s, h
-        s += step
+        k += 1
+        s = s0 + k * step
         h = (zr + vr * s) * sin(-s) + (zi + vi * s) * cos(-s)
     if h_prev == math.inf:
         h_prev = (zr + vr * s_prev) * sin(-s_prev) + (zi + vi * s_prev) * cos(

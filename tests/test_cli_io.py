@@ -117,13 +117,17 @@ def test_simulate_degenerate_exit_3(capsys):
     assert captured.out.splitlines()[0] == "t,re_rot,im_rot,re_lab,im_lab,segment"
 
 
-def test_simulate_quasi_extension_samples(capsys):
+@pytest.mark.parametrize("t_max", [["--t-max", "2.0"], []])
+def test_simulate_quasi_extension_samples(capsys, t_max):
     z0, v0 = stopping_set_point(1.0, 1.0)
     code = run_cli(["simulate", f"--z0={z0.real},{z0.imag}",
-                    f"--v0={v0.real},{v0.imag}", "--n-max", "3",
-                    "--t-max", "2.0", "--quasi", "extend", "--samples", "8"])
+                    f"--v0={v0.real},{v0.imag}", "--n-max", "3", *t_max,
+                    "--quasi", "extend", "--samples", "8"])
     out = capsys.readouterr().out
     assert code == 0  # quasi extension is a successful run
+    if not t_max:  # the sliding rows run up to a finite t_max only
+        assert [row[-2:] for row in out.splitlines()[1:]] == [",0"] * 8
+        return
     tail = out.splitlines()[-1].split(",")
     assert abs(float(tail[0]) - 2.0) < 1e-12
     assert abs(float(tail[1]) - math.cosh(1.0)) < 1e-9

@@ -49,5 +49,8 @@ def test_config_validation():
             SimConfig(n_max=n_max)
     with pytest.raises(ValueError):
         SimConfig(quasi_mode="bounce")
+    for t_max in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            SimConfig(t_max=t_max)
     cfg = SimConfig(n_max=5, t_max=2.0, quasi_mode="extend")
     assert cfg.n_max == 5 and cfg.quasi_mode == "extend"

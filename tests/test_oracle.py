@@ -1,4 +1,3 @@
-import bisect
 import math
 import random
 
@@ -118,14 +117,15 @@ def test_first_contact_within_the_first_scan_step(z0, v0):
 
 
 def _complex_scan(ff, s0, h0, cfg):
-    """The scan as first written, sampling flight_position at every grid
-    point: the bracket (s_prev, s, h_prev, h) the skipping scan must
-    reproduce bit for bit."""
+    """The dense scan, sampling flight_position at every point
+    s0 + k scan_step of the grid: the bracket (s_prev, s, h_prev, h) the
+    skipping scan must reproduce bit for bit."""
     window = s0 + 2.0 * math.pi + 0.1
     s_prev, h_prev = s0, h0
-    s = s0
+    s, k = s0, 0
     while s < window:
-        s += cfg.scan_step
+        k += 1
+        s = s0 + k * cfg.scan_step
         h = flight_position(*ff, s).imag
         if h_prev > 0.0 and h <= 0.0:
             return s_prev, s, h_prev, h
@@ -286,17 +286,80 @@ def test_skipping_scan_brackets_as_dense_scan(seed):
 
 
 class _SinCountingMath:
-    """``math`` as the oracle module sees it, with ``sin`` counted."""
+    """``math`` as the oracle module sees it, with ``sin`` counted and its
+    arguments kept."""
 
     def __init__(self):
         self.sin_calls = 0
+        self.sin_args = []
 
     def __getattr__(self, name):
         return getattr(math, name)
 
     def sin(self, x):
         self.sin_calls += 1
+        self.sin_args.append(x)
         return math.sin(x)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6])
+def test_scan_evaluates_only_points_of_the_indexed_grid(monkeypatch, seed):
+    # every point s the scan evaluates h at, skipping or dense, lies within
+    # an ulp of s0 + k scan_step for an integer k, as fl(k scan_step) and
+    # the sum round once each; the sums fl(g + scan_step) of an additive
+    # grid drift by hundreds of ulps over a window.  Checked exactly: every
+    # float here is a multiple of 2^-1000 below 2^3, so times 2^1000 it is
+    # an integer
+    def exact(x):
+        return int(math.ldexp(x, 1000))
+
+    counting = _SinCountingMath()
+    monkeypatch.setattr(rodbilliard.oracle, "math", counting)
+    for ff, s0, cfg in _adversarial_scans(seed):
+        counting.sin_args.clear()
+        _scan_outcome(rodbilliard.oracle._scan, *_parts(ff), s0,
+                      flight_position(*ff, s0).imag, math.sin(-s0),
+                      math.cos(-s0), cfg.scan_step)
+        assert counting.sin_args
+        step, origin, unit = cfg.scan_step, exact(s0), exact(cfg.scan_step)
+        for x in counting.sin_args:
+            k = round((-x - s0) / step)
+            assert abs(exact(-x) - origin - k * unit) <= exact(math.ulp(x)), (
+                ff, s0, cfg, -x)
+
+
+class _OffCeilMath(_SinCountingMath):
+    """``_SinCountingMath`` with ``ceil`` off by ``offset``, as the
+    rounding of the scan's index estimate could leave it."""
+
+    def __init__(self, offset):
+        super().__init__()
+        self.offset = offset
+
+    def ceil(self, x):
+        return math.ceil(x) + self.offset
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_skip_settles_on_the_first_grid_point_past_its_limit(monkeypatch,
+                                                              seed):
+    # an index estimate off by a few steps either way is stepped to the
+    # first grid point at or past the proven stretch's end: the scan
+    # evaluates the same points and returns the same bracket
+    scans = _adversarial_scans(seed)
+
+    def points_and_outcomes(offset):
+        recording = _OffCeilMath(offset)
+        monkeypatch.setattr(rodbilliard.oracle, "math", recording)
+        outcomes = [_scan_outcome(rodbilliard.oracle._scan, *_parts(ff), s0,
+                                  flight_position(*ff, s0).imag,
+                                  math.sin(-s0), math.cos(-s0), cfg.scan_step)
+                    for ff, s0, cfg in scans]
+        return recording.sin_args, outcomes
+
+    exact = points_and_outcomes(0)
+    for offset in (-1, 1, -3, 3):
+        assert points_and_outcomes(offset) == exact, offset
 
 
 def test_skipping_scan_takes_under_a_third_of_the_evaluations(monkeypatch):
@@ -320,49 +383,23 @@ def test_skipping_scan_takes_under_a_third_of_the_evaluations(monkeypatch):
     monkeypatch.setitem(globals(), "flight_position", counted_position)
     assert inline == [_oracle_outcome(_complex_oracle, z0, v0, 50, cfg)
                       for z0, v0 in _STARTS]
-    assert counting.sin_calls == evals == 4045
-    assert 15 * evals < dense_evals == 91482
-
-
-# halfway between multiples of the float spacing in [4, 8), where
-# round-half-even decides every sum; 1e-3 and 1e-7 tie in lower binades
-_TIE_STEP = math.ldexp(round(1e-3 * 2**62 / 4096) * 4096 + 2048, -62)
-
-
-@pytest.mark.parametrize("step", [1e-3, 1e-5, 1e-7, _TIE_STEP])
-def test_jump_follows_the_additive_grid(step):
-    # from each scan start, for 10^3 seeded grid points s and limits lim
-    # past them, the jump returns the first point at or past lim of
-    # g_{k+1} = fl(g_k + step), as materialised to 10^5 points, and the
-    # point before it
-    rng = random.Random(step)
-    for s0 in (0.0, step, 10.0 * step):
-        grid = [s0]
-        while len(grid) < 10**5:
-            grid.append(grid[-1] + step)
-        for _ in range(1000):
-            k = rng.randrange(1, len(grid))
-            lim = rng.choice([grid[k], math.nextafter(grid[k], 0.0),
-                              math.nextafter(grid[k - 1], math.inf),
-                              rng.uniform(grid[k - 1], grid[k])])
-            k = bisect.bisect_left(grid, lim)
-            i = rng.choice([k - 1, rng.randrange(k)])
-            assert rodbilliard.oracle._jump(grid[i], lim, step) == (
-                grid[k - 1], grid[k]), (s0, step, grid[i], lim)
+    assert counting.sin_calls == evals == 4046
+    assert 15 * evals < dense_evals == 91483
 
 
 def test_a_step_that_stalls_the_grid_is_rejected():
-    # below half the float spacing fl(g + scan_step) = g inside the window,
-    # where the dense scan would never end
+    # below half the float spacing grid points repeat inside the window,
+    # and the dense scan would take over 10^17 of them
     with pytest.raises(ValueError, match="the scan grid stalls"):
         oracle_simulate(1j, 1, 1, SimConfig(scan_step=1e-17))
 
 
 def test_a_step_of_half_the_window_spacing_stalls():
-    # at exactly half an ulp of the window round-half-even stalls every
-    # even grid point in its binade.  From the lift-off guard start the
-    # window is an odd multiple of its ulp, so fl(window + step) > window
-    # there although the grid stalls below it; one float more scans
+    # at exactly half an ulp of the window, neighbouring grid points
+    # s0 + k step round to one float below it, and the scan is rejected.
+    # The rule is the spacing, not a sum at the window: from the lift-off
+    # guard start the window is an odd multiple of its ulp, so
+    # fl(window + step) > window.  One float more scans
     step = 0.5 * math.ulp(2.0 * math.pi + 0.1)
     with pytest.raises(ValueError, match="the scan grid stalls"):
         oracle_simulate(1j, 1, 1, SimConfig(scan_step=step))

@@ -384,15 +384,22 @@ def test_first_impact_through_pivot_unsupported():
     assert abs(exc.value.r) < 1e-9
 
 
-@pytest.mark.parametrize("v0", [1e154 - 1e-300j, 1e150 - 1e-290j])
-def test_first_impact_at_the_pivot_through_rounding(v0):
-    # L = 1e-300 > 0, so the line passes just beside the pivot, but at the
-    # contact t = 1/|v0| the radius |z0 + v0 t| rounds to 0: an unsupported
-    # hit there, where classify_impact would reject the radius
+@pytest.mark.parametrize("z0, v0, t", [
+    (-1 + 0j, 1e154 - 1e-300j, 1.0 / 1e154),
+    (-1 + 0j, 1e150 - 1e-290j, 1.0 / 1e150),
+    (-1.0166074831982432 + 0.0020083660328568697j,
+     2.8360919129177287 - 0.005602861240057683j, 0.3584536448088429),
+])
+def test_first_impact_at_the_pivot_through_rounding(z0, v0, t):
+    # lines that pass just beside the pivot (L != 0), whose radius
+    # |z0 + v0 t| at the contact t rounds to 0: an unsupported hit there,
+    # where classify_impact would reject the radius.  In the first two L
+    # underflows to 0 once the pair is scaled, and the collinear branch
+    # raises; the third keeps L != 0 and raises from the hit itself
     with pytest.raises(UnsupportedFirstImpact) as exc:
-        first_impact(-1 + 0j, v0)
-    assert (exc.value.t, exc.value.r) == (1.0 / v0.real, 0.0)
-    assert simulate(-1, v0).termination == "unsupported_first_impact"
+        first_impact(z0, v0)
+    assert (exc.value.t, exc.value.r) == (t, 0.0)
+    assert simulate(z0, v0).termination == "unsupported_first_impact"
 
 
 @pytest.mark.parametrize("k", [515, 520, 1000])

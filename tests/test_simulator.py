@@ -370,6 +370,8 @@ def test_quasi_trajectory_values():
     assert quasi_velocity(q, 2.0) == 0j
     with pytest.raises(ValueError):
         quasi_position(q, 1.9)
+    with pytest.raises(ValueError):
+        quasi_velocity(q, 1.9)
 
 
 def test_quasi_satisfies_centrifugal_ode():
