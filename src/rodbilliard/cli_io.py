@@ -270,7 +270,7 @@ _FLAGS = (
           ("simulate", "impacts", "asympt")),
     _Flag("t-max", float, None, "time budget (default unbounded)"),
     _Flag("scan-step", float, None, "oracle scan step (default 1e-3)",
-          ("simulate", "oracle")),
+          ("oracle",)),
     _Flag("quasi", str, None, "behaviour at a degenerate impact (default stop)",
           ("simulate", "impacts"), choices=("stop", "extend"),
           dest="quasi_mode"),

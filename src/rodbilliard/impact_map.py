@@ -145,31 +145,29 @@ def segment_max_height(r: float, a: float, beta: float,
     """Peak of the arc's height r s g(s) over (0, delta), g = F/s as in
     ``reduced_arc``.
 
-    h'/r = g + s g' falls from beta > 0 at s = 0 to delta g'(delta) < 0 at
-    the return, so its root is bracketed; Newton starts at the root of
-    beta = 2a s + s^2, its small-s form.  A grazing arc (beta = 0) has
-    h' = 0 at s = 0 as well, and is solved as h'/(r s) = g/s + g', which
-    falls from -2a > 0.
+    The arc's rotating-frame velocity is r V(s) e^{-is}, with
+    V = a + b s + i(beta - a s), so h' = r |V| sin psi, psi = arg V - s.
+    psi falls from arg(a + i beta) in [0, pi] with
+    psi' = -(a^2 + b beta)/|V|^2 - 1 <= -1, so the peak is its one root,
+    on grazing arcs (beta = 0, a < 0, psi(0+) = pi) too; Newton starts at
+    the root of beta = 2a s + s^2, its small-s form.  psi' divides by |V|
+    twice, so no square under- or overflows.
     """
     if not (r > 0 and math.isfinite(r)
             and math.isfinite(a) and math.isfinite(beta)):
         raise ValueError(
             f"arc must be finite with r > 0, got r={r}, a={a}, beta={beta}")
-    if beta > 0.0:
-        def f_df(s: float) -> tuple[float, float]:
-            g, g1, g2 = reduced_arc(s, a, beta)
-            return g + s * g1, 2.0 * g1 + s * g2
-    else:
-        beta = 0.0
+    beta = max(0.0, beta)
+    b = 1.0 + beta
 
-        def f_df(s: float) -> tuple[float, float]:
-            g, g1, g2 = reduced_arc(s, a, 0.0)
-            g_s = g / s
-            return g_s + g1, (g1 - g_s) / s + g2
+    def f_df(s: float) -> tuple[float, float]:
+        x, y = a + b * s, beta - a * s
+        h = math.hypot(x, y)
+        return math.atan2(y, x) - s, -((a / h) * a + (b / h) * beta) / h - 1.0
     s = hybrid_root(f_df, 0.0, delta, abs_tol=0.0,
                     x0=small_root_guess(1.0, 2.0 * a, beta),
                     rel_tol=ROOT_REL_TOL, positive_lo=True).root
-    return r * s * reduced_arc(s, a, beta)[0]
+    return r * s * reduced_arc(s, a, beta)
 
 
 def in_degenerate_set(z0: complex, zdot0: complex

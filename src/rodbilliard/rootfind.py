@@ -132,9 +132,8 @@ REVERSION_W_MAX = 0.005
 START_W_MAX = 0.5
 
 
-def reduced_arc(s: float, a: float, beta: float
-                ) -> tuple[float, float, float]:
-    """g(s) = F(s)/s and its first two derivatives, for s > 0.
+def reduced_arc(s: float, a: float, beta: float) -> float:
+    """g(s) = F(s)/s, for s > 0.
 
     F(s) = b s cos s - (1 + a s) sin s is the height of the arc with
     b = 1 + beta, divided by r, so
@@ -142,9 +141,8 @@ def reduced_arc(s: float, a: float, beta: float
         g(s) = beta cos s - a sin s - k(s),    k(s) = sin s/s - cos s.
 
     k ~ s^2/3 is taken from its Taylor series below SERIES_MAX, so no
-    term of g loses digits to cancellation as s -> 0; its derivatives
-    follow exactly as k' = sin s - k/s and k'' = k (2/s^2 - 1).  With
-    a = beta = 0 the result is (-k, -k', -k'').
+    term of g loses digits to cancellation as s -> 0.  With a = beta = 0
+    the result is -k.
     """
     sn = math.sin(s)
     cs = math.cos(s)
@@ -154,11 +152,7 @@ def reduced_arc(s: float, a: float, beta: float
             _K4 + u * (_K5 + u * (_K6 + u * (_K7 + u * _K8))))))))
     else:
         k = sn / s - cs
-    k1 = sn - k / s
-    k2 = k * (2.0 / (s * s) - 1.0)
-    return (beta * cs - a * sn - k,
-            -beta * sn - a * cs - k1,
-            -beta * cs + a * sn - k2)
+    return beta * cs - a * sn - k
 
 
 def small_root_guess(c2: float, c1: float, beta: float) -> float:

@@ -246,6 +246,29 @@ def delta_root(mp, a, beta, guess):
         return s
 
 
+def peak_height(mp, r, a, beta, delta):
+    """Peak of the arc's height r F(s), F = b s cos s - (1 + a s) sin s,
+    over (0, delta) to 40 digits: F' = (beta - a s) cos s - (a + b s) sin s
+    falls through 0 there, so it is bisected in floats and its root then
+    refined by Newton steps."""
+    b = 1.0 + beta
+    lo, hi = 0.0, delta
+    for _ in range(64):
+        s = 0.5 * (lo + hi)
+        if (beta - a * s) * math.cos(s) > (a + b * s) * math.sin(s):
+            lo = s
+        else:
+            hi = s
+    with mp.workdps(40):
+        r, a, beta, s = map(mp.mpf, (r, a, beta, 0.5 * (lo + hi)))
+        b = 1 + beta
+        for _ in range(3):
+            sn, cs = mp.sin(s), mp.cos(s)
+            s -= (((beta - a * s) * cs - (a + b * s) * sn)
+                  / (-(2 * a + b * s) * cs - (b + beta - a * s) * sn))
+        return r * (b * s * mp.cos(s) - (1 + a * s) * mp.sin(s))
+
+
 def ulps_off(x, ref) -> float:
     """|x - ref| in units of the last place of ref as a float."""
     return float(abs(x - ref)) / math.ulp(float(ref))

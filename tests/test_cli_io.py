@@ -17,10 +17,12 @@ from rodbilliard import (QuasiTrajectory, SimConfig, flight_position,
 from rodbilliard import cli_io
 from rodbilliard.cli_io import (ExportOptions, export_trajectory, main,
                                 record_from_json, record_to_json)
-from rodbilliard.core import EPS
+from rodbilliard.core import EPS, ContractViolation, classify_impact
+from rodbilliard.oracle import OracleMismatch, oracle_simulate
 from rodbilliard.rootfind import solve_delta
 from conftest import (GRAZING_V0, GRAZING_Z0, make_grazing_start,
-                      random_supported_starts, stopping_set_point)
+                      peak_height, random_supported_starts,
+                      stopping_set_point, ulps_off)
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -302,17 +304,25 @@ _GRAZING_JSON = (
     '0.44269298134881246]}\n')
 
 
-@pytest.mark.parametrize("text,start,heights", [
-    (_TRANSVERSAL_JSON, (1j, 1), [0.7175387862946464, 0.5506705748055817]),
+# the heights lie within max_ulps of their 40-digit peaks: the transversal
+# ones 1.64 and 0.11 ulps off, the grazing ones 0.82 and 1.04
+@pytest.mark.parametrize("text,start,heights,max_ulps", [
+    (_TRANSVERSAL_JSON, (1j, 1), [0.7175387862946464, 0.5506705748055817],
+     2.0),
     (_GRAZING_JSON, (GRAZING_Z0, GRAZING_V0),
-     [0.07183740895470603, 0.05274314014934899])])
-def test_pinned_json_loads(text, start, heights):
+     [0.07183740895470607, 0.05274314014934899], 1.5)])
+def test_pinned_json_loads(text, start, heights, max_ulps):
     record = simulate(*start, SimConfig(n_max=3))
     loaded = record_from_json(text)
     assert record_to_json(record) == text
     assert loaded == record
     assert repr(loaded) == repr(record)
     assert list(loaded.heights) == heights
+    mpmath = pytest.importorskip("mpmath")
+    for k, height in enumerate(heights):
+        ref = peak_height(mpmath.mp, record.r[k], record.a[k],
+                          record.beta[k], record.delta[k])
+        assert ulps_off(height, ref) <= max_ulps, k
 
 
 def test_pinned_transversal_record_is_near_the_reference_orbit():
@@ -344,6 +354,11 @@ def test_json_of_earlier_layout_is_rejected(tables):
         record_from_json(json.dumps({**data, **tables}))
 
 
+# a first contact whose derived incoming velocity, -0.2 + 2.7e-10i at
+# r = 0.1, is a tangency that classify_impact rejects: the reader takes it
+# as grazing, as first_impact does
+_TANGENT_START = (0.2462377902412316 + 0.198411064605555j,
+                  -0.1922075596544176 - 0.11426396637476535j)
 _ROUNDTRIP_CASES = ("transversal", "grazing", "degenerate_stop",
                     "degenerate_quasi", "unsupported_first_impact",
                     "reached_t_max")
@@ -360,6 +375,7 @@ def roundtrip_records() -> dict[str, list]:
             z0, v0, SimConfig(n_max=1000, t_max=rng.uniform(0.5, 4.0))))
     cases["grazing"].append(simulate(GRAZING_Z0, GRAZING_V0,
                                      SimConfig(n_max=25)))
+    cases["grazing"].append(simulate(*_TANGENT_START, SimConfig(n_max=3)))
     for quasi, case in (("stop", "degenerate_stop"),
                         ("extend", "degenerate_quasi")):
         for _ in range(4):
@@ -383,6 +399,10 @@ def test_json_roundtrip_is_bit_exact(roundtrip_records, case):
     assert {r.termination for r in records} == {ended.get(case, case)}
     if case == "grazing":
         assert records[0].impacts[0].kind == "grazing"
+        tangent = records[1]
+        assert tangent.first_kind == "grazing"
+        with pytest.raises(ContractViolation):
+            classify_impact(tangent.r[0], tangent.first_zdot_in)
     if case.startswith("degenerate"):
         assert records[0].impacts[-1].zdot_out == 0j
     for record in records:
@@ -830,6 +850,21 @@ def test_oracle_first_contact_within_one_scan_step_ok(capsys):
     assert float(lines[1].split(",")[2]) < 1e-4
 
 
+def test_oracle_next_impact_within_one_scan_step_exit_4(capsys):
+    # with scan_step = 0.8 the reference orbit's height is already negative
+    # one step (and ten steps) past its second impact
+    message = ("the next impact after t = 1.9223637703449956 comes within "
+               "one scan step")
+    with pytest.raises(OracleMismatch, match=message):
+        oracle_simulate(1j, 1, 30, SimConfig(scan_step=0.8))
+    code = run_cli(["oracle", "--z0", "0,1", "--v0", "1,0",
+                    "--n-impacts", "10", "--scan-step", "0.8"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_oracle_coarse_scan_exit_4(capsys):
     code = run_cli(["oracle", "--z0", "0,1", "--v0", "1,0",
                     "--n-impacts", "10", "--scan-step", "0.5"])
@@ -966,8 +1001,8 @@ def test_out_into_missing_directory_exit_1(tmp_path, capsys):
 # every flag each subcommand takes, beside --config, with a value that
 # differs from the base run below
 CONFIG_KEYS = {
-    "simulate": ["z0", "v0", "out", "n-max", "t-max", "scan-step", "quasi",
-                 "frame", "samples", "format"],
+    "simulate": ["z0", "v0", "out", "n-max", "t-max", "quasi", "frame",
+                 "samples", "format"],
     "impacts": ["z0", "v0", "out", "n-max", "t-max", "quasi"],
     "asympt": ["z0", "v0", "out", "n-max", "t-max", "at", "band"],
     "oracle": ["z0", "v0", "out", "t-max", "scan-step", "n-impacts"],
@@ -1024,12 +1059,13 @@ def test_config_file_bad_value_or_foreign_key_exit_1(tmp_path, command,
     assert exc.value.code == 1
 
 
-# flags that no output of the subcommand depends on: impacts and asympt
-# never scan, asympt and oracle end at any full stop, and oracle's
+# flags that no output of the subcommand depends on: simulate, impacts and
+# asympt never scan, asympt and oracle end at any full stop, and oracle's
 # --n-impacts sets the impact budget
 @pytest.mark.parametrize("command,key", [
-    ("impacts", "scan-step"), ("asympt", "scan-step"), ("asympt", "quasi"),
-    ("oracle", "quasi"), ("oracle", "n-max")])
+    ("simulate", "scan-step"), ("impacts", "scan-step"),
+    ("asympt", "scan-step"), ("asympt", "quasi"), ("oracle", "quasi"),
+    ("oracle", "n-max")])
 def test_flag_the_subcommand_does_not_take_exit_1(tmp_path, capsys, command,
                                                   key):
     base = [command] + [f"--{k}={v}" for k, v in BASE_FLAGS.items()

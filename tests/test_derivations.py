@@ -1,8 +1,9 @@
-"""The closed forms behind ``rootfind.newton_delta``, derived in sympy.
+"""The closed forms behind ``rootfind.newton_delta`` and
+``impact_map.segment_max_height``, derived in sympy.
 
-Each identity its docstring states is proved symbolically, and the Taylor
-tables of ``rootfind`` are rebuilt from the series and compared with the
-floats in the module, so a wrong coefficient there fails here.
+Each identity their docstrings state is proved symbolically, and the
+Taylor tables of ``rootfind`` are rebuilt from the series and compared
+with the floats in the module, so a wrong coefficient there fails here.
 """
 
 import pytest
@@ -81,3 +82,27 @@ def test_default_starts_lie_right_of_the_root():
     quadratic = (b - a * sp.pi) * s**2 + sp.pi * (beta + a * sp.pi) * s \
         - sp.pi**2 * beta
     assert sp.expand(bound + quadratic) == 0
+
+
+def test_arc_peak_is_where_the_velocity_turns_horizontal():
+    # the arc z = r (1 + a s + i b s) e^{-is} has z' = r V e^{-is} with
+    # V = a + b s + i(beta - a s), so h' = Im z' = r |V| sin(arg V - s),
+    # and (arg V)' = Im(conj(V) V')/|V|^2 = -(a^2 + b beta)/|V|^2
+    r = sp.symbols("r", positive=True)
+    re_v, im_v = a + b * s, beta - a * s
+    v = re_v + sp.I * im_v
+    z = r * (1 + a * s + sp.I * b * s) * sp.exp(-sp.I * s)
+    assert sp.simplify(sp.diff(z, s) - r * v * sp.exp(-sp.I * s)) == 0
+    height = sp.im(sp.expand_complex(z))
+    arc = b * s * sp.cos(s) - (1 + a * s) * sp.sin(s)    # s g of reduced_arc
+    assert sp.simplify(height - r * arc) == 0
+    slope = sp.diff(height, s) / r
+    assert sp.simplify(slope - (im_v * sp.cos(s) - re_v * sp.sin(s))) == 0
+    rho, theta = sp.symbols("rho theta", real=True)
+    polar = rho * sp.exp(sp.I * theta)
+    assert sp.simplify(sp.im(sp.expand_complex(polar * sp.exp(-sp.I * s)))
+                       - rho * sp.sin(theta - s)) == 0
+    speed2 = sp.expand(re_v**2 + im_v**2)
+    turn = sp.im(sp.expand_complex(sp.conjugate(v) * sp.diff(v, s)))
+    assert sp.simplify(sp.diff(sp.atan2(im_v, re_v), s) - turn / speed2) == 0
+    assert sp.expand(turn + a**2 + b * beta) == 0

@@ -22,8 +22,8 @@ from rodbilliard.rootfind import (REVERSION_A_MAX, REVERSION_A_MIN,
                                   REVERSION_W_MAX, SERIES_MAX, reduced_arc)
 from conftest import (box_state, cascade_impact, delta_root, in_reversion_box,
                       in_start_window, load_perfbench, outside_box_arcs,
-                      random_supported_starts, recurrence, series_start,
-                      stopping_set_point, ulps_off, window_arc)
+                      peak_height, random_supported_starts, recurrence,
+                      series_start, stopping_set_point, ulps_off, window_arc)
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -37,20 +37,15 @@ def relative_error(x, ref):
 
 
 def test_gap_kernels_match_mpmath():
-    # k(s) = sin s/s - cos s, k', k''; with a = beta = 0 the reduced arc
-    # function returns (-k, -k', -k'').  k'' vanishes at sqrt(2), so the
-    # samples above the switch stop at 1.1 SERIES_MAX
+    # k(s) = sin s/s - cos s; with a = beta = 0 the reduced arc function
+    # returns -k
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp
     with mp.workdps(30):
         for s in BELOW + ABOVE:
             x = mp.mpf(s)
             k = mp.sin(x) / x - mp.cos(x)
-            k1 = mp.sin(x) - k / x
-            k2 = k * (2 / x ** 2 - 1)
-            got = reduced_arc(s, 0.0, 0.0)
-            for value, ref in zip(got, (k, k1, k2)):
-                assert relative_error(-value, ref) <= 1e-15, s
+            assert relative_error(-reduced_arc(s, 0.0, 0.0), k) <= 1e-15, s
 
 
 def test_recurrence_kernels_match_mpmath():
@@ -139,6 +134,24 @@ def test_grazing_arc_height_matches_mpmath():
             ref = s * mp.cos(s) - (1 + x * s) * mp.sin(s)
         height = segment_max_height(1.0, a, 0.0, delta)
         assert relative_error(height, ref) <= 1e-15, a
+
+
+def test_transversal_arc_heights_match_mpmath():
+    # every closed arc of 40 seeded random starts to n = 25 and of the
+    # reference orbit to n = 1000, against its 40-digit peak (3.86 ulps
+    # at worst)
+    mpmath = pytest.importorskip("mpmath")
+    records = [simulate(z0, v0, SimConfig(n_max=25))
+               for z0, v0 in random_supported_starts(40)]
+    records.append(simulate(1j, 1 + 0j, SimConfig(n_max=1000)))
+    arcs = 0
+    for record in records:
+        for k, height in enumerate(record.heights):
+            ref = peak_height(mpmath.mp, record.r[k], record.a[k],
+                              record.beta[k], record.delta[k])
+            assert ulps_off(height, ref) <= 6.0, (record.z0, k)
+            arcs += 1
+    assert arcs > 1900
 
 
 def box_top(a):
