@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from array import array
 from contextlib import nullcontext
 from dataclasses import asdict, astuple, dataclass, fields
 from itertools import chain, count, islice
@@ -76,11 +77,11 @@ def record_to_json(record: TrajectoryRecord) -> str:
         "config": cfg,
         "termination": record.termination,
         "first_kind": record.first_kind,
-        "t": record.t,
-        "r": record.r,
-        "a": record.a,
-        "beta": record.beta,
-        "delta": record.delta,
+        "t": record.t.tolist(),
+        "r": record.r.tolist(),
+        "a": record.a.tolist(),
+        "beta": record.beta.tolist(),
+        "delta": record.delta.tolist(),
     }
     return json.dumps(data, separators=(",", ":")) + "\n"
 
@@ -127,7 +128,7 @@ def record_from_json(text: str) -> TrajectoryRecord:
                              f"{kind!r}, {n} impacts and {arcs} arcs")
         record = TrajectoryRecord(
             complex(*data["z0"]), complex(*data["v0"]), SimConfig(**cfg),
-            term, *map(tuple, cols), kind)
+            term, *(array("d", col) for col in cols), kind)
         if n and r[0] > 0.0:  # a radius r <= 0 is left to the arc checks
             try:  # first_impact's verdict, where a tangency grazes
                 verdict = classify_impact(r[0], record.first_zdot_in)
@@ -347,12 +348,11 @@ def _simulate_render(record, args):
 
 def _impacts_render(record, args):
     t, r, a, beta = record.t, record.r, record.a, record.beta
-    delta = list(record.delta)
-    if len(delta) < len(a):  # the open last arc
-        delta.append(record.open_delta)
+    # the closed arcs' deltas, then the open last arc's, copying no column
+    delta = chain(record.delta, [record.open_delta])
     lines = ["n,t_n,delta_n,r_n,a_n,b_n,re_in,im_in,kind"]
     if t:  # the first impact has its own velocity and kind, and maybe no arc
-        d, a1, b1 = (map(_FMT, (delta[0], a[0], 1.0 + beta[0])) if a
+        d, a1, b1 = (map(_FMT, (next(delta), a[0], 1.0 + beta[0])) if a
                      else ("", "", ""))
         z = record.first_zdot_in
         lines.append(",".join(["1", _FMT(t[0]), d, _FMT(r[0]), a1, b1,
@@ -360,8 +360,8 @@ def _impacts_render(record, args):
     # a later impact is transversal, with incoming velocity r (a - i beta)
     form = "%d," + "%.17g," * 7 + TRANSVERSAL
     lines += [form % (n, t_n, d, r_n, a_n, 1.0 + b_n, r_n * a_n, -r_n * b_n)
-              for n, t_n, d, r_n, a_n, b_n in islice(
-                  zip(count(1), t, delta, r, a, beta), 1, None)]
+              for (n, t_n, r_n, a_n, b_n), d in zip(
+                  islice(zip(count(1), t, r, a, beta), 1, None), delta)]
     lines.append("")
     return "\n".join(lines), "", EXIT_OK
 

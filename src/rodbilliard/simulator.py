@@ -11,9 +11,11 @@ brute-force verifier in ``oracle`` exists precisely to validate that choice.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 
 from .core import (DEFAULT_CONFIG, DEGENERATE, TRANSVERSAL, PhaseState,
                    SimConfig, require_finite, unit_rotation)
@@ -66,7 +68,7 @@ class RowView(Sequence):
 
 @dataclass(frozen=True, slots=True)
 class TrajectoryRecord:
-    """Initial data, the orbit as columns of floats, and the termination.
+    """Initial data, the orbit as float64 columns, and the termination.
 
     Impact k + 1 happens at ``t[k]``, radius ``r[k]``; the arc leaving it
     has ``a[k]``, ``beta[k]`` = b - 1 and, once closed, ``delta[k]``.  The
@@ -74,17 +76,22 @@ class TrajectoryRecord:
     but the first is transversal with incoming velocity r (a - i beta).
     ``impacts``, ``segments``, ``heights``, ``quasi_start`` and
     ``first_zdot_in`` are derived on access.  (z0, v0): the approach arc.
+
+    ``simulate``, ``record_from_json`` and the field defaults give each
+    column as an ``array('d')``, 8 bytes a value, so their records of one
+    orbit compare equal and print alike; the columns are mutable buffers,
+    and a record is not hashable.
     """
 
     z0: complex
     v0: complex
     config: SimConfig
     termination: str
-    t: tuple[float, ...] = ()
-    r: tuple[float, ...] = ()
-    a: tuple[float, ...] = ()
-    beta: tuple[float, ...] = ()
-    delta: tuple[float, ...] = ()
+    t: array = field(default_factory=partial(array, "d"))
+    r: array = field(default_factory=partial(array, "d"))
+    a: array = field(default_factory=partial(array, "d"))
+    beta: array = field(default_factory=partial(array, "d"))
+    delta: array = field(default_factory=partial(array, "d"))
     first_kind: str | None = None
 
     @property
@@ -191,19 +198,15 @@ def simulate(z0: complex, v0: complex,
     if kind == DEGENERATE:
         return TrajectoryRecord(
             z0, v0, cfg, "degenerate_quasi" if cfg.quasi_mode == "extend"
-            else "degenerate_stop", t=(t1,), r=(r1,), first_kind=kind)
+            else "degenerate_stop", t=array("d", [t1]), r=array("d", [r1]),
+            first_kind=kind)
 
     # the first arc from the contact's verdict: beta > 0 if transversal,
     # and a grazing touch gets beta = 0 where rounding made it negative
     zdot_in = flight_velocity(z0, v0, t1)
-    columns = list(cascade(
+    ts, rs, as_, betas, deltas = cascade(
         t1, r1, zdot_in.real / r1, max(-zdot_in.imag / r1, 0.0),
-        cfg.n_max - 1, cfg.t_max))
-    # each list is dropped as soon as its tuple is made, so the build
-    # never holds all five lists beside all five tuples
-    for k in range(5):
-        columns[k] = tuple(columns[k])
-    ts, rs, as_, betas, deltas = columns
+        cfg.n_max - 1, cfg.t_max)
     termination = "reached_n_max" if len(ts) == cfg.n_max else "reached_t_max"
     return TrajectoryRecord(z0, v0, cfg, termination, t=ts, r=rs, a=as_,
                             beta=betas, delta=deltas, first_kind=kind)

@@ -9,6 +9,7 @@ and ``solve_delta`` and ``step`` through it, must equal bit for bit."""
 import importlib.util
 import math
 import random
+from array import array
 from pathlib import Path
 
 import pytest
@@ -229,7 +230,7 @@ def cascade_impact(r: float, a: float, beta: float
     """One impact of ``cascade`` from the arc (r, a, beta), as
     (delta, r', a', beta') like ``reference_step``."""
     ts, rs, as_, betas, deltas = cascade(0.0, r, a, beta, 1, math.inf)
-    assert len(deltas) == 1 and ts == [0.0, deltas[0]]
+    assert len(deltas) == 1 and ts == array("d", [0.0, deltas[0]])
     return deltas[0], rs[1], as_[1], betas[1]
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+from array import array
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,7 +10,7 @@ from rodbilliard import (DEGENERATE, ContractViolation, T_STAR,
                          segment_max_height, solve_delta, step, unit_rotation)
 from rodbilliard.impact_map import cascade
 from rodbilliard.rootfind import (REVERSION_A_MAX, REVERSION_A_MIN,
-                                  REVERSION_W_MAX, SERIES_MAX)
+                                  REVERSION_W_MAX, SERIES_MAX, newton_delta)
 from conftest import (box_state, cascade_impact, in_reversion_box,
                       outside_box_arcs, recurrence, recurrence_direct,
                       reference_solve_delta, reference_step)
@@ -70,6 +71,18 @@ def test_step_worked_example():
 def test_height_rejects_inadmissible_arc(r, a, beta):
     with pytest.raises(ValueError):
         segment_max_height(r, a, beta, DELTA_02)
+
+
+def test_height_where_the_velocity_underflows():
+    # the grazing arc a = -1e-300 with newton_delta's delta: at Newton's
+    # start s = 1e-300, Re V = a + b s is 0 and Im V = -a s underflows, so
+    # |V| and h' = r |V| sin psi are 0 there; the peak, about 4e-900,
+    # rounds to 0.0 (dividing by |V| raised ZeroDivisionError)
+    a = -1e-300
+    delta = newton_delta(a, 0.0)[0]
+    assert delta == 3e-300
+    height = segment_max_height(1.0, a, 0.0, delta)
+    assert height == 0.0 and math.copysign(1.0, height) == 1.0
 
 
 def test_height_against_brute_scan():
@@ -307,8 +320,10 @@ def test_cascade_checks_its_first_arc_as_solve_delta(a, beta):
         cascade(0.0, 1.0, a, beta, 3, math.inf)
     assert str(got.value) == str(expected.value)
     ts, rs, as_, betas, deltas = cascade(0.0, 1.0, a, beta, 0, math.inf)
-    assert (ts, rs, deltas) == ([0.0], [1.0], [])
-    assert as_[0] is a and betas[0] is beta
+    assert (ts, rs, deltas) == (array("d", [0.0]), array("d", [1.0]),
+                                array("d"))
+    # the first arc is stored as given, bit for bit
+    assert (repr(as_[0]), repr(betas[0])) == (repr(a), repr(beta))
 
 
 def test_degenerate_set_rejects_an_infinite_ratio():

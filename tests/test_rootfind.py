@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -411,7 +412,7 @@ def test_orbit_scaled_past_the_square_overflow(k):
     scale = 2.0 ** k
     unit = simulate(1j, 1, SimConfig(n_max=50))
     record = simulate(scale * 1j, scale, SimConfig(n_max=50))
-    assert record.r == tuple(scale * r for r in unit.r)
+    assert record.r == array("d", (scale * r for r in unit.r))
     assert (record.t, record.a, record.beta, record.delta) == (
         unit.t, unit.a, unit.beta, unit.delta)
     assert record.first_zdot_in == scale * unit.first_zdot_in

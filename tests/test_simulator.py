@@ -4,14 +4,15 @@ import math
 import random
 import sys
 import tracemalloc
+from array import array
 
 import pytest
 
 from rodbilliard import (DEGENERATE, TRANSVERSAL, ContractViolation,
                          SimConfig, convergence_experiment, flight_position,
                          quasi_position, quasi_velocity, record_state,
-                         segment_position, simulate, step, QuasiTrajectory,
-                         TrajectoryRecord)
+                         record_from_json, record_to_json, segment_position,
+                         simulate, step, QuasiTrajectory, TrajectoryRecord)
 from rodbilliard.core import (DEFAULT_CONFIG, GRAZING_TOL, require_finite,
                               unit_rotation)
 from rodbilliard.flight import FlightSegment, flight_velocity
@@ -706,17 +707,44 @@ def test_impact_loop_closes_with_an_unconditional_jump():
                for ins in dis.get_instructions(cascade))
 
 
-def test_record_build_peaks_near_the_record():
-    # simulate turns cascade's lists into the record's tuples one at a time,
-    # so building 10^4 impacts peaks at 1.07 times the record it returns
-    # (1.27 while all five lists and all five tuples were held at once)
+def test_record_build_peaks_below_48_bytes_per_impact():
+    # cascade packs its floats into the record's float64 columns every
+    # _CHUNK impacts, so building 2.5e4 impacts peaks at 46.1 bytes per
+    # impact: 8 a column value, 42 B with the arrays' spare room, and one
+    # chunk of float objects.  Float objects in tuples peaked at 168 at
+    # any length
     simulate(1j, 1 + 0j, SimConfig(n_max=50))  # first-call allocations
+    n = 25_000
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        record = simulate(1j, 1 + 0j, SimConfig(n_max=10_000))
-        held, peak = tracemalloc.get_traced_memory()
+        record = simulate(1j, 1 + 0j, SimConfig(n_max=n))
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(record.t) == 10_000
-    assert peak - base <= 1.10 * (held - base)
+    assert len(record.t) == n
+    assert peak - base <= 48 * n
+
+
+@pytest.mark.parametrize("z0, v0, cfg, termination", [
+    (1j, 1 + 0j, SimConfig(n_max=3000), "reached_n_max"),
+    (1j, 1 + 0j, SimConfig(n_max=10**5, t_max=12.0), "reached_t_max"),
+    (1j, 1 + 0j, SimConfig(t_max=0.5), "reached_t_max"),
+    (*stopping_set_point(1.0, 1.0), SimConfig(), "degenerate_stop"),
+    (*stopping_set_point(2.0, 0.5), SimConfig(quasi_mode="extend"),
+     "degenerate_quasi"),
+    (1j, complex(-1, -10), SimConfig(), "unsupported_first_impact")])
+def test_every_record_holds_float64_columns(z0, v0, cfg, termination):
+    # simulate on each termination (3000 impacts span two chunks of
+    # cascade; the t_max cuts fall past one and before the first impact),
+    # record_from_json and the field defaults all give array('d') columns,
+    # so the records they build of one orbit are equal and print alike
+    record = simulate(z0, v0, cfg)
+    assert record.termination == termination
+    built = [record, record_from_json(record_to_json(record))]
+    if not record.t:
+        built.append(TrajectoryRecord(record.z0, record.v0, cfg, termination))
+    for other in built:
+        assert all(type(col) is array and col.typecode == "d" for col in (
+            other.t, other.r, other.a, other.beta, other.delta))
+        assert other == record and repr(other) == repr(record)
