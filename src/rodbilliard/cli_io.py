@@ -93,9 +93,10 @@ _TERMINATIONS = ("reached_n_max", "reached_t_max", "degenerate_stop",
 def record_from_json(text: str) -> TrajectoryRecord:
     """Load a record written by ``record_to_json``.
 
-    Raises ValueError for another layout, a missing key, a wrongly typed or
-    non-finite entry, an unknown termination or first impact, ragged
-    columns, or a termination or first impact that misfits them; ignores
+    Raises ValueError for another layout, a missing key, a wrongly typed,
+    boolean or non-finite entry (an integer too large for a float
+    included), an unknown termination or first impact, ragged columns, or
+    a termination or first impact that misfits them; ignores
     ``quasi_start`` and ``first_zdot_in``, which the record derives.
     """
     data = json.loads(text)
@@ -115,8 +116,10 @@ def record_from_json(text: str) -> TrajectoryRecord:
         kind, term = data["first_kind"], data["termination"]
         if kind not in ((TRANSVERSAL, GRAZING, DEGENERATE) if n else (None,)):
             raise ValueError(f"first impact {kind!r} misfits t")
-        if not all(all(map(math.isfinite, col)) for col in (*cols, data["z0"],
-                   data["v0"])):
+        numbers = (*cols, data["z0"], data["v0"])
+        if any(bool in {*map(type, col)} for col in numbers):
+            raise ValueError("record holds a boolean in place of a number")
+        if not all(all(map(math.isfinite, col)) for col in numbers):
             raise ValueError("record holds a non-finite number")
         if term not in _TERMINATIONS:
             raise ValueError(f"unknown termination {term!r}")
@@ -139,6 +142,9 @@ def record_from_json(text: str) -> TrajectoryRecord:
         return record
     except KeyError as exc:
         raise ValueError(f"record lacks the key {exc}") from exc
+    except OverflowError as exc:
+        raise ValueError(f"record holds an integer too large for a float: "
+                         f"{exc}") from exc
     except TypeError as exc:
         raise ValueError(f"record holds a wrongly typed entry: {exc}") from exc
 

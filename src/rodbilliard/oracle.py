@@ -169,15 +169,16 @@ def _scan(zr: float, zi: float, vr: float, vi: float, s0: float, h0: float,
                 -4.0 * EPS * q * q):
             d = span
         else:
-            disc = sqrt(max(dd, 0.0))
-            d = min(span, (q + disc) / m if q > 0.0
-                    else 2.0 * h_lo / (disc - q))
+            disc = sqrt(0.0 if dd < 0.0 else dd)
+            d = (q + disc) / m if q > 0.0 else 2.0 * h_lo / (disc - q)
+            d = d if d < span else span
         d = d * (1.0 - 2.0 ** -20) - 2.0 * EPS * s_hi
         if not 2.0 * step <= d < math.inf:
             break
         # the points below s + d are proven positive; h_prev = inf marks
         # the height at s_prev as not evaluated
-        lim = min(s + d, window)
+        lim = s + d
+        lim = window if window < lim else lim
         k = math.ceil((lim - s0) / step)
         while s0 + k * step < lim:
             k += 1
@@ -218,7 +219,8 @@ def _refine(zr: float, zi: float, vr: float, vi: float, lo: float, hi: float,
     floats, and returns its midpoint.
     """
     sin, cos = math.sin, math.cos
-    step_tol = max(0.5 * tol, math.ulp(hi))
+    step_tol, ulp = 0.5 * tol, math.ulp(hi)
+    step_tol = ulp if ulp > step_tol else step_tol
     s = lo + (hi - lo) * (h_lo / (h_lo - h_hi))
     while hi - lo >= tol and lo < (mid := 0.5 * (lo + hi)) < hi:
         if not lo < s < hi:

@@ -284,10 +284,10 @@ def first_impact(z0: complex, v0: complex) -> FirstImpact:
     three monotone pieces, falling, rising, falling.  On the first falling
     piece that reaches 0, or rising piece that reaches pi, the contact is
     the root of phi, solved by Newton steps on the monotone bracket with a
-    relative stop.  A piece whose end (a stationary point of phi) lies
-    within GRAZING_TOL of the rod ends in a tangency there: a grazing
-    touch, or at a double root of the quadratic the cubic tangency of a
-    full stop.  The last piece falls below 0 by t = arg z0 + atan2(L, c)
+    relative stop, then polished by one Newton step on Im z(t).  A piece
+    whose end (a stationary point of phi) lies within GRAZING_TOL of the
+    rod ends in a tangency there: a grazing touch, or at a double root of
+    the quadratic the cubic tangency of a full stop.  The last piece falls below 0 by t = arg z0 + atan2(L, c)
     (L > 0) or t = arg z0 (L < 0).  With L = 0 the line runs through the
     pivot (or v0 = 0): phi = arg z0 - t until the ball reaches the pivot,
     an unsupported hit with r = 0.
@@ -369,6 +369,15 @@ def first_impact(z0: complex, v0: complex) -> FirstImpact:
         y = zi + vi * t
         return phi(t) - target, L / (x * x + y * y) - 1.0
 
-    res = hybrid_root(phi_dphi, a, b, abs_tol=ROOT_REL_TOL,
-                      rel_tol=ROOT_REL_TOL, positive_lo=not rising)
-    return hit(res.root, rising)
+    t = hybrid_root(phi_dphi, a, b, abs_tol=ROOT_REL_TOL,
+                    rel_tol=ROOT_REL_TOL, positive_lo=not rising).root
+    # phi's terms are O(1), so its root is a few eps off in absolute terms,
+    # many ulps of a small t: one Newton step on the height
+    # h = Im((z0 + v0 t) e^{-it}) of the scaled pair polishes it, unless
+    # the step is longer than the solve's tolerance (h' near 0)
+    sn, cs = math.sin(-t), math.cos(-t)
+    x, y = zr + vr * t, zi + vi * t
+    h, dh = x * sn + y * cs, (vr + y) * sn + (vi - x) * cs
+    if abs(h) < ROOT_REL_TOL * (1.0 + t) * abs(dh):
+        t -= h / dh
+    return hit(t, rising)

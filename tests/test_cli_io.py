@@ -433,6 +433,13 @@ def test_json_with_inconsistent_columns_is_rejected(key, edit):
     ("a", 0, "Infinity", "non-finite"),
     ("beta", 2, "NaN", "non-finite"),
     ("delta", 1, "-1e999", "non-finite"),
+    pytest.param("t", 1, "1" + "0" * 400, "too large for a float",
+                 id="t-1-401_digits"),
+    pytest.param("v0", 0, "-" + "9" * 400, "too large for a float",
+                 id="v0-0-minus_400_digits"),
+    ("r", 1, "true", "boolean"),
+    ("z0", 0, "false", "boolean"),
+    ("delta", 0, "false", "boolean"),
     ("termination", None, '"bogus"', "unknown termination"),
     ("config", "n_max", "2.5", "n_max"),
     ("config", "n_max", "true", "n_max"),
@@ -441,8 +448,9 @@ def test_json_with_inconsistent_columns_is_rejected(key, edit):
     ("z0", None, "[0, 1, 2]", "wrongly typed"),
     ("config", None, '{"n_max": 3, "bogus": 1}', "wrongly typed")])
 def test_json_with_bad_value_is_rejected(key, k, literal, match):
-    # a non-finite number, an unknown termination, a non-integer or boolean
-    # n_max or a wrongly typed entry, put in the text in place of one entry
+    # a non-finite number, an integer too large for a float, a boolean
+    # number, an unknown termination, a non-integer or boolean n_max or a
+    # wrongly typed entry, put in the text in place of one entry
     data = json.loads(record_to_json(simulate(1j, 1, SimConfig(n_max=3))))
     if k is None:
         data[key] = "@"

@@ -1,14 +1,16 @@
-"""The closed forms behind ``rootfind.newton_delta`` and
-``impact_map.segment_max_height``, derived in sympy.
+"""The closed forms behind ``rootfind.newton_delta``,
+``impact_map.segment_max_height`` and the kernels of the impact map,
+derived in sympy.
 
 Each identity their docstrings state is proved symbolically, and the
-Taylor tables of ``rootfind`` are rebuilt from the series and compared
-with the floats in the module, so a wrong coefficient there fails here.
+Taylor tables of ``rootfind`` and ``impact_map`` are rebuilt from the
+series and compared with the floats in the modules, so a wrong
+coefficient there fails here.
 """
 
 import pytest
 
-from rodbilliard import rootfind
+from rodbilliard import impact_map, rootfind
 
 sp = pytest.importorskip("sympy")
 s, x = sp.symbols("s x", positive=True)
@@ -106,3 +108,36 @@ def test_arc_peak_is_where_the_velocity_turns_horizontal():
     turn = sp.im(sp.expand_complex(sp.conjugate(v) * sp.diff(v, s)))
     assert sp.simplify(sp.diff(sp.atan2(im_v, re_v), s) - turn / speed2) == 0
     assert sp.expand(turn + a**2 + b * beta) == 0
+
+
+P_TERMS, M_TERMS = 11, 12               # _P0 .. _P10, _M0 .. _M11
+p_kernel = 1 - (sp.sin(s) / s)**2       # recurrence_kernels' closed forms
+m_kernel = (s - sp.sin(s) * sp.cos(s)) / s**3
+
+
+def test_p_and_m_tables_are_the_taylor_series_of_p_and_m():
+    # p/s^2 = sum (-1)^n 2^(2n+3)/(2n+4)! s^(2n) and
+    # m = sum (-1)^n 4^(n+1)/(2n+3)! s^(2n), the series of the closed forms
+    # that recurrence_kernels takes from SERIES_MAX up; _Pn and _Mn are
+    # those rationals rounded to the nearest float
+    for kernel, prefix, n_terms, formula in (
+            (sp.expand(p_kernel / s**2), "_P", P_TERMS,
+             lambda n: sp.Integer(-1)**n * 2**(2 * n + 3)
+             / sp.factorial(2 * n + 4)),
+            (m_kernel, "_M", M_TERMS,
+             lambda n: sp.Integer(-1)**n * 4**(n + 1)
+             / sp.factorial(2 * n + 3))):
+        coefficients = taylor(kernel, n_terms)
+        table = [getattr(impact_map, f"{prefix}{n}") for n in range(n_terms)]
+        for n, (coefficient, value) in enumerate(zip(coefficients, table)):
+            assert coefficient == formula(n), (prefix, n)
+            assert value == float(coefficient), (prefix, n)
+
+
+def test_second_forms_of_the_map_equal_the_first():
+    # a' = 1/delta - cos sin/(b delta^2) = (beta/delta + delta m)/b and
+    # beta' = 1 - (sin/delta)^2/b = (beta + p)/b, with p and m the kernels
+    a_next = 1 / s - sp.cos(s) * sp.sin(s) / (b * s**2)
+    beta_next = 1 - (sp.sin(s) / s)**2 / b
+    assert sp.simplify(a_next - (beta / s + s * m_kernel) / b) == 0
+    assert sp.simplify(beta_next - (beta + p_kernel) / b) == 0

@@ -177,3 +177,32 @@ def test_root_solve_iterations(monkeypatch):
     assert len(counts) == len(starts)
     assert sum(counts) / len(counts) <= 8.0
     assert max(counts) <= 20
+
+
+def test_first_contacts_within_ulps_of_the_height_root():
+    # phi's root is a few eps off in absolute terms, many ulps of a small
+    # t: on these 800 contacts (63 off the positive semiaxis) it read 20.8
+    # ulps at p99 and 6.1e4 at worst, and the Newton step on the height
+    # takes that to 1.41 and 2.7
+    rng = random.Random(20261020)
+    errors = []
+    while len(errors) < 800:
+        z0 = complex(rng.uniform(-5.0, 5.0), rng.uniform(0.1, 5.0))
+        v0 = complex(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
+        if len(errors) % 2:  # magnitudes log-uniform in 1e-8 ... 1e8
+            z0 *= 10.0 ** rng.uniform(-8.0, 8.0)
+            v0 *= 10.0 ** rng.uniform(-8.0, 8.0)
+        try:
+            t = first_impact(z0, v0).t
+        except UnsupportedFirstImpact as exc:
+            t = exc.t
+        except ValueError:  # on the rod to rounding, not departing
+            continue
+        with mp.workdps(50):
+            z, v = mp.mpc(z0), mp.mpc(v0)
+            root = mp.findroot(lambda s: mp.im((z + v * s) * mp.expj(-s)),
+                               mp.mpf(t))
+            errors.append(float(abs(t - root)) / math.ulp(float(root)))
+    errors.sort()
+    assert errors[int(0.99 * len(errors))] <= 2.0
+    assert errors[-1] <= 16.0
