@@ -121,6 +121,11 @@ class SimConfig:
     quasi_mode: str = "stop"
 
     def __post_init__(self) -> None:
+        for name in ("root_abs_tol", "scan_step", "t_max"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or (  # where float(value) overflows
+                    isinstance(value, int) and value >= 2 ** 1024 - 2 ** 970):
+                raise ValueError(f"{name} must be a float, got {value!r:.20}")
         for name in ("root_abs_tol", "scan_step"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and strictly positive")

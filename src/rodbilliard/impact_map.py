@@ -15,8 +15,8 @@ Along an orbit delta_n ~ 3/(2n) and beta_n ~ delta_n, so the state
 carries beta itself (b would keep only eps/beta of its relative
 precision), p and m come from their Taylor series where the closed forms
 cancel, and the second forms above add positive terms only.  ``cascade``
-alone solves for delta and applies the map, over every impact after the
-first; ``step`` is one impact of it.
+alone solves for delta and applies the map, with p and m inline, over
+every impact after the first; ``step`` is one impact of it.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ def recurrence_kernels(delta: float) -> tuple[float, float]:
 
     Both to about an ulp: Taylor series below SERIES_MAX, where the
     closed forms would cancel (p ~ delta^2/3, m ~ 2/3), closed forms above.
-    ``cascade`` calls it from delta = 0.01 up; below, it sums the five-term
-    head of each series inline, which is the full series to the bit there.
+    ``cascade`` repeats it inline; below delta = 0.01 it sums the five-term
+    head of each series instead, which is the full series to the bit there.
     """
     if delta < SERIES_MAX:
         u = delta * delta
@@ -92,8 +92,8 @@ def cascade(t1: float, r: float, a: float, beta: float, n: int,
     (where the long orbit stays from its 301st impact on), Newton's start
     in the start window beyond, up to w = beta/a^2 = ``START_W_MAX``, and
     elsewhere ``rootfind.newton_delta`` starts from its default; edges and
-    solver are read from ``rootfind`` when called.  Below delta = 0.01,
-    p and m are the five-term heads of their series.
+    solver are read from ``rootfind`` when called.  p and m repeat
+    ``recurrence_kernels`` inline, but for five-term series heads below 0.01.
 
     Only the first arc is checked, by ``require_arc`` when n > 0: with
     beta >= 0, delta is in (0, pi), where p and m are positive (their
@@ -103,6 +103,7 @@ def cascade(t1: float, r: float, a: float, beta: float, n: int,
     a_min, a_max = rootfind.REVERSION_A_MIN, rootfind.REVERSION_A_MAX
     w_box, w_max = rootfind.REVERSION_W_MAX, rootfind.START_W_MAX
     newton_delta = rootfind.newton_delta
+    sin, cos, inf = math.sin, math.cos, math.inf
     if n > 0:
         require_arc(a, beta)
     columns = (array("d", [t1]), array("d", [r]), array("d", [a]),
@@ -129,26 +130,35 @@ def cascade(t1: float, r: float, a: float, beta: float, n: int,
             else:
                 delta = newton_delta(a, beta)[0]
             b = 1.0 + beta
-            r_next = r * b * (delta / math.sin(delta))
-            if not (math.isfinite(r_next) and r_next > r):
+            sd = sin(delta)
+            r_next = r * b * (delta / sd)
+            if not r < r_next < inf:
                 raise ContractViolation(
                     f"radius failed to grow: r={r} -> {r_next} "
                     f"(a={a}, beta={beta}, delta={delta})")
+            u = delta * delta
             if delta < 0.01:
-                u = delta * delta
                 p = u * (_P0 + u * (_P1 + u * (_P2 + u * (_P3 + u * _P4))))
                 m = _M0 + u * (_M1 + u * (_M2 + u * (_M3 + u * _M4)))
-            else:
-                p, m = recurrence_kernels(delta)
+            elif delta < SERIES_MAX:  # recurrence_kernels' series
+                p = u * (_P0 + u * (_P1 + u * (_P2 + u * (_P3 + u * (
+                    _P4 + u * (_P5 + u * (_P6 + u * (_P7 + u * (
+                        _P8 + u * (_P9 + u * _P10))))))))))
+                m = _M0 + u * (_M1 + u * (_M2 + u * (_M3 + u * (_M4 + u * (
+                    _M5 + u * (_M6 + u * (_M7 + u * (_M8 + u * (
+                        _M9 + u * (_M10 + u * _M11))))))))))
+            else:  # its closed forms, on this arc's sin delta
+                p = 1.0 - (sd / delta) ** 2
+                m = (delta - sd * cos(delta)) / (u * delta)
             r, a, beta = r_next, (beta / delta + delta * m) / b, (beta + p) / b
             s = t_sum + delta
             comp += ((t_sum - s) + delta if t_sum >= delta
                      else (delta - s) + t_sum)
             t_sum = s
-            if t_sum + comp > t_max:
+            if (t := s + comp) > t_max:
                 break
             deltas.append(delta)
-            ts.append(t_sum + comp)
+            ts.append(t)
             rs.append(r)
             as_.append(a)
             betas.append(beta)

@@ -234,9 +234,10 @@ def newton_delta(a: float, beta: float,
         if g >= 0.0 and (dg >= 0.0 or x == math.pi):
             return math.pi, it
         d = g / dg
-        kd = b * c / sn / sn / -dg * abs(d)
-        if (kd * abs(d) * (1.0 + 4.0 * kd) <= 2.0 ** -55 * x
-                or abs(d) < ROOT_REL_TOL * x):
+        ad = abs(d)
+        kd = b * c / sn / sn / -dg * ad
+        if (kd * ad * (1.0 + 4.0 * kd) <= 2.0 ** -55 * x
+                or ad < ROOT_REL_TOL * x):
             return (x - d if x - d < math.pi else math.pi), it
         x = x - d if x - d < math.pi else math.pi
 
@@ -365,9 +366,9 @@ def first_impact(z0: complex, v0: complex) -> FirstImpact:
         b, rising, target = theta0 + max(0.0, math.atan2(L, c)), False, 0.0
 
     def phi_dphi(t: float) -> tuple[float, float]:
-        x = zr + vr * t
-        y = zi + vi * t
-        return phi(t) - target, L / (x * x + y * y) - 1.0
+        x, y = zr + vr * t, zi + vi * t
+        return (theta0 + math.atan2(L * t, n0 + c * t) - t - target,
+                L / (x * x + y * y) - 1.0)
 
     t = hybrid_root(phi_dphi, a, b, abs_tol=ROOT_REL_TOL,
                     rel_tol=ROOT_REL_TOL, positive_lo=not rising).root

@@ -443,14 +443,24 @@ def test_json_with_inconsistent_columns_is_rejected(key, edit):
     ("termination", None, '"bogus"', "unknown termination"),
     ("config", "n_max", "2.5", "n_max"),
     ("config", "n_max", "true", "n_max"),
+    ("config", "t_max", "true", "t_max"),
+    ("config", "scan_step", "false", "scan_step"),
+    ("config", "root_abs_tol", "true", "root_abs_tol"),
+    pytest.param("config", "t_max", "1" + "0" * 400, "t_max",
+                 id="config-t_max-401_digits"),
+    pytest.param("config", "scan_step", "1" + "0" * 400, "scan_step",
+                 id="config-scan_step-401_digits"),
+    pytest.param("config", "root_abs_tol", "1" + "0" * 400, "root_abs_tol",
+                 id="config-root_abs_tol-401_digits"),
     ("r", 0, '"x"', "wrongly typed"),
     ("r", None, "5", "wrongly typed"),
     ("z0", None, "[0, 1, 2]", "wrongly typed"),
     ("config", None, '{"n_max": 3, "bogus": 1}', "wrongly typed")])
 def test_json_with_bad_value_is_rejected(key, k, literal, match):
     # a non-finite number, an integer too large for a float, a boolean
-    # number, an unknown termination, a non-integer or boolean n_max or a
-    # wrongly typed entry, put in the text in place of one entry
+    # number, an unknown termination, a non-integer or boolean n_max, a
+    # boolean or too large float setting or a wrongly typed entry, put in
+    # the text in place of one entry
     data = json.loads(record_to_json(simulate(1j, 1, SimConfig(n_max=3))))
     if k is None:
         data[key] = "@"

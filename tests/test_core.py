@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -52,5 +53,17 @@ def test_config_validation():
     for t_max in (0.0, -1.0):
         with pytest.raises(ValueError):
             SimConfig(t_max=t_max)
+    # a boolean, or an int that float() overflows on (from 2^1024 - 2^970),
+    # in any float field
+    for name in ("root_abs_tol", "scan_step", "t_max"):
+        for value in (True, False, 10 ** 400, 2 ** 1024 - 2 ** 970):
+            with pytest.raises(ValueError, match=name):
+                SimConfig(**{name: value})
     cfg = SimConfig(n_max=5, t_max=2.0, quasi_mode="extend")
     assert cfg.n_max == 5 and cfg.quasi_mode == "extend"
+    # math.inf for t_max, and ints that convert to a finite float, pass
+    top = 2 ** 1024 - 2 ** 970 - 1
+    assert float(top) == sys.float_info.max
+    cfg = SimConfig(root_abs_tol=1, scan_step=top, t_max=math.inf)
+    assert (cfg.root_abs_tol, cfg.scan_step, cfg.t_max) == (1, top, math.inf)
+    assert SimConfig(t_max=3).t_max == 3

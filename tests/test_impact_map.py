@@ -1,19 +1,22 @@
 import math
 import random
 from array import array
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rodbilliard import (DEGENERATE, ContractViolation, T_STAR,
-                         classify_impact, in_degenerate_set,
-                         segment_max_height, solve_delta, step, unit_rotation)
-from rodbilliard.impact_map import cascade
+from rodbilliard import (DEGENERATE, ContractViolation, SimConfig, T_STAR,
+                         classify_impact, impact_map, in_degenerate_set,
+                         segment_max_height, simulate, solve_delta, step,
+                         unit_rotation)
+from rodbilliard.impact_map import cascade, recurrence_kernels
 from rodbilliard.rootfind import (REVERSION_A_MAX, REVERSION_A_MIN,
                                   REVERSION_W_MAX, SERIES_MAX, newton_delta)
 from conftest import (box_state, cascade_impact, in_reversion_box,
-                      outside_box_arcs, recurrence, recurrence_direct,
-                      reference_solve_delta, reference_step)
+                      outside_box_arcs, random_supported_starts, recurrence,
+                      recurrence_direct, reference_solve_delta,
+                      reference_step)
 
 # frozen from a 50-digit computation of the (a=0, b=2) step
 DELTA_02 = 1.1655611852072113
@@ -279,7 +282,11 @@ def test_cascade_impact_is_step():
     # both sides of the head's switch at 0.01 and of SERIES_MAX, outside
     outside_deltas = deltas[-len(outside):]
     assert min(outside_deltas) < 0.01 <= SERIES_MAX <= max(outside_deltas)
+    # cascade sums p and m in a branch of its own in each band: thousands
+    # of arcs in each (3552, 2849 and 5599)
     assert sum(d < 0.01 for d in outside_deltas) >= 3_000
+    assert sum(0.01 <= d < SERIES_MAX for d in outside_deltas) >= 2_000
+    assert sum(d >= SERIES_MAX for d in outside_deltas) >= 2_000
 
 
 def test_cascade_runs_on_past_the_box_exit():
@@ -295,6 +302,51 @@ def test_cascade_runs_on_past_the_box_exit():
         assert (deltas[k], rs[k + 1], as_[k + 1], betas[k + 1]) == (
             delta, r, a, beta)
     assert ts[-1] == math.fsum(deltas)
+
+
+class _CountingMath:
+    """``math`` as the impact_map module sees it, with every call of a
+    function counted by name."""
+
+    def __init__(self):
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        value = getattr(math, name)
+        if not callable(value):
+            return value
+
+        def counted(*args):
+            self.calls[name] += 1
+            return value(*args)
+        return counted
+
+
+def test_cascade_makes_one_sin_per_arc_and_one_cos_past_the_series(
+        monkeypatch):
+    # outside the box an arc costs cascade one sin, shared by r' and the
+    # closed forms of p and m, and one cos where delta >= SERIES_MAX: no
+    # other math call and no recurrence_kernels call.  Over the outside
+    # arcs of outside_box_arcs, one impact each, and over the first 25
+    # impacts of seeded starts, the transient a generic start runs
+    counting = _CountingMath()
+    monkeypatch.setattr(impact_map, "math", counting)
+    kernel_calls = []
+
+    def counted_kernels(delta):
+        kernel_calls.append(delta)
+        return recurrence_kernels(delta)
+    monkeypatch.setattr(impact_map, "recurrence_kernels", counted_kernels)
+    deltas = array("d")
+    for a, beta in outside_box_arcs(4242, 400):
+        deltas += cascade(0.0, 1.0, a, beta, 1, math.inf)[4]
+    for z0, v0 in random_supported_starts(100, seed=4243):
+        deltas += simulate(z0, v0, SimConfig(n_max=25)).delta
+    assert len(deltas) == 2_000 + 100 * 24
+    assert min(deltas) < 0.01 <= SERIES_MAX <= max(deltas)
+    assert counting.calls == Counter(
+        sin=len(deltas), cos=sum(d >= SERIES_MAX for d in deltas))
+    assert kernel_calls == []
 
 
 def test_cascade_keeps_the_radius_check():
