@@ -11,8 +11,8 @@ from .core import (BilliardError, ContractViolation, DEFAULT_CONFIG,
                    classify_impact, unit_rotation)
 from .flight import (FlightSegment, flight_position, flight_velocity,
                      segment_position, segment_velocity)
-from .rootfind import (RootFindError, T_STAR, UnsupportedFirstImpact,
-                       first_impact, hybrid_root, solve_delta, solve_tstar)
+from .rootfind import (T_STAR, UnsupportedFirstImpact, first_impact,
+                       solve_delta, solve_tstar)
 from .impact_map import (ImpactEvent, in_degenerate_set, recurrence_kernels,
                          segment_max_height, step)
 from .simulator import (ConvergenceRow, QuasiTrajectory, TrajectoryRecord,

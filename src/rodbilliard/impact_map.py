@@ -30,9 +30,9 @@ from . import rootfind
 from .core import (GRAZING_TOL, ContractViolation, require_finite,
                    unit_rotation)
 from .rootfind import (_Q2, _Q30, _Q31, _Q40, _Q41, _Q50, _Q51, _Q52, _Q60,
-                       _Q61, _Q62, _Q70, _Q71, _Q72, _Q73, ROOT_REL_TOL,
-                       SERIES_MAX, T_STAR, hybrid_root, reduced_arc,
-                       require_arc, small_root_guess)
+                       _Q61, _Q62, _Q70, _Q71, _Q72, _Q73, SERIES_MAX,
+                       T_STAR, monotone_newton, reduced_arc, require_arc,
+                       small_root_guess)
 
 # Taylor coefficients in u = delta^2 of p/u, (-1)^n 2^(2n+3)/(2n+4)!, and
 # of m, (-1)^n 4^(n+1)/(2n+3)!: exact to an ulp below SERIES_MAX
@@ -177,19 +177,21 @@ def step(r: float, a: float, beta: float
     return deltas[0], rs[1], as_[1], betas[1]
 
 
-def segment_max_height(r: float, a: float, beta: float,
-                       delta: float) -> float:
-    """Peak of the arc's height r s g(s) over (0, delta), g = F/s as in
-    ``reduced_arc``.
+def segment_max_height(r: float, a: float, beta: float) -> float:
+    """Peak of the arc's height r s g(s) before its next impact, g = F/s as
+    in ``reduced_arc``.
 
     The arc's rotating-frame velocity is r V(s) e^{-is}, with
     V = a + b s + i(beta - a s), so h' = r |V| sin psi, psi = arg V - s.
     psi falls from arg(a + i beta) in [0, pi] with
     psi' = -(a^2 + b beta)/|V|^2 - 1 <= -1, so the peak is its one root,
-    on grazing arcs (beta = 0, a < 0, psi(0+) = pi) too; Newton starts at
-    the root of beta = 2a s + s^2.  psi' divides by |V| twice, so no
-    square under- or overflows; where |V| rounds to 0, h' = r |V| sin psi
-    does too, and s is the peak.
+    on grazing arcs (beta = 0, a < 0, psi(0+) = pi) too.  For a < 0 Newton
+    starts at s_i = -a/(a^2 + b^2), where psi'' =
+    2(a^2 + b beta)(a + (a^2 + b^2)s)/|V|^4 changes sign; for a >= 0, where
+    psi is convex, at the root of (1 + 3 beta/2) s^2 + 2a s = beta, the
+    quadratic part of h'/r, left of the peak on every arc checked.
+    psi' divides by |V| twice, so no square under- or overflows; where
+    |V| rounds to 0, h' = r |V| sin psi does too, and s is the peak.
     """
     if not (r > 0 and math.isfinite(r)
             and math.isfinite(a) and math.isfinite(beta)):
@@ -204,9 +206,9 @@ def segment_max_height(r: float, a: float, beta: float,
         if not h:
             return 0.0, -1.0
         return math.atan2(y, x) - s, -((a / h) * a + (b / h) * beta) / h - 1.0
-    s = hybrid_root(f_df, 0.0, delta, abs_tol=0.0,
-                    x0=small_root_guess(1.0, 2.0 * a, beta),
-                    rel_tol=ROOT_REL_TOL, positive_lo=True).root
+    s = (-a / math.hypot(a, b) / math.hypot(a, b) if a < 0.0
+         else small_root_guess(1.0 + 1.5 * beta, 2.0 * a, beta))
+    s = monotone_newton(f_df, s).root
     return r * s * reduced_arc(s, a, beta)
 
 

@@ -1,10 +1,11 @@
 """Scalar root finding for the impact-time equations.
 
-``hybrid_root``, a bracketed Newton/bisection hybrid, solves the first
-contact of a free flight (from its closed-form angle, split into at most
-three monotone pieces), the arc height and t = tan t.  The return time
-of an arc, b s cos s = (1 + a s) sin s, has a concave form with a unique
-root, which ``newton_delta`` approaches monotonically from the right.
+Every solve is Newton from a side where it converges monotonically.
+``monotone_newton`` finds the first contact of a free flight (from its
+closed-form angle, split into at most three monotone pieces), the arc
+peak and t = tan t, each from a start read off its curvature's sign.
+The return time of an arc, b s cos s = (1 + a s) sin s, has a concave
+form with a unique root, which ``newton_delta`` approaches from the right.
 Inside a fixed box of arc parameters, which holds the long orbit's small
 steps, it needs no solve: its reversion series in beta is within 1.5
 ulps of the root there, and Newton's start in a wider window.  Table and
@@ -21,10 +22,6 @@ from typing import Callable, NamedTuple
 from .core import (BilliardError, EPS, GRAZING, GRAZING_TOL, ContractViolation,
                    classify_impact, require_departing_start, require_finite)
 from .flight import flight_velocity
-
-
-class RootFindError(BilliardError):
-    """A bracketed solve failed to converge."""
 
 
 class UnsupportedFirstImpact(BilliardError):
@@ -49,49 +46,30 @@ class RootResult(NamedTuple):
     iterations: int
 
 
-def hybrid_root(f_df: Callable[[float], tuple[float, float]],
-                lo: float, hi: float,
-                abs_tol: float = 1e-13, *,
-                x0: float | None = None,
-                rel_tol: float = 0.0,
-                positive_lo: bool) -> RootResult:
-    """Root of f in (lo, hi) with Newton acceleration.
+def monotone_newton(f_df: Callable[[float], tuple[float, float]],
+                    x: float) -> RootResult:
+    """Root of f by Newton steps from x; ``f_df(x)`` returns (f(x), f'(x)).
 
-    ``f_df(x)`` returns (f(x), f'(x)).  The caller knows the sign change:
-    ``positive_lo`` gives the sign of f just right of ``lo``, f has the
-    opposite sign just left of ``hi``, and f is never evaluated at the
-    ends, where it may be undefined.  Iteration starts at ``x0`` (the
-    midpoint when it is absent or outside (lo, hi)).  A Newton step is
-    taken whenever it stays strictly inside the current bracket and
-    shrinks it at least as fast as bisection would; otherwise the
-    midpoint is used.  With tol = ``abs_tol + rel_tol * |x|`` it returns
-    the Newton iterate once the step is below tol and in the bracket, or
-    else the midpoint once the bracket is below 2 tol; RootFindError
-    after 200 evaluations.
+    The caller starts where the steps converge monotonically: on the side
+    where f f'' > 0, with f' and f'' of one sign up to the root (Fourier's
+    condition), or where the first step lands on that side (from an
+    inflection point, or from the other side of a convex or concave f).
+    Rounding ends the approach: the iterate is returned once a later step
+    turns back, leaves x unchanged or is NaN, so no tolerance, bracket or
+    cap is needed.
     """
-    x = x0 if x0 is not None and lo < x0 < hi else 0.5 * (lo + hi)
-    for it in range(1, 201):
+    up = False
+    for it in itertools.count(1):
         fx, dfx = f_df(x)
-        if fx == 0.0:
+        xn = x - fx / dfx
+        if xn == x or xn != xn or it > 2 and (xn > x) != up:
             return RootResult(x, it)
-        if (fx > 0.0) == positive_lo:
-            lo = x
-        else:
-            hi = x
-        tol = abs_tol + rel_tol * abs(x)
-        if dfx != 0.0:
-            step = fx / dfx
-            xn = x - step
-            if abs(step) < tol and lo <= xn <= hi:
-                return RootResult(xn, it)
-        if hi - lo < 2.0 * tol:
-            return RootResult(0.5 * (lo + hi), it)
-        if dfx != 0.0 and lo < xn < hi and abs(step) <= 0.5 * (hi - lo):
-            x = xn
-        else:
-            x = 0.5 * (lo + hi)
-    raise RootFindError(
-        f"no convergence after 200 iterations on [{lo}, {hi}]")
+        up, x = xn > x, xn
+
+
+# the old name, which perfbench/tracing.py wraps and its tests require;
+# ROADMAP item 12 deletes it
+hybrid_root = monotone_newton
 
 
 # Taylor coefficients of k(s)/s^2 in u = s^2, k(s) = sin s/s - cos s:
@@ -101,8 +79,8 @@ def hybrid_root(f_df: Callable[[float], tuple[float, float]],
     (-1) ** n * 2 * (n + 1) / math.factorial(2 * n + 3) for n in range(9))
 SERIES_MAX = 1.0
 
-# relative Newton stop of the delta and arc-height solves: a few ulps,
-# above the rounding noise of the reduced functions at their roots
+# relative Newton stop of the delta solve, and the first contact's bound on
+# its polishing step: a few ulps, above the rounding noise at the roots
 ROOT_REL_TOL = 1e-15
 
 # Reversion of g(s) = 0 in beta: delta = (beta/a) sum_k Q_k(u) w^(k-1)
@@ -245,7 +223,9 @@ def newton_delta(a: float, beta: float,
 def solve_tstar() -> float:
     """Smallest positive solution of t = tan t, on the branch (pi, 3pi/2).
 
-    Solved in product form sin t - t cos t = 0 (positive right of pi); the
+    Solved in product form f = sin t - t cos t = 0, which is concave
+    (f'' = sin t + t cos t < 0) and falling (f' = t sin t < 0) on
+    (pi, 3pi/2), so Newton from 3pi/2 falls to it monotonically; the
     value bounds the parameter range of the full-stop initial conditions.
     """
 
@@ -254,9 +234,7 @@ def solve_tstar() -> float:
         cs = math.cos(t)
         return sn - t * cs, t * sn
 
-    res = hybrid_root(f_df, math.pi + 1e-3, 1.5 * math.pi - 1e-3,
-                      abs_tol=1e-15, positive_lo=True)
-    return res.root
+    return monotone_newton(f_df, 1.5 * math.pi).root
 
 
 T_STAR = solve_tstar()
@@ -284,14 +262,18 @@ def first_impact(z0: complex, v0: complex) -> FirstImpact:
     quadratic |v0|^2 t^2 + 2c t + |z0|^2 - L = 0, so it has at most
     three monotone pieces, falling, rising, falling.  On the first falling
     piece that reaches 0, or rising piece that reaches pi, the contact is
-    the root of phi, solved by Newton steps on the monotone bracket with a
-    relative stop, then polished by one Newton step on Im z(t).  A piece
+    the root of phi, then polished by one Newton step on Im z(t).  A piece
     whose end (a stationary point of phi) lies within GRAZING_TOL of the
     rod ends in a tangency there: a grazing touch, or at a double root of
-    the quadratic the cubic tangency of a full stop.  The last piece falls below 0 by t = arg z0 + atan2(L, c)
-    (L > 0) or t = arg z0 (L < 0).  With L = 0 the line runs through the
-    pivot (or v0 = 0): phi = arg z0 - t until the ball reaches the pivot,
-    an unsupported hit with r = 0.
+    the quadratic the cubic tangency of a full stop.  The last piece falls
+    below 0 by t = arg z0 + atan2(L, c) (L > 0) or t = arg z0 (L < 0).
+    With L = 0 the line runs through the pivot (or v0 = 0): phi = arg z0 - t
+    until the ball reaches the pivot, an unsupported hit with r = 0.
+
+    phi'' = -2L(c + w t)/|u|^4, w = |v0|^2, changes sign once, at the
+    closest approach t_m = -c/w, midway between the breakpoints: Newton
+    starts there if it lies inside the piece, else at the piece's end
+    where phi - target and phi'' share a sign, never a breakpoint.
 
     Returns (t, r, kind), kind from ``classify_impact`` on the contact
     velocity.  A tangency touches the rod by construction: there a velocity
@@ -367,18 +349,27 @@ def first_impact(z0: complex, v0: complex) -> FirstImpact:
 
     def phi_dphi(t: float) -> tuple[float, float]:
         x, y = zr + vr * t, zi + vi * t
+        u2 = x * x + y * y
+        if not u2:  # the pivot, reached through rounding: the contact
+            return 0.0, -1.0
         return (theta0 + math.atan2(L * t, n0 + c * t) - t - target,
-                L / (x * x + y * y) - 1.0)
+                L / u2 - 1.0)
 
-    t = hybrid_root(phi_dphi, a, b, abs_tol=ROOT_REL_TOL,
-                    rel_tol=ROOT_REL_TOL, positive_lo=not rising).root
-    # phi's terms are O(1), so its root is a few eps off in absolute terms,
-    # many ulps of a small t: one Newton step on the height
+    # w = 0 (v0 too small to square) leaves phi'' the sign of -L c
+    t_m = -c / w if w else math.copysign(math.inf, -c)
+    if not a < t_m < b:  # phi'' > 0 on the piece where convex is True
+        convex = (L > 0.0) == (b <= t_m)
+        t_m = a if convex != rising else b
+    t = monotone_newton(phi_dphi, t_m).root
+    # phi's terms are O(1), so its root is a few eps off in phi, that over
+    # |phi'| in t, many ulps of a small t: one Newton step on the height
     # h = Im((z0 + v0 t) e^{-it}) of the scaled pair polishes it, unless
-    # the step is longer than the solve's tolerance (h' near 0)
+    # the step is longer than ROOT_REL_TOL (1 + t) (1 + 1/|phi'|) (h' near 0)
     sn, cs = math.sin(-t), math.cos(-t)
     x, y = zr + vr * t, zi + vi * t
     h, dh = x * sn + y * cs, (vr + y) * sn + (vi - x) * cs
-    if abs(h) < ROOT_REL_TOL * (1.0 + t) * abs(dh):
+    u2 = x * x + y * y
+    dphi = abs(L - u2)  # |phi'| u2
+    if abs(h) * dphi < ROOT_REL_TOL * (1.0 + t) * abs(dh) * (u2 + dphi):
         t -= h / dh
     return hit(t, rising)

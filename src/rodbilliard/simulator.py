@@ -153,8 +153,7 @@ class TrajectoryRecord:
             delta=self.delta[k] if k < len(self.delta) else None)
 
     def _height(self, k: int) -> float:
-        return segment_max_height(self.r[k], self.a[k], self.beta[k],
-                                  self.delta[k])
+        return segment_max_height(self.r[k], self.a[k], self.beta[k])
 
 
 def simulate(z0: complex, v0: complex,
@@ -293,6 +292,8 @@ def convergence_experiment(r: float, t1: float, epsilons: list[float],
         raise ValueError(f"t1 must lie in (0, {T_STAR}), got {t1}")
     if not (r > 0.0 and T > 0.0):
         raise ValueError("r and T must be positive")
+    if type(grid_points) is not int or grid_points < 1:  # no bool either
+        raise ValueError(f"grid_points must be an int >= 1: {grid_points!r}")
     rot = unit_rotation(t1)
     z0 = r * complex(1.0, -t1) * rot
     zdot0 = -r * t1 * rot

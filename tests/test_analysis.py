@@ -59,7 +59,7 @@ def test_table_heights_match_recomputation(orbit_i1):
         seg = orbit_i1.segments[row.n - 1]
         r, a, beta = arcs[row.n - 1]
         assert (seg.r, seg.a, seg.b) == (r, a, 1.0 + beta)
-        assert row.height_n == segment_max_height(r, a, beta, seg.delta)
+        assert row.height_n == segment_max_height(r, a, beta)
 
 
 def test_table_deduplicates_and_sorts(orbit_i1):

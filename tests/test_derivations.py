@@ -5,12 +5,19 @@ derived in sympy.
 Each identity their docstrings state is proved symbolically, and the
 Taylor tables of ``rootfind`` and ``impact_map`` are rebuilt from the
 series and compared with the floats in the modules, so a wrong
-coefficient there fails here.
+coefficient there fails here.  The curvature behind each start of
+``rootfind.monotone_newton`` (the first contact, the arc peak and t*) is
+derived too, and the starts the modules pass are checked against it.
 """
+
+import cmath
+import math
+import random
 
 import pytest
 
-from rodbilliard import impact_map, rootfind
+from rodbilliard import (SimConfig, UnsupportedFirstImpact, impact_map,
+                         rootfind, simulate)
 
 sp = pytest.importorskip("sympy")
 s, x = sp.symbols("s x", positive=True)
@@ -141,3 +148,122 @@ def test_second_forms_of_the_map_equal_the_first():
     beta_next = 1 - (sp.sin(s) / s)**2 / b
     assert sp.simplify(a_next - (beta / s + s * m_kernel) / b) == 0
     assert sp.simplify(beta_next - (beta + p_kernel) / b) == 0
+
+
+def spy_starts(monkeypatch, module):
+    """Record (f_df, start) of every ``monotone_newton`` call from module."""
+    calls = []
+    solve = rootfind.monotone_newton
+
+    def spy(f_df, x):
+        calls.append((f_df, x))
+        return solve(f_df, x)
+
+    monkeypatch.setattr(module, "monotone_newton", spy)
+    return calls
+
+
+def test_first_contact_start_side(monkeypatch):
+    # first_impact's docstring: conj(z0) u = |z0|^2 + (c + iL) t gives
+    # phi = arg z0 + atan2(L t, |z0|^2 + c t) - t with phi' = L/|u|^2 - 1,
+    # and phi'' = -2L(c + w t)/|u|^4 changes sign once, at t_m = -c/w,
+    # where |u|^2 is least: the midpoint of the breakpoints t1 <= t2
+    t = sp.symbols("t", real=True)
+    zr, zi, vr, vi = sp.symbols("z_r z_i v_r v_i", real=True)
+    z0, v0 = zr + sp.I * zi, vr + sp.I * vi
+    u = z0 + v0 * t
+    cl = sp.expand(sp.conjugate(z0) * v0)
+    c, L = sp.re(cl), sp.im(cl)
+    w = vr**2 + vi**2
+    u2 = sp.expand(sp.re(u)**2 + sp.im(u)**2)
+    assert sp.expand(sp.conjugate(z0) * u
+                     - (zr**2 + zi**2 + (c + sp.I * L) * t)) == 0
+    slope = sp.diff(sp.atan2(sp.im(u), sp.re(u)) - t, t)
+    assert sp.simplify(slope - (L / u2 - 1)) == 0
+    curvature = -2 * L * (c + w * t) / u2**2
+    assert sp.simplify(sp.diff(L / u2, t) - curvature) == 0
+    t_m = -c / w
+    assert sp.simplify(sp.diff(u2, t).subs(t, t_m)) == 0
+    t1, t2 = sp.solve(sp.Eq(u2, L), t)
+    assert sp.simplify(t1 + t2 - 2 * t_m) == 0
+    # so Newton starts at t_m, or where (phi - target) phi'' > 0, never at
+    # a breakpoint (phi' = 0); the sign of phi'' is that of -L(c + w t)
+    side = sp.lambdify((zr, zi, vr, vi, t), -L * (c + w * t))
+    calls = spy_starts(monkeypatch, rootfind)
+    rng = random.Random(18)
+    for _ in range(400):
+        start = (complex(rng.uniform(-5.0, 5.0), rng.uniform(0.1, 5.0)),
+                 cmath.rect(rng.uniform(0.0, 5.0), rng.uniform(-4.0, 4.0)))
+        try:
+            rootfind.first_impact(*start)
+        except UnsupportedFirstImpact:
+            pass
+        (f_df, x), = calls
+        calls.clear()
+        (zr0, zi0), (vr0, vi0) = ((z.real, z.imag) for z in start)
+        f, df = f_df(x)
+        assert df != 0.0, start
+        if x != -(zr0 * vr0 + zi0 * vi0) / (vr0 * vr0 + vi0 * vi0):
+            assert f * side(zr0, zi0, vr0, vi0, x) > 0.0, start
+
+
+def test_arc_peak_start_side(monkeypatch):
+    # segment_max_height's docstring: psi = arg V - s has
+    # psi' = -(a^2 + b beta)/|V|^2 - 1 and
+    # psi'' = 2(a^2 + b beta)(a + (a^2 + b^2)s)/|V|^4, one sign change at
+    # s_i = -a/(a^2 + b^2), none on s > 0 for a >= 0 (a^2 + b beta > 0 on
+    # every arc); h'/r = beta - 2as - (1 + 3 beta/2)s^2 + (2a/3)s^3 + O(s^4)
+    speed2 = (a + b * s)**2 + (beta - a * s)**2
+    curvature = 2 * (a**2 + b * beta) * (a + (a**2 + b**2) * s) / speed2**2
+    assert sp.simplify(sp.diff(-(a**2 + b * beta) / speed2, s)
+                       - curvature) == 0
+    s_i = -a / (a**2 + b**2)
+    assert sp.simplify(curvature.subs(s, s_i)) == 0
+    slope = (beta - a * s) * sp.cos(s) - (a + b * s) * sp.sin(s)
+    assert sp.expand(sp.series(slope, s, 0, 4).removeO() - (
+        beta - 2 * a * s - (1 + 3 * beta / 2) * s**2 + 2 * a * s**3 / 3)) == 0
+    # so Newton starts at s_i for a < 0, and for a >= 0 left of the peak
+    # (psi > 0, where psi is convex) at the root of the quadratic part
+    side = sp.lambdify((a, beta, s), curvature)
+    calls = spy_starts(monkeypatch, impact_map)
+    rng = random.Random(18)
+    arcs = [(-rng.uniform(1e-6, 2.0), rng.choice((0.0, rng.uniform(0, 2))))
+            for _ in range(100)]
+    for z0 in (1j, 0.5 + 2j, -1.0 + 0.3j):
+        record = simulate(z0, 1.0 - 0.5j, SimConfig(n_max=100))
+        arcs += zip(record.a, record.beta)
+    for a0, beta0 in arcs:
+        impact_map.segment_max_height(1.0, a0, beta0)
+        (f_df, x), = calls
+        calls.clear()
+        if a0 < 0.0:
+            assert x == pytest.approx(-a0 / (a0**2 + (1 + beta0)**2),
+                                      rel=1e-15), (a0, beta0)
+        else:
+            assert f_df(x)[0] > 0.0 and side(a0, beta0, x) >= 0.0, (a0, beta0)
+
+
+def test_tstar_start_side(monkeypatch):
+    # solve_tstar's docstring: f = sin t - t cos t has f' = t sin t and
+    # f'' = sin t + t cos t, both < 0 on (pi, 3pi/2), where sin and cos
+    # range over [-1, 0] and never vanish together; f(3pi/2) = -1, so Newton
+    # from 3pi/2 starts where f f'' > 0
+    from sympy.calculus.util import function_range
+    t = sp.symbols("t", positive=True)
+    f = sp.sin(t) - t * sp.cos(t)
+    assert sp.diff(f, t) == t * sp.sin(t)
+    curvature = sp.diff(f, t, 2)
+    assert sp.expand(curvature - (sp.sin(t) + t * sp.cos(t))) == 0
+    span = sp.Interval(sp.pi, 3 * sp.pi / 2)
+    for trig in (sp.sin(t), sp.cos(t)):
+        assert function_range(trig, t, span) == sp.Interval(-1, 0)
+    assert f.subs(t, 3 * sp.pi / 2) == -1
+    calls = spy_starts(monkeypatch, rootfind)
+    assert rootfind.solve_tstar() == rootfind.T_STAR
+    (f_df, x), = calls
+    values = sp.lambdify(t, (f, sp.diff(f, t), curvature))
+    assert math.pi < x <= 1.5 * math.pi
+    fx, dfx, ddfx = values(x)
+    assert fx * ddfx > 0.0 and dfx < 0.0
+    for y in (x, 3.5, 4.0, 4.4934):
+        assert f_df(y) == pytest.approx(values(y)[:2], rel=1e-15, abs=1e-15)

@@ -163,7 +163,7 @@ def test_root_solve_iterations(monkeypatch):
     # per first contact over the seeded suite (a scan takes ~1.7k
     # evaluations of the height)
     counts = []
-    solve = rootfind.hybrid_root
+    solve = rootfind.monotone_newton
 
     def counted(*args, **kwargs):
         res = solve(*args, **kwargs)
@@ -171,7 +171,7 @@ def test_root_solve_iterations(monkeypatch):
         return res
 
     starts = random_supported_starts(100)
-    monkeypatch.setattr(rootfind, "hybrid_root", counted)
+    monkeypatch.setattr(rootfind, "monotone_newton", counted)
     for z0, v0 in starts:
         first_impact(z0, v0)
     assert len(counts) == len(starts)

@@ -60,7 +60,7 @@ def test_classify_examples():
 
 def test_step_worked_example():
     delta, r, a, beta = step(1.0, 0.0, 1.0)
-    height = segment_max_height(1.0, 0.0, 1.0, delta)
+    height = segment_max_height(1.0, 0.0, 1.0)
     assert abs(delta - DELTA_02) < 1e-12
     assert abs(r - NEXT_R) <= 1e-12 * NEXT_R
     assert abs(a - NEXT_A) <= 1e-12
@@ -73,7 +73,7 @@ def test_step_worked_example():
     (1.0, math.nan, 1.0), (1.0, 0.0, math.inf)])
 def test_height_rejects_inadmissible_arc(r, a, beta):
     with pytest.raises(ValueError):
-        segment_max_height(r, a, beta, DELTA_02)
+        segment_max_height(r, a, beta)
 
 
 def test_height_where_the_velocity_underflows():
@@ -84,13 +84,13 @@ def test_height_where_the_velocity_underflows():
     a = -1e-300
     delta = newton_delta(a, 0.0)[0]
     assert delta == 3e-300
-    height = segment_max_height(1.0, a, 0.0, delta)
+    height = segment_max_height(1.0, a, 0.0)
     assert height == 0.0 and math.copysign(1.0, height) == 1.0
 
 
 def test_height_against_brute_scan():
     r, a, b = 1.0, 0.0, 2.0
-    refined = segment_max_height(r, a, b - 1.0, DELTA_02)
+    refined = segment_max_height(r, a, b - 1.0)
     brute = max(
         r * (b * s * math.cos(s) - (1 + a * s) * math.sin(s))
         for s in (DELTA_02 * i / 10**6 for i in range(10**6 + 1)))
@@ -216,7 +216,7 @@ def test_strict_radius_growth_along_orbit():
     prev_delta = math.inf
     for _ in range(200):
         delta, r_next, a_next, beta_next = step(r, a, beta)
-        height = segment_max_height(r, a, beta, delta)
+        height = segment_max_height(r, a, beta)
         assert r_next > r
         assert delta < prev_delta
         assert height > 0.0

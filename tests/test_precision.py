@@ -132,7 +132,7 @@ def test_grazing_arc_height_matches_mpmath():
                 lambda s: -x * (mp.sin(s) + s * mp.cos(s)) - s * mp.sin(s),
                 (mp.mpf(delta) / 1000, mp.mpf(delta)), solver="anderson")
             ref = s * mp.cos(s) - (1 + x * s) * mp.sin(s)
-        height = segment_max_height(1.0, a, 0.0, delta)
+        height = segment_max_height(1.0, a, 0.0)
         assert relative_error(height, ref) <= 1e-15, a
 
 
@@ -255,14 +255,15 @@ def test_newton_iterations_per_impact(monkeypatch):
     # from impact 301 of the reference orbit on, every arc lies in the
     # reversion box and its delta takes no solve; before that delta is one
     # Newton solve, from the series in the start window and from the
-    # quadratic elsewhere, and every arc height is one solve from its
-    # closed-form start (a fall-back to bisection would take ~50 steps).
+    # quadratic elsewhere, and every arc height is one monotone Newton
+    # solve from its closed-form start.
     # In-box deltas are checked against mpmath at every 100th step
     mpmath = pytest.importorskip("mpmath")
     record = simulate(1j, 1 + 0j, SimConfig(n_max=1))
     r, a, beta, n = record.r[0], record.a[0], record.beta[0], 1
     counts = {"delta": [], "height": []}
-    newton_delta, hybrid_root = rootfind.newton_delta, rootfind.hybrid_root
+    newton_delta, monotone_newton = (rootfind.newton_delta,
+                                     rootfind.monotone_newton)
 
     def delta_counted(a, beta, x0=None):
         root, its = newton_delta(a, beta, x0)
@@ -270,18 +271,18 @@ def test_newton_iterations_per_impact(monkeypatch):
         return root, its
 
     def height_counted(*args, **kwargs):
-        res = hybrid_root(*args, **kwargs)
+        res = monotone_newton(*args, **kwargs)
         counts["height"].append(res.iterations)
         return res
 
-    monkeypatch.setattr(impact_map, "hybrid_root", height_counted)
+    monkeypatch.setattr(impact_map, "monotone_newton", height_counted)
     monkeypatch.setattr(rootfind, "newton_delta", delta_counted)
     inside = []
     per_step = []  # delta evaluations per step, 0 for a series step
     for _ in range(10_000):
         before = len(counts["delta"])
         delta, r_next, a_next, beta_next = step(r, a, beta)
-        segment_max_height(r, a, beta, delta)
+        segment_max_height(r, a, beta)
         its = counts["delta"][before:]
         if in_reversion_box(a, beta):
             assert its == [], n

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rodbilliard import (ContractViolation, SimConfig, T_STAR,
-                         UnsupportedFirstImpact, first_impact, hybrid_root,
-                         rootfind, simulate, solve_delta, solve_tstar)
+                         UnsupportedFirstImpact, first_impact, rootfind,
+                         simulate, solve_delta, solve_tstar)
 from conftest import (GRAZING_V0, GRAZING_Z0, delta_root, in_start_window,
                       make_grazing_start, series_start, stopping_set_point,
                       ulps_off, window_arc)
@@ -19,20 +19,48 @@ def F(s, a, b):
     return b * s * math.cos(s) - (1.0 + a * s) * math.sin(s)
 
 
-def test_hybrid_root_polynomial():
-    res = hybrid_root(lambda x: (2.0 - x ** 3, -3 * x ** 2), 1.0, 2.0,
-                      positive_lo=True)
-    assert abs(res.root - 2.0 ** (1 / 3)) < 1e-14
-
-
-def test_hybrid_root_collapsed_bracket_returns_midpoint():
-    # with f' = 0 no Newton step is taken: bisection from the midpoint of
-    # (0, 3) never hits the root 1, and returns the midpoint of the first
-    # bracket narrower than 2 abs_tol
-    res = hybrid_root(lambda x: (1.0 - x, 0.0), 0.0, 3.0, abs_tol=1e-6,
-                      positive_lo=True)
-    assert abs(res.root - 1.0) < 1e-6
-    assert res.iterations == math.ceil(math.log2(3.0 / 2e-6))
+def test_monotone_newton():
+    # convex and concave, rising and falling, from the side where
+    # f f'' > 0 (Fourier's side, where every step approaches the root) and
+    # from the other, where the first step lands on Fourier's side.  The
+    # iterates after the first are monotone, and the solve ends within an
+    # ulp of the root on a step that turns back or leaves x unchanged
+    cases = [  # f and f', the root, Fourier's side (True: right of it)
+        (lambda x: (x * x - 2.0, 2.0 * x), math.sqrt(2.0), True),
+        (lambda x: (2.0 - x * x, -2.0 * x), math.sqrt(2.0), True),
+        (lambda x: (math.exp(-x) - 0.5, -math.exp(-x)), math.log(2.0), False),
+        (lambda x: (math.log(x) - 1.0, 1.0 / x), math.e, False),
+    ]
+    for f_df, root, fourier_right in cases:
+        for start in (0.4 * root, 2.0 * root):
+            xs = []
+            res = rootfind.monotone_newton(
+                lambda x: xs.append(x) or f_df(x), start)
+            assert res.iterations == len(xs) and xs[-1] == res.root
+            assert abs(res.root - root) <= math.ulp(root), (root, start)
+            crossed = (xs[1] > root) != (start > root)
+            assert crossed == ((start > root) != fourier_right), xs
+            assert (xs[2] > xs[1]) == (xs[1] < root), xs
+            steps = [x1 - x0 for x0, x1 in zip(xs[1:], xs[2:])]
+            assert all((d > 0.0) == (steps[0] > 0.0) for d in steps), xs
+            fx, dfx = f_df(res.root)
+            last = -fx / dfx
+            assert last == 0.0 or (last > 0.0) != (steps[0] > 0.0), xs
+    # sqrt(2) from the right ends on the turn-back stop: the steps fall to
+    # an ulp below the root, where rounding turns the next step up
+    res = rootfind.monotone_newton(lambda x: (x * x - 2.0, 2.0 * x), 2.0)
+    assert res.root == 1.414213562373095 == math.sqrt(2.0) - math.ulp(1.0)
+    assert res.root - (res.root ** 2 - 2.0) / (2.0 * res.root) > res.root
+    # a steep first contact: with |z0| ~ 8e-8 and |v0| ~ 2e8, phi = 1.8
+    # and phi' = -2.6e15 at the start t_m, so the first step is 7e-16
+    # long: a stop on the step's length returns about t_m, off the rod,
+    # where the contact raises ContractViolation; the turn-back stop follows
+    # phi to its root, a transversal contact
+    z0 = -4.1670768907283534e-08 + 7.145741074467691e-08j
+    v0 = 199869246.77251768 + 49855527.278415285j
+    hit = first_impact(z0, v0)
+    assert hit.kind == "transversal"
+    assert hit.t == pytest.approx(0.24445220545571458, rel=1e-15)
 
 
 def test_delta_tan_equals_2s():
@@ -388,15 +416,20 @@ def test_first_impact_through_pivot_unsupported():
 @pytest.mark.parametrize("z0, v0, t", [
     (-1 + 0j, 1e154 - 1e-300j, 1.0 / 1e154),
     (-1 + 0j, 1e150 - 1e-290j, 1.0 / 1e150),
-    (-1.0166074831982432 + 0.0020083660328568697j,
-     2.8360919129177287 - 0.005602861240057683j, 0.3584536448088429),
+    (-0.7643329152914732 + 0.5649004866826142j,
+     1.901453550950148 - 1.4053196124970104j, 0.40197296163744806),
+    (-0.03741780026994789 + 0.33052677211664455j,
+     0.2413543763596994 - 2.131982168349639j, 0.155032615667937),
 ])
 def test_first_impact_at_the_pivot_through_rounding(z0, v0, t):
     # lines that pass just beside the pivot (L != 0), whose radius
     # |z0 + v0 t| at the contact t rounds to 0: an unsupported hit there,
     # where classify_impact would reject the radius.  In the first two L
     # underflows to 0 once the pair is scaled, and the collinear branch
-    # raises; the third keeps L != 0 and raises from the hit itself
+    # raises; the last two keep L != 0 and raise from the hit itself.  In
+    # the third the solve stops beside the pivot, where phi' is -2^53, and
+    # the polish lands on it; in the fourth a Newton step lands where
+    # |z0 + v0 t|^2 is 0 and phi' = L/0, which phi_dphi takes as the contact
     with pytest.raises(UnsupportedFirstImpact) as exc:
         first_impact(z0, v0)
     assert (exc.value.t, exc.value.r) == (t, 0.0)

@@ -455,6 +455,12 @@ def test_convergence_experiment_preconditions():
         convergence_experiment(1.0, 5.0, [1e-3], T=2.0)  # t1 past t*
     with pytest.raises(ValueError):
         convergence_experiment(-1.0, 1.0, [1e-3], T=2.0)
+    # grid_points = 0 would divide by zero, and -3 give an empty grid: a
+    # row of zero suprema that reads as converged
+    for grid_points in (0, -3, True, 10.0, "10"):
+        with pytest.raises(ValueError, match="grid_points"):
+            convergence_experiment(1.0, 1.0, [1e-3], T=2.0,
+                                   grid_points=grid_points)
 
 
 def test_parallel_simulations_match_serial():
@@ -538,7 +544,7 @@ def reference_simulate(z0: complex, v0: complex,
     termination = "reached_n_max"
     while len(impacts) < cfg.n_max:
         delta, r_next, a_next, beta_next = reference_step(r, a, beta)
-        height = segment_max_height(r, a, beta, delta)
+        height = segment_max_height(r, a, beta)
         s = t_sum + delta
         comp += (t_sum - s) + delta if t_sum >= delta else (delta - s) + t_sum
         t_sum = s
