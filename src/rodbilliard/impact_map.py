@@ -29,9 +29,10 @@ from typing import NamedTuple
 from . import rootfind
 from .core import (GRAZING_TOL, ContractViolation, require_finite,
                    unit_rotation)
-from .rootfind import (_Q2, _Q30, _Q31, _Q40, _Q41, _Q50, _Q51, _Q52, _Q60,
-                       _Q61, _Q62, _Q70, _Q71, _Q72, _Q73, SERIES_MAX,
-                       T_STAR, monotone_newton, reduced_arc, require_arc,
+from .rootfind import (_K0, _K1, _K2, _K3, _K4, _K5, _K6, _K7, _K8, _Q2,
+                       _Q30, _Q31, _Q40, _Q41, _Q50, _Q51, _Q52, _Q60, _Q61,
+                       _Q62, _Q70, _Q71, _Q72, _Q73, SERIES_MAX, T_STAR,
+                       monotone_newton, reduced_arc, require_arc,
                        small_root_guess)
 
 # Taylor coefficients in u = delta^2 of p/u, (-1)^n 2^(2n+3)/(2n+4)!, and
@@ -89,11 +90,31 @@ def cascade(t1: float, r: float, a: float, beta: float, n: int,
     loop appends to lists, packed into the columns every ``_CHUNK`` impacts.
 
     delta is the reversion series ``rootfind.REVERSION_Q`` in its box
-    (where the long orbit stays from its 301st impact on), Newton's start
-    in the start window beyond, up to w = beta/a^2 = ``START_W_MAX``, and
-    elsewhere ``rootfind.newton_delta`` starts from its default; edges and
-    solver are read from ``rootfind`` when called.  p and m repeat
-    ``recurrence_kernels`` inline, but for five-term series heads below 0.01.
+    (where the long orbit stays from its 301st impact on).  Elsewhere it is
+    solved here by Newton: from the series in the start window beyond, up
+    to w = beta/a^2 = ``START_W_MAX``, and from the default start outside
+    it.  Edges and stop are read from ``rootfind`` when called.
+
+    Over sin s, the equation reads G(s) = beta - a s - b c(s) = 0, with
+    c = 1 - s cot s = s k/sin s = sum 2^(2n) |B_2n| s^(2n)/(2n)!, all terms
+    positive.  So G is strictly concave on (0, pi), from G(0+) = beta >= 0
+    (G'(0) = -a > 0 if beta = 0) to -inf at pi: its root is unique, and
+    Newton falls to it monotonically from the right (from the left, one
+    step lands right).  By c >= s^2/3 and c >= s^2/(pi (pi - s)), the
+    roots of b s^2/3 + a s = beta and, where that reaches 3 (a < 0), of
+    (b - a pi) s^2 + pi (beta + a pi) s = pi^2 beta lie right of it: the
+    default start.  By c'' = 2c/sin^2 s, a step d leaves an error within
+    K d^2 (1 + 4Kd), K = b c/(sin^2 s |G'|); the iterate is taken once
+    that is below 2^-55 s, or d below ``ROOT_REL_TOL`` s.  A default start
+    below 2^-27 is the root to an ulp (c - s^2/3 moves it by s^2/15 of
+    itself at most): it is taken with no evaluation, formed without
+    squaring a, and at least the smallest positive float.  For a < 0, G is
+    g s/sin s (g of ``reduced_arc``: beta + |a| s - b c cancels), and
+    G >= 0 with G' >= 0 or at math.pi, where a root within ulps of pi lies
+    right of the rounded start, gives math.pi.  An arc with |a| or beta
+    from 2^500 up is solved scaled by 2^-k, on copies (sa, sb) of (a, beta).
+    p and m repeat ``recurrence_kernels`` inline, but for five-term series
+    heads below 0.01.
 
     Only the first arc is checked, by ``require_arc`` when n > 0: with
     beta >= 0, delta is in (0, pi), where p and m are positive (their
@@ -102,8 +123,8 @@ def cascade(t1: float, r: float, a: float, beta: float, n: int,
     """
     a_min, a_max = rootfind.REVERSION_A_MIN, rootfind.REVERSION_A_MAX
     w_box, w_max = rootfind.REVERSION_W_MAX, rootfind.START_W_MAX
-    newton_delta = rootfind.newton_delta
-    sin, cos, inf = math.sin, math.cos, math.inf
+    tol = rootfind.ROOT_REL_TOL
+    sin, cos, pi, inf = math.sin, math.cos, math.pi, math.inf
     if n > 0:
         require_arc(a, beta)
     columns = (array("d", [t1]), array("d", [r]), array("d", [a]),
@@ -125,10 +146,49 @@ def cascade(t1: float, r: float, a: float, beta: float, n: int,
                             _Q60 + u * (_Q61 + u * _Q62) + w * (
                                 _Q70 + u * (_Q71 + u * (
                                     _Q72 + u * _Q73))))))))
-                if w > w_box:
-                    delta = newton_delta(a, beta, delta)[0]
-            else:
-                delta = newton_delta(a, beta)[0]
+            else:  # delta = 0.0 selects the default start
+                delta, w = 0.0, inf
+            if w > w_box:  # Newton on G from x = delta or the default start
+                sa, sb, one = a, beta, 1.0
+                if not (-2.0 ** 500 < sa < 2.0 ** 500 and sb < 2.0 ** 500):
+                    one = math.ldexp(1.0, -math.frexp(max(abs(sa), sb))[1])
+                    sa, sb = sa * one, sb * one
+                b = one + sb
+                x = delta or small_root_guess(b / 3.0, sa, sb)
+                if x < 2.0 ** -27 and not delta:  # the quadratic's root
+                    disc = math.hypot(
+                        sa, 2.0 * math.sqrt(b / 3.0) * math.sqrt(sb))
+                    x = max(2.0 * sb / (sa + disc) if sa > 0.0
+                            else 1.5 * (disc - sa) / b, 5e-324)
+                else:
+                    if x >= 3.0:
+                        x = min(pi, small_root_guess(
+                            b - sa * pi, pi * (sb + sa * pi), pi * pi * sb))
+                    while True:
+                        sn, cs = sin(x), cos(x)
+                        if x < SERIES_MAX:
+                            u = x * x
+                            k = u * (_K0 + u * (_K1 + u * (_K2 + u * (
+                                _K3 + u * (_K4 + u * (_K5 + u * (
+                                    _K6 + u * (_K7 + u * _K8))))))))
+                        else:
+                            k = sn / x - cs
+                        c = k / sn * x
+                        dg = -sa - b * (x - c * (1.0 - c) / x)
+                        g = ((sb * cs - sa * sn - one * k) * x / sn
+                             if sa < 0.0 else sb - sa * x - b * c)
+                        if g >= 0.0 and (dg >= 0.0 or x == pi):
+                            x = pi
+                            break
+                        d = g / dg
+                        ad = abs(d)
+                        kd = b * c / sn / sn / -dg * ad
+                        stop = (kd * ad * (1.0 + 4.0 * kd) <= 2.0 ** -55 * x
+                                or ad < tol * x)
+                        x = x - d if x - d < pi else pi
+                        if stop:
+                            break
+                delta = x
             b = 1.0 + beta
             sd = sin(delta)
             r_next = r * b * (delta / sd)

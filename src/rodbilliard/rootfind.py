@@ -5,12 +5,11 @@ Every solve is Newton from a side where it converges monotonically.
 closed-form angle, split into at most three monotone pieces), the arc
 peak and t = tan t, each from a start read off its curvature's sign.
 The return time of an arc, b s cos s = (1 + a s) sin s, has a concave
-form with a unique root, which ``newton_delta`` approaches from the right.
-Inside a fixed box of arc parameters, which holds the long orbit's small
-steps, it needs no solve: its reversion series in beta is within 1.5
-ulps of the root there, and Newton's start in a wider window.  Table and
-edges are kept here; ``impact_map.cascade`` alone makes these choices,
-and ``solve_delta`` is one impact of it.
+form with a unique root, which ``impact_map.cascade``'s loop approaches
+from the right.  In a fixed box of arc parameters, which holds the long
+orbit's small steps, its reversion series in beta is within 1.5 ulps of
+the root, and Newton's start in a wider window.  Tables, edges and stop
+are kept here; cascade alone solves, and ``solve_delta`` is one impact.
 """
 
 from __future__ import annotations
@@ -75,6 +74,7 @@ hybrid_root = monotone_newton
 # Taylor coefficients of k(s)/s^2 in u = s^2, k(s) = sin s/s - cos s:
 # (-1)^n 2(n+1)/(2n+3)!.  Nine terms are exact to an ulp below SERIES_MAX;
 # from there on k >= 0.3 and the closed form cancels less than 2 ulps.
+# ``reduced_arc`` and ``impact_map.cascade``'s delta solve sum them.
 (_K0, _K1, _K2, _K3, _K4, _K5, _K6, _K7, _K8) = (
     (-1) ** n * 2 * (n + 1) / math.factorial(2 * n + 3) for n in range(9))
 SERIES_MAX = 1.0
@@ -157,67 +157,6 @@ def require_arc(a: float, beta: float) -> None:
         raise ValueError(
             f"arc parameters a={a}, beta={beta} do not describe a reflection "
             "(need beta > 0, or beta = 0 with a < 0)")
-
-
-def newton_delta(a: float, beta: float,
-                 x0: float | None = None) -> tuple[float, int]:
-    """(root, evaluations) of the delta equation by Newton on its concave
-    form, from ``x0`` or by default from the right of the root.
-
-    Over sin s, the equation reads G(s) = beta - a s - b c(s) = 0, with
-    c = 1 - s cot s = s k/sin s = sum 2^(2n) |B_2n| s^(2n)/(2n)!, all terms
-    positive.  So G is strictly concave on (0, pi), from G(0+) = beta >= 0
-    (G'(0) = -a > 0 if beta = 0) to -inf at pi: its root is unique, and
-    Newton falls to it monotonically from the right (from the left, one
-    step lands right).  By c >= s^2/3 and c >= s^2/(pi (pi - s)), the
-    roots of b s^2/3 + a s = beta and, where that reaches 3 (a < 0), of
-    (b - a pi) s^2 + pi (beta + a pi) s = pi^2 beta lie right of it.  By
-    c'' = 2c/sin^2 s, a step d leaves an error within K d^2 (1 + 4Kd),
-    K = b c/(sin^2 s |G'|); the iterate is returned once that is below
-    2^-55 s, or d below ``ROOT_REL_TOL`` s.  A default start below 2^-27
-    is the root to an ulp (c - s^2/3 moves it by s^2/15 of itself at
-    most): it is returned with no evaluation, formed without squaring a,
-    and at least the smallest positive float.  For a < 0, G is g s/sin s
-    (g of ``reduced_arc``: beta + |a| s - b c cancels), and G >= 0 with
-    G' >= 0 or at math.pi, where a root within ulps of pi lies right of
-    the rounded start, gives math.pi.  Huge arcs are scaled by 2^-k.  The
-    caller checks a, beta (``require_arc``).
-    """
-    one = 1.0
-    if not (-2.0 ** 500 < a < 2.0 ** 500 and beta < 2.0 ** 500):
-        one = math.ldexp(1.0, -math.frexp(max(abs(a), beta))[1])
-        a, beta = a * one, beta * one
-    b = one + beta
-    x = small_root_guess(b / 3.0, a, beta) if x0 is None else x0
-    if x < 2.0 ** -27 and x0 is None:  # the quadratic's root is delta's
-        disc = math.hypot(a, 2.0 * math.sqrt(b / 3.0) * math.sqrt(beta))
-        x = 2.0 * beta / (a + disc) if a > 0.0 else 1.5 * (disc - a) / b
-        return max(x, 5e-324), 0
-    if x >= 3.0:
-        x = min(math.pi, small_root_guess(
-            b - a * math.pi, math.pi * (beta + a * math.pi),
-            math.pi * math.pi * beta))
-    for it in itertools.count(1):
-        sn, cs = math.sin(x), math.cos(x)
-        if x < SERIES_MAX:
-            u = x * x
-            k = u * (_K0 + u * (_K1 + u * (_K2 + u * (_K3 + u * (
-                _K4 + u * (_K5 + u * (_K6 + u * (_K7 + u * _K8))))))))
-        else:
-            k = sn / x - cs
-        c = k / sn * x
-        dg = -a - b * (x - c * (1.0 - c) / x)
-        g = ((beta * cs - a * sn - one * k) * x / sn if a < 0.0
-             else beta - a * x - b * c)
-        if g >= 0.0 and (dg >= 0.0 or x == math.pi):
-            return math.pi, it
-        d = g / dg
-        ad = abs(d)
-        kd = b * c / sn / sn / -dg * ad
-        if (kd * ad * (1.0 + 4.0 * kd) <= 2.0 ** -55 * x
-                or ad < ROOT_REL_TOL * x):
-            return (x - d if x - d < math.pi else math.pi), it
-        x = x - d if x - d < math.pi else math.pi
 
 
 def solve_tstar() -> float:

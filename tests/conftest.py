@@ -1,14 +1,18 @@
 """Shared fixtures: reference orbits, the seeded random-start suite and
 the closed-form references of the impact map.
 
-``reference_solve_delta``, ``recurrence`` and ``reference_step`` make the
-delta decision and apply the map apart from ``impact_map.cascade``, which
-is the only code of the package that does either: they are what cascade,
-and ``solve_delta`` and ``step`` through it, must equal bit for bit."""
+``newton_delta``, ``reference_solve_delta``, ``recurrence`` and
+``reference_step`` solve for delta and apply the map apart from
+``impact_map.cascade``, which is the only code of the package that does
+either: they are what cascade, and ``solve_delta`` and ``step`` through
+it, must equal bit for bit."""
 
 import importlib.util
+import itertools
 import math
 import random
+import re
+from collections import Counter
 from array import array
 from pathlib import Path
 
@@ -17,12 +21,14 @@ import pytest
 from rodbilliard import (ContractViolation, SimConfig,
                          UnsupportedFirstImpact, first_impact, simulate,
                          unit_rotation)
-from rodbilliard import rootfind
+from rodbilliard import impact_map, rootfind, solve_delta
 from rodbilliard.impact_map import cascade, recurrence_kernels
-from rodbilliard.rootfind import (_Q2, _Q30, _Q31, _Q40, _Q41, _Q50, _Q51,
-                                  _Q52, _Q60, _Q61, _Q62, _Q70, _Q71, _Q72,
-                                  _Q73, REVERSION_A_MAX, REVERSION_A_MIN,
-                                  REVERSION_W_MAX, SERIES_MAX)
+from rodbilliard.rootfind import (_K0, _K1, _K2, _K3, _K4, _K5, _K6, _K7,
+                                  _K8, _Q2, _Q30, _Q31, _Q40, _Q41, _Q50,
+                                  _Q51, _Q52, _Q60, _Q61, _Q62, _Q70, _Q71,
+                                  _Q72, _Q73, REVERSION_A_MAX,
+                                  REVERSION_A_MIN, REVERSION_W_MAX,
+                                  ROOT_REL_TOL, SERIES_MAX, small_root_guess)
 
 
 @pytest.fixture(scope="session")
@@ -81,11 +87,57 @@ def random_supported_starts(count: int, seed: int = 20240817):
     return out
 
 
-def reference_solve_delta(a: float, beta: float) -> float:
-    """The root in (0, pi) of b s cos s = (1 + a s) sin s for the arc
-    (a, beta): the 7-term reversion series in the box, Newton from the
-    series in the start window, Newton from its default start elsewhere,
-    with the edges and ``newton_delta`` read from ``rootfind`` when called."""
+def newton_delta(a: float, beta: float,
+                 x0: float | None = None) -> tuple[float, int]:
+    """(root, evaluations) of the delta equation by Newton on its concave
+    form, from ``x0`` or by default from the right of the root: the solve
+    ``impact_map.cascade`` runs in its impact loop (its docstring derives
+    starts, stop and branches), kept here as the reference cascade must
+    equal bit for bit, with its evaluations counted.  The caller checks
+    a, beta (``require_arc``)."""
+    one = 1.0
+    if not (-2.0 ** 500 < a < 2.0 ** 500 and beta < 2.0 ** 500):
+        one = math.ldexp(1.0, -math.frexp(max(abs(a), beta))[1])
+        a, beta = a * one, beta * one
+    b = one + beta
+    x = small_root_guess(b / 3.0, a, beta) if x0 is None else x0
+    if x < 2.0 ** -27 and x0 is None:  # the quadratic's root is delta's
+        disc = math.hypot(a, 2.0 * math.sqrt(b / 3.0) * math.sqrt(beta))
+        x = 2.0 * beta / (a + disc) if a > 0.0 else 1.5 * (disc - a) / b
+        return max(x, 5e-324), 0
+    if x >= 3.0:
+        x = min(math.pi, small_root_guess(
+            b - a * math.pi, math.pi * (beta + a * math.pi),
+            math.pi * math.pi * beta))
+    for it in itertools.count(1):
+        sn, cs = math.sin(x), math.cos(x)
+        if x < SERIES_MAX:
+            u = x * x
+            k = u * (_K0 + u * (_K1 + u * (_K2 + u * (_K3 + u * (
+                _K4 + u * (_K5 + u * (_K6 + u * (_K7 + u * _K8))))))))
+        else:
+            k = sn / x - cs
+        c = k / sn * x
+        dg = -a - b * (x - c * (1.0 - c) / x)
+        g = ((beta * cs - a * sn - one * k) * x / sn if a < 0.0
+             else beta - a * x - b * c)
+        if g >= 0.0 and (dg >= 0.0 or x == math.pi):
+            return math.pi, it
+        d = g / dg
+        ad = abs(d)
+        kd = b * c / sn / sn / -dg * ad
+        if (kd * ad * (1.0 + 4.0 * kd) <= 2.0 ** -55 * x
+                or ad < ROOT_REL_TOL * x):
+            return (x - d if x - d < math.pi else math.pi), it
+        x = x - d if x - d < math.pi else math.pi
+
+
+def reference_solve_delta(a: float, beta: float) -> tuple[float, int]:
+    """(delta, evaluations) for the arc (a, beta), the root in (0, pi) of
+    b s cos s = (1 + a s) sin s: the 7-term reversion series in the box,
+    with no evaluation, Newton from the series in the start window, Newton
+    from its default start elsewhere, with the edges read from ``rootfind``
+    when called."""
     x0 = None
     if rootfind.REVERSION_A_MIN < a <= rootfind.REVERSION_A_MAX:
         u = a * a
@@ -97,9 +149,9 @@ def reference_solve_delta(a: float, beta: float) -> float:
                     _Q60 + u * (_Q61 + u * _Q62) + w * (
                         _Q70 + u * (_Q71 + u * (_Q72 + u * _Q73))))))))
             if w <= rootfind.REVERSION_W_MAX:
-                return x0
+                return x0, 0
     rootfind.require_arc(a, beta)
-    return rootfind.newton_delta(a, beta, x0)[0]
+    return newton_delta(a, beta, x0)
 
 
 def recurrence(delta: float, beta: float) -> tuple[float, float, float]:
@@ -119,7 +171,7 @@ def reference_step(r: float, a: float, beta: float
                    ) -> tuple[float, float, float, float]:
     """One impact of the arc (r, a, beta): (delta, r', a', beta'), with
     ContractViolation unless the radius grows."""
-    delta = reference_solve_delta(a, beta)
+    delta = reference_solve_delta(a, beta)[0]
     a_next, beta_next, dos = recurrence(delta, beta)
     r_next = r * (1.0 + beta) * dos
     if not (math.isfinite(r_next) and r_next > r):
@@ -187,7 +239,7 @@ def series_start(a: float, beta: float) -> float:
     saved = rootfind.REVERSION_W_MAX
     rootfind.REVERSION_W_MAX = rootfind.START_W_MAX
     try:
-        return reference_solve_delta(a, beta)
+        return reference_solve_delta(a, beta)[0]
     finally:
         rootfind.REVERSION_W_MAX = saved
 
@@ -218,7 +270,7 @@ def outside_box_arcs(seed: int, per_kind: int) -> list[tuple[float, float]]:
         while kept < per_kind:
             a, beta = draw(kind)
             if in_reversion_box(a, beta) or (
-                    kind == 3 and reference_solve_delta(a, beta) < SERIES_MAX):
+                    kind == 3 and reference_solve_delta(a, beta)[0] < SERIES_MAX):
                 continue
             arcs.append((a, beta))
             kept += 1
@@ -232,6 +284,52 @@ def cascade_impact(r: float, a: float, beta: float
     ts, rs, as_, betas, deltas = cascade(0.0, r, a, beta, 1, math.inf)
     assert len(deltas) == 1 and ts == array("d", [0.0, deltas[0]])
     return deltas[0], rs[1], as_[1], betas[1]
+
+
+def cascade_delta(a: float, beta: float) -> float:
+    """delta of one impact of ``cascade`` from r = 1: ``solve_delta``'s
+    value, or where the radius check raises, the delta its message gives."""
+    try:
+        return solve_delta(a, beta)
+    except ContractViolation as error:
+        return float(re.search(r"delta=(.*)\)$", str(error)).group(1))
+
+
+class CountingMath:
+    """``math`` as the impact_map module sees it, with every call of a
+    function counted by name."""
+
+    def __init__(self):
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        value = getattr(math, name)
+        if not callable(value):
+            return value
+
+        def counted(*args):
+            self.calls[name] += 1
+            return value(*args)
+        return counted
+
+
+@pytest.fixture
+def counting_math(monkeypatch):
+    """A ``CountingMath`` in place of ``impact_map.math``.  cascade calls
+    sin once an arc, for r', and sin and cos once a Newton evaluation, so
+    the sin calls less the arcs are its evaluations."""
+    counting = CountingMath()
+    monkeypatch.setattr(impact_map, "math", counting)
+    return counting
+
+
+def counted_cascade_delta(counting: CountingMath, a: float, beta: float
+                          ) -> tuple[float, int]:
+    """(delta, evaluations) of ``cascade_delta``, the evaluations read off
+    the sin calls that ``counting``, in place as ``impact_map.math``, saw."""
+    before = counting.calls["sin"]
+    delta = cascade_delta(a, beta)
+    return delta, counting.calls["sin"] - before - 1
 
 
 def delta_root(mp, a, beta, guess):

@@ -31,9 +31,9 @@ def test_tracer_finds_every_traced_function():
 
 def test_traced_layers_run_on_the_reference_orbit(capsys):
     # 400 impacts take one first contact; cascade's loop calls no step and
-    # no solve_delta, since it sums the reversion series itself and calls
-    # newton_delta directly for the 300 arcs before the box; reading one
-    # height solves one arc
+    # no solve_delta, since it sums the reversion series and runs Newton
+    # itself for the 300 arcs before the box; reading one height solves
+    # one arc
     tracer = load_tracing().Tracer()
     tracer.install("rodbilliard")
     try:

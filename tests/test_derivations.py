@@ -1,4 +1,4 @@
-"""The closed forms behind ``rootfind.newton_delta``,
+"""The closed forms behind the delta solve of ``impact_map.cascade``,
 ``impact_map.segment_max_height`` and the kernels of the impact map,
 derived in sympy.
 

@@ -12,11 +12,12 @@ from rodbilliard import (DEGENERATE, ContractViolation, SimConfig, T_STAR,
                          unit_rotation)
 from rodbilliard.impact_map import cascade, recurrence_kernels
 from rodbilliard.rootfind import (REVERSION_A_MAX, REVERSION_A_MIN,
-                                  REVERSION_W_MAX, SERIES_MAX, newton_delta)
-from conftest import (box_state, cascade_impact, in_reversion_box,
-                      outside_box_arcs, random_supported_starts, recurrence,
-                      recurrence_direct, reference_solve_delta,
-                      reference_step)
+                                  REVERSION_W_MAX, SERIES_MAX, START_W_MAX,
+                                  small_root_guess)
+from conftest import (box_state, cascade_delta, cascade_impact,
+                      in_reversion_box, in_start_window, outside_box_arcs,
+                      random_supported_starts, recurrence, recurrence_direct,
+                      reference_solve_delta, reference_step, window_arc)
 
 # frozen from a 50-digit computation of the (a=0, b=2) step
 DELTA_02 = 1.1655611852072113
@@ -77,12 +78,13 @@ def test_height_rejects_inadmissible_arc(r, a, beta):
 
 
 def test_height_where_the_velocity_underflows():
-    # the grazing arc a = -1e-300 with newton_delta's delta: at Newton's
-    # start s = 1e-300, Re V = a + b s is 0 and Im V = -a s underflows, so
-    # |V| and h' = r |V| sin psi are 0 there; the peak, about 4e-900,
-    # rounds to 0.0 (dividing by |V| raised ZeroDivisionError)
+    # the grazing arc a = -1e-300, with the delta cascade solves for it
+    # (its radius does not grow): at Newton's start s = 1e-300,
+    # Re V = a + b s is 0 and Im V = -a s underflows, so |V| and
+    # h' = r |V| sin psi are 0 there; the peak, about 4e-900, rounds to 0.0
+    # (dividing by |V| raised ZeroDivisionError)
     a = -1e-300
-    delta = newton_delta(a, 0.0)[0]
+    delta = cascade_delta(a, 0.0)
     assert delta == 3e-300
     height = segment_max_height(1.0, a, 0.0)
     assert height == 0.0 and math.copysign(1.0, height) == 1.0
@@ -289,6 +291,59 @@ def test_cascade_impact_is_step():
     assert sum(d >= SERIES_MAX for d in outside_deltas) >= 2_000
 
 
+def test_cascade_delta_is_the_reference_newton():
+    # cascade's delta equals conftest's newton_delta, started as the
+    # reference decides, bit for bit over seeded arcs that reach every
+    # branch of the solve: the box series, the window's series start, the
+    # default start for a <= 0.5, a > 1 and w > START_W_MAX, the start for
+    # a quadratic root >= 3, grazing arcs, the return of math.pi, roots
+    # below 2^-27 (no evaluation), the 5e-324 floor and arcs with |a| or
+    # beta >= 2^500, solved scaled by 2^-k.  Where the radius check
+    # raises, delta is read from its message
+    rng = random.Random(4401)
+    w_lo, w_hi = REVERSION_W_MAX, START_W_MAX
+
+    def log(lo, hi):
+        return 10.0 ** rng.uniform(lo, hi)
+
+    arcs = [(-1e20, 1.0), (2.0, 5e-324), (1e300, 1e300), (-1e300, 0.0)]
+    for _ in range(2_000):
+        a = math.nextafter(rng.uniform(REVERSION_A_MIN, REVERSION_A_MAX), 1.0)
+        arcs += [box_state(a, w_lo * log(-6.0, 0.0)),
+                 window_arc(a, w_lo * (w_hi / w_lo) ** rng.random()),
+                 (a, w_hi * a * a * log(0.01, 3.0)),
+                 (rng.uniform(-3.0, REVERSION_A_MIN), log(-12.0, 2.0)),
+                 (log(0.01, 5.0), log(-12.0, 3.0)),
+                 (-log(0.0, 5.0), log(-6.0, 3.0)),
+                 (-log(-300.0, 2.0), 0.0),
+                 (rng.choice((-1.0, 1.0)) * log(-300.0, 300.0),
+                  log(-300.0, 300.0))]
+    kinds = Counter()
+    for a, beta in arcs:
+        delta, evaluations = reference_solve_delta(a, beta)
+        try:
+            assert solve_delta(a, beta) == delta, (a, beta)
+        except ContractViolation:
+            kinds["radius check"] += 1
+        assert cascade_delta(a, beta) == delta, (a, beta)
+        scaled = max(abs(a), beta) >= 2.0 ** 500
+        kinds["box"] += in_reversion_box(a, beta)
+        kinds["window"] += in_start_window(a, beta)
+        kinds["w > START_W_MAX"] += (REVERSION_A_MIN < a <= REVERSION_A_MAX
+                                     and beta / (a * a) > w_hi)
+        kinds["a <= 0.5"] += a <= REVERSION_A_MIN and evaluations > 0
+        kinds["a > 1"] += a > REVERSION_A_MAX and evaluations > 0
+        kinds["start >= 3"] += not scaled and small_root_guess(
+            (1.0 + beta) / 3.0, a, beta) >= 3.0
+        kinds["grazing"] += beta == 0.0
+        kinds["pi"] += delta == math.pi
+        kinds["below 2^-27"] += evaluations == 0 and not in_reversion_box(
+            a, beta)
+        kinds["5e-324"] += delta == 5e-324
+        kinds["scaled"] += scaled
+    assert min(kinds.values()) >= 50 and len(kinds) == 12, kinds
+
+
 def test_cascade_runs_on_past_the_box_exit():
     # step(1, 1, 1e-6) gives a' = 1 + 2.2e-16, out of the box, and the
     # fifth impact brings a back to 1: the loop goes on through both
@@ -304,48 +359,43 @@ def test_cascade_runs_on_past_the_box_exit():
     assert ts[-1] == math.fsum(deltas)
 
 
-class _CountingMath:
-    """``math`` as the impact_map module sees it, with every call of a
-    function counted by name."""
-
-    def __init__(self):
-        self.calls = Counter()
-
-    def __getattr__(self, name):
-        value = getattr(math, name)
-        if not callable(value):
-            return value
-
-        def counted(*args):
-            self.calls[name] += 1
-            return value(*args)
-        return counted
-
-
-def test_cascade_makes_one_sin_per_arc_and_one_cos_past_the_series(
-        monkeypatch):
-    # outside the box an arc costs cascade one sin, shared by r' and the
-    # closed forms of p and m, and one cos where delta >= SERIES_MAX: no
-    # other math call and no recurrence_kernels call.  Over the outside
-    # arcs of outside_box_arcs, one impact each, and over the first 25
-    # impacts of seeded starts, the transient a generic start runs
-    counting = _CountingMath()
-    monkeypatch.setattr(impact_map, "math", counting)
+def test_cascade_sin_cos_per_arc_and_per_evaluation(counting_math,
+                                                    monkeypatch):
+    # an arc costs cascade one sin, shared by r' and the closed forms of p
+    # and m, and one cos where delta >= SERIES_MAX; outside the box each
+    # Newton evaluation adds a sin and a cos, as many as the reference
+    # solve takes, and a root below 2^-27 from the default start takes a
+    # hypot and two sqrt instead.  No other math call and no
+    # recurrence_kernels call.  Over the outside arcs of outside_box_arcs,
+    # one impact each, and over the first 25 impacts of seeded starts, the
+    # transient a generic start runs
     kernel_calls = []
 
     def counted_kernels(delta):
         kernel_calls.append(delta)
         return recurrence_kernels(delta)
     monkeypatch.setattr(impact_map, "recurrence_kernels", counted_kernels)
-    deltas = array("d")
+    arcs, deltas = [], array("d")
     for a, beta in outside_box_arcs(4242, 400):
+        arcs.append((a, beta))
         deltas += cascade(0.0, 1.0, a, beta, 1, math.inf)[4]
     for z0, v0 in random_supported_starts(100, seed=4243):
-        deltas += simulate(z0, v0, SimConfig(n_max=25)).delta
+        record = simulate(z0, v0, SimConfig(n_max=25))
+        arcs += zip(record.a, record.beta, record.delta)
+        deltas += record.delta
+    calls = counting_math.calls.copy()
     assert len(deltas) == 2_000 + 100 * 24
     assert min(deltas) < 0.01 <= SERIES_MAX <= max(deltas)
-    assert counting.calls == Counter(
-        sin=len(deltas), cos=sum(d >= SERIES_MAX for d in deltas))
+    solves = [reference_solve_delta(*arc[:2]) for arc in arcs]
+    assert [delta for delta, _ in solves] == list(deltas)
+    evaluations = sum(its for _, its in solves)
+    tiny = sum(its == 0 and not in_reversion_box(*arc[:2])
+               for arc, (_, its) in zip(arcs, solves))
+    assert evaluations > len(deltas) and tiny > 0
+    assert calls == Counter(
+        sin=len(deltas) + evaluations,
+        cos=evaluations + sum(d >= SERIES_MAX for d in deltas),
+        hypot=tiny, sqrt=2 * tiny)
     assert kernel_calls == []
 
 

@@ -108,3 +108,28 @@ def test_impact_map_takes_the_reversion_table_from_rootfind():
     decision = coefficients | {"REVERSION_W_MAX", "START_W_MAX"}
     readers = {name: _readers(tree, {name}) for name in decision}
     assert readers == dict.fromkeys(decision, {"cascade"})
+
+
+def test_the_delta_solve_has_one_home():
+    # cascade's impact loop is the only delta solve: no source file defines
+    # newton_delta, no module but rootfind binds a _K* coefficient, and
+    # the only functions that read them are reduced_arc and cascade, so a
+    # second copy of the solve fails here
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(_PACKAGE.glob("*.py"))}
+    coefficients = set()
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                assert node.name != "newton_delta", name
+            elif isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                           ast.Store):
+                assert node.id != "newton_delta", name
+                if re.match(r"_K\d+$", node.id):
+                    assert name == "rootfind.py", (name, node.id)
+                    coefficients.add(node.id)
+    assert len(coefficients) == 9
+    readers = {(name, fn) for name, tree in trees.items()
+               for fn in _readers(tree, coefficients)}
+    assert readers == {("rootfind.py", "reduced_arc"),
+                       ("impact_map.py", "cascade")}

@@ -18,12 +18,14 @@ import pytest
 from rodbilliard import (SimConfig, recurrence_kernels, segment_max_height,
                          simulate, solve_delta, step)
 from rodbilliard import impact_map, rootfind
+from rodbilliard.impact_map import cascade
 from rodbilliard.rootfind import (REVERSION_A_MAX, REVERSION_A_MIN,
                                   REVERSION_W_MAX, SERIES_MAX, reduced_arc)
-from conftest import (box_state, cascade_impact, delta_root, in_reversion_box,
-                      in_start_window, load_perfbench, outside_box_arcs,
-                      peak_height, random_supported_starts, recurrence,
-                      series_start, stopping_set_point, ulps_off, window_arc)
+from conftest import (box_state, cascade_delta, cascade_impact, delta_root,
+                      in_reversion_box, in_start_window, load_perfbench,
+                      newton_delta, outside_box_arcs, peak_height,
+                      random_supported_starts, recurrence, series_start,
+                      stopping_set_point, ulps_off, window_arc)
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -100,6 +102,16 @@ def test_five_term_head_is_the_full_series():
         assert recurrence_kernels(delta) == (u * horner(p_coef, u),
                                              horner(m_coef, u)), delta
     assert outside >= 15_000
+    # four terms are not enough: at these delta the four-term head of m,
+    # then of p, is off the full series by its last bit, the five-term one
+    # is not
+    for delta, off in ((0.006997593034183751, 1), (0.009998440370508932, 0)):
+        u = delta * delta
+        full = recurrence_kernels(delta)
+        five = (u * horner(p_coef[:5], u), horner(m_coef[:5], u))
+        four = (u * horner(p_coef[:4], u), horner(m_coef[:4], u))
+        assert five == full, delta
+        assert four[off] != full[off] and four[1 - off] == full[1 - off]
 
 
 def test_reference_orbit_checkpoints():
@@ -180,7 +192,7 @@ def test_reversion_box_matches_mpmath():
 @pytest.mark.parametrize("edge", ["a_min", "a_max", "w_max", "w_min"])
 def test_reversion_meets_newton_on_box_edges(edge):
     # the same (a, beta) on an edge of the box, from the series and from
-    # Newton started at the quadratic, newton_delta's default.  Where the
+    # Newton started at the quadratic, the reference's default.  Where the
     # orbit crosses, at w = W_MAX, they agree within 4 ulps, and within 2
     # on the other edges (the most seen over 5000 points an edge, where
     # the series is within 1.5 ulps of the root: test above)
@@ -194,16 +206,16 @@ def test_reversion_meets_newton_on_box_edges(edge):
     assert all(in_reversion_box(a, beta) for a, beta in points)
     for a, beta in points:
         d = solve_delta(a, beta)
-        newton, _ = rootfind.newton_delta(a, beta)
+        newton, _ = newton_delta(a, beta)
         assert ulps_off(d, newton) <= (4.0 if edge == "w_max" else 2.0), (
             a, beta)
 
 
 def test_newton_delta_matches_mpmath():
-    # outside the box delta is Newton's last iterate: within 2.5 ulps of a
-    # 40-digit root on the arcs of seeded orbits, and within 3.5 on
-    # synthetic arcs down to grazing ones (whose G = g s/sin s carries
-    # about 3 ulps of rounding noise at small roots)
+    # cascade's delta is within 2.5 ulps of a 40-digit root on the arcs of
+    # seeded orbits, and within 3.5 on synthetic arcs down to grazing ones
+    # (whose G = g s/sin s carries about 3 ulps of rounding noise at small
+    # roots): Newton's last iterate outside the box, the series inside it
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(14)
     orbit_arcs = []
@@ -220,13 +232,13 @@ def test_newton_delta_matches_mpmath():
     assert len(orbit_arcs) > 1000
     for arcs, bound in ((orbit_arcs, 2.5), (synthetic, 3.5)):
         for a, beta in arcs:
-            delta, _ = rootfind.newton_delta(a, beta)
+            delta = cascade_delta(a, beta)
             ref = delta_root(mpmath.mp, a, beta, delta)
             assert ulps_off(delta, ref) <= bound, (a, beta)
     # an arc where the bracketed solve once returned the midpoint of a
-    # collapsed bracket, 8.5 ulps off the root
+    # collapsed bracket, 8.5 ulps off the root (it is in the box)
     a, beta = 0.5000000000000001, 0.00095625
-    delta, _ = rootfind.newton_delta(a, beta)
+    delta = solve_delta(a, beta)
     assert ulps_off(delta, delta_root(mpmath.mp, a, beta, delta)) <= 1.0
 
 
@@ -246,104 +258,105 @@ def test_outside_box_record_equals_newton_record(monkeypatch, z0, v0, n_max):
     assert 0 < sum(window) < closed
     for (a, beta), d, inside in zip(arcs, record.delta, window):
         x0 = series_start(a, beta) if inside else None
-        assert d == rootfind.newton_delta(a, beta, x0)[0], (a, beta)
+        assert d == newton_delta(a, beta, x0)[0], (a, beta)
     monkeypatch.setattr(rootfind, "REVERSION_W_MAX", 0.0)
     assert simulate(z0, v0, SimConfig(n_max=n_max)) == record
 
 
-def test_newton_iterations_per_impact(monkeypatch):
+def test_newton_iterations_per_impact(monkeypatch, counting_math):
     # from impact 301 of the reference orbit on, every arc lies in the
     # reversion box and its delta takes no solve; before that delta is one
     # Newton solve, from the series in the start window and from the
     # quadratic elsewhere, and every arc height is one monotone Newton
-    # solve from its closed-form start.
+    # solve from its closed-form start.  cascade's evaluations are its sin
+    # calls past the one an arc takes for r'.
     # In-box deltas are checked against mpmath at every 100th step
     mpmath = pytest.importorskip("mpmath")
     record = simulate(1j, 1 + 0j, SimConfig(n_max=1))
     r, a, beta, n = record.r[0], record.a[0], record.beta[0], 1
-    counts = {"delta": [], "height": []}
-    newton_delta, monotone_newton = (rootfind.newton_delta,
-                                     rootfind.monotone_newton)
-
-    def delta_counted(a, beta, x0=None):
-        root, its = newton_delta(a, beta, x0)
-        counts["delta"].append(its)
-        return root, its
+    heights = []
+    monotone_newton = rootfind.monotone_newton
 
     def height_counted(*args, **kwargs):
         res = monotone_newton(*args, **kwargs)
-        counts["height"].append(res.iterations)
+        heights.append(res.iterations)
         return res
 
     monkeypatch.setattr(impact_map, "monotone_newton", height_counted)
-    monkeypatch.setattr(rootfind, "newton_delta", delta_counted)
+    calls = counting_math.calls
     inside = []
     per_step = []  # delta evaluations per step, 0 for a series step
     for _ in range(10_000):
-        before = len(counts["delta"])
+        before = calls["sin"]
         delta, r_next, a_next, beta_next = step(r, a, beta)
+        its = calls["sin"] - before - 1
         segment_max_height(r, a, beta)
-        its = counts["delta"][before:]
         if in_reversion_box(a, beta):
-            assert its == [], n
+            assert its == 0, n
             inside.append(n)
             if n % 100 == 0:
                 ref = delta_root(mpmath.mp, a, beta, delta)
                 assert ulps_off(delta, ref) <= 1.5, n
         else:
-            assert len(its) == 1, n
-        per_step.append(sum(its))
+            assert its >= 1, n
+        per_step.append(its)
         r, a, beta, n = r_next, a_next, beta_next, n + 1
     assert inside == list(range(301, 10_001))
     # the 300 Newton solves before the box take 1.06 evaluations each
-    # (1.35 from the quadratic start: the early arcs are long)
+    # (1.35 from the quadratic start: the early arcs are long), 617 sin
+    # calls with the 300 for r'
     assert sum(per_step[:300]) == 317
-    assert len(counts["height"]) == 10_000
-    for its in (per_step, counts["height"]):
+    assert calls["sin"] == 10_000 + 317
+    assert len(heights) == 10_000
+    for its in (per_step, heights):
         assert sum(its) / len(its) <= 3.0
         assert max(its) <= 8
 
 
-def counted_delta_solves(monkeypatch):
-    """The evaluation count of every later ``newton_delta`` call, in order."""
-    counts = []
-    newton_delta = rootfind.newton_delta
-
-    def delta_counted(a, beta, x0=None):
-        root, its = newton_delta(a, beta, x0)
-        counts.append(its)
-        return root, its
-
-    monkeypatch.setattr(rootfind, "newton_delta", delta_counted)
-    return counts
-
-
-def test_newton_evaluations_per_delta_solve(monkeypatch):
+def test_newton_evaluations_per_delta_solve(counting_math):
     # the work of the delta solves on 1000 seeded starts x 25 impacts, all
     # outside the box: 24000 Newton solves, 1.6844 evaluations each (2.25
-    # from the quadratic start), none taking more than 8
+    # from the quadratic start), none taking more than 8.  cascade calls
+    # sin 64,426 times, once an arc and once an evaluation, and cos 40,912
+    # times, once an evaluation and once an arc with delta >= SERIES_MAX;
+    # each solve's count is read off a one-impact cascade from its arc
     starts = random_supported_starts(1000, seed=715)
-    counts = counted_delta_solves(monkeypatch)
     cfg = SimConfig(n_max=25)
-    for z0, v0 in starts:
-        simulate(z0, v0, cfg)
-    assert len(counts) == 24_000
-    assert sum(counts) == 40_426
+    records = [simulate(z0, v0, cfg) for z0, v0 in starts]
+    calls = counting_math.calls.copy()
+    arcs = [arc for record in records
+            for arc in zip(record.r, record.a, record.beta, record.delta)]
+    assert len(arcs) == 24_000
+    assert not any(in_reversion_box(a, beta) for _, a, beta, _ in arcs)
+    evaluations = calls["sin"] - len(arcs)
+    assert evaluations == 40_426 and calls["sin"] == 64_426
+    assert calls["cos"] == evaluations + 486 == 40_912
+    assert sum(delta >= SERIES_MAX for *_, delta in arcs) == 486
+    counts = []
+    for r, a, beta, delta in arcs:
+        before = counting_math.calls["sin"]
+        assert cascade(0.0, r, a, beta, 1, math.inf)[4][0] == delta
+        counts.append(counting_math.calls["sin"] - before - 1)
+    assert sum(counts) == evaluations
     assert sum(counts) / len(counts) <= 1.75
     assert max(counts) <= 8
 
 
 @pytest.mark.parametrize("eps", [1e-10, -1e-12])
-def test_near_stop_arcs_take_one_evaluation(monkeypatch, eps):
+def test_near_stop_arcs_take_one_evaluation(counting_math, eps):
     # the (1, 1) full-stop start with v0 scaled by 1 + eps chatters on
     # short arcs, each a Newton solve from the quadratic start, which lies
     # within the stop's error bound of the root there: one evaluation per
-    # solve (the bracketed solve took two)
-    counts = counted_delta_solves(monkeypatch)
+    # solve (the bracketed solve took two), counted as cascade's sin calls
+    # past one an arc
     z0, v0 = stopping_set_point(1.0, 1.0)
-    simulate(z0, v0 * (1.0 + eps), SimConfig(n_max=3000))
-    assert len(counts) == 2999
-    assert sum(counts) / len(counts) <= 1.1
+    record = simulate(z0, v0 * (1.0 + eps), SimConfig(n_max=3000))
+    closed = len(record.delta)
+    assert closed == 2999
+    assert not any(in_reversion_box(a, beta) for a, beta in zip(
+        record.a[:closed], record.beta))
+    evaluations = counting_math.calls["sin"] - closed
+    assert evaluations / closed <= 1.1
 
 
 def test_series_started_delta_matches_mpmath():

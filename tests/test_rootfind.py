@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 from rodbilliard import (ContractViolation, SimConfig, T_STAR,
                          UnsupportedFirstImpact, first_impact, rootfind,
                          simulate, solve_delta, solve_tstar)
-from conftest import (GRAZING_V0, GRAZING_Z0, delta_root, in_start_window,
-                      make_grazing_start, series_start, stopping_set_point,
-                      ulps_off, window_arc)
+from conftest import (GRAZING_V0, GRAZING_Z0, cascade_delta,
+                      counted_cascade_delta, delta_root, in_start_window,
+                      make_grazing_start, stopping_set_point, ulps_off,
+                      window_arc)
 
 
 def F(s, a, b):
@@ -178,12 +179,12 @@ def test_reversion_coefficients_rederived():
         assert abs(q) * w7 < Fraction(1, 10) * Fraction(1, 2 ** 53)
 
 
-def test_newton_delta_matches_mpmath_over_seeded_arcs():
+def test_newton_delta_matches_mpmath_over_seeded_arcs(counting_math):
     # 6000 seeded arcs: transversal with a of either sign, grazing, roots
-    # past SERIES_MAX and roots within 1e-3 of pi (a -> -inf).  Every root
-    # is in (0, pi) after at most 10 evaluations, and within 2 ulps of a
-    # 40-digit root, or 3.5 on grazing arcs (their G = g s/sin s carries
-    # about 3 ulps of rounding noise at small roots)
+    # past SERIES_MAX and roots within 1e-3 of pi (a -> -inf).  Every
+    # delta of cascade is in (0, pi) after at most 10 evaluations, and
+    # within 2 ulps of a 40-digit root, or 3.5 on grazing arcs (their
+    # G = g s/sin s carries about 3 ulps of rounding noise at small roots)
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(14)
     arcs = []
@@ -194,7 +195,7 @@ def test_newton_delta_matches_mpmath_over_seeded_arcs():
         arcs.append((rng.uniform(-0.5, 1.5), rng.uniform(0.0, 4.0) or 1.0))
     roots = []
     for a, beta in arcs:
-        delta, evaluations = rootfind.newton_delta(a, beta)
+        delta, evaluations = counted_cascade_delta(counting_math, a, beta)
         assert 0.0 < delta < math.pi and evaluations <= 10, (a, beta)
         ref = delta_root(mpmath.mp, a, beta, delta)
         assert ulps_off(delta, ref) <= (3.5 if beta == 0.0 else 2.0), (a, beta)
@@ -205,7 +206,7 @@ def test_newton_delta_matches_mpmath_over_seeded_arcs():
     assert sum(d > math.pi - 1e-3 for d in roots) > 100
 
 
-def test_newton_delta_from_the_series_matches_mpmath():
+def test_newton_delta_from_the_series_matches_mpmath(counting_math):
     # in the start window (0.5 < a <= 1, W_MAX < w <= START_W_MAX) solve_delta
     # runs Newton from the reversion series: within 1.5 ulps of a 40-digit
     # root after at most 3 evaluations, on 6400 seeded arcs, a quarter of
@@ -228,9 +229,7 @@ def test_newton_delta_from_the_series_matches_mpmath():
     assert len(arcs) == 6400
     for a, beta in arcs:
         assert in_start_window(a, beta)
-        delta, evaluations = rootfind.newton_delta(a, beta,
-                                                   series_start(a, beta))
-        assert solve_delta(a, beta) == delta, (a, beta)
+        delta, evaluations = counted_cascade_delta(counting_math, a, beta)
         assert evaluations <= 3, (a, beta)
         ref = delta_root(mpmath.mp, a, beta, delta)
         assert ulps_off(delta, ref) <= 1.5, (a, beta)
@@ -240,11 +239,11 @@ def test_newton_delta_from_the_series_matches_mpmath():
     assert sum(a == 1.0 for a, _ in arcs) >= 400
 
 
-def test_newton_delta_on_extreme_arcs():
+def test_newton_delta_on_extreme_arcs(counting_math):
     # 60,010 seeded arcs far outside any orbit: |a| and beta log-uniform in
     # [1e-300, 1e300], a of either sign, grazing arcs, and ten named ones.
     # Huge arcs are scaled, tiny roots do not underflow in the stop, and
-    # roots in [math.pi, pi) stay at math.pi.  Every arc has a root in
+    # roots in [math.pi, pi) stay at math.pi.  Every arc has a delta in
     # (0, pi] after at most 10 evaluations, the smallest positive float
     # where the root underflows (beta/a below about 5e-324: 2142 arcs);
     # the bracketed solve took up to 200 on these arcs, 49 near pi, and
@@ -261,10 +260,10 @@ def test_newton_delta_on_extreme_arcs():
         arcs.append((-(10.0 ** rng.uniform(-300, 300)), 0.0))
     assert len(arcs) == 60_010
     for a, beta in arcs:
-        delta, evaluations = rootfind.newton_delta(a, beta)
+        delta, evaluations = counted_cascade_delta(counting_math, a, beta)
         assert 0.0 < delta <= math.pi and evaluations <= 10, (a, beta)
     # delta = pi - 2.0e-20, whose nearest float is math.pi
-    assert rootfind.newton_delta(-1e20, 1.0)[0] == math.pi
+    assert solve_delta(-1e20, 1.0) == math.pi
 
 
 def tiny_delta_root(mp, a, beta, guess):
@@ -287,8 +286,9 @@ def tiny_delta_root(mp, a, beta, guess):
 def test_newton_delta_on_tiny_roots():
     # below 2^-27 the root of b s^2/3 + a s = beta is delta to an ulp (the
     # dropped b s^4/45 moves it by s^2/15 relative, s^2/30 for a > 0), and
-    # newton_delta forms it without squaring a: grazing roots 3|a| once
-    # came out 1.5|a| below a = -1e-162 and lost digits to 1e-155
+    # cascade forms it without squaring a: grazing roots 3|a| once came out
+    # 1.5|a| below a = -1e-162 and lost digits to 1e-155.  Most of these
+    # arcs fail the radius check, whose message gives delta
     mpmath = pytest.importorskip("mpmath")
     arcs = [(-(10.0 ** -e), 0.0) for e in range(100, 301, 4)]
     arcs += [(-1e-160, 0.0), (-2.7e-151, 0.0), (-1e-300, 1e-300),
@@ -296,21 +296,21 @@ def test_newton_delta_on_tiny_roots():
              (0.5, 1e-300), (-1e-12, 1e-20), (2.0, 1e-17),
              (0.0, 1e-320), (1e-300, 3e-321)]  # beta subnormal, root not
     for a, beta in arcs:
-        delta, _ = rootfind.newton_delta(a, beta)
+        delta = cascade_delta(a, beta)
         assert delta < 1e-9, (a, beta)
         ref = tiny_delta_root(mpmath.mp, a, beta, delta)
         assert ulps_off(delta, ref) <= 1.0, (a, beta)
-    assert rootfind.newton_delta(-1e-200, 0.0)[0] == 3e-200
+    assert cascade_delta(-1e-200, 0.0) == 3e-200
 
 
 def test_newton_delta_on_underflowing_roots():
-    # a root below the smallest positive float is returned as that float,
-    # so cascade, and solve_delta through it, report the arc's radius
-    # failing to grow rather than dividing by zero
+    # a root below the smallest positive float is taken as that float, so
+    # cascade, and solve_delta through it, report the arc's radius failing
+    # to grow rather than dividing by zero
     for a, beta in ((1e300, 1e-300), (1e10, 1e-320), (2.0, 5e-324)):
-        assert rootfind.newton_delta(a, beta)[0] == 5e-324
         with pytest.raises(ContractViolation, match="radius failed to grow"):
             solve_delta(a, beta)
+        assert cascade_delta(a, beta) == 5e-324
 
 
 def test_delta_preconditions():
