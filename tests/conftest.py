@@ -11,7 +11,6 @@ import importlib.util
 import itertools
 import math
 import random
-import re
 from collections import Counter
 from array import array
 from pathlib import Path
@@ -286,13 +285,14 @@ def cascade_impact(r: float, a: float, beta: float
     return deltas[0], rs[1], as_[1], betas[1]
 
 
-def cascade_delta(a: float, beta: float) -> float:
-    """delta of one impact of ``cascade`` from r = 1: ``solve_delta``'s
-    value, or where the radius check raises, the delta its message gives."""
+def shipped_delta(a: float, beta: float) -> float:
+    """``solve_delta``'s value for the arc (a, beta), or the reference's
+    where the radius check raises (cascade's delta equals it there too:
+    ``test_cascade_delta_is_the_reference_newton``)."""
     try:
         return solve_delta(a, beta)
-    except ContractViolation as error:
-        return float(re.search(r"delta=(.*)\)$", str(error)).group(1))
+    except ContractViolation:
+        return reference_solve_delta(a, beta)[0]
 
 
 class CountingMath:
@@ -323,12 +323,13 @@ def counting_math(monkeypatch):
     return counting
 
 
-def counted_cascade_delta(counting: CountingMath, a: float, beta: float
+def counted_shipped_delta(counting: CountingMath, a: float, beta: float
                           ) -> tuple[float, int]:
-    """(delta, evaluations) of ``cascade_delta``, the evaluations read off
-    the sin calls that ``counting``, in place as ``impact_map.math``, saw."""
+    """(delta, evaluations) of ``shipped_delta``, the evaluations read off
+    the sin calls of cascade, which it makes whether or not the radius
+    check raises, that ``counting``, in place as ``impact_map.math``, saw."""
     before = counting.calls["sin"]
-    delta = cascade_delta(a, beta)
+    delta = shipped_delta(a, beta)
     return delta, counting.calls["sin"] - before - 1
 
 

@@ -21,10 +21,10 @@ from rodbilliard import impact_map, rootfind
 from rodbilliard.impact_map import cascade
 from rodbilliard.rootfind import (REVERSION_A_MAX, REVERSION_A_MIN,
                                   REVERSION_W_MAX, SERIES_MAX, reduced_arc)
-from conftest import (box_state, cascade_delta, cascade_impact, delta_root,
-                      in_reversion_box, in_start_window, load_perfbench,
-                      newton_delta, outside_box_arcs, peak_height,
-                      random_supported_starts, recurrence, series_start,
+from conftest import (box_state, cascade_impact, delta_root, in_reversion_box,
+                      in_start_window, load_perfbench, newton_delta,
+                      outside_box_arcs, peak_height, random_supported_starts,
+                      recurrence, series_start, shipped_delta,
                       stopping_set_point, ulps_off, window_arc)
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -232,7 +232,7 @@ def test_newton_delta_matches_mpmath():
     assert len(orbit_arcs) > 1000
     for arcs, bound in ((orbit_arcs, 2.5), (synthetic, 3.5)):
         for a, beta in arcs:
-            delta = cascade_delta(a, beta)
+            delta = shipped_delta(a, beta)
             ref = delta_root(mpmath.mp, a, beta, delta)
             assert ulps_off(delta, ref) <= bound, (a, beta)
     # an arc where the bracketed solve once returned the midpoint of a

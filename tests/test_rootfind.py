@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from rodbilliard import (ContractViolation, SimConfig, T_STAR,
                          UnsupportedFirstImpact, first_impact, rootfind,
                          simulate, solve_delta, solve_tstar)
-from conftest import (GRAZING_V0, GRAZING_Z0, cascade_delta,
-                      counted_cascade_delta, delta_root, in_start_window,
-                      make_grazing_start, stopping_set_point, ulps_off,
-                      window_arc)
+from conftest import (GRAZING_V0, GRAZING_Z0, counted_shipped_delta,
+                      delta_root, in_start_window, make_grazing_start,
+                      newton_delta, series_start, shipped_delta,
+                      stopping_set_point, ulps_off, window_arc)
 
 
 def F(s, a, b):
@@ -195,7 +195,7 @@ def test_newton_delta_matches_mpmath_over_seeded_arcs(counting_math):
         arcs.append((rng.uniform(-0.5, 1.5), rng.uniform(0.0, 4.0) or 1.0))
     roots = []
     for a, beta in arcs:
-        delta, evaluations = counted_cascade_delta(counting_math, a, beta)
+        delta, evaluations = counted_shipped_delta(counting_math, a, beta)
         assert 0.0 < delta < math.pi and evaluations <= 10, (a, beta)
         ref = delta_root(mpmath.mp, a, beta, delta)
         assert ulps_off(delta, ref) <= (3.5 if beta == 0.0 else 2.0), (a, beta)
@@ -208,10 +208,11 @@ def test_newton_delta_matches_mpmath_over_seeded_arcs(counting_math):
 
 def test_newton_delta_from_the_series_matches_mpmath(counting_math):
     # in the start window (0.5 < a <= 1, W_MAX < w <= START_W_MAX) solve_delta
-    # runs Newton from the reversion series: within 1.5 ulps of a 40-digit
-    # root after at most 3 evaluations, on 6400 seeded arcs, a quarter of
-    # them on the window's edges w = W_MAX + ulps, w = START_W_MAX,
-    # a = nextafter(0.5, 1) and a = 1
+    # runs Newton from the reversion series: the reference's Newton from
+    # series_start bit for bit, within 1.5 ulps of a 40-digit root after at
+    # most 3 evaluations, on 6400 seeded arcs, a quarter of them on the
+    # window's edges w = W_MAX + ulps, w = START_W_MAX, a = nextafter(0.5, 1)
+    # and a = 1
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(22)
     w_lo, w_hi = rootfind.REVERSION_W_MAX, rootfind.START_W_MAX
@@ -229,7 +230,9 @@ def test_newton_delta_from_the_series_matches_mpmath(counting_math):
     assert len(arcs) == 6400
     for a, beta in arcs:
         assert in_start_window(a, beta)
-        delta, evaluations = counted_cascade_delta(counting_math, a, beta)
+        delta, evaluations = counted_shipped_delta(counting_math, a, beta)
+        assert delta == newton_delta(a, beta, series_start(a, beta))[0], (
+            a, beta)
         assert evaluations <= 3, (a, beta)
         ref = delta_root(mpmath.mp, a, beta, delta)
         assert ulps_off(delta, ref) <= 1.5, (a, beta)
@@ -260,7 +263,7 @@ def test_newton_delta_on_extreme_arcs(counting_math):
         arcs.append((-(10.0 ** rng.uniform(-300, 300)), 0.0))
     assert len(arcs) == 60_010
     for a, beta in arcs:
-        delta, evaluations = counted_cascade_delta(counting_math, a, beta)
+        delta, evaluations = counted_shipped_delta(counting_math, a, beta)
         assert 0.0 < delta <= math.pi and evaluations <= 10, (a, beta)
     # delta = pi - 2.0e-20, whose nearest float is math.pi
     assert solve_delta(-1e20, 1.0) == math.pi
@@ -288,7 +291,7 @@ def test_newton_delta_on_tiny_roots():
     # dropped b s^4/45 moves it by s^2/15 relative, s^2/30 for a > 0), and
     # cascade forms it without squaring a: grazing roots 3|a| once came out
     # 1.5|a| below a = -1e-162 and lost digits to 1e-155.  Most of these
-    # arcs fail the radius check, whose message gives delta
+    # arcs fail the radius check, so the reference's delta is checked there
     mpmath = pytest.importorskip("mpmath")
     arcs = [(-(10.0 ** -e), 0.0) for e in range(100, 301, 4)]
     arcs += [(-1e-160, 0.0), (-2.7e-151, 0.0), (-1e-300, 1e-300),
@@ -296,11 +299,11 @@ def test_newton_delta_on_tiny_roots():
              (0.5, 1e-300), (-1e-12, 1e-20), (2.0, 1e-17),
              (0.0, 1e-320), (1e-300, 3e-321)]  # beta subnormal, root not
     for a, beta in arcs:
-        delta = cascade_delta(a, beta)
+        delta = shipped_delta(a, beta)
         assert delta < 1e-9, (a, beta)
         ref = tiny_delta_root(mpmath.mp, a, beta, delta)
         assert ulps_off(delta, ref) <= 1.0, (a, beta)
-    assert cascade_delta(-1e-200, 0.0) == 3e-200
+    assert shipped_delta(-1e-200, 0.0) == 3e-200
 
 
 def test_newton_delta_on_underflowing_roots():
@@ -310,7 +313,7 @@ def test_newton_delta_on_underflowing_roots():
     for a, beta in ((1e300, 1e-300), (1e10, 1e-320), (2.0, 5e-324)):
         with pytest.raises(ContractViolation, match="radius failed to grow"):
             solve_delta(a, beta)
-        assert cascade_delta(a, beta) == 5e-324
+        assert newton_delta(a, beta)[0] == 5e-324
 
 
 def test_delta_preconditions():
