@@ -13,8 +13,8 @@ from .flight import (FlightSegment, flight_position, flight_velocity,
                      segment_position, segment_velocity)
 from .rootfind import (T_STAR, UnsupportedFirstImpact, first_impact,
                        solve_delta, solve_tstar)
-from .impact_map import (ImpactEvent, in_degenerate_set, recurrence_kernels,
-                         segment_max_height, step)
+from .impact_map import (ImpactEvent, in_degenerate_set, segment_max_height,
+                         step)
 from .simulator import (ConvergenceRow, QuasiTrajectory, TrajectoryRecord,
                         convergence_experiment, quasi_position,
                         quasi_velocity, record_state, simulate)

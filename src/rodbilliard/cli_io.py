@@ -95,9 +95,10 @@ def record_from_json(text: str) -> TrajectoryRecord:
 
     Raises ValueError for another layout, a missing key, a wrongly typed,
     boolean or non-finite entry (an integer too large for a float
-    included), an unknown termination or first impact, ragged columns, or
-    a termination or first impact that misfits them; ignores
-    ``quasi_start`` and ``first_zdot_in``, which the record derives.
+    included), an unknown termination or first impact, ragged columns, a
+    termination or first impact that misfits them, or a full stop at a
+    radius <= 0; ignores ``quasi_start`` and ``first_zdot_in``, which the
+    record derives.
     """
     data = json.loads(text)
     try:
@@ -132,13 +133,15 @@ def record_from_json(text: str) -> TrajectoryRecord:
         record = TrajectoryRecord(
             complex(*data["z0"]), complex(*data["v0"]), SimConfig(**cfg),
             term, *(array("d", col) for col in cols), kind)
-        if n and r[0] > 0.0:  # a radius r <= 0 is left to the arc checks
+        if n and r[0] > 0.0:  # an arc's radius r <= 0 is left to its checks
             try:  # first_impact's verdict, where a tangency grazes
                 verdict = classify_impact(r[0], record.first_zdot_in)
             except ContractViolation:
                 verdict = GRAZING
             if verdict != kind:
                 raise ValueError(f"first impact {kind!r} misfits its velocity")
+        elif stopped:  # a full stop has no arc to check its radius
+            raise ValueError(f"full stop at radius {r[0]} <= 0")
         return record
     except KeyError as exc:
         raise ValueError(f"record lacks the key {exc}") from exc

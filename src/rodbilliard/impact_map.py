@@ -15,8 +15,9 @@ Along an orbit delta_n ~ 3/(2n) and beta_n ~ delta_n, so the state
 carries beta itself (b would keep only eps/beta of its relative
 precision), p and m come from their Taylor series where the closed forms
 cancel, and the second forms above add positive terms only.  ``cascade``
-alone solves for delta and applies the map, with p and m inline, over
-every impact after the first; ``step`` is one impact of it.
+alone solves for delta, from the tables and edges kept here, and
+applies the map, with p and m inline, over every impact after the first;
+``step`` is one impact of it.
 """
 
 from __future__ import annotations
@@ -26,14 +27,44 @@ import struct
 from array import array
 from typing import NamedTuple
 
-from . import rootfind
 from .core import (GRAZING_TOL, ContractViolation, require_finite,
                    unit_rotation)
-from .rootfind import (_K0, _K1, _K2, _K3, _K4, _K5, _K6, _K7, _K8, _Q2,
-                       _Q30, _Q31, _Q40, _Q41, _Q50, _Q51, _Q52, _Q60, _Q61,
-                       _Q62, _Q70, _Q71, _Q72, _Q73, SERIES_MAX, T_STAR,
-                       monotone_newton, reduced_arc, require_arc,
+from .rootfind import (ROOT_REL_TOL, T_STAR, monotone_newton, require_arc,
                        small_root_guess)
+
+# Taylor coefficients of k(s)/s^2 in u = s^2, k(s) = sin s/s - cos s:
+# (-1)^n 2(n+1)/(2n+3)!.  Nine terms are exact to an ulp below SERIES_MAX;
+# from there on k >= 0.3 and the closed form cancels less than 2 ulps.
+# ``reduced_arc`` and ``cascade``'s delta solve sum them.
+(_K0, _K1, _K2, _K3, _K4, _K5, _K6, _K7, _K8) = (
+    (-1) ** n * 2 * (n + 1) / math.factorial(2 * n + 3) for n in range(9))
+SERIES_MAX = 1.0
+
+# Reversion of g(s) = 0 in beta: delta = (beta/a) sum_k Q_k(u) w^(k-1)
+# with u = a^2, w = beta/a^2, each Q_k given as (integer coefficients of
+# 1, u, u^2, ..., common denominator).  The box below (a in (0.5, 1],
+# 0 < w <= 0.005) keeps the 7-term sum within 1.5 ulps of the root, checked
+# against 40-digit mpmath roots (tests/test_precision.py); the omitted
+# Q_8 w^7 is below 0.1 ulp there.  Only ``cascade`` sums it, in the box
+# and the start window, binding the edges here when it is called.
+REVERSION_Q = (
+    ((1,), 1),
+    ((-1,), 3),
+    ((2, -3), 9),
+    ((-25, 57), 135),
+    ((70, -207, 81), 405),
+    ((-490, 1764, -1329), 2835),
+    ((7700, -32550, 35604, -6075), 42525),
+)
+(_, (_Q2,), (_Q30, _Q31), (_Q40, _Q41), (_Q50, _Q51, _Q52), (_Q60, _Q61, _Q62),
+ (_Q70, _Q71, _Q72, _Q73)) = (
+    tuple(c / d for c in cs) for cs, d in REVERSION_Q)
+REVERSION_A_MIN = 0.5   # exclusive
+REVERSION_A_MAX = 1.0
+REVERSION_W_MAX = 0.005
+# beyond the box, up to this w, the series starts Newton (1.45 evaluations
+# per solve on seeded random starts against 2.09 from the quadratic)
+START_W_MAX = 0.5
 
 # Taylor coefficients in u = delta^2 of p/u, (-1)^n 2^(2n+3)/(2n+4)!, and
 # of m, (-1)^n 4^(n+1)/(2n+3)!: exact to an ulp below SERIES_MAX
@@ -62,26 +93,6 @@ class ImpactEvent(NamedTuple):
     kind: str
 
 
-def recurrence_kernels(delta: float) -> tuple[float, float]:
-    """p = 1 - (sin delta/delta)^2 and m = (delta - sin delta cos delta)/delta^3.
-
-    Both to about an ulp: Taylor series below SERIES_MAX, where the
-    closed forms would cancel (p ~ delta^2/3, m ~ 2/3), closed forms above.
-    ``cascade`` repeats it inline; below delta = 0.01 it sums the five-term
-    head of each series instead, which is the full series to the bit there.
-    """
-    if delta < SERIES_MAX:
-        u = delta * delta
-        p = u * (_P0 + u * (_P1 + u * (_P2 + u * (_P3 + u * (_P4 + u * (
-            _P5 + u * (_P6 + u * (_P7 + u * (_P8 + u * (_P9 + u * _P10))))))))))
-        m = _M0 + u * (_M1 + u * (_M2 + u * (_M3 + u * (_M4 + u * (_M5 + u * (
-            _M6 + u * (_M7 + u * (_M8 + u * (_M9 + u * (_M10 + u * _M11))))))))))
-        return p, m
-    sd = math.sin(delta)
-    return (1.0 - (sd / delta) ** 2,
-            (delta - sd * math.cos(delta)) / (delta * delta * delta))
-
-
 def cascade(t1: float, r: float, a: float, beta: float, n: int,
             t_max: float) -> tuple[array, ...]:
     """Columns (t, r, a, beta, delta) of the orbit from its first impact at
@@ -89,11 +100,11 @@ def cascade(t1: float, r: float, a: float, beta: float, n: int,
     t_max on the Neumaier-summed clock.  Each is an ``array('d')``: the
     loop appends to lists, packed into the columns every ``_CHUNK`` impacts.
 
-    delta is the reversion series ``rootfind.REVERSION_Q`` in its box
-    (where the long orbit stays from its 301st impact on).  Elsewhere it is
-    solved here by Newton: from the series in the start window beyond, up
-    to w = beta/a^2 = ``START_W_MAX``, and from the default start outside
-    it.  Edges and stop are read from ``rootfind`` when called.
+    delta is the reversion series ``REVERSION_Q`` in its box (where the
+    long orbit stays from its 301st impact on).  Elsewhere it is solved
+    here by Newton: from the series in the start window beyond, up to
+    w = beta/a^2 = ``START_W_MAX``, and from the default start outside
+    it.  Edges and stop are bound from this module's globals when called.
 
     Over sin s, the equation reads G(s) = beta - a s - b c(s) = 0, with
     c = 1 - s cot s = s k/sin s = sum 2^(2n) |B_2n| s^(2n)/(2n)!, all terms
@@ -113,17 +124,17 @@ def cascade(t1: float, r: float, a: float, beta: float, n: int,
     G >= 0 with G' >= 0 or at math.pi, where a root within ulps of pi lies
     right of the rounded start, gives math.pi.  An arc with |a| or beta
     from 2^500 up is solved scaled by 2^-k, on copies (sa, sb) of (a, beta).
-    p and m repeat ``recurrence_kernels`` inline, but for five-term series
-    heads below 0.01.
+    p and m are their Taylor series below SERIES_MAX (five-term heads
+    below 0.01, the full series to the bit there) and closed forms above.
 
     Only the first arc is checked, by ``require_arc`` when n > 0: with
     beta >= 0, delta is in (0, pi), where p and m are positive (their
     series alternate from 1/3 and 2/3), so every later arc has finite
     a', beta' > 0.  ContractViolation unless r' = r b delta/sin delta > r.
     """
-    a_min, a_max = rootfind.REVERSION_A_MIN, rootfind.REVERSION_A_MAX
-    w_box, w_max = rootfind.REVERSION_W_MAX, rootfind.START_W_MAX
-    tol = rootfind.ROOT_REL_TOL
+    a_min, a_max = REVERSION_A_MIN, REVERSION_A_MAX
+    w_box, w_max = REVERSION_W_MAX, START_W_MAX
+    tol = ROOT_REL_TOL
     sin, cos, pi, inf = math.sin, math.cos, math.pi, math.inf
     if n > 0:
         require_arc(a, beta)
@@ -200,14 +211,14 @@ def cascade(t1: float, r: float, a: float, beta: float, n: int,
             if delta < 0.01:
                 p = u * (_P0 + u * (_P1 + u * (_P2 + u * (_P3 + u * _P4))))
                 m = _M0 + u * (_M1 + u * (_M2 + u * (_M3 + u * _M4)))
-            elif delta < SERIES_MAX:  # recurrence_kernels' series
+            elif delta < SERIES_MAX:  # the full series
                 p = u * (_P0 + u * (_P1 + u * (_P2 + u * (_P3 + u * (
                     _P4 + u * (_P5 + u * (_P6 + u * (_P7 + u * (
                         _P8 + u * (_P9 + u * _P10))))))))))
                 m = _M0 + u * (_M1 + u * (_M2 + u * (_M3 + u * (_M4 + u * (
                     _M5 + u * (_M6 + u * (_M7 + u * (_M8 + u * (
                         _M9 + u * (_M10 + u * _M11))))))))))
-            else:  # its closed forms, on this arc's sin delta
+            else:  # the closed forms, on this arc's sin delta
                 p = 1.0 - (sd / delta) ** 2
                 m = (delta - sd * cos(delta)) / (u * delta)
             r, a, beta = r_next, (beta / delta + delta * m) / b, (beta + p) / b
@@ -235,6 +246,29 @@ def step(r: float, a: float, beta: float
     """One impact of ``cascade`` from (r, a, beta): (delta, r', a', beta')."""
     _, rs, as_, betas, deltas = cascade(0.0, r, a, beta, 1, math.inf)
     return deltas[0], rs[1], as_[1], betas[1]
+
+
+def reduced_arc(s: float, a: float, beta: float) -> float:
+    """g(s) = F(s)/s, for s > 0.
+
+    F(s) = b s cos s - (1 + a s) sin s is the height of the arc with
+    b = 1 + beta, divided by r, so
+
+        g(s) = beta cos s - a sin s - k(s),    k(s) = sin s/s - cos s.
+
+    k ~ s^2/3 is taken from its Taylor series below SERIES_MAX, so no
+    term of g loses digits to cancellation as s -> 0.  With a = beta = 0
+    the result is -k.
+    """
+    sn = math.sin(s)
+    cs = math.cos(s)
+    if s < SERIES_MAX:
+        u = s * s
+        k = u * (_K0 + u * (_K1 + u * (_K2 + u * (_K3 + u * (
+            _K4 + u * (_K5 + u * (_K6 + u * (_K7 + u * _K8))))))))
+    else:
+        k = sn / s - cs
+    return beta * cs - a * sn - k
 
 
 def segment_max_height(r: float, a: float, beta: float) -> float:

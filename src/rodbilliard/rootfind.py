@@ -4,12 +4,9 @@ Every solve is Newton from a side where it converges monotonically.
 ``monotone_newton`` finds the first contact of a free flight (from its
 closed-form angle, split into at most three monotone pieces), the arc
 peak and t = tan t, each from a start read off its curvature's sign.
-The return time of an arc, b s cos s = (1 + a s) sin s, has a concave
-form with a unique root, which ``impact_map.cascade``'s loop approaches
-from the right.  In a fixed box of arc parameters, which holds the long
-orbit's small steps, its reversion series in beta is within 1.5 ulps of
-the root, and Newton's start in a wider window.  Tables, edges and stop
-are kept here; cascade alone solves, and ``solve_delta`` is one impact.
+The return time of an arc is solved in ``impact_map.cascade``'s loop,
+whose module keeps that equation's tables and edges; ``solve_delta`` is
+one impact of it.
 """
 
 from __future__ import annotations
@@ -71,66 +68,9 @@ def monotone_newton(f_df: Callable[[float], tuple[float, float]],
 hybrid_root = monotone_newton
 
 
-# Taylor coefficients of k(s)/s^2 in u = s^2, k(s) = sin s/s - cos s:
-# (-1)^n 2(n+1)/(2n+3)!.  Nine terms are exact to an ulp below SERIES_MAX;
-# from there on k >= 0.3 and the closed form cancels less than 2 ulps.
-# ``reduced_arc`` and ``impact_map.cascade``'s delta solve sum them.
-(_K0, _K1, _K2, _K3, _K4, _K5, _K6, _K7, _K8) = (
-    (-1) ** n * 2 * (n + 1) / math.factorial(2 * n + 3) for n in range(9))
-SERIES_MAX = 1.0
-
 # relative Newton stop of the delta solve, and the first contact's bound on
 # its polishing step: a few ulps, above the rounding noise at the roots
 ROOT_REL_TOL = 1e-15
-
-# Reversion of g(s) = 0 in beta: delta = (beta/a) sum_k Q_k(u) w^(k-1)
-# with u = a^2, w = beta/a^2, each Q_k given as (integer coefficients of
-# 1, u, u^2, ..., common denominator).  The box below (a in (0.5, 1],
-# 0 < w <= 0.005) keeps the 7-term sum within 1.5 ulps of the root, checked
-# against 40-digit mpmath roots (tests/test_precision.py); the omitted
-# Q_8 w^7 is below 0.1 ulp there.  Only ``impact_map.cascade`` sums it,
-# in the box and the start window, reading the edges here when called.
-REVERSION_Q = (
-    ((1,), 1),
-    ((-1,), 3),
-    ((2, -3), 9),
-    ((-25, 57), 135),
-    ((70, -207, 81), 405),
-    ((-490, 1764, -1329), 2835),
-    ((7700, -32550, 35604, -6075), 42525),
-)
-(_, (_Q2,), (_Q30, _Q31), (_Q40, _Q41), (_Q50, _Q51, _Q52), (_Q60, _Q61, _Q62),
- (_Q70, _Q71, _Q72, _Q73)) = (
-    tuple(c / d for c in cs) for cs, d in REVERSION_Q)
-REVERSION_A_MIN = 0.5   # exclusive
-REVERSION_A_MAX = 1.0
-REVERSION_W_MAX = 0.005
-# beyond the box, up to this w, the series starts Newton (1.45 evaluations
-# per solve on seeded random starts against 2.09 from the quadratic)
-START_W_MAX = 0.5
-
-
-def reduced_arc(s: float, a: float, beta: float) -> float:
-    """g(s) = F(s)/s, for s > 0.
-
-    F(s) = b s cos s - (1 + a s) sin s is the height of the arc with
-    b = 1 + beta, divided by r, so
-
-        g(s) = beta cos s - a sin s - k(s),    k(s) = sin s/s - cos s.
-
-    k ~ s^2/3 is taken from its Taylor series below SERIES_MAX, so no
-    term of g loses digits to cancellation as s -> 0.  With a = beta = 0
-    the result is -k.
-    """
-    sn = math.sin(s)
-    cs = math.cos(s)
-    if s < SERIES_MAX:
-        u = s * s
-        k = u * (_K0 + u * (_K1 + u * (_K2 + u * (_K3 + u * (
-            _K4 + u * (_K5 + u * (_K6 + u * (_K7 + u * _K8))))))))
-    else:
-        k = sn / s - cs
-    return beta * cs - a * sn - k
 
 
 def small_root_guess(c2: float, c1: float, beta: float) -> float:

@@ -1,11 +1,11 @@
 """Shared fixtures: reference orbits, the seeded random-start suite and
 the closed-form references of the impact map.
 
-``newton_delta``, ``reference_solve_delta``, ``recurrence`` and
-``reference_step`` solve for delta and apply the map apart from
-``impact_map.cascade``, which is the only code of the package that does
-either: they are what cascade, and ``solve_delta`` and ``step`` through
-it, must equal bit for bit."""
+``newton_delta``, ``reference_solve_delta``, ``recurrence_kernels``,
+``recurrence`` and ``reference_step`` solve for delta and apply the map
+apart from ``impact_map.cascade``, which is the only code of the package
+that does either: they are what cascade, and ``solve_delta`` and
+``step`` through it, must equal bit for bit."""
 
 import importlib.util
 import itertools
@@ -21,13 +21,16 @@ from rodbilliard import (ContractViolation, SimConfig,
                          UnsupportedFirstImpact, first_impact, simulate,
                          unit_rotation)
 from rodbilliard import impact_map, rootfind, solve_delta
-from rodbilliard.impact_map import cascade, recurrence_kernels
-from rodbilliard.rootfind import (_K0, _K1, _K2, _K3, _K4, _K5, _K6, _K7,
-                                  _K8, _Q2, _Q30, _Q31, _Q40, _Q41, _Q50,
-                                  _Q51, _Q52, _Q60, _Q61, _Q62, _Q70, _Q71,
-                                  _Q72, _Q73, REVERSION_A_MAX,
-                                  REVERSION_A_MIN, REVERSION_W_MAX,
-                                  ROOT_REL_TOL, SERIES_MAX, small_root_guess)
+from rodbilliard.impact_map import (_K0, _K1, _K2, _K3, _K4, _K5, _K6,
+                                    _K7, _K8, _M0, _M1, _M2, _M3, _M4, _M5,
+                                    _M6, _M7, _M8, _M9, _M10, _M11, _P0, _P1,
+                                    _P2, _P3, _P4, _P5, _P6, _P7, _P8, _P9,
+                                    _P10, _Q2, _Q30, _Q31, _Q40, _Q41, _Q50,
+                                    _Q51, _Q52, _Q60, _Q61, _Q62, _Q70, _Q71,
+                                    _Q72, _Q73, REVERSION_A_MAX,
+                                    REVERSION_A_MIN, REVERSION_W_MAX,
+                                    SERIES_MAX, cascade)
+from rodbilliard.rootfind import ROOT_REL_TOL, small_root_guess
 
 
 @pytest.fixture(scope="session")
@@ -135,22 +138,43 @@ def reference_solve_delta(a: float, beta: float) -> tuple[float, int]:
     """(delta, evaluations) for the arc (a, beta), the root in (0, pi) of
     b s cos s = (1 + a s) sin s: the 7-term reversion series in the box,
     with no evaluation, Newton from the series in the start window, Newton
-    from its default start elsewhere, with the edges read from ``rootfind``
-    when called."""
+    from its default start elsewhere, with the edges read from
+    ``impact_map`` when called."""
     x0 = None
-    if rootfind.REVERSION_A_MIN < a <= rootfind.REVERSION_A_MAX:
+    if impact_map.REVERSION_A_MIN < a <= impact_map.REVERSION_A_MAX:
         u = a * a
         w = beta / u
-        if 0.0 < w <= rootfind.START_W_MAX:
+        if 0.0 < w <= impact_map.START_W_MAX:
             d = beta / a
             x0 = d + d * w * (_Q2 + w * (_Q30 + _Q31 * u + w * (
                 _Q40 + _Q41 * u + w * (_Q50 + u * (_Q51 + u * _Q52) + w * (
                     _Q60 + u * (_Q61 + u * _Q62) + w * (
                         _Q70 + u * (_Q71 + u * (_Q72 + u * _Q73))))))))
-            if w <= rootfind.REVERSION_W_MAX:
+            if w <= impact_map.REVERSION_W_MAX:
                 return x0, 0
     rootfind.require_arc(a, beta)
     return newton_delta(a, beta, x0)
+
+
+def recurrence_kernels(delta: float) -> tuple[float, float]:
+    """p = 1 - (sin delta/delta)^2 and m = (delta - sin delta cos delta)/delta^3.
+
+    Both to about an ulp: Taylor series below SERIES_MAX, where the
+    closed forms would cancel (p ~ delta^2/3, m ~ 2/3), closed forms above:
+    the kernels ``impact_map.cascade`` sums inline, kept here as their
+    reference; below delta = 0.01 cascade sums the five-term head of each
+    series instead, which is the full series to the bit there.
+    """
+    if delta < SERIES_MAX:
+        u = delta * delta
+        p = u * (_P0 + u * (_P1 + u * (_P2 + u * (_P3 + u * (_P4 + u * (
+            _P5 + u * (_P6 + u * (_P7 + u * (_P8 + u * (_P9 + u * _P10))))))))))
+        m = _M0 + u * (_M1 + u * (_M2 + u * (_M3 + u * (_M4 + u * (_M5 + u * (
+            _M6 + u * (_M7 + u * (_M8 + u * (_M9 + u * (_M10 + u * _M11))))))))))
+        return p, m
+    sd = math.sin(delta)
+    return (1.0 - (sd / delta) ** 2,
+            (delta - sd * math.cos(delta)) / (delta * delta * delta))
 
 
 def recurrence(delta: float, beta: float) -> tuple[float, float, float]:
@@ -196,9 +220,9 @@ def recurrence_direct(delta: float, beta: float
 
 def in_reversion_box(a: float, beta: float) -> bool:
     """Whether cascade takes its reversion series for the arc (a, beta),
-    with the box edges as they are set in ``rootfind`` when called."""
-    return (rootfind.REVERSION_A_MIN < a <= rootfind.REVERSION_A_MAX
-            and 0.0 < beta / (a * a) <= rootfind.REVERSION_W_MAX)
+    with the box edges as they are set in ``impact_map`` when called."""
+    return (impact_map.REVERSION_A_MIN < a <= impact_map.REVERSION_A_MAX
+            and 0.0 < beta / (a * a) <= impact_map.REVERSION_W_MAX)
 
 
 def box_state(a: float, w: float) -> tuple[float, float]:
@@ -214,18 +238,18 @@ def box_state(a: float, w: float) -> tuple[float, float]:
 def in_start_window(a: float, beta: float) -> bool:
     """Whether cascade starts Newton from its reversion series for the
     arc (a, beta): a as in the box, REVERSION_W_MAX < beta/a^2 <= START_W_MAX."""
-    return (rootfind.REVERSION_A_MIN < a <= rootfind.REVERSION_A_MAX
-            and rootfind.REVERSION_W_MAX < beta / (a * a)
-            <= rootfind.START_W_MAX)
+    return (impact_map.REVERSION_A_MIN < a <= impact_map.REVERSION_A_MAX
+            and impact_map.REVERSION_W_MAX < beta / (a * a)
+            <= impact_map.START_W_MAX)
 
 
 def window_arc(a: float, w: float) -> tuple[float, float]:
     """The arc (a, beta = w a^2), moved by ulps into the start window if
     rounding put beta/a^2 on or past one of its edges."""
     beta = w * a * a
-    while beta / (a * a) > rootfind.START_W_MAX:
+    while beta / (a * a) > impact_map.START_W_MAX:
         beta = math.nextafter(beta, 0.0)
-    while beta / (a * a) <= rootfind.REVERSION_W_MAX:
+    while beta / (a * a) <= impact_map.REVERSION_W_MAX:
         beta = math.nextafter(beta, math.inf)
     assert in_start_window(a, beta), (a, beta)
     return a, beta
@@ -235,12 +259,12 @@ def series_start(a: float, beta: float) -> float:
     """Newton's start on a window arc: the reversion series, read from
     ``reference_solve_delta`` with its box widened to the window for this
     one call."""
-    saved = rootfind.REVERSION_W_MAX
-    rootfind.REVERSION_W_MAX = rootfind.START_W_MAX
+    saved = impact_map.REVERSION_W_MAX
+    impact_map.REVERSION_W_MAX = impact_map.START_W_MAX
     try:
         return reference_solve_delta(a, beta)[0]
     finally:
-        rootfind.REVERSION_W_MAX = saved
+        impact_map.REVERSION_W_MAX = saved
 
 
 def outside_box_arcs(seed: int, per_kind: int) -> list[tuple[float, float]]:

@@ -554,6 +554,23 @@ def test_json_with_a_termination_that_misfits_its_columns_is_rejected(
         record_from_json(json.dumps(data))
 
 
+@pytest.mark.parametrize("radius", [0.0, -0.0, -1.0])
+@pytest.mark.parametrize("quasi_mode,termination", [
+    ("stop", "degenerate_stop"), ("extend", "degenerate_quasi")])
+def test_json_of_a_full_stop_at_a_radius_at_most_0_is_rejected(
+        quasi_mode, termination, radius):
+    # a full stop has no arc, whose checks would catch a radius <= 0 at
+    # use, so the reader rejects it: it loaded before, and the CSV then
+    # slid the ball along the negative semiaxis
+    z0, v0 = stopping_set_point(1.0, 1.0)
+    data = json.loads(record_to_json(simulate(z0, v0, SimConfig(
+        n_max=5, t_max=3.0, quasi_mode=quasi_mode))))
+    assert record_from_json(json.dumps(data)).termination == termination
+    data["r"] = [radius]
+    with pytest.raises(ValueError, match="full stop at radius"):
+        record_from_json(json.dumps(data))
+
+
 @pytest.mark.parametrize("full_stop,quasi_start", [
     (True, {"r": 2, "t1": 0.5}),
     (True, None),

@@ -3,9 +3,9 @@
 derived in sympy.
 
 Each identity their docstrings state is proved symbolically, and the
-Taylor tables of ``rootfind`` and ``impact_map`` are rebuilt from the
-series and compared with the floats in the modules, so a wrong
-coefficient there fails here.  The curvature behind each start of
+Taylor tables of ``impact_map`` are rebuilt from the series and
+compared with the floats in the module, so a wrong coefficient there
+fails here.  The curvature behind each start of
 ``rootfind.monotone_newton`` (the first contact, the arc peak and t*) is
 derived too, and the starts the modules pass are checked against it.
 """
@@ -38,7 +38,7 @@ def test_k_table_is_the_taylor_series_of_k():
     # k/s^2 = sum (-1)^n 2(n+1)/(2n+3)! s^(2n), and _Kn is that rational
     # rounded to the nearest float
     coefficients = taylor(sp.expand(k / s**2), TERMS)
-    table = [getattr(rootfind, f"_K{n}") for n in range(TERMS)]
+    table = [getattr(impact_map, f"_K{n}") for n in range(TERMS)]
     for n, (coefficient, value) in enumerate(zip(coefficients, table)):
         assert coefficient == sp.Integer(-1)**n * 2 * (n + 1) / sp.factorial(
             2 * n + 3), n
@@ -118,14 +118,14 @@ def test_arc_peak_is_where_the_velocity_turns_horizontal():
 
 
 P_TERMS, M_TERMS = 11, 12               # _P0 .. _P10, _M0 .. _M11
-p_kernel = 1 - (sp.sin(s) / s)**2       # recurrence_kernels' closed forms
+p_kernel = 1 - (sp.sin(s) / s)**2       # cascade's closed forms of p, m
 m_kernel = (s - sp.sin(s) * sp.cos(s)) / s**3
 
 
 def test_p_and_m_tables_are_the_taylor_series_of_p_and_m():
     # p/s^2 = sum (-1)^n 2^(2n+3)/(2n+4)! s^(2n) and
     # m = sum (-1)^n 4^(n+1)/(2n+3)! s^(2n), the series of the closed forms
-    # that recurrence_kernels takes from SERIES_MAX up; _Pn and _Mn are
+    # that cascade takes from SERIES_MAX up; _Pn and _Mn are
     # those rationals rounded to the nearest float
     for kernel, prefix, n_terms, formula in (
             (sp.expand(p_kernel / s**2), "_P", P_TERMS,

@@ -11,10 +11,10 @@ from rodbilliard import (DEGENERATE, ContractViolation, SimConfig, T_STAR,
                          classify_impact, impact_map, in_degenerate_set,
                          segment_max_height, simulate, solve_delta, step,
                          unit_rotation)
-from rodbilliard.impact_map import cascade, recurrence_kernels
-from rodbilliard.rootfind import (REVERSION_A_MAX, REVERSION_A_MIN,
-                                  REVERSION_W_MAX, SERIES_MAX, START_W_MAX,
-                                  small_root_guess)
+from rodbilliard.impact_map import (REVERSION_A_MAX, REVERSION_A_MIN,
+                                    REVERSION_W_MAX, SERIES_MAX, START_W_MAX,
+                                    cascade)
+from rodbilliard.rootfind import small_root_guess
 from conftest import (box_state, cascade_impact, in_reversion_box,
                       in_start_window, outside_box_arcs,
                       random_supported_starts, recurrence, recurrence_direct,
@@ -361,22 +361,15 @@ def test_cascade_runs_on_past_the_box_exit():
     assert ts[-1] == math.fsum(deltas)
 
 
-def test_cascade_sin_cos_per_arc_and_per_evaluation(counting_math,
-                                                    monkeypatch):
+def test_cascade_sin_cos_per_arc_and_per_evaluation(counting_math):
     # an arc costs cascade one sin, shared by r' and the closed forms of p
     # and m, and one cos where delta >= SERIES_MAX; outside the box each
     # Newton evaluation adds a sin and a cos, as many as the reference
     # solve takes, and a root below 2^-27 from the default start takes a
-    # hypot and two sqrt instead.  No other math call and no
-    # recurrence_kernels call.  Over the outside arcs of outside_box_arcs,
-    # one impact each, and over the first 25 impacts of seeded starts, the
-    # transient a generic start runs
-    kernel_calls = []
-
-    def counted_kernels(delta):
-        kernel_calls.append(delta)
-        return recurrence_kernels(delta)
-    monkeypatch.setattr(impact_map, "recurrence_kernels", counted_kernels)
+    # hypot and two sqrt instead.  No other math call (p and m have no
+    # function of their own in the package: test_imports.py).  Over the
+    # outside arcs of outside_box_arcs, one impact each, and over the
+    # first 25 impacts of seeded starts, the transient a generic start runs
     arcs, deltas = [], array("d")
     for a, beta in outside_box_arcs(4242, 400):
         arcs.append((a, beta))
@@ -398,7 +391,6 @@ def test_cascade_sin_cos_per_arc_and_per_evaluation(counting_math,
         sin=len(deltas) + evaluations,
         cos=evaluations + sum(d >= SERIES_MAX for d in deltas),
         hypot=tiny, sqrt=2 * tiny)
-    assert kernel_calls == []
 
 
 def test_cascade_keeps_the_radius_check():

@@ -49,7 +49,7 @@ def test_oracle_imports_from_the_package_only_core_and_one_error():
 
 def _readers(tree, wanted):
     """Names of the functions in ``tree`` that read a name in ``wanted``,
-    bare or as an attribute of ``rootfind``."""
+    bare or as an attribute of a name (a module)."""
     found = set()
     for fn in ast.walk(tree):
         if not isinstance(fn, ast.FunctionDef):
@@ -58,8 +58,7 @@ def _readers(tree, wanted):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 name = node.id
             elif (isinstance(node, ast.Attribute)
-                  and isinstance(node.value, ast.Name)
-                  and node.value.id == "rootfind"):
+                  and isinstance(node.value, ast.Name)):
                 name = node.attr
             else:
                 continue
@@ -68,68 +67,139 @@ def _readers(tree, wanted):
     return found
 
 
-def test_impact_map_takes_the_reversion_table_from_rootfind():
-    # cascade sums the reversion series inline: its coefficients _Q* and
-    # box edges REVERSION_* have one copy, in rootfind, and the edges are
-    # read as rootfind's attributes, so a patched edge applies.  The delta
-    # decision has one home: no function of rootfind reads a coefficient,
-    # and in impact_map only cascade reads them and the box and window
-    # edges
-    table = re.compile(r"_Q\d+$|REVERSION_")
-    tree = ast.parse((_PACKAGE / "impact_map.py").read_text(encoding="utf-8"))
-    bound = set()
-    imported = set()
+def _bound(tree):
+    """Every name a source file binds: assigned, defined, an argument or
+    imported (under its alias)."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-            bound.add(node.id)
-        elif isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.arg)):
-            bound.add(getattr(node, "name", None) or node.arg)
+            yield node.id
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.arg):
+            yield node.arg
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                if table.match(alias.asname or alias.name.split(".")[-1]):
-                    assert (isinstance(node, ast.ImportFrom)
-                            and node.level == 1 and node.module == "rootfind"
-                            and alias.asname in (None, alias.name)), alias.name
-                    imported.add(alias.name)
-    assert not {name for name in bound if table.match(name)}
-    rootfind = ast.parse((_PACKAGE / "rootfind.py").read_text(
-        encoding="utf-8"))
-    coefficients = {node.id for node in ast.walk(rootfind)
-                    if isinstance(node, ast.Name)
-                    and isinstance(node.ctx, ast.Store)
-                    and re.match(r"_Q\d+$", node.id)}
-    assert imported == coefficients and len(coefficients) == 15
-    edges = {node.attr for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute)
-             and isinstance(node.value, ast.Name)
-             and node.value.id == "rootfind" and table.match(node.attr)}
-    assert edges == {"REVERSION_A_MIN", "REVERSION_A_MAX", "REVERSION_W_MAX"}
-    assert _readers(rootfind, coefficients) == set()
-    decision = coefficients | {"REVERSION_W_MAX", "START_W_MAX"}
-    readers = {name: _readers(tree, {name}) for name in decision}
-    assert readers == dict.fromkeys(decision, {"cascade"})
+                yield alias.asname or alias.name.split(".")[-1]
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(_PACKAGE.glob("*.py"))}
+
+
+def test_the_delta_equation_data_live_in_impact_map():
+    # cascade sums the reversion series and the k series inline: the
+    # coefficients _K* and _Q*, SERIES_MAX, REVERSION_Q and the box and
+    # window edges have one copy, in impact_map, and no other module binds
+    # them, not even by import.  cascade reads the edges as its own
+    # module's globals when called, so a patched edge applies; impact_map
+    # takes from rootfind only what the first contact and both phases
+    # share.  The delta decision has one home: only reduced_arc and
+    # cascade read a _K*, and only cascade a _Q* or an edge
+    table = re.compile(r"_K\d+$|_Q\d+$|REVERSION_|START_W_MAX$|SERIES_MAX$")
+    trees = _trees()
+    homes = {}
+    for name, tree in trees.items():
+        for bound in _bound(tree):
+            if table.match(bound):
+                homes.setdefault(bound, set()).add(name)
+    assert all(files == {"impact_map.py"} for files in homes.values()), homes
+    k = {name for name in homes if re.match(r"_K\d+$", name)}
+    q = {name for name in homes if re.match(r"_Q\d+$", name)}
+    edges = {"REVERSION_A_MIN", "REVERSION_A_MAX", "REVERSION_W_MAX",
+             "START_W_MAX"}
+    assert (len(k), len(q)) == (9, 15)
+    assert set(homes) == k | q | edges | {"REVERSION_Q", "SERIES_MAX"}
+    tree = trees["impact_map.py"]
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            assert node.module is not None, "from . import"
+            imported.setdefault(node.module, set()).update(
+                alias.name for alias in node.names)
+    assert imported["rootfind"] == {"ROOT_REL_TOL", "T_STAR",
+                                    "monotone_newton", "require_arc",
+                                    "small_root_guess"}
+    readers = {fn: set() for fn in ("reduced_arc", "cascade")}
+    for name in homes:
+        for fn in _readers(tree, {name}):
+            readers.setdefault(fn, set()).add(name)
+    assert readers["reduced_arc"] == k | {"SERIES_MAX"}
+    assert readers["cascade"] == k | q | edges | {"SERIES_MAX"}
+    assert set(readers) == {"reduced_arc", "cascade"}
+    for name, other in trees.items():
+        if name != "impact_map.py":
+            assert _readers(other, set(homes)) == set(), name
+    # the edges are bare globals in cascade, bound once at its entry
+    cascade = next(node for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "cascade")
+    loads = [node.id for node in ast.walk(cascade)
+             if isinstance(node, ast.Name) and node.id in edges]
+    assert sorted(loads) == sorted(edges)
 
 
 def test_the_delta_solve_has_one_home():
-    # cascade's impact loop is the only delta solve: no source file defines
-    # newton_delta, no module but rootfind binds a _K* coefficient, and
-    # the only functions that read them are reduced_arc and cascade, so a
-    # second copy of the solve fails here
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(_PACKAGE.glob("*.py"))}
-    coefficients = set()
+    # cascade's impact loop is the only delta solve and the only sum of p
+    # and m: no source file defines or imports newton_delta or
+    # recurrence_kernels (their bodies are the tests' references), and
+    # across the package only reduced_arc and cascade read a _K*
+    # coefficient, so a second copy of the solve fails here
+    trees = _trees()
     for name, tree in trees.items():
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                assert node.name != "newton_delta", name
-            elif isinstance(node, ast.Name) and isinstance(node.ctx,
-                                                           ast.Store):
-                assert node.id != "newton_delta", name
-                if re.match(r"_K\d+$", node.id):
-                    assert name == "rootfind.py", (name, node.id)
-                    coefficients.add(node.id)
+        assert not {"newton_delta", "recurrence_kernels"} & set(
+            _bound(tree)), name
+    coefficients = {node.id for tree in trees.values()
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Name)
+                    and re.match(r"_K\d+$", node.id)}
     assert len(coefficients) == 9
     readers = {(name, fn) for name, tree in trees.items()
                for fn in _readers(tree, coefficients)}
-    assert readers == {("rootfind.py", "reduced_arc"),
+    assert readers == {("impact_map.py", "reduced_arc"),
                        ("impact_map.py", "cascade")}
+
+
+def _layout():
+    """The modules of README's Layout table, top row first."""
+    readme = (_PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Layout", 1)[1].split("\n\n", 2)[1]
+    return re.findall(r"^\| `(\w+)` +\|", table, re.M)
+
+
+def test_each_module_imports_only_modules_above_it_in_the_readme():
+    # README: each module imports only modules above it in the Layout
+    # table, at module level, and the one import upward, of
+    # impact_map.cascade, sits inside rootfind.solve_delta
+    order = _layout()
+    assert set(order) == {path.stem for path in _PACKAGE.glob("*.py")} - {
+        "__init__", "__main__"}
+    upward = []
+    for module in order:
+        tree = ast.parse((_PACKAGE / f"{module}.py").read_text(
+            encoding="utf-8"))
+        scopes = [(None, tree)]
+        while scopes:
+            scope, node = scopes.pop()
+            for child in ast.iter_child_nodes(node):
+                inner = (child.name if isinstance(
+                    child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    else scope)
+                scopes.append((inner, child))
+                targets = []
+                if isinstance(child, ast.ImportFrom) and child.level:
+                    targets = ([child.module] if child.module
+                               else [alias.name for alias in child.names])
+                elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                    names = ([alias.name for alias in child.names]
+                             if isinstance(child, ast.Import)
+                             else [child.module])
+                    targets = [name.split(".")[1] for name in names
+                               if name.startswith("rodbilliard.")]
+                for target in targets:
+                    assert target in order, (module, target)
+                    if order.index(target) >= order.index(module):
+                        upward.append((module, scope, target))
+                    else:
+                        assert scope is None, (module, scope, target)
+    assert upward == [("rootfind", "solve_delta", "impact_map")]

@@ -4,28 +4,29 @@ The series kernels of the step are checked one by one at 30 digits, the
 reversion series of delta over its box at 40 digits, the reference orbit
 z0 = i, v0 = 1 against the 50-digit checkpoints stored with the benchmark,
 every step of seeded orbits against the exact step from its stored state,
-and the Newton evaluation counts.
+the Jacobi integral on every stored arc, and the Newton evaluation counts.
 """
 
 import json
 import math
 import random
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from rodbilliard import (SimConfig, recurrence_kernels, segment_max_height,
-                         simulate, solve_delta, step)
+from rodbilliard import (SimConfig, segment_max_height, simulate,
+                         solve_delta, step)
 from rodbilliard import impact_map, rootfind
-from rodbilliard.impact_map import cascade
-from rodbilliard.rootfind import (REVERSION_A_MAX, REVERSION_A_MIN,
-                                  REVERSION_W_MAX, SERIES_MAX, reduced_arc)
+from rodbilliard.impact_map import (REVERSION_A_MAX, REVERSION_A_MIN,
+                                    REVERSION_W_MAX, SERIES_MAX, cascade,
+                                    reduced_arc)
 from conftest import (box_state, cascade_impact, delta_root, in_reversion_box,
                       in_start_window, load_perfbench, newton_delta,
                       outside_box_arcs, peak_height, random_supported_starts,
-                      recurrence, series_start, shipped_delta,
-                      stopping_set_point, ulps_off, window_arc)
+                      recurrence, recurrence_kernels, series_start,
+                      shipped_delta, stopping_set_point, ulps_off, window_arc)
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -259,7 +260,7 @@ def test_outside_box_record_equals_newton_record(monkeypatch, z0, v0, n_max):
     for (a, beta), d, inside in zip(arcs, record.delta, window):
         x0 = series_start(a, beta) if inside else None
         assert d == newton_delta(a, beta, x0)[0], (a, beta)
-    monkeypatch.setattr(rootfind, "REVERSION_W_MAX", 0.0)
+    monkeypatch.setattr(impact_map, "REVERSION_W_MAX", 0.0)
     assert simulate(z0, v0, SimConfig(n_max=n_max)) == record
 
 
@@ -269,7 +270,8 @@ def test_newton_iterations_per_impact(monkeypatch, counting_math):
     # Newton solve, from the series in the start window and from the
     # quadratic elsewhere, and every arc height is one monotone Newton
     # solve from its closed-form start.  cascade's evaluations are its sin
-    # calls past the one an arc takes for r'.
+    # calls past the one an arc takes for r', counted around step only
+    # (the heights call sin through the same math).
     # In-box deltas are checked against mpmath at every 100th step
     mpmath = pytest.importorskip("mpmath")
     record = simulate(1j, 1 + 0j, SimConfig(n_max=1))
@@ -286,9 +288,11 @@ def test_newton_iterations_per_impact(monkeypatch, counting_math):
     calls = counting_math.calls
     inside = []
     per_step = []  # delta evaluations per step, 0 for a series step
+    step_sin = 0
     for _ in range(10_000):
         before = calls["sin"]
         delta, r_next, a_next, beta_next = step(r, a, beta)
+        step_sin += calls["sin"] - before
         its = calls["sin"] - before - 1
         segment_max_height(r, a, beta)
         if in_reversion_box(a, beta):
@@ -306,7 +310,7 @@ def test_newton_iterations_per_impact(monkeypatch, counting_math):
     # (1.35 from the quadratic start: the early arcs are long), 617 sin
     # calls with the 300 for r'
     assert sum(per_step[:300]) == 317
-    assert calls["sin"] == 10_000 + 317
+    assert step_sin == 10_000 + 317
     assert len(heights) == 10_000
     for its in (per_step, heights):
         assert sum(its) / len(its) <= 3.0
@@ -369,7 +373,7 @@ def test_series_started_delta_matches_mpmath():
         record = simulate(z0, v0, SimConfig(n_max=25))
         orbit_arcs += [(a, beta) for a, beta in zip(record.a, record.beta[
             :len(record.delta)]) if in_start_window(a, beta)]
-    w_lo, w_hi = REVERSION_W_MAX, rootfind.START_W_MAX
+    w_lo, w_hi = REVERSION_W_MAX, impact_map.START_W_MAX
     grid = [window_arc(a, w_lo * (w_hi / w_lo) ** (j / 25))
             for a in [A_LOW] + [0.5 + 0.5 * (k + 1) / 25 for k in range(25)]
             for j in range(26)]
@@ -414,3 +418,48 @@ def test_every_step_is_within_ulps_of_the_exact_step():
     mean_delta = sum(e[0] for e in errors) / len(errors)
     assert worst[0] <= 1.5 and mean_delta <= 0.4, (worst, mean_delta)
     assert worst[1] <= 4.0 and worst[2] <= 6.0 and worst[3] <= 3.0, worst
+
+
+def jacobi(z0: complex, v0: complex) -> Fraction:
+    """The Jacobi integral |zdot|^2 - |z|^2 of the flight (z0 + v0 t)
+    e^{-it}, |v0|^2 - 2 Im(conj(z0) v0), exactly."""
+    zr, zi, vr, vi = map(Fraction, (z0.real, z0.imag, v0.real, v0.imag))
+    return vr * vr + vi * vi - 2 * (zr * vi - zi * vr)
+
+
+def jacobi_drift(record) -> float:
+    """Worst |r^2 (a^2 + beta^2 - 1) - J| / (r^2 + |J|) over the arcs of
+    ``record``, evaluated exactly: each float is its integer ratio, whose
+    denominator is a power of two, so a and beta share the larger one."""
+    j = jacobi(record.z0, record.v0)
+    jn, jd = j.numerator, j.denominator
+    worst = 0.0
+    for r, a, beta in zip(record.r, record.a, record.beta):
+        nr, dr = r.as_integer_ratio()
+        na, da = a.as_integer_ratio()
+        nb, db = beta.as_integer_ratio()
+        d = max(da, db)
+        na, nb, r2, den = na * (d // da), nb * (d // db), nr * nr, (dr * d) ** 2
+        worst = max(worst, abs(r2 * (na * na + nb * nb - d * d) * jd - jn * den)
+                    / (r2 * d * d * jd + abs(jn) * den))
+    return worst
+
+
+def test_jacobi_integral_holds_on_every_stored_arc():
+    # the flight conserves J = |zdot|^2 - |z|^2 and a reflection keeps
+    # |zdot| and z, so every arc leaving impact n has r_n^2 (a_n^2 +
+    # beta_n^2 - 1) = J.  The stored floats keep it to 6.06e-15 relative
+    # on the reference orbit (J = 3) to 2000 impacts, and to 4.86e-15 on
+    # the 291 transversal starts of draw_starts(1, 300) to 200 impacts.
+    # A 1e-12 relative bias on cascade's delta reads 1.0e-9 on the orbit
+    # and 1.0e-10 on the starts
+    orbit = simulate(1j, 1 + 0j, SimConfig(n_max=2000))
+    assert jacobi(orbit.z0, orbit.v0) == 3
+    assert jacobi_drift(orbit) <= 2e-14
+    records = [simulate(z0, v0, SimConfig(n_max=200))
+               for z0, v0 in load_perfbench("run").draw_starts(1, 300)]
+    transversal = [record for record in records
+                   if record.first_kind == "transversal"]
+    assert len(transversal) == 291
+    assert all(len(record.a) == 200 for record in transversal)
+    assert max(map(jacobi_drift, transversal)) <= 2e-14

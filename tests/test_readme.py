@@ -4,7 +4,7 @@ every other line.  A ``> file`` redirect is dropped, the JSON example
 must reload equal to ``simulate``'s record, and the full-stop example
 must be a member of the full-stop set that ``first_impact`` calls
 degenerate.  The python quick start runs as written and prints its
-first row unchanged."""
+first row unchanged, and the package's line count is the one stated."""
 
 import contextlib
 import io
@@ -85,3 +85,13 @@ def test_library_quick_start():
     lines = out.getvalue().splitlines()
     assert lines[0] == FIRST_ROW
     assert [line.split()[0] for line in lines[1:]] == ["100", "1000", "10000"]
+
+
+def test_line_count_is_the_package_size():
+    # "The package holds N lines." counts src/rodbilliard/*.py
+    package = README.parent / "src" / "rodbilliard"
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines())
+                for path in package.glob("*.py"))
+    stated = re.findall(r"The package holds (\d+) lines\.",
+                        README.read_text(encoding="utf-8"))
+    assert stated == [str(lines)]

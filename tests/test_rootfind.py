@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rodbilliard import (ContractViolation, SimConfig, T_STAR,
-                         UnsupportedFirstImpact, first_impact, rootfind,
-                         simulate, solve_delta, solve_tstar)
+                         UnsupportedFirstImpact, first_impact, impact_map,
+                         rootfind, simulate, solve_delta, solve_tstar)
 from conftest import (GRAZING_V0, GRAZING_Z0, counted_shipped_delta,
                       delta_root, in_start_window, make_grazing_start,
                       newton_delta, series_start, shipped_delta,
@@ -161,7 +161,7 @@ def reversion_coefficients(a, order):
 
 
 def test_reversion_coefficients_rederived():
-    # Q_k(a^2) = c_k a^(2k - 1) for the table in rootfind, at rational a
+    # Q_k(a^2) = c_k a^(2k - 1) for the table in impact_map, at rational a
     # (a polynomial of degree <= 3 in u is fixed by four of the five);
     # the first omitted term, Q_8 w^7, is below 0.1 ulp inside the box
     q8 = ((-25025, 121275, -172395, 63657), 127575)
@@ -169,10 +169,10 @@ def test_reversion_coefficients_rederived():
               Fraction(7, 3)):
         c = reversion_coefficients(a, 8)
         u = a * a
-        for k, (cs, d) in enumerate(rootfind.REVERSION_Q + (q8,), start=1):
+        for k, (cs, d) in enumerate(impact_map.REVERSION_Q + (q8,), start=1):
             q = sum(Fraction(ci, d) * u ** i for i, ci in enumerate(cs))
             assert c[k - 1] * a ** (2 * k - 1) == q, (a, k)
-    w7 = Fraction(rootfind.REVERSION_W_MAX) ** 7
+    w7 = Fraction(impact_map.REVERSION_W_MAX) ** 7
     for j in range(101):
         u = Fraction(1, 4) + Fraction(3, 400) * j  # a in [0.5, 1]
         q = sum(Fraction(ci, q8[1]) * u ** i for i, ci in enumerate(q8[0]))
@@ -202,7 +202,7 @@ def test_newton_delta_matches_mpmath_over_seeded_arcs(counting_math):
         roots.append(delta)
     assert sum(beta == 0.0 for _, beta in arcs) == 1500
     assert sum(a < 0.0 for a, _ in arcs) > 3000
-    assert sum(d > rootfind.SERIES_MAX for d in roots) > 1000
+    assert sum(d > impact_map.SERIES_MAX for d in roots) > 1000
     assert sum(d > math.pi - 1e-3 for d in roots) > 100
 
 
@@ -215,8 +215,8 @@ def test_newton_delta_from_the_series_matches_mpmath(counting_math):
     # and a = 1
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(22)
-    w_lo, w_hi = rootfind.REVERSION_W_MAX, rootfind.START_W_MAX
-    a_lo = math.nextafter(rootfind.REVERSION_A_MIN, 1.0)
+    w_lo, w_hi = impact_map.REVERSION_W_MAX, impact_map.START_W_MAX
+    a_lo = math.nextafter(impact_map.REVERSION_A_MIN, 1.0)
     arcs = []
     for _ in range(400):
         a, w = rng.uniform(a_lo, 1.0), rng.uniform(w_lo, w_hi)

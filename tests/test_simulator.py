@@ -16,7 +16,7 @@ from rodbilliard import (DEGENERATE, TRANSVERSAL, ContractViolation,
 from rodbilliard.core import (DEFAULT_CONFIG, GRAZING_TOL, require_finite,
                               unit_rotation)
 from rodbilliard.flight import FlightSegment, flight_velocity
-from rodbilliard import rootfind, simulator
+from rodbilliard import impact_map, simulator
 from rodbilliard.impact_map import (ImpactEvent, cascade, in_degenerate_set,
                                     segment_max_height)
 from rodbilliard.rootfind import (UnsupportedFirstImpact, first_impact,
@@ -625,7 +625,7 @@ def test_loop_crosses_a_narrowed_box_edge(monkeypatch):
     # the reference orbit's a crosses near n = 340: its arcs take Newton's
     # delta, then the series from BOX_ENTRY on, then Newton's again, and
     # the five-term head of p and m on both sides of that edge
-    monkeypatch.setattr(rootfind, "REVERSION_A_MAX", 0.99999)
+    monkeypatch.setattr(impact_map, "REVERSION_A_MAX", 0.99999)
     cfg = SimConfig(n_max=600)
     record = simulate(1j, 1 + 0j, cfg)
     impacts, segments, heights, termination, _ = reference_simulate(
